@@ -1,26 +1,15 @@
 """Dense simplex and basis-evaluation kernels.
 
-Two interchangeable backends solve the same standard-form LPs:
-
-* ``numba`` -- explicit-loop kernels compiled with ``@njit`` (used when
-  numba is importable, unless disabled).
-* ``numpy`` -- a vectorised pure-numpy pivot loop plus plain-Python
-  factorisation helpers.
-
-The backend is fixed at import time from the ``TSAGG_NUMBA`` environment
-variable: ``0``/``off``/``numpy`` forces the numpy path, ``1``/``numba``
-requires numba (ImportError if missing), anything else auto-detects.
-
-Both backends execute the identical pivot sequence: every comparison is
-made on floats produced by the same elementwise operations in the same
-order, so statuses and bases agree exactly between them (the cross-backend
-tests assert this).  Kernels return integer status codes; the public
-wrappers in ``lp_core`` translate them into exceptions and enums.
+A vectorised numpy Bland pivot loop plus plain-Python LU helpers for
+evaluating a given basis.  Pivot decisions must not change: the basis of
+every hour, and through it every CLI output byte, is pinned by the tests
+and by the benchmark digests.  Any edit here has to keep each comparison
+made on floats produced by the same operations in the same order.
+Kernels return integer status codes; the public wrappers in ``lp_core``
+translate them into exceptions and enums.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -31,35 +20,13 @@ UNBOUNDED = 2
 RANK_DEFICIENT = 3
 NUMERICAL = 4
 
-_env = os.environ.get("TSAGG_NUMBA", "auto").strip().lower()
-
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-if _env in ("1", "true", "on", "numba") and not HAS_NUMBA:
-    raise ImportError("TSAGG_NUMBA requests numba but numba is not installed")
-
-_USE_NUMBA = HAS_NUMBA and _env not in ("0", "false", "off", "no", "numpy")
-
-if _USE_NUMBA:
-    _jit = _njit(cache=True, nogil=True)
-    BACKEND = "numba"
-else:
-    def _jit(func):
-        return func
-
-    BACKEND = "numpy"
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# Shared factorisation helpers (loop form; compiled under the numba backend).
+# Factorisation helpers.
 # ---------------------------------------------------------------------------
 
-@_jit
 def _lu_factor(M, perm, pivot_eps):
     """LU-factorise square M in place with partial pivoting.
 
@@ -93,7 +60,6 @@ def _lu_factor(M, perm, pivot_eps):
     return True
 
 
-@_jit
 def _lu_solve(LU, perm, rhs):
     m = LU.shape[0]
     x = rhs.copy()
@@ -116,7 +82,6 @@ def _lu_solve(LU, perm, rhs):
     return x
 
 
-@_jit
 def basis_eval(c, A, b, basis, pivot_eps):
     """Evaluate a basis B = A[:, basis]: x_B = B^-1 b, duals, reduced costs.
 
@@ -160,122 +125,9 @@ def basis_eval(c, A, b, basis, pivot_eps):
 
 
 # ---------------------------------------------------------------------------
-# Loop-form simplex (source for the numba backend).
-# ---------------------------------------------------------------------------
-
-@_jit
-def _pivot(T, basis, m, ncol, r, jc):
-    inv = 1.0 / T[r, jc]
-    for j in range(ncol):
-        T[r, j] *= inv
-    T[r, jc] = 1.0
-    for i in range(m + 1):
-        if i == r:
-            continue
-        f = T[i, jc]
-        if f != 0.0:
-            for j in range(ncol):
-                T[i, j] -= f * T[r, j]
-        T[i, jc] = 0.0
-    basis[r] = jc
-
-
-@_jit
-def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
-    """Run Bland pivots until optimal (0), unbounded (2) or the cap (4)."""
-    ncol = T.shape[1]
-    rhs = ncol - 1
-    while iters < max_iter:
-        enter = -1
-        for j in range(n_enter):
-            if T[m, j] < -tol_opt:
-                enter = j
-                break
-        if enter < 0:
-            return 0, iters
-        leave = -1
-        best = 0.0
-        for i in range(m):
-            a = T[i, enter]
-            if a > pivot_eps:
-                r = T[i, rhs] / a
-                if leave < 0 or r < best or (r == best and basis[i] < basis[leave]):
-                    best = r
-                    leave = i
-        if leave < 0:
-            return 2, iters
-        _pivot(T, basis, m, ncol, leave, enter)
-        iters += 1
-    return 4, iters
-
-
-@_jit
-def _simplex_loops(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
-    m = A.shape[0]
-    n = A.shape[1]
-    ncol = n + m + 1
-    rhs = ncol - 1
-    T = np.zeros((m + 1, ncol))
-    basis = np.empty(m, np.int64)
-    for i in range(m):
-        if b[i] < 0.0:
-            for j in range(n):
-                T[i, j] = -A[i, j]
-            T[i, rhs] = -b[i]
-        else:
-            for j in range(n):
-                T[i, j] = A[i, j]
-            T[i, rhs] = b[i]
-        T[i, n + i] = 1.0
-        basis[i] = n + i
-    # Phase 1: minimise the artificial sum; its reduced-cost row is the
-    # negated column sums of the (sign-fixed) constraint rows.
-    for i in range(m):
-        for j in range(n):
-            T[m, j] -= T[i, j]
-        T[m, rhs] -= T[i, rhs]
-    status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, 0)
-    if status != 0:
-        # Phase 1 is bounded below by zero, so failing to pivot is numeric.
-        return NUMERICAL, basis, iters
-    if -T[m, rhs] > tol_feas:
-        return INFEASIBLE, basis, iters
-    # Drive artificials that linger degenerately at level zero out of the
-    # basis; a row with no eligible original column is redundant.
-    for i in range(m):
-        if basis[i] >= n:
-            pc = -1
-            for j in range(n):
-                if abs(T[i, j]) > pivot_eps:
-                    pc = j
-                    break
-            if pc < 0:
-                return RANK_DEFICIENT, basis, iters
-            _pivot(T, basis, m, ncol, i, pc)
-            iters += 1
-    # Phase 2: rebuild the reduced-cost row from the true costs.
-    for j in range(n):
-        T[m, j] = c[j]
-    for j in range(n, ncol):
-        T[m, j] = 0.0
-    for i in range(m):
-        cb = c[basis[i]]
-        if cb != 0.0:
-            for j in range(ncol):
-                T[m, j] -= cb * T[i, j]
-    status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, iters)
-    if status == 2:
-        return UNBOUNDED, basis, iters
-    if status != 0:
-        return NUMERICAL, basis, iters
-    return OPTIMAL, basis, iters
-
-
-# ---------------------------------------------------------------------------
-# Vectorised numpy simplex (fallback backend).  Mirrors the loop kernel
-# operation for operation: row updates are elementwise and reductions are
-# accumulated row by row, so pivot decisions match the compiled path bit
-# for bit.
+# Vectorised simplex.  Row updates are elementwise and reductions are
+# accumulated row by row in a fixed order; changing either can flip a ratio
+# or reduced-cost tie and so change the pinned bases.
 # ---------------------------------------------------------------------------
 
 def _pivot_np(T, basis, r, jc):
@@ -290,6 +142,7 @@ def _pivot_np(T, basis, r, jc):
 
 
 def _pivot_loop_np(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
+    """Run Bland pivots until optimal (0), unbounded (2) or the cap (4)."""
     rhs = T.shape[1] - 1
     row = T[m]
     while iters < max_iter:
@@ -325,14 +178,19 @@ def _simplex_numpy(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
             T[i, :n] = A[i]
             T[i, rhs] = b[i]
         T[i, n + i] = 1.0
+    # Phase 1: minimise the artificial sum; its reduced-cost row is the
+    # negated column sums of the (sign-fixed) constraint rows.
     for i in range(m):
         T[m, :n] -= T[i, :n]
         T[m, rhs] -= T[i, rhs]
     status, iters = _pivot_loop_np(T, basis, m, n, tol_opt, pivot_eps, max_iter, 0)
     if status != 0:
+        # Phase 1 is bounded below by zero, so failing to pivot is numeric.
         return NUMERICAL, basis, iters
     if -T[m, rhs] > tol_feas:
         return INFEASIBLE, basis, iters
+    # Drive artificials that linger degenerately at level zero out of the
+    # basis; a row with no eligible original column is redundant.
     for i in range(m):
         if basis[i] >= n:
             nz = np.nonzero(np.abs(T[i, :n]) > pivot_eps)[0]
@@ -340,6 +198,7 @@ def _simplex_numpy(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
                 return RANK_DEFICIENT, basis, iters
             _pivot_np(T, basis, i, nz[0])
             iters += 1
+    # Phase 2: rebuild the reduced-cost row from the true costs.
     T[m, :n] = c
     T[m, n:] = 0.0
     for i in range(m):
@@ -354,4 +213,4 @@ def _simplex_numpy(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
     return OPTIMAL, basis, iters
 
 
-simplex = _simplex_loops if _USE_NUMBA else _simplex_numpy
+simplex = _simplex_numpy

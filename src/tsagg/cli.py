@@ -15,8 +15,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data_io import (
     DataError,
     default_spec,
@@ -45,6 +43,7 @@ from .tsa_clustering import (
     ClusterMethod,
     ClusterModel,
     FeatureMatrix,
+    _member_means,
     basis_cluster,
     kmeans,
     normalize_features,
@@ -170,15 +169,14 @@ def _rebuild_model(clusters, features: FeatureMatrix) -> ClusterModel:
             f"clusters file covers {len(clusters.assignment)} hours but the "
             f"config series has {features.H}"
         )
-    centroids = np.empty((clusters.k, features.F))
-    for cid, cent in enumerate(clusters.centroids):
-        for j, col in enumerate(features.columns):
-            value = cent["demand"] if col == "demand" else cent["cf"][col]
-            if features.degenerate[j]:
-                centroids[cid, j] = 0.5
-            else:
-                span = features.maxs[j] - features.mins[j]
-                centroids[cid, j] = (value - features.mins[j]) / span
+    # Saved centroids are member means, so rebuild them exactly from the
+    # assignment instead of inverting their rounded physical values.
+    ids = clusters.assignment
+    if ids.min() < 0 or ids.max() >= clusters.k:
+        raise DataError(
+            f"clusters file assigns hours to ids outside 0..{clusters.k - 1}"
+        )
+    centroids = _member_means(features.values, ids, clusters.k)
     basis_map = None
     if all(b is not None for b in clusters.bases):
         basis_map = {cid: b for cid, b in enumerate(clusters.bases)}

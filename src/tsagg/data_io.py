@@ -24,6 +24,7 @@ from .dispatch_model import (
     Generator,
     SystemData,
     add_nse_generator,
+    regime_counts,
 )
 from .evaluation import ClusterSummary, EvaluationReport
 from .lp_core import BasisSignature
@@ -457,8 +458,7 @@ def dump_json(doc, path) -> None:
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    # Field order is fixed; timings are runtime diagnostics and stay out of
-    # the document so repeated runs serialise byte-identically.
+    # Field order is fixed so repeated runs serialise byte-identically.
     return {
         "method": report.method,
         "k": report.k,
@@ -592,8 +592,6 @@ def read_clusters(path) -> ClustersFile:
 
 def dispatch_summary(system: SystemData, dispatch: DispatchSolution) -> dict:
     """Small JSON-ready summary of a full solve for the CLI."""
-    from .dispatch_model import regime_counts  # local to avoid cycle at import
-
     return {
         "status": "optimal",
         "hours": len(dispatch.periods),

@@ -18,8 +18,6 @@ Unserved demand is modelled by an explicit high-cost generator (name
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -314,17 +312,6 @@ def build_aggregated(
 # solving
 # ---------------------------------------------------------------------------
 
-def thread_count() -> int:
-    """Worker cap from TSAGG_THREADS (default 1; must be a positive int)."""
-    raw = os.environ.get("TSAGG_THREADS", "").strip()
-    if not raw:
-        return 1
-    k = int(raw)
-    if k < 1:
-        raise ValueError(f"TSAGG_THREADS must be >= 1, got {raw!r}")
-    return k
-
-
 def _solve_period(
     lp: StandardFormLP, index: int, weight: float, pmin: np.ndarray
 ) -> PeriodResult:
@@ -336,11 +323,10 @@ def _solve_period(
 
 
 def solve_full(system: SystemData) -> DispatchSolution:
-    """Solve every hourly LP; hours are independent so workers may split them.
+    """Solve every hourly LP in hour order.
 
-    Results are merged by hour index, so the outcome does not depend on the
-    TSAGG_THREADS setting.  Raises InfeasiblePeriodError with the offending
-    hour index if any period fails.
+    Raises InfeasiblePeriodError with the offending hour index if any
+    period fails.
     """
     H = system.horizon
     c, A = _template(system)
@@ -352,12 +338,7 @@ def solve_full(system: SystemData) -> DispatchSolution:
         lp = base if h == 0 else base.with_rhs(hourly_rhs(system, h))
         return _solve_period(lp, h, 1.0, pmin)
 
-    workers = min(thread_count(), H)
-    if workers == 1:
-        periods = [run(h) for h in range(H)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            periods = list(pool.map(run, range(H)))
+    periods = [run(h) for h in range(H)]
     total = float(sum(p.solution.objective + offset for p in periods))
     return DispatchSolution(DispatchKind.FULL, periods, total)
 

@@ -10,8 +10,7 @@ produces the k-means vs basis-clustering scorecard for a dispatch system.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +72,6 @@ class EvaluationReport:
     aggregated_cost: float
     output_error_pct: float
     per_cluster: list[ClusterSummary]
-    timings_ms: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 @dataclass
@@ -250,8 +248,7 @@ def compare_methods(
 
     The full horizon is solved once and shared.  Unless overridden,
     k-means is granted the same k that basis clustering discovered, so the
-    comparison is like for like.  Returns [kmeans_report, basis_report];
-    timings are diagnostic and excluded from report equality.
+    comparison is like for like.  Returns [kmeans_report, basis_report].
     """
     return compare_methods_detailed(system, k_for_kmeans, seed).reports
 
@@ -262,23 +259,16 @@ def compare_methods_detailed(
     seed: int = 0,
 ) -> ComparisonResult:
     features = normalize_features(system)
-
-    t0 = time.perf_counter()
     full = solve_full(system)
-    t_full = 1e3 * (time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
     bmodel = basis_cluster(system, features=features, full=full)
     breps = to_representatives(bmodel, features)
     bagg = solve_aggregated(system, breps)
-    t_basis = 1e3 * (time.perf_counter() - t0)
 
     k = bmodel.k if k_for_kmeans is None else k_for_kmeans
-    t0 = time.perf_counter()
     kmodel = kmeans(features, k, seed=seed)
     kreps = to_representatives(kmodel, features)
     kagg = solve_aggregated(system, kreps)
-    t_kmeans = 1e3 * (time.perf_counter() - t0)
 
     kreport = EvaluationReport(
         method=ClusterMethod.KMEANS.value,
@@ -288,7 +278,6 @@ def compare_methods_detailed(
         aggregated_cost=kagg.total_cost,
         output_error_pct=output_error(full, kagg),
         per_cluster=_summaries(kmodel, kreps),
-        timings_ms={"solve_full": t_full, "cluster_and_aggregate": t_kmeans},
     )
     breport = EvaluationReport(
         method=ClusterMethod.BASIS.value,
@@ -298,6 +287,5 @@ def compare_methods_detailed(
         aggregated_cost=bagg.total_cost,
         output_error_pct=output_error(full, bagg),
         per_cluster=_summaries(bmodel, breps),
-        timings_ms={"solve_full": t_full, "cluster_and_aggregate": t_basis},
     )
     return ComparisonResult(features, full, kmodel, bmodel, kreport, breport)

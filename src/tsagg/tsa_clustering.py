@@ -158,8 +158,15 @@ def _reseed_empty(labels, counts, own_d2, k):
                 break
 
 
+def _member_means(values, assignment, k):
+    """(k, F) mean of the rows of ``values`` assigned to each cluster id."""
+    sums = np.zeros((k, values.shape[1]))
+    np.add.at(sums, assignment, values)
+    return sums / np.bincount(assignment, minlength=k)[:, None]
+
+
 def _lloyd(X, centroids, max_iter, tol):
-    H, F = X.shape
+    H = X.shape[0]
     k = centroids.shape[0]
     labels = np.full(H, -1, dtype=np.int64)
     for _ in range(max_iter):
@@ -171,18 +178,12 @@ def _lloyd(X, centroids, max_iter, tol):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        updated = np.zeros((k, F))
-        np.add.at(updated, labels, X)
-        updated /= counts[:, None]
+        updated = _member_means(X, labels, k)
         if np.abs(updated - centroids).max() < tol:
             centroids = updated
             break
         centroids = updated
-    # Exact member means for the terminal partition.
-    counts = np.bincount(labels, minlength=k)
-    centroids = np.zeros((k, F))
-    np.add.at(centroids, labels, X)
-    centroids /= counts[:, None]
+    # Every exit leaves centroids as the exact member means of labels.
     inertia = float(_point_distances(X, centroids)[np.arange(H), labels].sum())
     return labels, centroids, inertia
 
@@ -270,10 +271,8 @@ def basis_cluster(
             sig_to_cid[sig] = len(sig_to_cid)
         assignment[h] = sig_to_cid[sig]
     k = len(sig_to_cid)
-    centroids = np.zeros((k, features.F))
-    np.add.at(centroids, assignment, features.values)
+    centroids = _member_means(features.values, assignment, k)
     weights = np.bincount(assignment, minlength=k)
-    centroids /= weights[:, None]
     basis_map = {cid: sig for sig, cid in sig_to_cid.items()}
     labels = tuple(regime_label(system, basis_map[cid]) for cid in range(k))
     return ClusterModel(

@@ -9,10 +9,12 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsagg
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
     Generator,
@@ -46,20 +48,10 @@ def default_system():
 
 @pytest.fixture(scope="session")
 def timed_full(default_system):
-    """Full-year solve, single-threaded, with the JIT warmed beforehand."""
-    solve(StandardFormLP(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0])))
-    saved = os.environ.get("TSAGG_THREADS")
-    os.environ["TSAGG_THREADS"] = "1"
-    try:
-        t0 = time.perf_counter()
-        full = solve_full(default_system)
-        elapsed = time.perf_counter() - t0
-    finally:
-        if saved is None:
-            os.environ.pop("TSAGG_THREADS", None)
-        else:
-            os.environ["TSAGG_THREADS"] = saved
-    return full, elapsed
+    """Full-year solve and its wall time."""
+    t0 = time.perf_counter()
+    full = solve_full(default_system)
+    return full, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -176,9 +168,14 @@ def test_criterion_6_identity_and_constant_controls():
 
 
 def _run_cli(args, cwd):
+    # The child runs in a tmp cwd, so a relative PYTHONPATH would not resolve
+    # there; put the absolute source root of the imported package first.
+    src = str(Path(tsagg.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
     proc = subprocess.run(
         [sys.executable, "-m", "tsagg.cli", *args],
-        cwd=cwd, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, f"tsagg {' '.join(args)} failed: {proc.stderr}"
     return proc

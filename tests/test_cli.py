@@ -214,3 +214,17 @@ def test_plot_horizon_mismatch_exits_2(instance, tmp_path, capsys):
                  "--out", str(tmp_path / "bad.svg")])
     assert code == 2
     assert "hours" in capsys.readouterr().err
+
+
+def test_plot_bad_cluster_id_exits_2(instance, tmp_path, capsys):
+    assert main(["aggregate", "--config", str(instance / "config.json"),
+                 "--method", "kmeans", "--k", "2", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "clusters_kmeans.json"
+    doc = json.loads(path.read_text())
+    doc["assignment"][5] = doc["k"]
+    path.write_text(json.dumps(doc))
+    code = main(["plot", "--config", str(instance / "config.json"),
+                 "--clusters", str(path), "--out", str(tmp_path / "bad.svg")])
+    assert code == 2
+    assert "cluster" in capsys.readouterr().err
+    assert not (tmp_path / "bad.svg").exists()

@@ -203,28 +203,6 @@ def test_merit_order_holds_in_every_hour():
                         assert slack <= 1e-7, (h, g, cheaper, slack)
 
 
-def test_thread_env_does_not_change_results(monkeypatch):
-    system = thermal_wind(
-        np.linspace(20.0, 160.0, 24), np.linspace(0.0, 1.0, 24)
-    )
-    serial = solve_full(system)
-    monkeypatch.setenv("TSAGG_THREADS", "4")
-    threaded = solve_full(system)
-    assert threaded.total_cost == serial.total_cost
-    assert [p.solution.basis for p in threaded.periods] == [
-        p.solution.basis for p in serial.periods
-    ]
-
-
-def test_thread_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("TSAGG_THREADS", "zero")
-    with pytest.raises(ValueError):
-        solve_full(thermal_wind([50.0], [0.5]))
-    monkeypatch.setenv("TSAGG_THREADS", "0")
-    with pytest.raises(ValueError):
-        solve_full(thermal_wind([50.0], [0.5]))
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------

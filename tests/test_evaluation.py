@@ -147,7 +147,6 @@ def test_compare_methods_reports_structure():
     assert all(c.basis is not None for c in bm.per_cluster)
     assert all(c.basis is None for c in km.per_cluster)
     assert bm.output_error_pct <= 1e-6
-    assert set(km.timings_ms) == {"solve_full", "cluster_and_aggregate"}
 
 
 def test_compare_methods_k_override_and_determinism():
