@@ -1,12 +1,15 @@
 """Dense simplex and basis-evaluation kernels.
 
-A vectorised numpy Bland pivot loop plus plain-Python LU helpers for
-evaluating a given basis.  Pivot decisions must not change: the basis of
-every hour, and through it every CLI output byte, is pinned by the tests
-and by the benchmark digests.  Any edit here has to keep each comparison
-made on floats produced by the same operations in the same order.
-Kernels return integer status codes; the public wrappers in ``lp_core``
-translate them into exceptions and enums.
+A vectorised numpy Bland pivot loop plus a hand-written LU for evaluating
+a given basis.  The LU runs on Python-float lists: they are IEEE binary64
+with the same rounding as numpy float64 scalars, so each value equals what
+the same loops give on numpy scalars, only with less interpreter overhead.
+Pivot decisions must not change: the basis of every hour, and through it
+every CLI output byte, is pinned by the tests and by the benchmark digests.
+Any edit here has to keep each float produced by the same operations in
+the same order; ``tests/oracles.py`` keeps the earlier element-by-element
+kernels as the bitwise reference.  Kernels return integer status codes;
+the public wrappers in ``lp_core`` translate them into exceptions and enums.
 """
 
 from __future__ import annotations
@@ -28,18 +31,18 @@ BACKEND = "numpy"
 # ---------------------------------------------------------------------------
 
 def _lu_factor(M, perm, pivot_eps):
-    """LU-factorise square M in place with partial pivoting.
+    """LU-factorise square M (a list of row lists) in place, partial pivoting.
 
     ``perm`` records the row swap made at each elimination step.  Returns
     False as soon as the best available pivot magnitude drops below
     ``pivot_eps`` (near-singular matrix).
     """
-    m = M.shape[0]
+    m = len(M)
     for k in range(m):
         p = k
-        best = abs(M[k, k])
+        best = abs(M[k][k])
         for i in range(k + 1, m):
-            v = abs(M[i, k])
+            v = abs(M[i][k])
             if v > best:
                 best = v
                 p = i
@@ -47,38 +50,37 @@ def _lu_factor(M, perm, pivot_eps):
             return False
         perm[k] = p
         if p != k:
-            for j in range(m):
-                t = M[k, j]
-                M[k, j] = M[p, j]
-                M[p, j] = t
-        piv = M[k, k]
+            M[k], M[p] = M[p], M[k]
+        rk = M[k]
+        piv = rk[k]
+        tail = rk[k + 1:]
         for i in range(k + 1, m):
-            l = M[i, k] / piv
-            M[i, k] = l
-            for j in range(k + 1, m):
-                M[i, j] -= l * M[k, j]
+            ri = M[i]
+            l = ri[k] / piv
+            ri[k] = l
+            ri[k + 1:] = [v - l * u for v, u in zip(ri[k + 1:], tail)]
     return True
 
 
 def _lu_solve(LU, perm, rhs):
-    m = LU.shape[0]
-    x = rhs.copy()
+    m = len(LU)
+    x = list(rhs)
     for k in range(m):
         p = perm[k]
         if p != k:
-            t = x[k]
-            x[k] = x[p]
-            x[p] = t
+            x[k], x[p] = x[p], x[k]
     for i in range(1, m):
         s = x[i]
+        row = LU[i]
         for j in range(i):
-            s -= LU[i, j] * x[j]
+            s -= row[j] * x[j]
         x[i] = s
     for i in range(m - 1, -1, -1):
         s = x[i]
+        row = LU[i]
         for j in range(i + 1, m):
-            s -= LU[i, j] * x[j]
-        x[i] = s / LU[i, i]
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
     return x
 
 
@@ -89,38 +91,28 @@ def basis_eval(c, A, b, basis, pivot_eps):
     factorisation pivot falls below ``pivot_eps``.  Reduced costs at basic
     indices are zeroed exactly.
     """
-    m = A.shape[0]
-    n = A.shape[1]
-    B = np.empty((m, m))
-    Bt = np.empty((m, m))
-    cb = np.empty(m)
-    for k in range(m):
-        jc = basis[k]
-        cb[k] = c[jc]
-        for i in range(m):
-            B[i, k] = A[i, jc]
-            Bt[k, i] = A[i, jc]
-    perm = np.empty(m, np.int64)
-    if not _lu_factor(B, perm, pivot_eps):
+    m, n = A.shape
+    B = A[:, basis]
+    cb = c[basis].tolist()
+    perm = [0] * m
+    LU = B.tolist()
+    if not _lu_factor(LU, perm, pivot_eps):
         return False, np.zeros(n), np.zeros(n), 0.0
-    xb = _lu_solve(B, perm, b)
-    permt = np.empty(m, np.int64)
-    if not _lu_factor(Bt, permt, pivot_eps):
+    xb = _lu_solve(LU, perm, b.tolist())
+    LUt = B.T.tolist()
+    if not _lu_factor(LUt, perm, pivot_eps):
         return False, np.zeros(n), np.zeros(n), 0.0
-    y = _lu_solve(Bt, permt, cb)
-    rc = np.empty(n)
-    for j in range(n):
-        rc[j] = c[j]
+    y = _lu_solve(LUt, perm, cb)
+    # Row by row, so each element sees its m subtractions in the order i.
+    rc = c.copy()
     for i in range(m):
-        yi = y[i]
-        for j in range(n):
-            rc[j] -= yi * A[i, j]
-    x = np.zeros(n)
+        rc -= y[i] * A[i]
     obj = 0.0
     for k in range(m):
-        x[basis[k]] = xb[k]
         obj += cb[k] * xb[k]
-        rc[basis[k]] = 0.0
+    x = np.zeros(n)
+    x[basis] = xb
+    rc[basis] = 0.0
     return True, x, rc, obj
 
 
@@ -131,34 +123,37 @@ def basis_eval(c, A, b, basis, pivot_eps):
 # ---------------------------------------------------------------------------
 
 def _pivot_np(T, basis, r, jc):
-    T[r] *= 1.0 / T[r, jc]
-    T[r, jc] = 1.0
+    # Column jc is overwritten with the unit vector at the end, so what the
+    # row update leaves in it is never read.
+    Tr = T[r]
+    Tr *= 1.0 / Tr[jc]
     f = T[:, jc].copy()
     f[r] = 0.0
-    T -= f[:, None] * T[r]
+    T -= np.multiply.outer(f, Tr)
     T[:, jc] = 0.0
-    T[r, jc] = 1.0
+    Tr[jc] = 1.0
     basis[r] = jc
 
 
 def _pivot_loop_np(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
     """Run Bland pivots until optimal (0), unbounded (2) or the cap (4)."""
-    rhs = T.shape[1] - 1
-    row = T[m]
+    row = T[m, :n_enter]
+    rhs = T[:m, -1]
+    ratios = np.empty(m)
     while iters < max_iter:
-        neg = np.nonzero(row[:n_enter] < -tol_opt)[0]
-        if neg.size == 0:
+        neg = row < -tol_opt
+        enter = neg.argmax()  # Bland: the first improving column
+        if not neg[enter]:
             return 0, iters
-        enter = neg[0]
         col = T[:m, enter]
         elig = col > pivot_eps
         if not elig.any():
             return 2, iters
-        ratios = np.full(m, np.inf)
-        ratios[elig] = T[:m, rhs][elig] / col[elig]
-        best = ratios.min()
-        ties = np.nonzero(ratios == best)[0]
-        leave = ties[np.argmin(basis[ties])]
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=elig)
+        # Bland: among rows at the minimum ratio, the smallest basic index.
+        ties = (ratios == ratios.min()).nonzero()[0]
+        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         _pivot_np(T, basis, leave, enter)
         iters += 1
     return 4, iters
@@ -170,14 +165,12 @@ def _simplex_numpy(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
     rhs = ncol - 1
     T = np.zeros((m + 1, ncol))
     basis = np.arange(n, n + m, dtype=np.int64)
-    for i in range(m):
-        if b[i] < 0.0:
-            T[i, :n] = -A[i]
-            T[i, rhs] = -b[i]
-        else:
-            T[i, :n] = A[i]
-            T[i, rhs] = b[i]
-        T[i, n + i] = 1.0
+    T[:m, :n] = A
+    T[:m, rhs] = b
+    flip = np.flatnonzero(b < 0.0)
+    T[flip, :n] = -A[flip]
+    T[flip, rhs] = -b[flip]
+    T[:m, n:rhs] = np.eye(m)
     # Phase 1: minimise the artificial sum; its reduced-cost row is the
     # negated column sums of the (sign-fixed) constraint rows.
     for i in range(m):

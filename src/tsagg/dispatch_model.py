@@ -18,6 +18,7 @@ Unserved demand is modelled by an explicit high-cost generator (name
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -377,8 +378,10 @@ def regime_label(system: SystemData, basis: BasisSignature) -> str:
 
 
 def regime_counts(system: SystemData, dispatch: DispatchSolution) -> dict[str, int]:
+    """Hours per regime label, in order of each label's first hour."""
+    # Bases are counted first, in first-hour order, so each is labelled once.
     counts: dict[str, int] = {}
-    for p in dispatch.periods:
-        label = regime_label(system, p.solution.basis)
-        counts[label] = counts.get(label, 0) + 1
+    for basis, hours in Counter(p.solution.basis for p in dispatch.periods).items():
+        label = regime_label(system, basis)
+        counts[label] = counts.get(label, 0) + hours
     return counts

@@ -83,18 +83,20 @@ class TheoremCheckResult:
 
     @staticmethod
     def combine(results: list["TheoremCheckResult"]) -> "TheoremCheckResult":
-        worst = None
-        for r in results:
-            if r.worst_basis_violation is not None:
-                worst = r.worst_basis_violation
-                break
+        """Sum counts; the violation kept is the one with the largest gap
+        among results that have one (the first on ties)."""
+        worst = max(
+            (r for r in results if r.worst_basis_violation is not None),
+            key=lambda r: r.worst_objective_gap,
+            default=None,
+        )
         return TheoremCheckResult(
             trials=sum(r.trials for r in results),
             failures=sum(r.failures for r in results),
             worst_objective_gap=max(
                 (r.worst_objective_gap for r in results), default=0.0
             ),
-            worst_basis_violation=worst,
+            worst_basis_violation=None if worst is None else worst.worst_basis_violation,
         )
 
 

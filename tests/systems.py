@@ -37,3 +37,30 @@ def random_system(rng, hours=24, nse=True) -> SystemData:
     )
     system = SystemData(gens, demand, {"wind": cf})
     return add_nse_generator(system) if nse else system
+
+
+def fleet_system(rng, hours=336) -> SystemData:
+    """Wide system (m = 14) with exactly degenerate hours.
+
+    Two wind farms and ten thermal units, the cheapest three with a p_min,
+    plus NSE.  Five per cent of each capacity-factor series is set to
+    exactly 0 or 1, and demand and capacities are whole megawatts, so some
+    hours tie exactly in the ratio test.
+    """
+    t = np.arange(hours)
+    demand = np.round(
+        600.0 + 250.0 * np.sin(2.0 * np.pi * t / 24.0) + rng.normal(0.0, 60.0, hours)
+    )
+    cfs = {"wind_a": rng.beta(2.0, 3.0, hours), "wind_b": rng.beta(2.0, 3.0, hours)}
+    for cf in cfs.values():
+        idx = rng.choice(hours, size=hours // 20, replace=False)
+        cf[idx] = rng.integers(0, 2, idx.size).astype(float)
+    gens = [
+        Generator("wind_a", 0.0, 250.0, is_variable=True, cf_series_id="wind_a"),
+        Generator("wind_b", 0.5, 200.0, is_variable=True, cf_series_id="wind_b"),
+    ]
+    for i in range(10):
+        cap = float(rng.integers(80, 121))
+        cost = 12.0 + 4.0 * i + rng.uniform(0.0, 1.0)
+        gens.append(Generator(f"unit{i}", cost, cap, p_min=0.25 * cap if i < 3 else 0.0))
+    return add_nse_generator(SystemData(tuple(gens), np.clip(demand, 0.0, None), cfs))

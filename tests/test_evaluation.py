@@ -112,6 +112,17 @@ def test_theorem_result_combine():
     assert (empty.trials, empty.failures, empty.worst_objective_gap) == (0, 0, 0.0)
 
 
+def test_theorem_result_combine_keeps_largest_gap_violation():
+    a = TheoremCheckResult(2, 1, 1e-8, "objective not linear")
+    b = TheoremCheckResult(2, 1, 3e-6, "basis not optimal at averaged rhs")
+    c = TheoremCheckResult(2, 1, 3e-6, "third violation")
+    gap_only = TheoremCheckResult(2, 1, 1e-3, None)
+    merged = TheoremCheckResult.combine([a, gap_only, b, c])
+    assert merged.worst_basis_violation == "basis not optimal at averaged rhs"
+    assert merged.worst_objective_gap == 1e-3
+    assert merged.failures == 4
+
+
 def test_run_theorem_trials_small_batch_clean():
     res = run_theorem_trials(300, seed=6)
     assert res.trials == 300

@@ -5,8 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import random_lp_data
+from oracles import basis_eval_reference, random_lp_data, simplex_reference
+from systems import fleet_system
 from tsagg import _kernels
+from tsagg.data_io import default_spec, generate_synthetic
+from tsagg.dispatch_model import _template, hourly_rhs
 from tsagg.lp_core import PIVOT_EPS, TOL_FEAS, TOL_OPT
 
 # sha256 over (status, iterations, basis) of the 300 LPs below, recorded when
@@ -57,8 +60,76 @@ def test_basis_eval_matches_numpy_linalg():
 
 def test_lu_factor_flags_singular_matrix():
     M = np.array([[1.0, 2.0], [2.0, 4.0]])
-    perm = np.empty(2, np.int64)
-    assert not _kernels._lu_factor(M.copy(), perm, PIVOT_EPS)
+    perm = [0] * 2
+    assert not _kernels._lu_factor(M.tolist(), perm, PIVOT_EPS)
     ident = np.eye(3)
-    perm3 = np.empty(3, np.int64)
-    assert _kernels._lu_factor(ident.copy(), perm3, PIVOT_EPS)
+    perm3 = [0] * 3
+    assert _kernels._lu_factor(ident.tolist(), perm3, PIVOT_EPS)
+
+
+def _bits(v):
+    """Raw float64 bytes: equal values and equal signs of zero."""
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _random_basis_case(rng):
+    """Random (c, A, b, basis) with m <= 14; a third integer-valued, with
+    exact pivot ties, and some with a repeated basic column (singular)."""
+    m = int(rng.integers(1, 15))
+    n = int(rng.integers(m, m + 11))
+    kind = rng.integers(3)
+    if kind == 0:
+        A = rng.normal(size=(m, n))
+        b = rng.normal(size=m)
+        c = rng.normal(size=n)
+    elif kind == 1:
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-3, 4, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        A = rng.uniform(-1.0, 1.0, size=(m, n)) * 10.0 ** rng.integers(-4, 5, size=(m, 1))
+        b = rng.uniform(-1.0, 1.0, size=m)
+        c = rng.uniform(0.0, 1.0, size=n)
+    basis = rng.permutation(n)[:m]
+    if m > 1 and rng.integers(8) == 0:
+        A[:, basis[1]] = A[:, basis[0]]
+    return c, A, b, basis
+
+
+def test_basis_eval_bitwise_equal_to_reference():
+    rng = np.random.default_rng(31)
+    singular = 0
+    for _ in range(2400):
+        c, A, b, basis = _random_basis_case(rng)
+        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS)
+        ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
+        assert ok == ok_ref
+        assert _bits(x) == _bits(x_ref)
+        assert _bits(rc) == _bits(rc_ref)
+        assert _bits(obj) == _bits(obj_ref)
+        singular += not ok
+    assert singular >= 100
+
+
+def _assert_hours_match_reference(system):
+    c, A = _template(system)
+    for h in range(system.horizon):
+        b = hourly_rhs(system, h)
+        st, basis, it = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
+        st_ref, basis_ref, it_ref = simplex_reference(
+            c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000
+        )
+        assert (st, it) == (st_ref, it_ref), h
+        assert np.array_equal(basis, basis_ref), h
+
+
+def test_simplex_matches_reference_on_default_year():
+    _assert_hours_match_reference(generate_synthetic(default_spec()))
+
+
+def test_simplex_matches_reference_on_degenerate_fleet():
+    system = fleet_system(np.random.default_rng(4))  # 7 exact ratio-test ties
+    assert system.size == 13
+    cf = system.capacity_factors["wind_a"]
+    assert (cf == 0.0).any() and (cf == 1.0).any()
+    _assert_hours_match_reference(system)
