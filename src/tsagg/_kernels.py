@@ -84,36 +84,64 @@ def _lu_solve(LU, perm, rhs):
     return x
 
 
-def basis_eval(c, A, b, basis, pivot_eps):
+def _basis_factor(c, A, basis, pivot_eps):
+    """The b-independent half of a basis evaluation, or None if B is singular.
+
+    Returns (LU of B, its perm, c_B, reduced costs).  The duals
+    y = B^-T c_B are solved on their own LU of B^T: solving them with the
+    LU of B would round them differently and move the pinned outputs.
+    """
+    m = A.shape[0]
+    B = A[:, basis]
+    perm = [0] * m
+    LU = B.tolist()
+    if not _lu_factor(LU, perm, pivot_eps):
+        return None
+    permt = [0] * m
+    LUt = B.T.tolist()
+    if not _lu_factor(LUt, permt, pivot_eps):
+        return None
+    cb = c[basis].tolist()
+    y = _lu_solve(LUt, permt, cb)
+    # Row by row, so each element sees its m subtractions in the order i.
+    rc = c.copy()
+    for i in range(m):
+        rc -= y[i] * A[i]
+    rc[basis] = 0.0
+    return LU, perm, cb, rc
+
+
+def basis_eval(c, A, b, basis, pivot_eps, factors=None):
     """Evaluate a basis B = A[:, basis]: x_B = B^-1 b, duals, reduced costs.
 
     Returns (ok, x, reduced_costs, objective).  ok is False when a
     factorisation pivot falls below ``pivot_eps``.  Reduced costs at basic
     indices are zeroed exactly.
+
+    Only x_B and the objective depend on b.  ``factors``, when given, is a
+    dict that keeps the rest per basis (None for a singular one) across
+    calls; it must only ever be passed with this same c and A.  The arrays
+    returned are fresh either way.
     """
-    m, n = A.shape
-    B = A[:, basis]
-    cb = c[basis].tolist()
-    perm = [0] * m
-    LU = B.tolist()
-    if not _lu_factor(LU, perm, pivot_eps):
+    if factors is None:
+        factor = _basis_factor(c, A, basis, pivot_eps)
+    else:
+        key = basis.tobytes()
+        if key in factors:
+            factor = factors[key]
+        else:
+            factor = factors[key] = _basis_factor(c, A, basis, pivot_eps)
+    n = A.shape[1]
+    if factor is None:
         return False, np.zeros(n), np.zeros(n), 0.0
+    LU, perm, cb, rc = factor
     xb = _lu_solve(LU, perm, b.tolist())
-    LUt = B.T.tolist()
-    if not _lu_factor(LUt, perm, pivot_eps):
-        return False, np.zeros(n), np.zeros(n), 0.0
-    y = _lu_solve(LUt, perm, cb)
-    # Row by row, so each element sees its m subtractions in the order i.
-    rc = c.copy()
-    for i in range(m):
-        rc -= y[i] * A[i]
     obj = 0.0
-    for k in range(m):
+    for k in range(len(xb)):
         obj += cb[k] * xb[k]
     x = np.zeros(n)
     x[basis] = xb
-    rc[basis] = 0.0
-    return True, x, rc, obj
+    return True, x, rc.copy(), obj
 
 
 # ---------------------------------------------------------------------------

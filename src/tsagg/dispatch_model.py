@@ -88,6 +88,11 @@ class SystemData:
     generators: tuple[Generator, ...]
     demand: np.ndarray
     capacity_factors: dict[str, np.ndarray] = field(default_factory=dict)
+    # (generators, floor total, thermal headroom, variable units), built on
+    # first use by ``_period_rhs``.
+    _rhs_parts: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -255,22 +260,38 @@ def cost_offset(system: SystemData) -> float:
     return float(sum(g.variable_cost * g.p_min for g in system.generators))
 
 
-def _upper_bound(gen: Generator, cf: float) -> float:
-    return gen.capacity * cf if gen.is_variable else gen.capacity
+def _period_rhs(system: SystemData, demand: float, cf_of) -> np.ndarray:
+    """RHS for one period: net demand then per-generator headroom.
+
+    ``cf_of(series_id)`` is a variable unit's capacity factor in the period.
+    The floor total and the thermal headroom do not depend on the period,
+    so they are computed once per generator tuple and kept on the system.
+    """
+    parts = system._rhs_parts
+    if parts is None or parts[0] is not system.generators:
+        fixed = np.empty(system.size + 1)
+        variable = []
+        for g, gen in enumerate(system.generators):
+            if gen.is_variable:
+                variable.append((1 + g, gen.cf_series_id, gen.capacity, gen.p_min))
+            else:
+                fixed[1 + g] = gen.capacity - gen.p_min
+        parts = (system.generators, _pmin_vector(system).sum(), fixed, variable)
+        system._rhs_parts = parts
+    _, floor_total, fixed, variable = parts
+    b = fixed.copy()
+    b[0] = demand - floor_total
+    for i, key, capacity, p_min in variable:
+        b[i] = capacity * cf_of(key) - p_min
+    return b
 
 
 def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
     """RHS for hour h: net demand then per-generator headroom."""
     if not 0 <= h < system.horizon:
         raise IndexError(f"hour {h} outside horizon {system.horizon}")
-    G = system.size
-    pmin = _pmin_vector(system)
-    b = np.empty(G + 1)
-    b[0] = system.demand[h] - pmin.sum()
-    for g, gen in enumerate(system.generators):
-        cf = system.capacity_factors[gen.cf_series_id][h] if gen.is_variable else 1.0
-        b[1 + g] = _upper_bound(gen, cf) - gen.p_min
-    return b
+    cfs = system.capacity_factors
+    return _period_rhs(system, system.demand[h], lambda key: cfs[key][h])
 
 
 def build_hourly_lp(system: SystemData, h: int) -> StandardFormLP:
@@ -280,21 +301,12 @@ def build_hourly_lp(system: SystemData, h: int) -> StandardFormLP:
 
 
 def _rep_rhs(system: SystemData, rep: Representative) -> np.ndarray:
-    G = system.size
-    pmin = _pmin_vector(system)
-    b = np.empty(G + 1)
-    b[0] = rep.demand - pmin.sum()
-    for g, gen in enumerate(system.generators):
-        if gen.is_variable:
-            if gen.cf_series_id not in rep.cf:
-                raise MissingCFError(
-                    f"representative lacks cf for series {gen.cf_series_id!r}"
-                )
-            cf = rep.cf[gen.cf_series_id]
-        else:
-            cf = 1.0
-        b[1 + g] = _upper_bound(gen, cf) - gen.p_min
-    return b
+    def cf_of(key: str) -> float:
+        if key not in rep.cf:
+            raise MissingCFError(f"representative lacks cf for series {key!r}")
+        return rep.cf[key]
+
+    return _period_rhs(system, rep.demand, cf_of)
 
 
 def build_aggregated(

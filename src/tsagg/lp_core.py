@@ -5,12 +5,17 @@ float64 data and full row rank A.  Bland's smallest-index rule is used for
 both the entering and the leaving variable, which makes the solver
 anti-cycling and gives every input a single canonical optimal basis:
 solving the same bits twice returns the same basic index set.
+
+LPs made with ``StandardFormLP.with_rhs`` share their template's ``c``, ``A``
+and per-basis factors.  B, the duals and the reduced costs depend only on
+(c, A, basis), so a basis is factorised once for the whole family and each
+evaluation then costs one triangular solve against its own b.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -55,16 +60,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StandardFormLP:
-    """min c.x subject to A x = b, x >= 0."""
+    """min c.x subject to A x = b, x >= 0.
+
+    The arrays are read-only copies.  An LP made by ``with_rhs`` shares its
+    template's ``c`` and ``A`` arrays and its per-basis factors; any other
+    construction, ``dataclasses.replace`` included, starts afresh.
+    """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    _template: InitVar[StandardFormLP | None] = None
+    # Basis bytes -> b-independent factor (None if singular); see
+    # ``_kernels.basis_eval``.  Valid only for this c and A.
+    _factors: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        c = _readonly(self.c)
-        A = _readonly(self.A)
+    def __post_init__(self, _template):
         b = _readonly(self.b)
+        shared = (
+            _template is not None and self.c is _template.c and self.A is _template.A
+        )
+        if shared:
+            # with_rhs: c and A are the template's checked read-only arrays.
+            c, A, factors = self.c, self.A, _template._factors
+        else:
+            c = _readonly(self.c)
+            A = _readonly(self.A)
+            factors = {}
         if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValueError("expected A 2-d, c and b 1-d")
         m, n = A.shape
@@ -76,11 +98,15 @@ class StandardFormLP:
             )
         if m > n:
             raise ValueError(f"more rows than columns (m={m} > n={n})")
-        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        if not (
+            (shared or (np.isfinite(c).all() and np.isfinite(A).all()))
+            and np.isfinite(b).all()
+        ):
             raise ValueError("LP data must be finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_factors", factors)
 
     @property
     def m(self) -> int:
@@ -91,8 +117,13 @@ class StandardFormLP:
         return self.A.shape[1]
 
     def with_rhs(self, b: np.ndarray) -> "StandardFormLP":
-        """Same costs and constraint matrix, new right-hand side."""
-        return StandardFormLP(self.c, self.A, b)
+        """Same costs and constraint matrix, new right-hand side.
+
+        The new LP shares this one's ``c`` and ``A`` arrays and its cache of
+        per-basis factors, so each distinct basis is factorised once across
+        all of them; ``b`` is copied and checked as usual.
+        """
+        return StandardFormLP(self.c, self.A, b, self)
 
 
 @dataclass(frozen=True)
@@ -165,7 +196,9 @@ def solve(lp: StandardFormLP, *, max_iter: int | None = None) -> LPSolution:
     if status == _kernels.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, -math.inf, iterations=iters)
     sig = BasisSignature(tuple(int(j) for j in basis_arr))
-    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, sig.as_array(), PIVOT_EPS)
+    ok, x, rc, obj = _kernels.basis_eval(
+        lp.c, lp.A, lp.b, sig.as_array(), PIVOT_EPS, lp._factors
+    )
     if not ok:
         raise NumericalFailureError("terminal basis factorisation broke down")
     return LPSolution(LPStatus.OPTIMAL, float(obj), x, sig, rc, iterations=iters)
@@ -180,7 +213,9 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
     way).  Raises SingularBasisError when B cannot be factorised.
     """
     idx = _check_basis(lp, basis)
-    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS)
+    ok, x, rc, obj = _kernels.basis_eval(
+        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._factors
+    )
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
     if x[idx].min(initial=math.inf) < -TOL_FEAS:
@@ -195,7 +230,9 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
 def reduced_costs(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:
     """Reduced-cost vector c - A^T (B^-T c_B); exactly zero at basic indices."""
     idx = _check_basis(lp, basis)
-    ok, _x, rc, _obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS)
+    ok, _x, rc, _obj = _kernels.basis_eval(
+        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._factors
+    )
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
     return rc

@@ -64,3 +64,18 @@ def fleet_system(rng, hours=336) -> SystemData:
         cost = 12.0 + 4.0 * i + rng.uniform(0.0, 1.0)
         gens.append(Generator(f"unit{i}", cost, cap, p_min=0.25 * cap if i < 3 else 0.0))
     return add_nse_generator(SystemData(tuple(gens), np.clip(demand, 0.0, None), cfs))
+
+
+def degenerate_system() -> SystemData:
+    """Exactly degenerate hours on whole-MW data.
+
+    Wind 50 MW, thermal 100 MW and peaker 50 MW plus NSE; every capacity
+    factor is exactly 0 or 1, and demand runs over 0, the wind availability,
+    the wind-plus-thermal capacity, the total non-NSE capacity and beyond,
+    so each hour sits on a regime boundary.
+    """
+    demand = [0.0, 50.0, 100.0, 150.0, 200.0, 250.0] * 2
+    cf = [1.0] * 6 + [0.0] * 6
+    gens = (WIND, THERMAL, Generator("peaker", 20.0, 50.0))
+    system = SystemData(gens, np.array(demand), {"wind": np.array(cf)})
+    return add_nse_generator(system)

@@ -1,0 +1,113 @@
+"""The per-basis factor cache of ``with_rhs`` LPs against the uncached kernel.
+
+LPs made with ``StandardFormLP.with_rhs`` share one factor per distinct
+basis.  Every value read through that cache must be bitwise what
+``oracles.basis_eval_reference`` computes from the LP's own arrays: raw
+float64 bytes, so values and signs of zero both count.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import basis_eval_reference
+from systems import degenerate_system, fleet_system
+from tsagg import _kernels, evaluation
+from tsagg.data_io import default_spec, generate_synthetic
+from tsagg.dispatch_model import (
+    _template,
+    build_aggregated,
+    hourly_rhs,
+    solve_aggregated,
+    solve_full,
+)
+from tsagg.lp_core import PIVOT_EPS, LPStatus, StandardFormLP
+from tsagg.tsa_clustering import (
+    basis_cluster,
+    kmeans,
+    normalize_features,
+    to_representatives,
+)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _assert_reference(lp, sol, where):
+    ok, x, rc, obj = basis_eval_reference(
+        lp.c, lp.A, lp.b, sol.basis.as_array(), PIVOT_EPS
+    )
+    assert ok, where
+    assert _bits(sol.x) == _bits(x), where
+    assert _bits(sol.reduced_costs) == _bits(rc), where
+    assert _bits(sol.objective) == _bits(obj), where
+
+
+SYSTEMS = {
+    "default_year": lambda: generate_synthetic(default_spec()),
+    "fleet": lambda: fleet_system(np.random.default_rng(4)),
+    "degenerate": degenerate_system,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SYSTEMS))
+def solved(request):
+    system = SYSTEMS[request.param]()
+    return system, solve_full(system)
+
+
+def test_solve_full_hours_match_uncached_reference(solved):
+    system, full = solved
+    c, A = _template(system)
+    assert len(full.periods) == system.horizon
+    for h, period in enumerate(full.periods):
+        lp = StandardFormLP(c, A, hourly_rhs(system, h))
+        _assert_reference(lp, period.solution, h)
+
+
+def test_representatives_match_uncached_reference(solved):
+    system, full = solved
+    features = normalize_features(system)
+    bmodel = basis_cluster(system, features=features, full=full)
+    for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
+        reps = to_representatives(model, features)
+        periods = solve_aggregated(system, reps).periods
+        for r, (lp, _weight) in enumerate(build_aggregated(system, reps)):
+            _assert_reference(lp, periods[r].solution, r)
+
+
+def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
+    system, full = solved
+    calls = []
+    factor = _kernels._basis_factor
+
+    def counted(c, A, basis, pivot_eps):
+        calls.append(tuple(basis.tolist()))
+        return factor(c, A, basis, pivot_eps)
+
+    monkeypatch.setattr(_kernels, "_basis_factor", counted)
+    again = solve_full(system)
+    assert again.bases() == full.bases()
+    assert sorted(calls) == sorted({b.indices for b in full.bases()})
+
+
+def test_theorem_trial_evaluations_match_uncached_reference(monkeypatch):
+    seen = {"solve": [], "solve_with_basis": []}
+    for name in seen:
+        original = getattr(evaluation, name)
+
+        def recorded(lp, *args, _name=name, _original=original):
+            sol = _original(lp, *args)
+            seen[_name].append((lp, sol))
+            return sol
+
+        monkeypatch.setattr(evaluation, name, recorded)
+    result = evaluation.run_theorem_trials(200, seed=5)
+    assert result.trials == 200
+    assert len(seen["solve_with_basis"]) >= 3 * 200
+    for i, (lp, sol) in enumerate(seen["solve_with_basis"]):
+        _assert_reference(lp, sol, i)
+    optimal = [(lp, s) for lp, s in seen["solve"] if s.status is LPStatus.OPTIMAL]
+    assert len(optimal) >= 2 * 200
+    for i, (lp, sol) in enumerate(optimal):
+        _assert_reference(lp, sol, i)

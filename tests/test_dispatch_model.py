@@ -19,6 +19,7 @@ from tsagg.dispatch_model import (
     build_aggregated,
     build_hourly_lp,
     cost_offset,
+    hourly_rhs,
     regime_counts,
     regime_label,
     solve_aggregated,
@@ -73,6 +74,47 @@ def test_only_rhs_varies_across_hours():
             assert np.array_equal(lp.A, lps[0].A)
         rhs = np.array([lp.b for lp in lps])
         assert np.unique(rhs[:, 0]).size > 1  # demand really varies
+
+
+def test_period_rhs_matches_per_generator_formula_bitwise():
+    """Hourly and representative RHS: D - sum(Pmin), then cap * cf - Pmin.
+
+    Forty units with random float floors, so summing the floors in another
+    order than numpy's would round differently (asserted below).
+    """
+    rng = np.random.default_rng(0)
+    hours = 48
+    caps = rng.uniform(50.0, 150.0, 40)
+    floors_mw = caps * rng.uniform(0.0, 1.0, 40)
+    units = [
+        Generator(f"u{i}", 10.0 + i, caps[i], p_min=floors_mw[i]) for i in range(40)
+    ]
+    units[5:5] = [WIND, Generator("w2", 0.0, 80.0, is_variable=True, cf_series_id="w2")]
+    cfs = {"wind": rng.uniform(0.0, 1.0, hours), "w2": rng.uniform(0.0, 1.0, hours)}
+    demand = floors_mw.sum() + rng.uniform(0.0, 500.0, hours)
+    system = SystemData(tuple(units), demand, cfs)
+    floors = np.array([g.p_min for g in system.generators]).sum()
+    assert floors != sum(g.p_min for g in system.generators)
+
+    def expected(demand, cf):
+        b = [demand - floors]
+        for g in system.generators:
+            cap = g.capacity * cf[g.cf_series_id] if g.is_variable else g.capacity
+            b.append(cap - g.p_min)
+        return np.array(b).tobytes()
+
+    for h in range(system.horizon):
+        cf = {key: series[h] for key, series in cfs.items()}
+        assert hourly_rhs(system, h).tobytes() == expected(system.demand[h], cf), h
+    reps = RepresentativeSet(
+        tuple(
+            Representative(float(system.demand[h]),
+                           {key: float(series[h]) for key, series in cfs.items()}, 1.0)
+            for h in range(0, system.horizon, 7)
+        )
+    )
+    for rep, (lp, _weight) in zip(reps.reps, build_aggregated(system, reps)):
+        assert lp.b.tobytes() == expected(rep.demand, rep.cf)
 
 
 def test_hour_out_of_range():

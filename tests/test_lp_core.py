@@ -1,5 +1,7 @@
 """Solver unit tests: frozen small cases, oracle cross-checks, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,23 @@ def test_with_rhs_shares_costs_and_matrix():
     lp2 = lp.with_rhs([2.0])
     assert np.array_equal(lp2.c, lp.c)
     assert np.array_equal(lp2.A, lp.A)
+    assert lp2.c is lp.c
+    assert lp2.A is lp.A
     assert lp2.b[0] == 2.0
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [1.0, 2.0], [[1.0]]])
+def test_with_rhs_rejects_bad_rhs(bad):
+    with pytest.raises(ValueError):
+        lp_1d().with_rhs(bad)
+
+
+def test_with_rhs_copies_rhs():
+    b = np.array([2.0])
+    lp2 = lp_1d().with_rhs(b)
+    b[0] = 7.0
+    assert lp2.b[0] == 2.0
+    assert not lp2.b.flags.writeable
 
 
 def test_basis_signature_canonical_order():
@@ -157,6 +175,102 @@ def test_singular_basis_error():
         solve_with_basis(lp, BasisSignature((0, 1)))  # columns 0,1 are parallel
     with pytest.raises(SingularBasisError):
         reduced_costs(lp, BasisSignature((0, 1)))
+
+
+def test_singular_basis_error_on_every_with_rhs_lp():
+    lp = StandardFormLP(
+        [1.0, 1.0, 1.0, 1.0],
+        [[1.0, 2.0, 1.0, 0.0], [2.0, 4.0, 0.0, 1.0]],
+        [3.0, 5.0],
+    )
+    basis = BasisSignature((0, 1))
+    for b in ([3.0, 5.0], [1.0, 2.0], [4.0, 4.0]):
+        family = lp.with_rhs(b)
+        with pytest.raises(SingularBasisError):
+            solve_with_basis(family, basis)
+        with pytest.raises(SingularBasisError):
+            reduced_costs(family, basis)
+    with pytest.raises(SingularBasisError):
+        solve_with_basis(lp, basis)
+
+
+# ---------------------------------------------------------------------------
+# the factors shared by with_rhs LPs
+# ---------------------------------------------------------------------------
+
+def _two_row_lp():
+    # min x0 + 2 x1 + 3 x2  s.t.  x0 + x1 + x3 = b0,  x1 + x2 + x4 = b1
+    return StandardFormLP(
+        [1.0, 2.0, 3.0, 0.0, 0.0],
+        [[1.0, 1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 1.0]],
+        [4.0, 3.0],
+    )
+
+
+def _fresh(lp):
+    """The same LP built from scratch, so it shares nothing."""
+    return StandardFormLP(np.array(lp.c), np.array(lp.A), np.array(lp.b))
+
+
+def _same(a, b):
+    assert a.status is b.status
+    assert a.basis == b.basis
+    assert a.objective == b.objective
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.reduced_costs.tobytes() == b.reduced_costs.tobytes()
+
+
+def test_mutating_a_solution_leaves_other_solves_unchanged():
+    lp = _two_row_lp()
+    family = [lp.with_rhs(b) for b in ([4.0, 3.0], [5.0, 3.0], [4.0, 6.0])]
+    first = solve(family[0])
+    basis = first.basis
+    first.x[:] = -7.0
+    first.reduced_costs[:] = -7.0
+    for other in family[1:]:
+        _same(solve(other), solve(_fresh(other)))
+        _same(solve_with_basis(other, basis), solve_with_basis(_fresh(other), basis))
+    _same(solve(family[0]), solve(_fresh(family[0])))
+    at_basis = solve_with_basis(family[1], basis)
+    at_basis.x[:] = 9.0
+    at_basis.reduced_costs[:] = 9.0
+    rc = reduced_costs(family[2], basis)
+    rc[:] = 9.0
+    _same(
+        solve_with_basis(family[2], basis), solve_with_basis(_fresh(family[2]), basis)
+    )
+    np.testing.assert_array_equal(
+        reduced_costs(family[1], basis), reduced_costs(_fresh(family[1]), basis)
+    )
+
+
+def test_replace_matrix_starts_a_fresh_cache():
+    lp = _two_row_lp()
+    basis = BasisSignature((0, 2))
+    before = solve_with_basis(lp, basis)
+    A2 = np.array(lp.A)
+    A2[0, 0] = 2.0
+    lp2 = dataclasses.replace(lp, A=A2)
+    got = solve_with_basis(lp2, basis)
+    _same(got, solve_with_basis(StandardFormLP(lp.c, A2, lp.b), basis))
+    assert got.x.tobytes() != before.x.tobytes()
+    family = lp2.with_rhs([5.0, 3.0])
+    _same(
+        solve_with_basis(family, basis),
+        solve_with_basis(StandardFormLP(lp.c, A2, [5.0, 3.0]), basis),
+    )
+
+
+def test_template_with_other_arrays_shares_nothing():
+    lp = _two_row_lp()
+    basis = BasisSignature((0, 2))
+    before = solve_with_basis(lp, basis)
+    c2 = np.array(lp.c)
+    c2[1] = 5.0
+    lp2 = StandardFormLP(c2, lp.A, lp.b, lp)
+    got = solve_with_basis(lp2, basis)
+    _same(got, solve_with_basis(StandardFormLP(c2, lp.A, lp.b), basis))
+    assert got.reduced_costs.tobytes() != before.reduced_costs.tobytes()
 
 
 # ---------------------------------------------------------------------------
