@@ -1,13 +1,18 @@
 """Dense simplex and basis-evaluation kernels.
 
-A vectorised numpy Bland pivot loop plus a hand-written LU for evaluating
-a given basis.  The LU runs on Python-float lists: they are IEEE binary64
-with the same rounding as numpy float64 scalars, so each value equals what
-the same loops give on numpy scalars, only with less interpreter overhead.
+A two-phase Bland simplex on a tableau of Python-float lists, plus a
+hand-written LU for evaluating a given basis, also on lists.  Python floats
+are IEEE binary64 with the same rounding as numpy float64 scalars, so each
+value equals what the same operations give in numpy; at these sizes (a few
+rows, tens of columns) lists avoid numpy's per-call overhead.  A pivot
+skips the rows whose entry in the pivot column is exactly zero and the
+columns where the pivot row is exactly zero.  That can flip the sign of a
+zero entry but never a decision or a nonzero value (see ``simplex``).
+
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
-Any edit here has to keep each float produced by the same operations in
-the same order; ``tests/oracles.py`` keeps the earlier element-by-element
+Any edit here has to keep each nonzero float produced by the same
+operations in the same order; ``tests/oracles.py`` keeps the earlier numpy
 kernels as the bitwise reference.  Kernels return integer status codes;
 the public wrappers in ``lp_core`` translate them into exceptions and enums.
 """
@@ -23,6 +28,7 @@ UNBOUNDED = 2
 RANK_DEFICIENT = 3
 NUMERICAL = 4
 
+# One backend only; the name is kept because benchmark records report it.
 BACKEND = "numpy"
 
 
@@ -145,93 +151,137 @@ def basis_eval(c, A, b, basis, pivot_eps, factors=None):
 
 
 # ---------------------------------------------------------------------------
-# Vectorised simplex.  Row updates are elementwise and reductions are
-# accumulated row by row in a fixed order; changing either can flip a ratio
-# or reduced-cost tie and so change the pinned bases.
+# Two-phase Bland simplex on a tableau of Python-float lists.
 # ---------------------------------------------------------------------------
 
-def _pivot_np(T, basis, r, jc):
-    # Column jc is overwritten with the unit vector at the end, so what the
-    # row update leaves in it is never read.
-    Tr = T[r]
-    Tr *= 1.0 / Tr[jc]
-    f = T[:, jc].copy()
-    f[r] = 0.0
-    T -= np.multiply.outer(f, Tr)
-    T[:, jc] = 0.0
+def _pivot(T, basis, r, jc):
+    """Pivot row ``r`` onto column ``jc``: the dense update minus exact zeros.
+
+    Row r is scaled by ``inv = 1.0 / T[r][jc]``; every other row i,
+    objective row included, becomes ``v - f * u`` with ``f = T[i][jc]``,
+    but only where f and the pivot row entry u are nonzero.  Column jc is
+    then the unit vector at r.
+    """
+    inv = 1.0 / T[r][jc]
+    Tr = T[r] = [v * inv for v in T[r]]
+    Tr[jc] = 0.0  # keeps jc out of the update; column jc is set below
+    pairs = [(j, u) for j, u in enumerate(Tr) if u]
     Tr[jc] = 1.0
+    for i, Ti in enumerate(T):
+        f = Ti[jc]
+        if f == 0.0 or i == r:
+            continue
+        for j, u in pairs:
+            Ti[j] -= f * u
+        Ti[jc] = 0.0
     basis[r] = jc
 
 
-def _pivot_loop_np(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
+def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
     """Run Bland pivots until optimal (0), unbounded (2) or the cap (4)."""
-    row = T[m, :n_enter]
-    rhs = T[:m, -1]
-    ratios = np.empty(m)
+    ntol = -tol_opt
     while iters < max_iter:
-        neg = row < -tol_opt
-        enter = neg.argmax()  # Bland: the first improving column
-        if not neg[enter]:
+        row = T[m]
+        for enter in range(n_enter):  # Bland: the first improving column
+            if row[enter] < ntol:
+                break
+        else:
             return 0, iters
-        col = T[:m, enter]
-        elig = col > pivot_eps
-        if not elig.any():
+        # Minimum ratio over the eligible rows; among rows at the minimum,
+        # the smallest basic index (Bland).
+        leave = -1
+        for i in range(m):
+            Ti = T[i]
+            v = Ti[enter]
+            if v > pivot_eps:
+                q = Ti[-1] / v
+                if leave < 0 or q < best or (q == best and basis[i] < basis[leave]):
+                    best = q
+                    leave = i
+        if leave < 0:
             return 2, iters
-        ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=elig)
-        # Bland: among rows at the minimum ratio, the smallest basic index.
-        ties = (ratios == ratios.min()).nonzero()[0]
-        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
-        _pivot_np(T, basis, leave, enter)
+        _pivot(T, basis, leave, enter)
         iters += 1
     return 4, iters
 
 
-def _simplex_numpy(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
+def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
+    """Two-phase Bland simplex on min c.x, A x = b, x >= 0.
+
+    Returns (status, basis, iterations): a status code above, the basic
+    column of each row as an int64 array (partial unless OPTIMAL) and the
+    number of pivots.
+
+    Bland's rule: the entering column is the first j < n with reduced cost
+    below ``-tol_opt``; the leaving row has the minimum ratio rhs / col over
+    col > ``pivot_eps``, ties going to the smallest basic index.  The
+    phase-1 cost row subtracts the rows one by one in order, and the
+    phase-2 row is ``row - cb * T[i]`` in order i.
+
+    Skipping exact zeros in a pivot gives the dense update's decisions and
+    nonzero values, provided every tableau entry stays finite.  A skipped
+    term is ``v - 0 * u`` or ``v - f * 0``, which is v unless v is itself
+    zero, and then only the sign of that zero can differ.  A zero's sign
+    never reaches a nonzero value: multiplying it gives a zero, adding it
+    to a nonzero is exact, and no entry that is zero is ever a divisor,
+    since pivots exceed ``pivot_eps`` in magnitude.  And no decision sees
+    it: each is a comparison against +-tol, or a ratio with a positive
+    divisor compared with another, and +0.0 and -0.0 compare equal.
+    """
+    m, n = A.shape
+    basis = list(range(n, n + m))
+    status, iters = _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter)
+    return status, np.array(basis, dtype=np.int64), iters
+
+
+def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
+    """The body of ``simplex``: returns (status, iterations), pivots ``basis``."""
     m, n = A.shape
     ncol = n + m + 1
-    rhs = ncol - 1
-    T = np.zeros((m + 1, ncol))
-    basis = np.arange(n, n + m, dtype=np.int64)
-    T[:m, :n] = A
-    T[:m, rhs] = b
-    flip = np.flatnonzero(b < 0.0)
-    T[flip, :n] = -A[flip]
-    T[flip, rhs] = -b[flip]
-    T[:m, n:rhs] = np.eye(m)
+    T = []
+    for i, (a, bi) in enumerate(zip(A.tolist(), b.tolist())):
+        if bi < 0.0:
+            a = [-v for v in a]
+            bi = -bi
+        art = [0.0] * m
+        art[i] = 1.0
+        T.append(a + art + [bi])
     # Phase 1: minimise the artificial sum; its reduced-cost row is the
     # negated column sums of the (sign-fixed) constraint rows.
-    for i in range(m):
-        T[m, :n] -= T[i, :n]
-        T[m, rhs] -= T[i, rhs]
-    status, iters = _pivot_loop_np(T, basis, m, n, tol_opt, pivot_eps, max_iter, 0)
+    obj = [0.0] * ncol
+    for Ti in T:
+        obj[:n] = [v - u for v, u in zip(obj, Ti[:n])]
+        obj[-1] -= Ti[-1]
+    T.append(obj)
+    status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, 0)
     if status != 0:
         # Phase 1 is bounded below by zero, so failing to pivot is numeric.
-        return NUMERICAL, basis, iters
-    if -T[m, rhs] > tol_feas:
-        return INFEASIBLE, basis, iters
+        return NUMERICAL, iters
+    if -T[m][-1] > tol_feas:
+        return INFEASIBLE, iters
     # Drive artificials that linger degenerately at level zero out of the
     # basis; a row with no eligible original column is redundant.
     for i in range(m):
         if basis[i] >= n:
-            nz = np.nonzero(np.abs(T[i, :n]) > pivot_eps)[0]
-            if nz.size == 0:
-                return RANK_DEFICIENT, basis, iters
-            _pivot_np(T, basis, i, nz[0])
+            Ti = T[i]
+            for j in range(n):
+                if abs(Ti[j]) > pivot_eps:
+                    break
+            else:
+                return RANK_DEFICIENT, iters
+            _pivot(T, basis, i, j)
             iters += 1
     # Phase 2: rebuild the reduced-cost row from the true costs.
-    T[m, :n] = c
-    T[m, n:] = 0.0
+    cl = c.tolist()
+    obj = cl + [0.0] * (m + 1)
     for i in range(m):
-        cb = c[basis[i]]
+        cb = cl[basis[i]]
         if cb != 0.0:
-            T[m] -= cb * T[i]
-    status, iters = _pivot_loop_np(T, basis, m, n, tol_opt, pivot_eps, max_iter, iters)
+            obj = [v - cb * u for v, u in zip(obj, T[i])]
+    T[m] = obj
+    status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, iters)
     if status == 2:
-        return UNBOUNDED, basis, iters
+        return UNBOUNDED, iters
     if status != 0:
-        return NUMERICAL, basis, iters
-    return OPTIMAL, basis, iters
-
-
-simplex = _simplex_numpy
+        return NUMERICAL, iters
+    return OPTIMAL, iters

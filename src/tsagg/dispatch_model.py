@@ -182,7 +182,7 @@ class DispatchKind(Enum):
     AGGREGATED = "aggregated"
 
 
-@dataclass
+@dataclass(eq=False)
 class PeriodResult:
     index: int
     weight: float

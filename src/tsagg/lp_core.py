@@ -58,7 +58,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardFormLP:
     """min c.x subject to A x = b, x >= 0.
 
@@ -73,7 +73,7 @@ class StandardFormLP:
     _template: InitVar[StandardFormLP | None] = None
     # Basis bytes -> b-independent factor (None if singular); see
     # ``_kernels.basis_eval``.  Valid only for this c and A.
-    _factors: dict = field(init=False, repr=False, compare=False)
+    _factors: dict = field(init=False, repr=False)
 
     def __post_init__(self, _template):
         b = _readonly(self.b)
@@ -147,14 +147,14 @@ class BasisSignature:
         return len(self.indices)
 
 
-@dataclass
+@dataclass(eq=False)
 class LPSolution:
     status: LPStatus
     objective: float
     x: np.ndarray | None = None
     basis: BasisSignature | None = None
     reduced_costs: np.ndarray | None = None
-    iterations: int = field(default=0, compare=False)
+    iterations: int = 0
 
 
 def _check_basis(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:

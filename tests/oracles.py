@@ -5,10 +5,11 @@ pivoting code: bases are enumerated exhaustively and solved with
 numpy.linalg, so agreement with ``tsagg.solve`` is a genuine two-route
 check rather than the same algorithm run twice.
 
-``basis_eval_reference`` and ``simplex_reference`` are the earlier kernels,
-which index numpy scalars one element at a time.  They are kept verbatim
-as the slow reference: the kernels in ``tsagg._kernels`` must return
-bitwise the same results.
+``basis_eval_reference`` and ``simplex_reference`` are the earlier kernels:
+the first indexes numpy scalars one element at a time, the second pivots a
+dense numpy tableau.  They are kept verbatim as the slow reference: the
+kernels in ``tsagg._kernels`` must return bitwise the same results, and
+for the simplex the same status, pivot count and basis.
 """
 
 from __future__ import annotations

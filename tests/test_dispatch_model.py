@@ -189,6 +189,14 @@ def test_three_hour_total_is_sum_of_hours():
     assert full.kind is DispatchKind.FULL
 
 
+def test_period_results_compare_by_identity():
+    system = thermal_wind([50.0, 50.0], [0.3, 0.3])
+    first, second = solve_full(system).periods, solve_full(system).periods
+    assert first[0] == first[0]
+    assert (first[0] == second[0]) is False
+    assert (first == second) is False
+
+
 def test_solve_full_matches_oracle_on_random_systems():
     rng = np.random.default_rng(101)
     for _ in range(10):

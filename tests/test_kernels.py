@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import basis_eval_reference, random_lp_data, simplex_reference
-from systems import fleet_system
+from systems import degenerate_system, fleet_system, random_system
 from tsagg import _kernels
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import _template, hourly_rhs
@@ -132,4 +132,66 @@ def test_simplex_matches_reference_on_degenerate_fleet():
     assert system.size == 13
     cf = system.capacity_factors["wind_a"]
     assert (cf == 0.0).any() and (cf == 1.0).any()
+    _assert_hours_match_reference(system)
+
+
+def _random_simplex_case(rng):
+    """Random (c, A, b, max_iter) with m <= 14 and n <= m + 16, in four kinds:
+    normal data, integer data with exact ratio ties, a duplicated row (rank
+    deficient) and signed zeros in A and b.  One case in seven has a small
+    iteration cap, so the cap ends it with a partial basis."""
+    m = int(rng.integers(1, 15))
+    n = int(rng.integers(m, m + 17))
+    kind = int(rng.integers(4))
+    if kind == 1:
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-3, 4, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(0.0, 1.0, n) if rng.integers(2) == 0 else rng.normal(size=m)
+        c = rng.uniform(0.0, 1.0, n) if rng.integers(2) == 0 else rng.normal(size=n)
+    if kind == 2 and m > 1:
+        i, k = rng.choice(m, size=2, replace=False)
+        A[k] = A[i]
+        b[k] = b[i]
+    elif kind == 3:
+        zero = np.where(rng.integers(2, size=(m, n + 1)) == 0, 0.0, -0.0)
+        mask = rng.random((m, n + 1)) < 0.4
+        A[mask[:, :n]] = zero[:, :n][mask[:, :n]]
+        b[mask[:, n]] = zero[:, n][mask[:, n]]
+    max_iter = int(rng.integers(1, 8)) if rng.integers(7) == 0 else 2000
+    return c, A, b, max_iter
+
+
+def test_simplex_matches_reference_on_random_lps():
+    rng = np.random.default_rng(47)
+    statuses = set()
+    for case in range(3000):
+        c, A, b, max_iter = _random_simplex_case(rng)
+        args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
+        st, basis, it = _kernels.simplex(*args)
+        st_ref, basis_ref, it_ref = simplex_reference(*args)
+        assert (st, it) == (st_ref, it_ref), case
+        assert np.array_equal(basis, basis_ref), case
+        statuses.add(st)
+    assert statuses == {
+        _kernels.OPTIMAL,
+        _kernels.INFEASIBLE,
+        _kernels.UNBOUNDED,
+        _kernels.RANK_DEFICIENT,
+        _kernels.NUMERICAL,
+    }
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        degenerate_system(),
+        random_system(np.random.default_rng(11), hours=48),
+        random_system(np.random.default_rng(12), hours=48),
+    ],
+    ids=["degenerate", "random11", "random12"],
+)
+def test_simplex_matches_reference_on_small_systems(system):
     _assert_hours_match_reference(system)

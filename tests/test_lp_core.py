@@ -71,6 +71,23 @@ def test_with_rhs_rejects_bad_rhs(bad):
         lp_1d().with_rhs(bad)
 
 
+def test_lp_compares_and_hashes_by_identity():
+    lp = StandardFormLP([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [3.0, 1.0])
+    assert lp == lp
+    assert (lp == lp.with_rhs(lp.b)) is False
+    assert lp != StandardFormLP(lp.c, lp.A, lp.b)
+    assert hash(lp) == hash(lp)
+    assert len({lp, lp.with_rhs(lp.b)}) == 2
+
+
+def test_solutions_compare_by_identity():
+    lp = StandardFormLP([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [3.0, 1.0])
+    first, second = solve(lp), solve(lp)
+    assert first == first
+    assert (first == second) is False
+    assert hash(first) != hash(second)
+
+
 def test_with_rhs_copies_rhs():
     b = np.array([2.0])
     lp2 = lp_1d().with_rhs(b)
