@@ -7,7 +7,10 @@ value equals what the same operations give in numpy; at these sizes (a few
 rows, tens of columns) lists avoid numpy's per-call overhead.  A pivot
 skips the rows whose entry in the pivot column is exactly zero and the
 columns where the pivot row is exactly zero.  That can flip the sign of a
-zero entry but never a decision or a nonzero value (see ``simplex``).
+zero entry but never a decision or a nonzero value.  The tableau also
+leaves out phase 1's artificial columns: no decision and no other column
+ever reads them, so they are write-only (both arguments are in
+``simplex``).
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -227,6 +230,16 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
     since pivots exceed ``pivot_eps`` in magnitude.  And no decision sees
     it: each is a comparison against +-tol, or a ratio with a positive
     divisor compared with another, and +0.0 and -0.0 compare equal.
+
+    The tableau is (m+1) x (n+1): the m artificial columns of the
+    textbook phase 1 are left out, because they are write-only.  Phase 1
+    starts from the artificial basis, labelled n..n+m-1, with the
+    identity in those columns, but no step reads them: entering
+    candidates are j < n in both phases, a ratio reads only column
+    ``enter`` and the RHS, the drive-out of lingering artificials scans
+    only j < n, and a pivot updates each column from that column and the
+    pivot column alone.  So every decision, the pivot count and every
+    value outside those columns are what the full tableau gives.
     """
     m, n = A.shape
     basis = list(range(n, n + m))
@@ -237,21 +250,18 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
 def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
     """The body of ``simplex``: returns (status, iterations), pivots ``basis``."""
     m, n = A.shape
-    ncol = n + m + 1
     T = []
-    for i, (a, bi) in enumerate(zip(A.tolist(), b.tolist())):
+    for a, bi in zip(A.tolist(), b.tolist()):
         if bi < 0.0:
             a = [-v for v in a]
             bi = -bi
-        art = [0.0] * m
-        art[i] = 1.0
-        T.append(a + art + [bi])
+        a.append(bi)
+        T.append(a)
     # Phase 1: minimise the artificial sum; its reduced-cost row is the
     # negated column sums of the (sign-fixed) constraint rows.
-    obj = [0.0] * ncol
+    obj = [0.0] * (n + 1)
     for Ti in T:
-        obj[:n] = [v - u for v, u in zip(obj, Ti[:n])]
-        obj[-1] -= Ti[-1]
+        obj = [v - u for v, u in zip(obj, Ti)]
     T.append(obj)
     status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, 0)
     if status != 0:
@@ -273,7 +283,7 @@ def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
             iters += 1
     # Phase 2: rebuild the reduced-cost row from the true costs.
     cl = c.tolist()
-    obj = cl + [0.0] * (m + 1)
+    obj = cl + [0.0]
     for i in range(m):
         cb = cl[basis[i]]
         if cb != 0.0:

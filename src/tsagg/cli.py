@@ -43,6 +43,7 @@ from .tsa_clustering import (
     ClusterMethod,
     ClusterModel,
     FeatureMatrix,
+    _check_partition,
     _member_means,
     basis_cluster,
     kmeans,
@@ -171,12 +172,10 @@ def _rebuild_model(clusters, features: FeatureMatrix) -> ClusterModel:
         )
     # Saved centroids are member means, so rebuild them exactly from the
     # assignment instead of inverting their rounded physical values.
-    ids = clusters.assignment
-    if ids.min() < 0 or ids.max() >= clusters.k:
-        raise DataError(
-            f"clusters file assigns hours to ids outside 0..{clusters.k - 1}"
-        )
-    centroids = _member_means(features.values, ids, clusters.k)
+    # Check the ids and weights first: an id without members would divide
+    # 0 by 0 in the means.
+    _check_partition(clusters.k, clusters.assignment, clusters.weights)
+    centroids = _member_means(features.values.T, clusters.assignment, clusters.k)
     basis_map = None
     if all(b is not None for b in clusters.bases):
         basis_map = {cid: b for cid, b in enumerate(clusters.bases)}

@@ -79,15 +79,20 @@ class ClusterModel:
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.int64)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.assignment.min() < 0 or self.assignment.max() >= self.k:
-            raise ValueError("assignment references unknown cluster ids")
-        counts = np.bincount(self.assignment, minlength=self.k)
-        if not np.array_equal(counts, self.weights):
-            raise ValueError("weights must be the cluster cardinalities")
-        if (self.weights == 0).any():
-            raise ValueError("empty cluster in model")
+        _check_partition(self.k, self.assignment, self.weights)
+
+
+def _check_partition(k, assignment, weights):
+    """Raise ValueError unless ``weights`` counts the members of all k ids."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if assignment.min() < 0 or assignment.max() >= k:
+        raise ValueError("assignment references unknown cluster ids")
+    counts = np.bincount(assignment, minlength=k)
+    if not np.array_equal(counts, weights):
+        raise ValueError("weights must be the cluster cardinalities")
+    if (weights == 0).any():
+        raise ValueError("empty cluster in model")
 
 
 def normalize_features(system: SystemData) -> FeatureMatrix:
@@ -119,13 +124,39 @@ def normalize_features(system: SystemData) -> FeatureMatrix:
 # k-means
 # ---------------------------------------------------------------------------
 
-def _point_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared distances (H, k), accumulated feature by feature."""
-    d2 = np.zeros((X.shape[0], centroids.shape[0]))
-    for f in range(X.shape[1]):
-        diff = X[:, f, None] - centroids[None, :, f]
-        d2 += diff * diff
+def _distances(XT, centroids, out):
+    """Squared distances (k, H) into ``out[0]``, accumulated feature by feature.
+
+    ``XT`` holds the features as rows (F, H); ``out`` is a (2, k, H)
+    scratch buffer that callers reuse.  The sum runs ``diff0**2``, then
+    ``+= diff_f**2`` in feature order, so each value is the same as from an
+    (H, k) sum started at 0.0.
+    """
+    d2, diff = out
+    np.subtract(XT[0], centroids[:, :1], out=d2)
+    d2 *= d2
+    for f in range(1, XT.shape[0]):
+        np.subtract(XT[f], centroids[:, f:f + 1], out=diff)
+        diff *= diff
+        d2 += diff
     return d2
+
+
+def _nearest(d2):
+    """(labels, own_d2): each point's first nearest centroid, as ``argmin``
+    picks it, and its squared distance to that centroid.
+
+    Row j takes a point only where it is strictly closer than rows 0..j-1,
+    so ties keep the lowest id; every label so far is below j, so
+    ``maximum`` sets exactly those points to j.
+    """
+    own_d2 = d2[0].copy()
+    labels = np.zeros(d2.shape[1], dtype=np.int64)
+    for j in range(1, d2.shape[0]):
+        closer = d2[j] < own_d2
+        np.minimum(own_d2, d2[j], out=own_d2)
+        np.maximum(labels, closer * j, out=labels)
+    return labels, own_d2
 
 
 def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,33 +189,38 @@ def _reseed_empty(labels, counts, own_d2, k):
                 break
 
 
-def _member_means(values, assignment, k):
-    """(k, F) mean of the rows of ``values`` assigned to each cluster id."""
-    sums = np.zeros((k, values.shape[1]))
-    np.add.at(sums, assignment, values)
+def _member_means(rows, assignment, k):
+    """(k, F) mean of the points assigned to each cluster id.
+
+    ``rows`` holds the features as rows (F, H).  ``bincount`` adds each
+    feature's values in point order starting from 0.0, the same sums
+    ``np.add.at`` makes.  Every id must have a member.
+    """
+    sums = np.column_stack(
+        [np.bincount(assignment, weights=row, minlength=k) for row in rows]
+    )
     return sums / np.bincount(assignment, minlength=k)[:, None]
 
 
-def _lloyd(X, centroids, max_iter, tol):
-    H = X.shape[0]
+def _lloyd(XT, centroids, max_iter, tol, out):
     k = centroids.shape[0]
-    labels = np.full(H, -1, dtype=np.int64)
+    labels = np.full(XT.shape[1], -1, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = _point_distances(X, centroids)
-        new_labels = np.argmin(d2, axis=1)
+        new_labels, own_d2 = _nearest(_distances(XT, centroids, out))
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
-            _reseed_empty(new_labels, counts, d2[np.arange(H), new_labels], k)
+            _reseed_empty(new_labels, counts, own_d2, k)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        updated = _member_means(X, labels, k)
+        updated = _member_means(XT, labels, k)
         if np.abs(updated - centroids).max() < tol:
             centroids = updated
             break
         centroids = updated
     # Every exit leaves centroids as the exact member means of labels.
-    inertia = float(_point_distances(X, centroids)[np.arange(H), labels].sum())
+    d2 = _distances(XT, centroids, out)
+    inertia = float(d2[labels, np.arange(XT.shape[1])].sum())
     return labels, centroids, inertia
 
 
@@ -214,12 +250,14 @@ def kmeans(
     X = features.values
     if not 1 <= k <= features.H:
         raise KExceedsHError(f"k={k} outside [1, {features.H}]")
+    XT = np.ascontiguousarray(X.T)
+    out = np.empty((2, k, features.H))
     streams = np.random.SeedSequence(seed).spawn(restarts)
     best = None
     for stream in streams:
         rng = np.random.default_rng(stream)
         init = _kmeans_pp(X, k, rng)
-        labels, centroids, inertia = _lloyd(X, init, max_iter, tol)
+        labels, centroids, inertia = _lloyd(XT, init, max_iter, tol, out)
         if best is None or inertia < best[0]:
             best = (inertia, labels, centroids)
     _, labels, centroids = best
@@ -237,8 +275,9 @@ def kmeans(
 
 def input_mse(features: FeatureMatrix, model: ClusterModel) -> float:
     """Mean squared deviation from assigned centroids over all H*F entries."""
-    d2 = _point_distances(features.values, model.centroids)
-    per_point = d2[np.arange(features.H), model.assignment]
+    out = np.empty((2, model.k, features.H))
+    d2 = _distances(features.values.T, model.centroids, out)
+    per_point = d2[model.assignment, np.arange(features.H)]
     return float(per_point.sum() / (features.H * features.F))
 
 
@@ -271,7 +310,7 @@ def basis_cluster(
             sig_to_cid[sig] = len(sig_to_cid)
         assignment[h] = sig_to_cid[sig]
     k = len(sig_to_cid)
-    centroids = _member_means(features.values, assignment, k)
+    centroids = _member_means(features.values.T, assignment, k)
     weights = np.bincount(assignment, minlength=k)
     basis_map = {cid: sig for sig, cid in sig_to_cid.items()}
     labels = tuple(regime_label(system, basis_map[cid]) for cid in range(k))

@@ -7,9 +7,15 @@ check rather than the same algorithm run twice.
 
 ``basis_eval_reference`` and ``simplex_reference`` are the earlier kernels:
 the first indexes numpy scalars one element at a time, the second pivots a
-dense numpy tableau.  They are kept verbatim as the slow reference: the
-kernels in ``tsagg._kernels`` must return bitwise the same results, and
-for the simplex the same status, pivot count and basis.
+dense numpy tableau that still carries the m artificial columns.  They are
+kept verbatim as the slow reference: the kernels in ``tsagg._kernels`` must
+return bitwise the same results, and for the simplex the same status,
+pivot count and basis.
+
+``kmeans_reference`` and ``input_mse_reference`` are the earlier k-means:
+(H, k) distance temporaries per Lloyd step, ``argmin`` labels and
+``np.add.at`` member sums.  ``tsagg.tsa_clustering`` must give the same
+assignment, centroids and ``input_mse`` in raw bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +25,14 @@ import itertools
 import numpy as np
 
 from tsagg._kernels import INFEASIBLE, NUMERICAL, OPTIMAL, RANK_DEFICIENT, UNBOUNDED
+from tsagg.tsa_clustering import (
+    ClusterMethod,
+    ClusterModel,
+    KExceedsHError,
+    _kmeans_pp,
+    _order_by_first_occurrence,
+    _reseed_empty,
+)
 
 
 def _basic_solution(A, b, cols, res_tol=1e-7):
@@ -279,3 +293,80 @@ def simplex_reference(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
     if status != 0:
         return NUMERICAL, basis, iters
     return OPTIMAL, basis, iters
+
+
+def _point_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances (H, k), accumulated feature by feature."""
+    d2 = np.zeros((X.shape[0], centroids.shape[0]))
+    for f in range(X.shape[1]):
+        diff = X[:, f, None] - centroids[None, :, f]
+        d2 += diff * diff
+    return d2
+
+
+def _member_means(values, assignment, k):
+    """(k, F) mean of the rows of ``values`` assigned to each cluster id."""
+    sums = np.zeros((k, values.shape[1]))
+    np.add.at(sums, assignment, values)
+    return sums / np.bincount(assignment, minlength=k)[:, None]
+
+
+def _lloyd(X, centroids, max_iter, tol):
+    H = X.shape[0]
+    k = centroids.shape[0]
+    labels = np.full(H, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = _point_distances(X, centroids)
+        new_labels = np.argmin(d2, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if (counts == 0).any():
+            _reseed_empty(new_labels, counts, d2[np.arange(H), new_labels], k)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        updated = _member_means(X, labels, k)
+        if np.abs(updated - centroids).max() < tol:
+            centroids = updated
+            break
+        centroids = updated
+    # Every exit leaves centroids as the exact member means of labels.
+    inertia = float(_point_distances(X, centroids)[np.arange(H), labels].sum())
+    return labels, centroids, inertia
+
+
+def kmeans_reference(
+    features,
+    k: int,
+    seed: int = 0,
+    max_iter: int = 300,
+    tol: float = 1e-6,
+    restarts: int = 10,
+) -> ClusterModel:
+    X = features.values
+    if not 1 <= k <= features.H:
+        raise KExceedsHError(f"k={k} outside [1, {features.H}]")
+    streams = np.random.SeedSequence(seed).spawn(restarts)
+    best = None
+    for stream in streams:
+        rng = np.random.default_rng(stream)
+        init = _kmeans_pp(X, k, rng)
+        labels, centroids, inertia = _lloyd(X, init, max_iter, tol)
+        if best is None or inertia < best[0]:
+            best = (inertia, labels, centroids)
+    _, labels, centroids = best
+    labels, centroids = _order_by_first_occurrence(labels, centroids, k)
+    weights = np.bincount(labels, minlength=k)
+    return ClusterModel(
+        k,
+        centroids,
+        labels,
+        weights,
+        ClusterMethod.KMEANS,
+        labels=tuple(f"cluster {i}" for i in range(k)),
+    )
+
+
+def input_mse_reference(features, model) -> float:
+    d2 = _point_distances(features.values, model.centroids)
+    per_point = d2[np.arange(features.H), model.assignment]
+    return float(per_point.sum() / (features.H * features.F))

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: files written, exit codes, determinism."""
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -216,15 +217,32 @@ def test_plot_horizon_mismatch_exits_2(instance, tmp_path, capsys):
     assert "hours" in capsys.readouterr().err
 
 
+def _assign_unknown_id(doc):
+    doc["assignment"][5] = doc["k"]
+
+
+def _declare_empty_id(doc):
+    doc["k"] += 1
+    doc["weights"].append(0)
+
+
 def test_plot_bad_cluster_id_exits_2(instance, tmp_path, capsys):
     assert main(["aggregate", "--config", str(instance / "config.json"),
                  "--method", "kmeans", "--k", "2", "--out", str(tmp_path)]) == 0
-    path = tmp_path / "clusters_kmeans.json"
-    doc = json.loads(path.read_text())
-    doc["assignment"][5] = doc["k"]
-    path.write_text(json.dumps(doc))
-    code = main(["plot", "--config", str(instance / "config.json"),
-                 "--clusters", str(path), "--out", str(tmp_path / "bad.svg")])
-    assert code == 2
-    assert "cluster" in capsys.readouterr().err
-    assert not (tmp_path / "bad.svg").exists()
+    good = json.loads((tmp_path / "clusters_kmeans.json").read_text())
+    for edit in (_assign_unknown_id, _declare_empty_id):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        path = tmp_path / f"{edit.__name__}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["plot", "--config", str(instance / "config.json"),
+                         "--clusters", str(path), "--out", str(tmp_path / "bad.svg")])
+        assert code == 2, edit.__name__
+        err = capsys.readouterr().err
+        assert "cluster" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "bad.svg").exists()
