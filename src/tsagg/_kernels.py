@@ -12,6 +12,15 @@ leaves out phase 1's artificial columns: no decision and no other column
 ever reads them, so they are write-only (both arguments are in
 ``simplex``).
 
+Only the RHS column of the tableau depends on b beyond its sign pattern:
+every other column is fixed by c, A, the signs of b and the pivots made.
+Bland's entering choice reads only the objective row and eligibility to
+leave only the entering column; the RHS is read by the ratio test and by
+phase 1's feasibility check alone.  So ``simplex`` can record each pivot
+path once per (c, A) and solve another b down the same path by carrying
+its RHS column alone, through the same operations and so to the same bits
+in every entry a decision reads.
+
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
 Any edit here has to keep each nonzero float produced by the same
@@ -30,6 +39,11 @@ INFEASIBLE = 1
 UNBOUNDED = 2
 RANK_DEFICIENT = 3
 NUMERICAL = 4
+
+# Tags of the simplex path nodes that hold no pivot (an entering column
+# is >= 0); see ``simplex``.
+_OPTIMAL = -1
+_NO_LEAVE = -2
 
 # One backend only; the name is kept because benchmark records report it.
 BACKEND = "numpy"
@@ -163,25 +177,64 @@ def _pivot(T, basis, r, jc):
     Row r is scaled by ``inv = 1.0 / T[r][jc]``; every other row i,
     objective row included, becomes ``v - f * u`` with ``f = T[i][jc]``,
     but only where f and the pivot row entry u are nonzero.  Column jc is
-    then the unit vector at r.
+    then the unit vector at r.  Returns column jc as it was before the
+    pivot: its nonzero entries as a flat ``(i, f, i, f, ...)`` tuple in
+    row order.
     """
-    inv = 1.0 / T[r][jc]
+    piv = T[r][jc]
+    inv = 1.0 / piv
     Tr = T[r] = [v * inv for v in T[r]]
     Tr[jc] = 0.0  # keeps jc out of the update; column jc is set below
     pairs = [(j, u) for j, u in enumerate(Tr) if u]
     Tr[jc] = 1.0
+    col = []
     for i, Ti in enumerate(T):
         f = Ti[jc]
-        if f == 0.0 or i == r:
+        if f == 0.0:
             continue
+        if i == r:
+            col += (i, piv)
+            continue
+        col += (i, f)
         for j, u in pairs:
             Ti[j] -= f * u
         Ti[jc] = 0.0
     basis[r] = jc
+    return tuple(col)
 
 
-def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
-    """Run Bland pivots until optimal (0), unbounded (2) or the cap (4)."""
+def _carry(rhs, col, r, fr):
+    """Apply a pivot on row r to the RHS column alone.
+
+    ``col`` is the pivot column as ``_pivot`` returns it and ``fr`` its
+    entry in row r.  These are the operations ``_pivot`` applies to the
+    RHS entries, in the same order, so each result is the same bits.
+    """
+    u = rhs[r] = rhs[r] * (1.0 / fr)
+    if u:
+        it = iter(col)
+        for i, f in zip(it, it):
+            if i != r:
+                rhs[i] -= f * u
+
+
+def _child(node, r):
+    """The child of loop node ``node`` for leaving row ``r``; new ones are empty."""
+    try:
+        return node[node.index(r, 2) + 1]
+    except ValueError:
+        child = []
+        node += (r, child)
+        return child
+
+
+def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters, node):
+    """Run Bland pivots until optimal (0), unbounded (2) or the cap (4).
+
+    Returns (status, iterations, node): ``node`` is the path node of the
+    state it stopped in.  Each state on the way that has no record yet
+    gets one (see ``simplex``).
+    """
     ntol = -tol_opt
     while iters < max_iter:
         row = T[m]
@@ -189,7 +242,9 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
             if row[enter] < ntol:
                 break
         else:
-            return 0, iters
+            if not node:
+                node += (_OPTIMAL,)
+            return 0, iters, node
         # Minimum ratio over the eligible rows; among rows at the minimum,
         # the smallest basic index (Bland).
         leave = -1
@@ -202,13 +257,20 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
                     best = q
                     leave = i
         if leave < 0:
-            return 2, iters
-        _pivot(T, basis, leave, enter)
+            if not node:
+                node += (_NO_LEAVE,)
+            return 2, iters, node
+        col = _pivot(T, basis, leave, enter)
+        if node:
+            node = _child(node, leave)
+        else:
+            node += (enter, col, leave, [])  # one extension: no spare slots
+            node = node[3]
         iters += 1
-    return 4, iters
+    return 4, iters, node
 
 
-def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
+def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, paths=None):
     """Two-phase Bland simplex on min c.x, A x = b, x >= 0.
 
     Returns (status, basis, iterations): a status code above, the basic
@@ -220,6 +282,33 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
     col > ``pivot_eps``, ties going to the smallest basic index.  The
     phase-1 cost row subtracts the rows one by one in order, and the
     phase-2 row is ``row - cb * T[i]`` in order i.
+
+    ``paths``, when given, is a dict that keeps the pivot paths solved so
+    far across calls; like ``basis_eval``'s ``factors`` it must only ever
+    be passed with this same c and A.  Every tableau column but the RHS
+    depends only on c, A, the sign pattern of b (rows with b_i < 0 are
+    negated) and the pivots made so far.  No decision reads the RHS but
+    the ratio test and phase 1's feasibility check: the entering column
+    reads only the objective row, and eligibility to leave and the
+    drive-out only constraint columns.  So with the root keyed by
+    (tol_opt, pivot_eps, sign pattern), each pivot state is a node that
+    stores its entering column and that column's nonzero entries,
+    objective row included, with one child per leaving row.  A solve
+    whose path is recorded walks it carrying only the RHS column, through
+    exactly the operations ``_pivot`` applies to it, so each entry a
+    decision reads keeps the tableau's bits, zero signs included, and the
+    decisions, basis and pivot count are the tableau's.  (Phase 2's
+    objective entry is write-only, like the artificial columns below, so
+    the walk does not rebuild it.)  A solve that reaches a state with no
+    record runs the tableau from the start and records the states it
+    lacks.
+
+    Node layout, as lists that recording fills in place: ``[]`` is a
+    state not yet recorded; ``[enter, column, row, child, row, child,
+    ...]`` a pivot; ``[_NO_LEAVE]`` no eligible leaving row; ``[_OPTIMAL]``
+    the optimum of phase 2, or the end of phase 1 before a feasible b has
+    reached it, and then ``[_OPTIMAL, drive-out pivots, phase-2 root]``,
+    with None for the root after a rank-deficient drive-out.
 
     Skipping exact zeros in a pivot gives the dense update's decisions and
     nonzero values, provided every tableau entry stays finite.  A skipped
@@ -242,16 +331,85 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter):
     value outside those columns are what the full tableau gives.
     """
     m, n = A.shape
-    basis = list(range(n, n + m))
-    status, iters = _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter)
+    bl = b.tolist()
+    if paths is None:
+        paths = {}
+    root = paths.setdefault((tol_opt, pivot_eps, tuple([v < 0.0 for v in bl])), [])
+    status = None
+    if root:
+        basis = list(range(n, n + m))
+        status, iters = _walk(root, bl, basis, m, tol_feas, pivot_eps, max_iter)
+    if status is None:
+        basis = list(range(n, n + m))
+        status, iters = _two_phase(
+            c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, root
+        )
     return status, np.array(basis, dtype=np.int64), iters
 
 
-def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
-    """The body of ``simplex``: returns (status, iterations), pivots ``basis``."""
+def _walk(node, bl, basis, m, tol_feas, pivot_eps, max_iter):
+    """Follow recorded path nodes from ``node``, carrying only the RHS.
+
+    Returns (status, iterations) as ``_two_phase`` does and pivots
+    ``basis`` the same way, or status None on reaching a state with no
+    record.
+    """
+    rhs = [-v if v < 0.0 else v for v in bl]
+    obj = 0.0
+    for v in rhs:
+        obj -= v
+    rhs.append(obj)
+    iters = 0
+    phase1 = True
+    while True:
+        if iters >= max_iter:
+            return NUMERICAL, iters
+        if not node:
+            return None, iters
+        enter = node[0]
+        if enter >= 0:
+            col = node[1]
+            leave = -1
+            it = iter(col)
+            for i, v in zip(it, it):
+                if v > pivot_eps and i < m:
+                    q = rhs[i] / v
+                    if leave < 0 or q < best or (q == best and basis[i] < basis[leave]):
+                        best = q
+                        leave = i
+                        fr = v
+            _carry(rhs, col, leave, fr)
+            basis[leave] = enter
+            iters += 1
+            node = _child(node, leave)
+        elif enter == _NO_LEAVE:
+            return (NUMERICAL if phase1 else UNBOUNDED), iters
+        elif not phase1:
+            return OPTIMAL, iters
+        elif -rhs[m] > tol_feas:
+            return INFEASIBLE, iters
+        elif len(node) == 1:
+            return None, iters  # no feasible b has reached this end of phase 1
+        else:
+            _, drive, node = node
+            for r, j, fr, col in drive:
+                _carry(rhs, col, r, fr)
+                basis[r] = j
+                iters += 1
+            if node is None:
+                return RANK_DEFICIENT, iters
+            phase1 = False
+
+
+def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, node):
+    """The tableau solve of ``simplex`` from path root ``node``.
+
+    Returns (status, iterations), pivots ``basis`` and records each state
+    on its path that has no record yet.
+    """
     m, n = A.shape
     T = []
-    for a, bi in zip(A.tolist(), b.tolist()):
+    for a, bi in zip(A.tolist(), bl):
         if bi < 0.0:
             a = [-v for v in a]
             bi = -bi
@@ -263,7 +421,9 @@ def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
     for Ti in T:
         obj = [v - u for v, u in zip(obj, Ti)]
     T.append(obj)
-    status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, 0)
+    status, iters, node = _pivot_loop(
+        T, basis, m, n, tol_opt, pivot_eps, max_iter, 0, node
+    )
     if status != 0:
         # Phase 1 is bounded below by zero, so failing to pivot is numeric.
         return NUMERICAL, iters
@@ -271,6 +431,7 @@ def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
         return INFEASIBLE, iters
     # Drive artificials that linger degenerately at level zero out of the
     # basis; a row with no eligible original column is redundant.
+    drive = []
     for i in range(m):
         if basis[i] >= n:
             Ti = T[i]
@@ -278,8 +439,10 @@ def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
                 if abs(Ti[j]) > pivot_eps:
                     break
             else:
+                if len(node) == 1:
+                    node += (tuple(drive), None)
                 return RANK_DEFICIENT, iters
-            _pivot(T, basis, i, j)
+            drive.append((i, j, Ti[j], _pivot(T, basis, i, j)))
             iters += 1
     # Phase 2: rebuild the reduced-cost row from the true costs.
     cl = c.tolist()
@@ -289,7 +452,11 @@ def _two_phase(c, A, b, basis, tol_feas, tol_opt, pivot_eps, max_iter):
         if cb != 0.0:
             obj = [v - cb * u for v, u in zip(obj, T[i])]
     T[m] = obj
-    status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, iters)
+    if len(node) == 1:
+        node += (tuple(drive), [])
+    status, iters, _ = _pivot_loop(
+        T, basis, m, n, tol_opt, pivot_eps, max_iter, iters, node[2]
+    )
     if status == 2:
         return UNBOUNDED, iters
     if status != 0:

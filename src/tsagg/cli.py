@@ -170,6 +170,17 @@ def _rebuild_model(clusters, features: FeatureMatrix) -> ClusterModel:
             f"clusters file covers {len(clusters.assignment)} hours but the "
             f"config series has {features.H}"
         )
+    if clusters.columns != features.columns:
+        raise DataError(
+            f"clusters file has columns {list(clusters.columns)} but the "
+            f"config features are {list(features.columns)}"
+        )
+    for name in ("labels", "centroids", "bases"):
+        if len(getattr(clusters, name)) != clusters.k:
+            raise DataError(
+                f"clusters file lists {len(getattr(clusters, name))} cluster "
+                f"{name} for k = {clusters.k}"
+            )
     # Saved centroids are member means, so rebuild them exactly from the
     # assignment instead of inverting their rounded physical values.
     # Check the ids and weights first: an id without members would divide

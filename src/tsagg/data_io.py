@@ -567,6 +567,15 @@ def write_clusters(model: ClusterModel, features: FeatureMatrix, path) -> None:
     dump_json(doc, path)
 
 
+def _integers(values, name: str, path) -> np.ndarray:
+    """A clusters-file list of integers as int64; any other entry is refused,
+    where a cast would truncate a fractional id silently."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ConfigError(f"malformed clusters file {path}: {name} must be integers")
+    return arr.astype(np.int64)
+
+
 def read_clusters(path) -> ClustersFile:
     doc = _load_json(path)
     try:
@@ -575,8 +584,8 @@ def read_clusters(path) -> ClustersFile:
             method=str(doc["method"]),
             k=int(doc["k"]),
             columns=tuple(doc["columns"]),
-            assignment=np.array(doc["assignment"], dtype=np.int64),
-            weights=np.array(doc["weights"], dtype=np.int64),
+            assignment=_integers(doc["assignment"], "assignment", path),
+            weights=_integers(doc["weights"], "weights", path),
             labels=tuple(str(c["label"]) for c in clusters),
             centroids=[
                 {"demand": float(c["demand"]), "cf": dict(c["cf"])} for c in clusters

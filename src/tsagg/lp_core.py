@@ -7,9 +7,11 @@ anti-cycling and gives every input a single canonical optimal basis:
 solving the same bits twice returns the same basic index set.
 
 LPs made with ``StandardFormLP.with_rhs`` share their template's ``c``, ``A``
-and per-basis factors.  B, the duals and the reduced costs depend only on
-(c, A, basis), so a basis is factorised once for the whole family and each
-evaluation then costs one triangular solve against its own b.
+and one cache of what depends on them alone.  B, the duals and the reduced
+costs depend only on (c, A, basis), so a basis is factorised once for the
+whole family and each evaluation then costs one triangular solve against
+its own b.  Likewise each simplex pivot path is recorded once, and a solve
+that follows a recorded path carries only its own right-hand side down it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class StandardFormLP:
     """min c.x subject to A x = b, x >= 0.
 
     The arrays are read-only copies.  An LP made by ``with_rhs`` shares its
-    template's ``c`` and ``A`` arrays and its per-basis factors; any other
+    template's ``c`` and ``A`` arrays and its cache; any other
     construction, ``dataclasses.replace`` included, starts afresh.
     """
 
@@ -71,9 +73,11 @@ class StandardFormLP:
     A: np.ndarray
     b: np.ndarray
     _template: InitVar[StandardFormLP | None] = None
-    # Basis bytes -> b-independent factor (None if singular); see
-    # ``_kernels.basis_eval``.  Valid only for this c and A.
-    _factors: dict = field(init=False, repr=False)
+    # Valid only for this c and A.  Basis bytes -> b-independent factor
+    # (None if singular), see ``_kernels.basis_eval``; and (tolerances,
+    # sign pattern of b) -> root of the recorded pivot paths, see
+    # ``_kernels.simplex``.  The two kinds of key never collide.
+    _cache: dict = field(init=False, repr=False)
 
     def __post_init__(self, _template):
         b = _readonly(self.b)
@@ -82,11 +86,11 @@ class StandardFormLP:
         )
         if shared:
             # with_rhs: c and A are the template's checked read-only arrays.
-            c, A, factors = self.c, self.A, _template._factors
+            c, A, cache = self.c, self.A, _template._cache
         else:
             c = _readonly(self.c)
             A = _readonly(self.A)
-            factors = {}
+            cache = {}
         if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValueError("expected A 2-d, c and b 1-d")
         m, n = A.shape
@@ -106,7 +110,7 @@ class StandardFormLP:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_cache", cache)
 
     @property
     def m(self) -> int:
@@ -119,9 +123,9 @@ class StandardFormLP:
     def with_rhs(self, b: np.ndarray) -> "StandardFormLP":
         """Same costs and constraint matrix, new right-hand side.
 
-        The new LP shares this one's ``c`` and ``A`` arrays and its cache of
-        per-basis factors, so each distinct basis is factorised once across
-        all of them; ``b`` is copied and checked as usual.
+        The new LP shares this one's ``c`` and ``A`` arrays and its cache, so
+        each distinct basis is factorised and each pivot path recorded once
+        across all of them; ``b`` is copied and checked as usual.
         """
         return StandardFormLP(self.c, self.A, b, self)
 
@@ -181,7 +185,7 @@ def solve(lp: StandardFormLP, *, max_iter: int | None = None) -> LPSolution:
     if max_iter is None:
         max_iter = _max_iter(lp)
     status, basis_arr, iters = _kernels.simplex(
-        lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter
+        lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter, lp._cache
     )
     if status == _kernels.RANK_DEFICIENT:
         raise RankDeficientError("constraint matrix has dependent rows")
@@ -197,7 +201,7 @@ def solve(lp: StandardFormLP, *, max_iter: int | None = None) -> LPSolution:
         return LPSolution(LPStatus.UNBOUNDED, -math.inf, iterations=iters)
     sig = BasisSignature(tuple(int(j) for j in basis_arr))
     ok, x, rc, obj = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, sig.as_array(), PIVOT_EPS, lp._factors
+        lp.c, lp.A, lp.b, sig.as_array(), PIVOT_EPS, lp._cache
     )
     if not ok:
         raise NumericalFailureError("terminal basis factorisation broke down")
@@ -214,7 +218,7 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
     """
     idx = _check_basis(lp, basis)
     ok, x, rc, obj = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._factors
+        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache
     )
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
@@ -231,7 +235,7 @@ def reduced_costs(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:
     """Reduced-cost vector c - A^T (B^-T c_B); exactly zero at basic indices."""
     idx = _check_basis(lp, basis)
     ok, _x, rc, _obj = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._factors
+        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache
     )
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")

@@ -226,11 +226,25 @@ def _declare_empty_id(doc):
     doc["weights"].append(0)
 
 
+def _drop_last_cluster(doc):
+    doc["clusters"].pop()
+
+
+def _raise_ids_by_half(doc):
+    doc["assignment"] = [a + 0.5 for a in doc["assignment"]]
+
+
+def _cut_columns(doc):
+    doc["columns"] = doc["columns"][:1]
+
+
 def test_plot_bad_cluster_id_exits_2(instance, tmp_path, capsys):
     assert main(["aggregate", "--config", str(instance / "config.json"),
                  "--method", "kmeans", "--k", "2", "--out", str(tmp_path)]) == 0
     good = json.loads((tmp_path / "clusters_kmeans.json").read_text())
-    for edit in (_assign_unknown_id, _declare_empty_id):
+    assert good["columns"] == ["demand", "wind"]
+    for edit in (_assign_unknown_id, _declare_empty_id, _drop_last_cluster,
+                 _raise_ids_by_half, _cut_columns):
         doc = json.loads(json.dumps(good))
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"

@@ -1,4 +1,5 @@
-"""Simplex kernel guards: pinned pivot sequence and basis evaluation."""
+"""Simplex kernel guards: pinned pivot sequence, recorded pivot paths and
+basis evaluation."""
 
 import hashlib
 
@@ -9,7 +10,7 @@ from oracles import basis_eval_reference, random_lp_data, simplex_reference
 from systems import degenerate_system, fleet_system, random_system
 from tsagg import _kernels
 from tsagg.data_io import default_spec, generate_synthetic
-from tsagg.dispatch_model import _template, hourly_rhs
+from tsagg.dispatch_model import _template, hourly_rhs, solve_full
 from tsagg.lp_core import PIVOT_EPS, TOL_FEAS, TOL_OPT
 
 # sha256 over (status, iterations, basis) of the 300 LPs below, recorded when
@@ -111,16 +112,29 @@ def test_basis_eval_bitwise_equal_to_reference():
     assert singular >= 100
 
 
+def _assert_matches_reference(args, paths):
+    """Solve ``args`` through ``paths`` and against the tableau reference:
+    equal status, iterations and basis.  Returns the reference's result."""
+    st, basis, it = _kernels.simplex(*args, paths)
+    ref = simplex_reference(*args)
+    assert (st, it) == (ref[0], ref[2])
+    assert np.array_equal(basis, ref[1])
+    return ref
+
+
 def _assert_hours_match_reference(system):
+    """Every hour through one shared path trie, then through ``solve_full``,
+    against the tableau reference: status, iterations and basis."""
     c, A = _template(system)
+    paths = {}
+    refs = []
     for h in range(system.horizon):
-        b = hourly_rhs(system, h)
-        st, basis, it = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
-        st_ref, basis_ref, it_ref = simplex_reference(
-            c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000
-        )
-        assert (st, it) == (st_ref, it_ref), h
-        assert np.array_equal(basis, basis_ref), h
+        args = (c, A, hourly_rhs(system, h), TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
+        _, basis_ref, it_ref = _assert_matches_reference(args, paths)
+        refs.append((it_ref, tuple(sorted(basis_ref.tolist()))))
+    # Iterations reach no output file, so no digest would see them move.
+    periods = solve_full(system).periods
+    assert [(p.solution.iterations, p.solution.basis.indices) for p in periods] == refs
 
 
 def test_simplex_matches_reference_on_default_year():
@@ -195,3 +209,178 @@ def test_simplex_matches_reference_on_random_lps():
 )
 def test_simplex_matches_reference_on_small_systems(system):
     _assert_hours_match_reference(system)
+
+
+# --- recorded pivot paths -----------------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``_kernels.<name>``: the list returned gets one
+    entry per call."""
+    calls = []
+    original = getattr(_kernels, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, name, counted)
+    return calls
+
+
+def _random_family(rng):
+    """One (c, A) and 12 calls (b, max_iter, tol_opt, pivot_eps) on it.
+
+    Each b is a scaled copy of one of three base vectors, so sign patterns
+    and paths repeat, with entries set to zero of either sign.  A may have
+    a duplicated row, rank deficient or infeasible by whether the two b
+    entries agree; c may be unbounded below.  One call in seven has a
+    small cap and one in eight tolerances that change pivot decisions.
+    """
+    m = int(rng.integers(1, 9))
+    n = int(rng.integers(m, m + 9))
+    integer = rng.integers(2) == 0
+    if integer:
+        A = rng.integers(-2, 3, size=(m, n)).astype(float)
+        c = rng.integers(-1, 4, size=n).astype(float)
+    else:
+        A = rng.normal(size=(m, n))
+        c = rng.uniform(0.0, 1.0, n) if rng.integers(2) == 0 else rng.normal(size=n)
+    dup = m > 1 and rng.integers(3) == 0
+    if dup:
+        i, k = rng.choice(m, size=2, replace=False)
+        A[k] = A[i]
+    bases = [
+        A @ rng.uniform(0.0, 1.0, n) if rng.integers(2) == 0 else rng.normal(size=m)
+        for _ in range(3)
+    ]
+    calls = []
+    for _ in range(12):
+        scale = rng.uniform(0.5, 1.5, m if rng.integers(2) == 0 else 1)
+        b = bases[rng.integers(3)] * scale
+        if integer:
+            b = np.round(b)
+        if dup and rng.integers(2) == 0:
+            b[k] = b[i]
+        zero = rng.random(m) < 0.2
+        b[zero] = np.where(rng.integers(2, size=m) == 0, 0.0, -0.0)[zero]
+        max_iter = int(rng.integers(1, 8)) if rng.integers(7) == 0 else 2000
+        tols = (0.3, 0.3) if rng.integers(8) == 0 else (TOL_OPT, PIVOT_EPS)
+        calls.append((b, max_iter) + tols)
+    return c, A, calls
+
+
+def test_shared_paths_match_reference_on_random_families(monkeypatch):
+    """Each b solved twice through its family's trie, the second time under
+    another cap; walks that need no tableau must reach every status."""
+    tableau = _count_calls(monkeypatch, "_two_phase")
+    rng = np.random.default_rng(61)
+    walked = set()
+    for _ in range(200):
+        c, A, calls = _random_family(rng)
+        paths = {}
+        for b, max_iter, tol_opt, pivot_eps in calls:
+            for cap in (max_iter, 2000 if max_iter < 2000 else int(rng.integers(1, 8))):
+                solves = len(tableau)
+                args = (c, A, b, TOL_FEAS, tol_opt, pivot_eps, cap)
+                st = _assert_matches_reference(args, paths)[0]
+                if len(tableau) == solves:
+                    walked.add(st)
+    assert walked == {
+        _kernels.OPTIMAL,
+        _kernels.INFEASIBLE,
+        _kernels.UNBOUNDED,
+        _kernels.RANK_DEFICIENT,
+        _kernels.NUMERICAL,
+    }
+
+
+def _phase1_ends(root):
+    """The nodes below path root ``root`` where phase 1 ended optimal."""
+    ends, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node and node[0] >= 0:
+            stack.extend(node[3::2])
+        elif node and node[0] == _kernels._OPTIMAL:
+            ends.append(node)
+    return ends
+
+
+def test_phase1_end_reached_first_by_infeasible_then_by_feasible_b():
+    A = np.array([
+        [1.0, 2.0, 1.0, 2.0, 2.0],
+        [0.0, 2.0, 0.0, 2.0, 1.0],
+        [0.0, 1.0, 2.0, 2.0, 1.0],
+    ])
+    c = np.array([3.0, 3.0, 2.0, 1.0, 2.0])
+    infeasible, feasible = np.array([2.0, 2.0, 3.0]), np.array([2.0, 2.0, 2.0])
+    paths = {}
+
+    def status(b):
+        args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
+        return _assert_matches_reference(args, paths)[0]
+
+    assert status(infeasible) == _kernels.INFEASIBLE
+    (root,) = paths.values()
+    (end,) = _phase1_ends(root)
+    assert end == [_kernels._OPTIMAL]  # no drive-out recorded yet
+    assert status(feasible) == _kernels.OPTIMAL
+    assert _phase1_ends(root) == [end]
+    assert len(end) == 3 and len(end[1]) == 1  # one drive-out pivot
+    assert (status(infeasible), status(feasible)) == (_kernels.INFEASIBLE, _kernels.OPTIMAL)
+
+
+def test_path_recorded_under_a_cap_is_walked_past_it(monkeypatch):
+    tableau = _count_calls(monkeypatch, "_two_phase")
+    system = fleet_system(np.random.default_rng(4))
+    c, A = _template(system)
+    for h in range(0, system.horizon, 24):
+        b = hourly_rhs(system, h)
+        cap = simplex_reference(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)[2] // 2
+        paths = {}
+        for max_iter, tableau_solves in ((cap, 1), (2000, 1), (cap, 0), (2000, 0)):
+            del tableau[:]
+            args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
+            st = _assert_matches_reference(args, paths)[0]
+            assert st == (_kernels.NUMERICAL if max_iter == cap else _kernels.OPTIMAL)
+            assert len(tableau) == tableau_solves, (h, max_iter)
+
+
+def _trie_size(paths):
+    """(nodes, phase starts) of the tries in a ``paths`` dict: a phase start
+    is a root or a phase-2 root."""
+    nodes = 0
+    stack = list(paths.values())
+    starts = len(stack)
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node and node[0] >= 0:
+            stack.extend(node[3::2])
+        elif len(node) == 3 and node[2] is not None:
+            stack.append(node[2])
+            starts += 1
+    return nodes, starts
+
+
+def test_trie_holds_no_more_nodes_than_the_pivots_it_recorded(monkeypatch):
+    """Each node but a phase start is the child a tableau pivot led to, and
+    a tableau solve adds at most one root and one phase-2 root; a second
+    pass over the same hours walks every one and adds nothing."""
+    pivots = _count_calls(monkeypatch, "_pivot")
+    tableau = _count_calls(monkeypatch, "_two_phase")
+    system = fleet_system(np.random.default_rng(4))
+    c, A = _template(system)
+    bs = [hourly_rhs(system, h) for h in range(system.horizon)]
+    paths = {}
+    for b in bs:
+        _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, paths)
+        nodes, starts = _trie_size(paths)
+        assert nodes - starts <= len(pivots)
+        assert starts <= 2 * len(tableau)
+    size = _trie_size(paths)
+    del pivots[:], tableau[:]
+    for b in bs:
+        _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, paths)
+    assert pivots == tableau == []
+    assert _trie_size(paths) == size
