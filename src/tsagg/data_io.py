@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,6 +177,14 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _integer(value, what: str):
+    """``value`` if it is an integer.  Bools and floats are refused: a cast
+    would read ``true`` as 1 and truncate 48.7 to 48 silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as handle:
@@ -200,7 +209,7 @@ def load_config(path, strict: bool = True) -> SystemData:
     gens_doc = _require(doc, "generators", "config")
     series_rel = _require(doc, "series", "config")
     bundle = load_series(Path(path).parent / series_rel)
-    if "horizon" in doc and int(doc["horizon"]) != bundle.horizon:
+    if "horizon" in doc and _integer(doc["horizon"], "horizon") != bundle.horizon:
         raise ConfigError(
             f"configured horizon {doc['horizon']} != series length {bundle.horizon}"
         )
@@ -211,13 +220,18 @@ def load_config(path, strict: bool = True) -> SystemData:
             g, {"name", "cost", "capacity", "p_min", "is_variable", "cf_series"},
             where, strict,
         )
+        is_variable = g.get("is_variable", False)
+        if not isinstance(is_variable, bool):
+            raise ConfigError(
+                f"{where}.is_variable must be true or false, got {is_variable!r}"
+            )
         generators.append(
             Generator(
                 name=str(_require(g, "name", where)),
                 variable_cost=float(_require(g, "cost", where)),
                 capacity=float(_require(g, "capacity", where)),
                 p_min=float(g.get("p_min", 0.0)),
-                is_variable=bool(g.get("is_variable", False)),
+                is_variable=is_variable,
                 cf_series_id=g.get("cf_series"),
             )
         )
@@ -302,6 +316,8 @@ class SyntheticSpec:
     regime_targets: dict[str, float] = field(default_factory=_default_targets)
 
     def __post_init__(self):
+        _integer(self.hours, "hours")
+        _integer(self.seed, "seed")
         if self.hours < 1:
             raise ValueError("hours must be >= 1")
 

@@ -12,6 +12,8 @@ costs depend only on (c, A, basis), so a basis is factorised once for the
 whole family and each evaluation then costs one triangular solve against
 its own b.  Likewise each simplex pivot path is recorded once, and a solve
 that follows a recorded path carries only its own right-hand side down it.
+Each basis the simplex ends in gets one ``BasisSignature`` per family, which
+every solve that ends there shares.
 """
 
 from __future__ import annotations
@@ -73,42 +75,41 @@ class StandardFormLP:
     A: np.ndarray
     b: np.ndarray
     _template: InitVar[StandardFormLP | None] = None
-    # Valid only for this c and A.  Basis bytes -> b-independent factor
-    # (None if singular), see ``_kernels.basis_eval``; and (tolerances,
+    # Valid only for this c and A.  Sorted basis bytes -> b-independent
+    # factor (None if singular), see ``_kernels.basis_eval``; (tolerances,
     # sign pattern of b) -> root of the recorded pivot paths, see
-    # ``_kernels.simplex``.  The two kinds of key never collide.
+    # ``_kernels.simplex``; and (row-order basis bytes,) -> its
+    # BasisSignature and read-only sorted index array, see ``solve``.  The
+    # three kinds of key (bytes, 3-tuple, 1-tuple) never collide.
     _cache: dict = field(init=False, repr=False)
 
     def __post_init__(self, _template):
         b = _readonly(self.b)
-        shared = (
-            _template is not None and self.c is _template.c and self.A is _template.A
-        )
-        if shared:
-            # with_rhs: c and A are the template's checked read-only arrays.
-            c, A, cache = self.c, self.A, _template._cache
+        if _template is not None and self.c is _template.c and self.A is _template.A:
+            # with_rhs: c and A are the template's checked read-only arrays,
+            # so only what the new b can break is checked.
+            cache = _template._cache
         else:
-            c = _readonly(self.c)
-            A = _readonly(self.A)
-            cache = {}
-        if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
+            c, A, cache = _readonly(self.c), _readonly(self.A), {}
+            if A.ndim != 2 or c.ndim != 1:
+                raise ValueError("expected A 2-d, c and b 1-d")
+            m, n = A.shape
+            if m < 1 or n < 1:
+                raise ValueError("empty LP")
+            if c.shape[0] != n:
+                raise ValueError(f"inconsistent shapes: A {A.shape}, c {c.shape}")
+            if m > n:
+                raise ValueError(f"more rows than columns (m={m} > n={n})")
+            if not (np.isfinite(c).all() and np.isfinite(A).all()):
+                raise ValueError("LP data must be finite")
+            object.__setattr__(self, "c", c)
+            object.__setattr__(self, "A", A)
+        if b.ndim != 1:
             raise ValueError("expected A 2-d, c and b 1-d")
-        m, n = A.shape
-        if m < 1 or n < 1:
-            raise ValueError("empty LP")
-        if c.shape[0] != n or b.shape[0] != m:
-            raise ValueError(
-                f"inconsistent shapes: A {A.shape}, c {c.shape}, b {b.shape}"
-            )
-        if m > n:
-            raise ValueError(f"more rows than columns (m={m} > n={n})")
-        if not (
-            (shared or (np.isfinite(c).all() and np.isfinite(A).all()))
-            and np.isfinite(b).all()
-        ):
+        if b.shape[0] != self.A.shape[0]:
+            raise ValueError(f"inconsistent shapes: A {self.A.shape}, b {b.shape}")
+        if not all(map(math.isfinite, b.tolist())):
             raise ValueError("LP data must be finite")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_cache", cache)
 
@@ -170,10 +171,6 @@ def _check_basis(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:
     return idx
 
 
-def _max_iter(lp: StandardFormLP) -> int:
-    return 50 * (lp.n + lp.m + 10)
-
-
 def solve(lp: StandardFormLP, *, max_iter: int | None = None) -> LPSolution:
     """Two-phase simplex with Bland's rule.
 
@@ -183,7 +180,8 @@ def solve(lp: StandardFormLP, *, max_iter: int | None = None) -> LPSolution:
     breaks down.
     """
     if max_iter is None:
-        max_iter = _max_iter(lp)
+        m, n = lp.A.shape
+        max_iter = 50 * (n + m + 10)
     status, basis_arr, iters = _kernels.simplex(
         lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter, lp._cache
     )
@@ -199,13 +197,19 @@ def solve(lp: StandardFormLP, *, max_iter: int | None = None) -> LPSolution:
         return LPSolution(LPStatus.INFEASIBLE, math.nan, iterations=iters)
     if status == _kernels.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, -math.inf, iterations=iters)
-    sig = BasisSignature(tuple(int(j) for j in basis_arr))
-    ok, x, rc, obj = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, sig.as_array(), PIVOT_EPS, lp._cache
-    )
+    # One signature and read-only index array per kernel basis and family.
+    key = (basis_arr.tobytes(),)
+    entry = lp._cache.get(key)
+    if entry is None:
+        sig = BasisSignature(tuple(basis_arr.tolist()))
+        idx = sig.as_array()
+        idx.setflags(write=False)
+        entry = lp._cache[key] = (sig, idx)
+    sig, idx = entry
+    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache)
     if not ok:
         raise NumericalFailureError("terminal basis factorisation broke down")
-    return LPSolution(LPStatus.OPTIMAL, float(obj), x, sig, rc, iterations=iters)
+    return LPSolution(LPStatus.OPTIMAL, float(obj), x, sig, rc, iters)
 
 
 def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import basis_eval_reference
 from systems import degenerate_system, fleet_system
-from tsagg import _kernels, evaluation
+from tsagg import _kernels, evaluation, lp_core
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
     _template,
@@ -20,7 +20,7 @@ from tsagg.dispatch_model import (
     solve_aggregated,
     solve_full,
 )
-from tsagg.lp_core import PIVOT_EPS, LPStatus, StandardFormLP
+from tsagg.lp_core import PIVOT_EPS, LPStatus, StandardFormLP, solve
 from tsagg.tsa_clustering import (
     basis_cluster,
     kmeans,
@@ -89,6 +89,79 @@ def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
     again = solve_full(system)
     assert again.bases() == full.bases()
     assert sorted(calls) == sorted({b.indices for b in full.bases()})
+
+
+def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
+    system, full = solved
+    built, kernel_bases, evaluated = [], set(), []
+    signature, simplex, basis_eval = (
+        lp_core.BasisSignature, _kernels.simplex, _kernels.basis_eval
+    )
+
+    def counted_signature(indices):
+        built.append(tuple(indices))
+        return signature(indices)
+
+    def recorded_simplex(*args):
+        result = simplex(*args)
+        assert result[0] == _kernels.OPTIMAL
+        kernel_bases.add(tuple(result[1].tolist()))
+        return result
+
+    def recorded_basis_eval(c, A, b, basis, *args):
+        evaluated.append(basis)
+        return basis_eval(c, A, b, basis, *args)
+
+    monkeypatch.setattr(lp_core, "BasisSignature", counted_signature)
+    monkeypatch.setattr(_kernels, "simplex", recorded_simplex)
+    monkeypatch.setattr(_kernels, "basis_eval", recorded_basis_eval)
+    again = solve_full(system)
+    # one build per distinct row-order kernel basis, shared by its hours
+    assert sorted(built) == sorted(kernel_bases)
+    assert len({id(b) for b in again.bases()}) == len(built)
+    assert again.bases() == full.bases()
+    # hours that share a basis get equal, equally hashed signatures
+    first = {}
+    for basis in again.bases():
+        seen = first.setdefault(basis.indices, basis)
+        assert basis == seen and hash(basis) == hash(seen)
+    assert len(set(again.bases())) == len(first)
+    # the cached index arrays handed to basis_eval are read-only
+    assert len(evaluated) == system.horizon
+    assert len({id(a) for a in evaluated}) == len(built)
+    for idx in evaluated:
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
+
+
+def test_mutating_one_hour_leaves_the_others_bitwise_unchanged(solved):
+    system, full = solved
+    c, A = _template(system)
+    base = StandardFormLP(c, A, hourly_rhs(system, 0))
+    lps = [base] + [base.with_rhs(hourly_rhs(system, h)) for h in range(1, system.horizon)]
+
+    def snapshot(sol):
+        return sol.basis.indices, _bits(sol.x), _bits(sol.reduced_costs), _bits(sol.objective)
+
+    sols = [solve(lp) for lp in lps]
+    before = [snapshot(sol) for sol in sols]
+    assert before == [snapshot(p.solution) for p in full.periods]
+    # the first hour of each distinct basis is the one mutated
+    victims = {}
+    for h, sol in enumerate(sols):
+        victims.setdefault(sol.basis.indices, h)
+    for h in victims.values():
+        sol = sols[h]
+        idx = sol.basis.as_array()
+        assert idx.flags.writeable
+        idx[:] = -1
+        sol.x[:] = np.nan
+        sol.reduced_costs[:] = np.nan
+    untouched = set(range(len(sols))) - set(victims.values())
+    assert all(snapshot(sols[h]) == before[h] for h in untouched)
+    # nor does it reach the shared cache: the family solves every hour again
+    assert [snapshot(solve(lp)) for lp in lps] == before
 
 
 def test_theorem_trial_evaluations_match_uncached_reference(monkeypatch):

@@ -51,6 +51,15 @@ def test_generate_bad_spec_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_generate_fractional_hours_exits_2(tmp_path, capsys):
+    # used to crash inside numpy with a TypeError traceback, exit 1
+    (tmp_path / "spec.json").write_text('{"hours": 48.5}')
+    code = main(["generate", "--out", str(tmp_path / "x"), "--spec", str(tmp_path / "spec.json")])
+    assert code == 2
+    assert "hours must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # --- solve-full -------------------------------------------------------------
 
 def test_solve_full_prints_cost_and_writes_summary(instance, tmp_path, capsys):
@@ -84,6 +93,20 @@ def test_solve_full_infeasible_hour_exits_1(tmp_path, capsys):
     config = _write_infeasible_instance(tmp_path)
     assert main(["solve-full", "--config", str(config)]) == 1
     assert "hour 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(horizon=doc["horizon"] + 0.7), "horizon must be an integer"),
+    (lambda doc: doc["generators"][0].update(is_variable="no"), "is_variable"),
+], ids=["fractional_horizon", "string_is_variable"])
+def test_solve_full_malformed_config_exits_2(instance, tmp_path, capsys, edit, message):
+    # both solved with exit 0: 200.7 was truncated to 200 and "no" read as true
+    doc = json.loads((instance / "config.json").read_text())
+    doc["series"] = str(instance / "series.csv")
+    edit(doc)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["solve-full", "--config", str(tmp_path / "config.json")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(capsys):

@@ -162,6 +162,22 @@ def test_load_config_missing_key(tmp_path):
     assert "series" in str(err.value)
 
 
+@pytest.mark.parametrize("horizon", [2.7, 2.0, True, "2", None])
+def test_load_config_refuses_non_integer_horizon(tmp_path, horizon):
+    # int() used to truncate 2.7 to 2 and read true as 1
+    with pytest.raises(ConfigError, match="horizon must be an integer"):
+        load_config(_write_config(tmp_path, dict(BASE_DOC, horizon=horizon)))
+    assert load_config(_write_config(tmp_path, dict(BASE_DOC, horizon=2))).horizon == 2
+
+
+@pytest.mark.parametrize("flag", ["no", "false", 1, 0, None])
+def test_load_config_refuses_non_boolean_is_variable(tmp_path, flag):
+    # bool("no") is True
+    gens = [dict(BASE_DOC["generators"][0], is_variable=flag), BASE_DOC["generators"][1]]
+    with pytest.raises(ConfigError, match=r"generators\[0\]\.is_variable"):
+        load_config(_write_config(tmp_path, dict(BASE_DOC, generators=gens)))
+
+
 def test_config_round_trip(tmp_path):
     system = thermal_wind([50.0, 120.0, 60.0], [0.8, 0.5, 0.2])
     write_series(system, tmp_path / "series.csv")
@@ -231,6 +247,18 @@ def test_spec_unknown_key_rejected():
         spec_from_dict({"hours": 10, "bogus": 1})
     with pytest.raises(ConfigError):
         spec_from_dict({"demand": {"base": 1.0, "wat": 2}})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hours", 48.5), ("hours", 48.0), ("hours", True), ("hours", "48"),
+    ("seed", 1.5), ("seed", False), ("seed", None),
+])
+def test_spec_refuses_non_integer_hours_and_seed(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        spec_from_dict({"hours": 48, key: value})
+    with pytest.raises(ConfigError):
+        SyntheticSpec(**{key: value})
+    assert SyntheticSpec(hours=np.int64(48), seed=np.int64(3)).hours == 48
 
 
 # --- reports ----------------------------------------------------------------
