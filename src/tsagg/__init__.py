@@ -10,7 +10,6 @@ input-space methods such as k-means generally do not.
 from .lp_core import (
     PIVOT_EPS,
     TOL_FEAS,
-    TOL_OBJ,
     TOL_OPT,
     BasisSignature,
     LPError,

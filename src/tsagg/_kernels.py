@@ -134,26 +134,23 @@ def _basis_factor(c, A, basis, pivot_eps):
     return LU, perm, cb, rc
 
 
-def basis_eval(c, A, b, basis, pivot_eps, factors=None):
+def basis_eval(c, A, b, basis, pivot_eps, factors):
     """Evaluate a basis B = A[:, basis]: x_B = B^-1 b, duals, reduced costs.
 
     Returns (ok, x, reduced_costs, objective).  ok is False when a
     factorisation pivot falls below ``pivot_eps``.  Reduced costs at basic
     indices are zeroed exactly.
 
-    Only x_B and the objective depend on b.  ``factors``, when given, is a
-    dict that keeps the rest per basis (None for a singular one) across
-    calls; it must only ever be passed with this same c and A.  The arrays
-    returned are fresh either way.
+    Only x_B and the objective depend on b.  ``factors`` is a dict that
+    keeps the rest per basis (None for a singular one) across calls; it
+    must only ever be passed with this same c and A.  The arrays returned
+    are fresh.
     """
-    if factors is None:
-        factor = _basis_factor(c, A, basis, pivot_eps)
+    key = basis.tobytes()
+    if key in factors:
+        factor = factors[key]
     else:
-        key = basis.tobytes()
-        if key in factors:
-            factor = factors[key]
-        else:
-            factor = factors[key] = _basis_factor(c, A, basis, pivot_eps)
+        factor = factors[key] = _basis_factor(c, A, basis, pivot_eps)
     n = A.shape[1]
     if factor is None:
         return False, np.zeros(n), np.zeros(n), 0.0
@@ -270,7 +267,7 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters, node)
     return 4, iters, node
 
 
-def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, paths=None):
+def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, paths):
     """Two-phase Bland simplex on min c.x, A x = b, x >= 0.
 
     Returns (status, basis, iterations): a status code above, the basic
@@ -283,9 +280,9 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, paths=None):
     phase-1 cost row subtracts the rows one by one in order, and the
     phase-2 row is ``row - cb * T[i]`` in order i.
 
-    ``paths``, when given, is a dict that keeps the pivot paths solved so
-    far across calls; like ``basis_eval``'s ``factors`` it must only ever
-    be passed with this same c and A.  Every tableau column but the RHS
+    ``paths`` is a dict that keeps the pivot paths solved so far across
+    calls; like ``basis_eval``'s ``factors`` it must only ever be passed
+    with this same c and A.  Every tableau column but the RHS
     depends only on c, A, the sign pattern of b (rows with b_i < 0 are
     negated) and the pivots made so far.  No decision reads the RHS but
     the ratio test and phase 1's feasibility check: the entering column
@@ -332,8 +329,6 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, paths=None):
     """
     m, n = A.shape
     bl = b.tolist()
-    if paths is None:
-        paths = {}
     root = paths.setdefault((tol_opt, pivot_eps, tuple([v < 0.0 for v in bl])), [])
     status = None
     if root:

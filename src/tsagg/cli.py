@@ -30,25 +30,11 @@ from .data_io import (
     write_report,
     write_series,
 )
-from .dispatch_model import (
-    DispatchError,
-    InfeasiblePeriodError,
-    SystemData,
-    solve_full,
-)
+from .dispatch_model import DispatchError, InfeasiblePeriodError, solve_full
 from .evaluation import EvaluationReport, compare_methods_detailed
 from .lp_core import LPError
 from .plotting import write_plot
-from .tsa_clustering import (
-    ClusterMethod,
-    ClusterModel,
-    FeatureMatrix,
-    _check_partition,
-    _member_means,
-    basis_cluster,
-    kmeans,
-    normalize_features,
-)
+from .tsa_clustering import basis_cluster, kmeans, normalize_features
 
 SELF_CHECK_LIMIT_PCT = 1e-4
 
@@ -122,8 +108,7 @@ def _cmd_aggregate(args) -> int:
     print(f"wrote {path}")
     print(f"method {args.method}: k={model.k}")
     for cid in range(model.k):
-        label = model.labels[cid] if model.labels else f"cluster {cid}"
-        print(f"  cluster {cid}: {label} ({int(model.weights[cid])} h)")
+        print(f"  cluster {cid}: {model.labels[cid]} ({int(model.weights[cid])} h)")
     return 0
 
 
@@ -164,52 +149,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _rebuild_model(clusters, features: FeatureMatrix) -> ClusterModel:
-    if len(clusters.assignment) != features.H:
-        raise DataError(
-            f"clusters file covers {len(clusters.assignment)} hours but the "
-            f"config series has {features.H}"
-        )
-    if clusters.columns != features.columns:
-        raise DataError(
-            f"clusters file has columns {list(clusters.columns)} but the "
-            f"config features are {list(features.columns)}"
-        )
-    for name in ("labels", "centroids", "bases"):
-        if len(getattr(clusters, name)) != clusters.k:
-            raise DataError(
-                f"clusters file lists {len(getattr(clusters, name))} cluster "
-                f"{name} for k = {clusters.k}"
-            )
-    # Saved centroids are member means, so rebuild them exactly from the
-    # assignment instead of inverting their rounded physical values.
-    # Check the ids and weights first: an id without members would divide
-    # 0 by 0 in the means.
-    _check_partition(clusters.k, clusters.assignment, clusters.weights)
-    centroids = _member_means(features.values.T, clusters.assignment, clusters.k)
-    basis_map = None
-    if all(b is not None for b in clusters.bases):
-        basis_map = {cid: b for cid, b in enumerate(clusters.bases)}
-    return ClusterModel(
-        k=clusters.k,
-        centroids=centroids,
-        assignment=clusters.assignment,
-        weights=clusters.weights,
-        method=ClusterMethod(clusters.method),
-        basis_map=basis_map,
-        labels=clusters.labels,
-    )
-
-
 def _cmd_plot(args) -> int:
-    system = load_config(args.config)
-    features = normalize_features(system)
-    clusters = read_clusters(args.clusters)
-    try:
-        model = _rebuild_model(clusters, features)
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"clusters file does not match config: {exc}") from exc
-    title = args.title if args.title is not None else f"{clusters.method} clustering"
+    features = normalize_features(load_config(args.config))
+    model = read_clusters(args.clusters, features)
+    title = args.title if args.title is not None else f"{model.method.value} clustering"
     write_plot(model, features, args.out, title=title)
     print(f"wrote {args.out}")
     return 0

@@ -2,9 +2,9 @@
 
 Series CSV schema: header ``hour,demand,cf_<id>...`` with hours contiguous
 from zero; parse failures carry the one-based line number.  Configs and
-specs are strict JSON (unknown keys are rejected unless told to warn), and
-reports/clusters are serialised with 12 significant digits so a re-read
-agrees to well below 1e-10.
+specs are strict JSON (unknown keys and values of the wrong type are
+rejected), and reports/clusters are serialised with 12 significant digits
+so a re-read agrees to well below 1e-10.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import csv
 import json
 import math
 import numbers
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from .dispatch_model import (
 )
 from .evaluation import ClusterSummary, EvaluationReport
 from .lp_core import BasisSignature
-from .tsa_clustering import ClusterModel, FeatureMatrix, to_representatives
+from .tsa_clustering import ClusterMethod, ClusterModel, FeatureMatrix, to_representatives
 
 
 class DataError(Exception):
@@ -161,14 +160,13 @@ def write_series(bundle: SeriesBundle | SystemData, path) -> None:
 # config JSON
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: set[str], where: str, strict: bool) -> None:
+def _check_keys(obj, allowed: set[str], where: str) -> None:
+    """Refuse ``obj`` unless it is a JSON object with only ``allowed`` keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
     unknown = sorted(set(obj) - allowed)
-    if not unknown:
-        return
-    message = f"unknown key(s) {unknown} in {where}"
-    if strict:
-        raise ConfigError(message)
-    warnings.warn(message)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
 def _require(obj: dict, key: str, where: str):
@@ -185,6 +183,26 @@ def _integer(value, what: str):
     return value
 
 
+def _number(value, what: str):
+    """``value`` if it is a number.  Bools and strings are refused: a cast
+    would read ``true`` as 1 and ``"10"`` as 10 silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _boolean(value, what: str):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _string(value, what: str):
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as handle:
@@ -195,7 +213,7 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path, strict: bool = True) -> SystemData:
+def load_config(path) -> SystemData:
     """Build a SystemData from a config JSON plus the series CSV it names.
 
     Relative series paths resolve against the config file's directory.  The
@@ -203,11 +221,11 @@ def load_config(path, strict: bool = True) -> SystemData:
     ``horizon`` cross-checks the series length.
     """
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(doc, {"generators", "series", "nse", "horizon"}, "config", strict)
+    _check_keys(doc, {"generators", "series", "nse", "horizon"}, "config")
     gens_doc = _require(doc, "generators", "config")
-    series_rel = _require(doc, "series", "config")
+    if not isinstance(gens_doc, list):
+        raise ConfigError(f"generators must be a list, got {gens_doc!r}")
+    series_rel = _string(_require(doc, "series", "config"), "series")
     bundle = load_series(Path(path).parent / series_rel)
     if "horizon" in doc and _integer(doc["horizon"], "horizon") != bundle.horizon:
         raise ConfigError(
@@ -217,22 +235,19 @@ def load_config(path, strict: bool = True) -> SystemData:
     for i, g in enumerate(gens_doc):
         where = f"generators[{i}]"
         _check_keys(
-            g, {"name", "cost", "capacity", "p_min", "is_variable", "cf_series"},
-            where, strict,
+            g, {"name", "cost", "capacity", "p_min", "is_variable", "cf_series"}, where
         )
-        is_variable = g.get("is_variable", False)
-        if not isinstance(is_variable, bool):
-            raise ConfigError(
-                f"{where}.is_variable must be true or false, got {is_variable!r}"
-            )
+        cf_series = g.get("cf_series")
         generators.append(
             Generator(
-                name=str(_require(g, "name", where)),
-                variable_cost=float(_require(g, "cost", where)),
-                capacity=float(_require(g, "capacity", where)),
-                p_min=float(g.get("p_min", 0.0)),
-                is_variable=is_variable,
-                cf_series_id=g.get("cf_series"),
+                name=_string(_require(g, "name", where), f"{where}.name"),
+                variable_cost=float(_number(_require(g, "cost", where), f"{where}.cost")),
+                capacity=float(_number(_require(g, "capacity", where), f"{where}.capacity")),
+                p_min=float(_number(g.get("p_min", 0.0), f"{where}.p_min")),
+                is_variable=_boolean(g.get("is_variable", False), f"{where}.is_variable"),
+                cf_series_id=(
+                    None if cf_series is None else _string(cf_series, f"{where}.cf_series")
+                ),
             )
         )
     try:
@@ -240,14 +255,15 @@ def load_config(path, strict: bool = True) -> SystemData:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     nse = doc.get("nse")
-    if nse:
-        _check_keys(nse, {"enabled", "cost", "capacity_multiplier"}, "nse", strict)
-        if nse.get("enabled", True):
-            cost = float(nse.get("cost", 1000.0))
-            mult = nse.get("capacity_multiplier")
-            sentinel = (
-                float(mult) * float(system.demand.max()) if mult is not None else None
-            )
+    if nse is not None:
+        _check_keys(nse, {"enabled", "cost", "capacity_multiplier"}, "nse")
+        enabled = _boolean(nse.get("enabled", True), "nse.enabled")
+        cost = float(_number(nse.get("cost", 1000.0), "nse.cost"))
+        mult = nse.get("capacity_multiplier")
+        if mult is not None:
+            mult = float(_number(mult, "nse.capacity_multiplier"))
+        if nse and enabled:  # an empty block adds no unit
+            sentinel = mult * float(system.demand.max()) if mult is not None else None
             system = add_nse_generator(system, cost=cost, sentinel_capacity=sentinel)
     return system
 
@@ -282,6 +298,14 @@ def write_config(system: SystemData, path, series_filename: str) -> None:
 # synthetic instances
 # ---------------------------------------------------------------------------
 
+def _check_numbers(obj, prefix: str = "") -> None:
+    """Refuse each field of dataclass ``obj`` annotated ``float`` (a string
+    here, as annotations are not evaluated) whose value is not a number."""
+    for f in fields(obj):
+        if f.type == "float":
+            _number(getattr(obj, f.name), prefix + f.name)
+
+
 @dataclass(frozen=True)
 class DemandModel:
     base: float = 90.0
@@ -289,11 +313,17 @@ class DemandModel:
     seasonal_amplitude: float = 15.0
     noise_std: float = 6.0
 
+    def __post_init__(self):
+        _check_numbers(self, "demand.")
+
 
 @dataclass(frozen=True)
 class WindModel:
     shape_a: float = 2.0
     shape_b: float = 4.0
+
+    def __post_init__(self):
+        _check_numbers(self, "wind.")
 
 
 def _default_targets() -> dict[str, float]:
@@ -320,6 +350,12 @@ class SyntheticSpec:
         _integer(self.seed, "seed")
         if self.hours < 1:
             raise ValueError("hours must be >= 1")
+        _check_numbers(self)
+        targets = self.regime_targets
+        if not isinstance(targets, dict):
+            raise ConfigError(f"regime_targets must be an object, got {targets!r}")
+        for label, share in targets.items():
+            _number(share, f"regime_targets[{label!r}]")
 
 
 def default_spec(seed: int = 1, hours: int = 8760) -> SyntheticSpec:
@@ -399,30 +435,17 @@ def regime_fractions(system: SystemData) -> dict[str, float]:
 
 # spec JSON -----------------------------------------------------------------
 
-def load_spec(path, strict: bool = True) -> SyntheticSpec:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError("spec root must be an object")
-    return spec_from_dict(doc, strict=strict)
+def load_spec(path) -> SyntheticSpec:
+    return spec_from_dict(_load_json(path))
 
 
-def spec_from_dict(doc: dict, strict: bool = True) -> SyntheticSpec:
-    allowed = {
-        "hours", "seed", "demand", "wind", "wind_capacity", "wind_cost",
-        "thermal_capacity", "thermal_cost", "nse_cost", "regime_targets",
-    }
-    _check_keys(doc, allowed, "spec", strict)
-    kwargs: dict = {k: doc[k] for k in allowed & set(doc)}
-    if "demand" in kwargs:
-        _check_keys(
-            kwargs["demand"],
-            {"base", "daily_amplitude", "seasonal_amplitude", "noise_std"},
-            "spec.demand", strict,
-        )
-        kwargs["demand"] = DemandModel(**kwargs["demand"])
-    if "wind" in kwargs:
-        _check_keys(kwargs["wind"], {"shape_a", "shape_b"}, "spec.wind", strict)
-        kwargs["wind"] = WindModel(**kwargs["wind"])
+def spec_from_dict(doc: dict) -> SyntheticSpec:
+    _check_keys(doc, {f.name for f in fields(SyntheticSpec)}, "spec")
+    kwargs = dict(doc)
+    for key, model in (("demand", DemandModel), ("wind", WindModel)):
+        if key in kwargs:
+            _check_keys(kwargs[key], {f.name for f in fields(model)}, f"spec.{key}")
+            kwargs[key] = model(**kwargs[key])
     try:
         return SyntheticSpec(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -430,23 +453,7 @@ def spec_from_dict(doc: dict, strict: bool = True) -> SyntheticSpec:
 
 
 def spec_to_dict(spec: SyntheticSpec) -> dict:
-    return {
-        "hours": spec.hours,
-        "seed": spec.seed,
-        "demand": {
-            "base": spec.demand.base,
-            "daily_amplitude": spec.demand.daily_amplitude,
-            "seasonal_amplitude": spec.demand.seasonal_amplitude,
-            "noise_std": spec.demand.noise_std,
-        },
-        "wind": {"shape_a": spec.wind.shape_a, "shape_b": spec.wind.shape_b},
-        "wind_capacity": spec.wind_capacity,
-        "wind_cost": spec.wind_cost,
-        "thermal_capacity": spec.thermal_capacity,
-        "thermal_cost": spec.thermal_cost,
-        "nse_cost": spec.nse_cost,
-        "regime_targets": dict(spec.regime_targets),
-    }
+    return asdict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +502,9 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
-def write_report(report: EvaluationReport, path, fmt: str = "json") -> None:
-    """Serialise a report as JSON (full fidelity) or a one-row summary CSV."""
-    if fmt == "json":
-        dump_json(report_to_dict(report), path)
-    elif fmt == "csv":
-        fields = [
-            "method", "k", "input_mse", "full_cost", "aggregated_cost",
-            "output_error_pct",
-        ]
-        doc = report_to_dict(report)
-        try:
-            with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(fields)
-                writer.writerow([doc[f] for f in fields])
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def write_report(report: EvaluationReport, path) -> None:
+    """Serialise a report as JSON."""
+    dump_json(report_to_dict(report), path)
 
 
 def read_report(path) -> EvaluationReport:
@@ -533,29 +524,15 @@ def read_report(path) -> EvaluationReport:
         ]
         return EvaluationReport(
             method=str(doc["method"]),
-            k=int(doc["k"]),
+            k=_integer(doc["k"], f"k in report {path}"),
             input_mse=float(doc["input_mse"]),
             full_cost=float(doc["full_cost"]),
             aggregated_cost=float(doc["aggregated_cost"]),
             output_error_pct=float(doc["output_error_pct"]),
             per_cluster=clusters,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed report {path}: {exc}") from exc
-
-
-@dataclass
-class ClustersFile:
-    """On-disk form of a ClusterModel plus denormalised centroids."""
-
-    method: str
-    k: int
-    columns: tuple[str, ...]
-    assignment: np.ndarray
-    weights: np.ndarray
-    labels: tuple[str, ...]
-    centroids: list[dict]  # {"demand": float, "cf": {id: float}}
-    bases: list[BasisSignature | None]
 
 
 def write_clusters(model: ClusterModel, features: FeatureMatrix, path) -> None:
@@ -569,7 +546,7 @@ def write_clusters(model: ClusterModel, features: FeatureMatrix, path) -> None:
         "clusters": [
             {
                 "id": cid,
-                "label": model.labels[cid] if model.labels else f"cluster {cid}",
+                "label": model.labels[cid],
                 "weight": float(model.weights[cid]),
                 "demand": rep.demand,
                 "cf": dict(sorted(rep.cf.items())),
@@ -587,31 +564,50 @@ def _integers(values, name: str, path) -> np.ndarray:
     """A clusters-file list of integers as int64; any other entry is refused,
     where a cast would truncate a fractional id silently."""
     arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ConfigError(f"malformed clusters file {path}: {name} must be integers")
     return arr.astype(np.int64)
 
 
-def read_clusters(path) -> ClustersFile:
+def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
+    """Read a clusters file back into the model written for ``features``.
+
+    The file must cover the hours and columns of ``features``.  Centroids
+    are rebuilt exactly as the member means of the saved assignment rather
+    than by inverting their rounded physical values, which are only checked
+    to parse.
+    """
     doc = _load_json(path)
     try:
-        clusters = doc["clusters"]
-        return ClustersFile(
-            method=str(doc["method"]),
-            k=int(doc["k"]),
-            columns=tuple(doc["columns"]),
-            assignment=_integers(doc["assignment"], "assignment", path),
-            weights=_integers(doc["weights"], "weights", path),
-            labels=tuple(str(c["label"]) for c in clusters),
-            centroids=[
-                {"demand": float(c["demand"]), "cf": dict(c["cf"])} for c in clusters
-            ],
-            bases=[
-                BasisSignature(tuple(c["basis"])) if c["basis"] is not None else None
-                for c in clusters
-            ],
+        k = _integer(doc["k"], f"k in clusters file {path}")
+        method = ClusterMethod(doc["method"])
+        columns = tuple(doc["columns"])
+        assignment = _integers(doc["assignment"], "assignment", path)
+        weights = _integers(doc["weights"], "weights", path)
+        labels, bases = [], []
+        for c in doc["clusters"]:
+            labels.append(str(c["label"]))
+            bases.append(None if c["basis"] is None else BasisSignature(tuple(c["basis"])))
+            for v in (c["demand"], *dict(c["cf"]).values()):
+                float(v)  # centroids are rebuilt below; the written ones must parse
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed clusters file {path}: {exc}") from exc
+    if len(assignment) != features.H:
+        raise DataError(
+            f"clusters file covers {len(assignment)} hours but the "
+            f"config series has {features.H}"
         )
-    except (KeyError, TypeError) as exc:
+    if columns != features.columns:
+        raise DataError(
+            f"clusters file has columns {list(columns)} but the "
+            f"config features are {list(features.columns)}"
+        )
+    basis_map = None if None in bases else dict(enumerate(bases))
+    try:
+        return ClusterModel.from_members(
+            features, k, assignment, weights, method, tuple(labels), basis_map
+        )
+    except ValueError as exc:
         raise ConfigError(f"malformed clusters file {path}: {exc}") from exc
 
 

@@ -41,6 +41,16 @@ from .tsa_clustering import (
 )
 
 
+# Largest objective gap, relative to max(1, |mean objective|), that a
+# theorem check passes.
+REL_TOL = 1e-9
+# Trial LPs have 1..TRIAL_MAX_M rows, m..TRIAL_MAX_N columns and
+# 2..TRIAL_MAX_SAMPLES right-hand sides drawn from the basis cone.
+TRIAL_MAX_M = 5
+TRIAL_MAX_N = 10
+TRIAL_MAX_SAMPLES = 4
+
+
 class ZeroBaselineError(Exception):
     """Full-model cost is zero; the relative output error is undefined."""
 
@@ -115,7 +125,6 @@ def theorem_check(
     lp_template: StandardFormLP,
     basis: BasisSignature,
     rhs_samples: list[np.ndarray],
-    rel_tol: float = 1e-9,
 ) -> TheoremCheckResult:
     """Verify basis optimality and objective linearity at the averaged RHS.
 
@@ -123,7 +132,7 @@ def theorem_check(
     a bad sample raises SampleRejectedError rather than being skipped).
     The trial then asserts three things about b_mean = mean(rhs_samples):
     the basis stays optimal, its objective equals the mean of the
-    per-sample objectives within ``rel_tol``, and an independent fresh
+    per-sample objectives within ``REL_TOL``, and an independent fresh
     solve of the averaged problem agrees.
     """
     if not rhs_samples:
@@ -156,7 +165,7 @@ def theorem_check(
         fresh_gap = abs(fresh.objective - at_mean.objective) / scale
 
     worst_gap = float(max(gap, fresh_gap))
-    failed = violation is not None or worst_gap > rel_tol
+    failed = violation is not None or worst_gap > REL_TOL
     return TheoremCheckResult(
         trials=1,
         failures=1 if failed else 0,
@@ -165,10 +174,10 @@ def theorem_check(
     )
 
 
-def _random_optimal_lp(rng: np.random.Generator, max_m: int, max_n: int):
+def _random_optimal_lp(rng: np.random.Generator):
     """Random standard-form LP biased towards a bounded feasible optimum."""
-    m = int(rng.integers(1, max_m + 1))
-    n = int(rng.integers(m, max_n + 1))
+    m = int(rng.integers(1, TRIAL_MAX_M + 1))
+    n = int(rng.integers(m, TRIAL_MAX_N + 1))
     A = rng.normal(size=(m, n))
     x0 = rng.uniform(0.0, 1.0, n)
     b = A @ x0  # feasible by construction
@@ -179,14 +188,7 @@ def _random_optimal_lp(rng: np.random.Generator, max_m: int, max_n: int):
     return StandardFormLP(c, A, b)
 
 
-def run_theorem_trials(
-    n_trials: int,
-    seed: int = 0,
-    max_m: int = 5,
-    max_n: int = 10,
-    max_samples: int = 4,
-    rel_tol: float = 1e-9,
-) -> TheoremCheckResult:
+def run_theorem_trials(n_trials: int, seed: int = 0) -> TheoremCheckResult:
     """Aggregate ``theorem_check`` over randomised LPs and RHS cone samples.
 
     Samples are drawn as B @ u with u >= 0, i.e. from the feasibility cone
@@ -196,7 +198,7 @@ def run_theorem_trials(
     rng = np.random.default_rng(seed)
     results = []
     while len(results) < n_trials:
-        lp = _random_optimal_lp(rng, max_m, max_n)
+        lp = _random_optimal_lp(rng)
         try:
             sol = solve(lp)
         except LPError:
@@ -204,9 +206,9 @@ def run_theorem_trials(
         if sol.status is not LPStatus.OPTIMAL:
             continue
         B = lp.A[:, list(sol.basis.indices)]
-        count = int(rng.integers(2, max_samples + 1))
+        count = int(rng.integers(2, TRIAL_MAX_SAMPLES + 1))
         samples = [B @ rng.uniform(0.0, 2.0, lp.m) for _ in range(count)]
-        results.append(theorem_check(lp, sol.basis, samples, rel_tol=rel_tol))
+        results.append(theorem_check(lp, sol.basis, samples))
     return TheoremCheckResult.combine(results)
 
 
@@ -218,7 +220,7 @@ def _summaries(model: ClusterModel, reps) -> list[ClusterSummary]:
                 weight=rep.weight,
                 demand=rep.demand,
                 cf=dict(rep.cf),
-                label=model.labels[cid] if model.labels else f"cluster {cid}",
+                label=model.labels[cid],
                 basis=model.basis_map[cid] if model.basis_map else None,
             )
         )

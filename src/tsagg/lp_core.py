@@ -28,7 +28,6 @@ from . import _kernels
 
 TOL_FEAS = 1e-9
 TOL_OPT = 1e-9
-TOL_OBJ = 1e-9
 PIVOT_EPS = 1e-11
 
 
@@ -171,19 +170,17 @@ def _check_basis(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:
     return idx
 
 
-def solve(lp: StandardFormLP, *, max_iter: int | None = None) -> LPSolution:
+def solve(lp: StandardFormLP) -> LPSolution:
     """Two-phase simplex with Bland's rule.
 
     Returns an Optimal solution with vertex x, canonical basis and reduced
     costs, or status Infeasible / Unbounded.  Raises RankDeficientError
     when A has dependent rows and NumericalFailureError when pivoting
-    breaks down.
+    breaks down or takes more than 50 (n + m + 10) pivots.
     """
-    if max_iter is None:
-        m, n = lp.A.shape
-        max_iter = 50 * (n + m + 10)
+    m, n = lp.A.shape
     status, basis_arr, iters = _kernels.simplex(
-        lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter, lp._cache
+        lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 50 * (n + m + 10), lp._cache
     )
     if status == _kernels.RANK_DEFICIENT:
         raise RankDeficientError("constraint matrix has dependent rows")

@@ -106,7 +106,6 @@ def render_scatter(model: ClusterModel, features: FeatureMatrix, title: str = ""
     for cid in range(model.k):
         ly = _TOP + 8.0 + 20.0 * cid
         color = PALETTE[cid % len(PALETTE)]
-        label = model.labels[cid] if model.labels else f"cluster {cid}"
         weight = int(model.weights[cid])
         parts.append(
             f'<rect class="swatch" x="{_fmt(lx)}" y="{_fmt(ly)}" width="12" height="12" '
@@ -114,7 +113,7 @@ def render_scatter(model: ClusterModel, features: FeatureMatrix, title: str = ""
         )
         parts.append(
             f'<text x="{_fmt(lx + 18.0)}" y="{_fmt(ly + 10.0)}" font-size="12">'
-            f'{escape(label)} ({weight} h)</text>'
+            f'{escape(model.labels[cid])} ({weight} h)</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -35,6 +35,13 @@ class KExceedsHError(ValueError):
     """Requested cluster count outside [1, H]."""
 
 
+# k-means: Lloyd iterations per restart, the centroid shift that ends them
+# early, and the k-means++ restarts of which the lowest inertia is kept.
+MAX_ITER = 300
+TOL = 1e-6
+RESTARTS = 10
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Normalised per-hour features with the affine map to undo them."""
@@ -73,13 +80,30 @@ class ClusterModel:
     assignment: np.ndarray        # (H,) cluster id per hour
     weights: np.ndarray           # (k,) member counts
     method: ClusterMethod
+    labels: tuple[str, ...]       # (k,) one per cluster
     basis_map: dict[int, BasisSignature] | None = None
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.int64)
         _check_partition(self.k, self.assignment, self.weights)
+        if len(self.labels) != self.k:
+            raise ValueError(f"{len(self.labels)} cluster labels for k = {self.k}")
+
+    @classmethod
+    def from_members(
+        cls, features, k, assignment, weights, method, labels, basis_map=None
+    ):
+        """The model whose centroids are the member means of ``assignment``.
+
+        ``weights`` must count the members of each of the k ids; that is
+        checked before the means are taken, so an id without members raises
+        ValueError instead of dividing 0 by 0.
+        """
+        assignment = np.asarray(assignment, dtype=np.int64)
+        _check_partition(k, assignment, np.asarray(weights, dtype=np.int64))
+        centroids = _member_means(features.values.T, assignment, k)
+        return cls(k, centroids, assignment, weights, method, labels, basis_map)
 
 
 def _check_partition(k, assignment, weights):
@@ -202,10 +226,10 @@ def _member_means(rows, assignment, k):
     return sums / np.bincount(assignment, minlength=k)[:, None]
 
 
-def _lloyd(XT, centroids, max_iter, tol, out):
+def _lloyd(XT, centroids, out):
     k = centroids.shape[0]
     labels = np.full(XT.shape[1], -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_labels, own_d2 = _nearest(_distances(XT, centroids, out))
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
@@ -214,7 +238,7 @@ def _lloyd(XT, centroids, max_iter, tol, out):
             break
         labels = new_labels
         updated = _member_means(XT, labels, k)
-        if np.abs(updated - centroids).max() < tol:
+        if np.abs(updated - centroids).max() < TOL:
             centroids = updated
             break
         centroids = updated
@@ -232,14 +256,7 @@ def _order_by_first_occurrence(labels, centroids, k):
     return remap[labels], centroids[order]
 
 
-def kmeans(
-    features: FeatureMatrix,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-    restarts: int = 10,
-) -> ClusterModel:
+def kmeans(features: FeatureMatrix, k: int, seed: int = 0) -> ClusterModel:
     """Best-of-restarts Lloyd iteration with k-means++ seeding.
 
     Deterministic given (seed, data): restart streams are spawned from one
@@ -252,12 +269,12 @@ def kmeans(
         raise KExceedsHError(f"k={k} outside [1, {features.H}]")
     XT = np.ascontiguousarray(X.T)
     out = np.empty((2, k, features.H))
-    streams = np.random.SeedSequence(seed).spawn(restarts)
+    streams = np.random.SeedSequence(seed).spawn(RESTARTS)
     best = None
     for stream in streams:
         rng = np.random.default_rng(stream)
         init = _kmeans_pp(X, k, rng)
-        labels, centroids, inertia = _lloyd(XT, init, max_iter, tol, out)
+        labels, centroids, inertia = _lloyd(XT, init, out)
         if best is None or inertia < best[0]:
             best = (inertia, labels, centroids)
     _, labels, centroids = best
@@ -310,12 +327,11 @@ def basis_cluster(
             sig_to_cid[sig] = len(sig_to_cid)
         assignment[h] = sig_to_cid[sig]
     k = len(sig_to_cid)
-    centroids = _member_means(features.values.T, assignment, k)
-    weights = np.bincount(assignment, minlength=k)
     basis_map = {cid: sig for sig, cid in sig_to_cid.items()}
     labels = tuple(regime_label(system, basis_map[cid]) for cid in range(k))
-    return ClusterModel(
-        k, centroids, assignment, weights, ClusterMethod.BASIS, basis_map, labels
+    return ClusterModel.from_members(
+        features, k, assignment, np.bincount(assignment, minlength=k),
+        ClusterMethod.BASIS, labels, basis_map,
     )
 
 

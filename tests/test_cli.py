@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tsagg.cli import main
-from tsagg.data_io import read_clusters, read_report
+from tsagg.data_io import load_config, read_clusters, read_report
+from tsagg.tsa_clustering import normalize_features
 
 from systems import thermal_wind
 
@@ -19,6 +20,11 @@ def instance(tmp_path_factory):
     root = tmp_path_factory.mktemp("instance")
     assert main(["generate", "--out", str(root), "--hours", "200", "--seed", "1"]) == 0
     return root
+
+
+def _read_model(instance, path):
+    """The clustering saved at ``path`` for the shared instance."""
+    return read_clusters(path, normalize_features(load_config(instance / "config.json")))
 
 
 # --- generate ---------------------------------------------------------------
@@ -60,6 +66,20 @@ def test_generate_fractional_hours_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("spec,message", [
+    ({"demand": {"base": "90"}}, "demand.base must be a number"),
+    ({"wind_capacity": "120"}, "wind_capacity must be a number"),
+    ({"regime_targets": [1]}, "regime_targets must be an object"),
+], ids=["string_demand_base", "string_wind_capacity", "list_regime_targets"])
+def test_generate_wrong_type_spec_exits_2(tmp_path, capsys, spec, message):
+    # each used to crash with a TypeError or AttributeError traceback, exit 1
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code = main(["generate", "--out", str(tmp_path / "x"), "--spec", str(tmp_path / "spec.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # --- solve-full -------------------------------------------------------------
 
 def test_solve_full_prints_cost_and_writes_summary(instance, tmp_path, capsys):
@@ -98,9 +118,21 @@ def test_solve_full_infeasible_hour_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: doc.update(horizon=doc["horizon"] + 0.7), "horizon must be an integer"),
     (lambda doc: doc["generators"][0].update(is_variable="no"), "is_variable"),
-], ids=["fractional_horizon", "string_is_variable"])
+    (lambda doc: doc.update(generators=[5]), "generators[0] must be an object"),
+    (lambda doc: doc.update(nse=True), "nse must be an object"),
+    (lambda doc: doc["nse"].update(enabled="no"), "nse.enabled must be true or false"),
+    (lambda doc: doc["generators"][1].update(cost="10"), "generators[1].cost must be a number"),
+    (lambda doc: doc["generators"][0].update(capacity=True), "capacity must be a number"),
+    (lambda doc: doc["generators"][1].update(p_min=False), "p_min must be a number"),
+    (lambda doc: doc["generators"][0].update(name=7), "generators[0].name must be a string"),
+], ids=["fractional_horizon", "string_is_variable", "number_generator", "boolean_nse",
+        "string_nse_enabled", "string_cost", "boolean_capacity", "boolean_p_min",
+        "number_name"])
 def test_solve_full_malformed_config_exits_2(instance, tmp_path, capsys, edit, message):
-    # both solved with exit 0: 200.7 was truncated to 200 and "no" read as true
+    # fractional_horizon, string_is_variable, string_nse_enabled and the
+    # mistyped numbers and name all solved with exit 0 (200.7 truncated to
+    # 200, "no" read as true, "10" as 10); number_generator and boolean_nse
+    # crashed with a TypeError traceback, exit 1
     doc = json.loads((instance / "config.json").read_text())
     doc["series"] = str(instance / "series.csv")
     edit(doc)
@@ -128,19 +160,21 @@ def test_aggregate_basis_warns_on_k(instance, tmp_path, capsys):
                  "--method", "basis", "--k", "7", "--out", str(tmp_path)])
     assert code == 0
     assert "ignored" in capsys.readouterr().err
-    clusters = read_clusters(tmp_path / "clusters_basis.json")
-    assert clusters.k != 7  # k comes from the bases, not the flag
-    assert set(clusters.labels) == {"wind marginal", "thermal marginal", "NSE"}
+    model = _read_model(instance, tmp_path / "clusters_basis.json")
+    assert model.k != 7  # k comes from the bases, not the flag
+    assert set(model.labels) == {"wind marginal", "thermal marginal", "NSE"}
 
 
 def test_aggregate_kmeans_writes_clusters(instance, tmp_path):
     code = main(["aggregate", "--config", str(instance / "config.json"),
                  "--method", "kmeans", "--k", "4", "--out", str(tmp_path)])
     assert code == 0
-    clusters = read_clusters(tmp_path / "clusters_kmeans.json")
-    assert clusters.k == 4
-    assert clusters.assignment.size == 200
-    assert all(b is None for b in clusters.bases)
+    model = _read_model(instance, tmp_path / "clusters_kmeans.json")
+    assert model.k == 4
+    assert model.assignment.size == 200
+    assert model.basis_map is None
+    assert all(c["basis"] is None for c in
+               json.loads((tmp_path / "clusters_kmeans.json").read_text())["clusters"])
 
 
 def test_aggregate_k_too_large_exits_2(instance, tmp_path, capsys):
@@ -206,14 +240,14 @@ def test_plot_svg_structure(instance, tmp_path):
     assert len(circles) == 200  # one marker per hour, no more, no less
     crosses = [p for p in root.findall(f"{SVG}path") if p.get("class") == "centroid"]
     swatches = [r for r in root.findall(f"{SVG}rect") if r.get("class") == "swatch"]
-    clusters = read_clusters(tmp_path / "clusters_basis.json")
-    assert len(crosses) == clusters.k
-    assert len(swatches) == clusters.k
+    model = _read_model(instance, tmp_path / "clusters_basis.json")
+    assert len(crosses) == model.k
+    assert len(swatches) == model.k
     texts = " ".join(t.text or "" for t in root.findall(f"{SVG}text"))
-    for label in clusters.labels:
+    for label in model.labels:
         assert label in texts
     fills = {c.get("fill") for c in circles}
-    assert len(fills) == clusters.k  # palette entry per cluster
+    assert len(fills) == model.k  # palette entry per cluster
 
 
 def test_plot_is_deterministic(instance, tmp_path):
@@ -261,13 +295,34 @@ def _cut_columns(doc):
     doc["columns"] = doc["columns"][:1]
 
 
+def _fractional_k(doc):
+    doc["k"] += 0.5  # int() used to truncate it back to k
+
+
+def _string_k(doc):
+    doc["k"] = str(doc["k"])
+
+
+def _unparsable_centroid(doc):
+    doc["clusters"][0]["demand"] = "abc"
+
+
+def _unknown_method(doc):
+    doc["method"] = "foo"
+
+
+def _scalar_assignment(doc):
+    doc["assignment"] = 5  # used to crash with a TypeError, exit 1
+
+
 def test_plot_bad_cluster_id_exits_2(instance, tmp_path, capsys):
     assert main(["aggregate", "--config", str(instance / "config.json"),
                  "--method", "kmeans", "--k", "2", "--out", str(tmp_path)]) == 0
     good = json.loads((tmp_path / "clusters_kmeans.json").read_text())
     assert good["columns"] == ["demand", "wind"]
     for edit in (_assign_unknown_id, _declare_empty_id, _drop_last_cluster,
-                 _raise_ids_by_half, _cut_columns):
+                 _raise_ids_by_half, _cut_columns, _fractional_k, _string_k,
+                 _unparsable_centroid, _unknown_method, _scalar_assignment):
         doc = json.loads(json.dumps(good))
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"

@@ -2,13 +2,11 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from tsagg.data_io import (
-    ClustersFile,
     ConfigError,
     DemandModel,
     NonContiguousHoursError,
@@ -36,7 +34,7 @@ from tsagg.data_io import (
 from tsagg.dispatch_model import regime_counts, solve_full
 from tsagg.evaluation import ClusterSummary, EvaluationReport
 from tsagg.lp_core import BasisSignature
-from tsagg.tsa_clustering import basis_cluster, normalize_features
+from tsagg.tsa_clustering import ClusterMethod, basis_cluster, normalize_features
 
 from systems import random_system, thermal_wind
 
@@ -143,16 +141,10 @@ def test_load_config_horizon_mismatch(tmp_path):
         load_config(_write_config(tmp_path, doc))
 
 
-def test_load_config_unknown_key_strict_vs_warn(tmp_path):
+def test_load_config_unknown_key_rejected(tmp_path):
     doc = dict(BASE_DOC, extra=1)
-    path = _write_config(tmp_path, doc)
-    with pytest.raises(ConfigError):
-        load_config(path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        system = load_config(path, strict=False)
-    assert any("extra" in str(w.message) for w in caught)
-    assert system.horizon == 2
+    with pytest.raises(ConfigError, match="extra"):
+        load_config(_write_config(tmp_path, doc))
 
 
 def test_load_config_missing_key(tmp_path):
@@ -252,12 +244,14 @@ def test_spec_unknown_key_rejected():
 @pytest.mark.parametrize("key,value", [
     ("hours", 48.5), ("hours", 48.0), ("hours", True), ("hours", "48"),
     ("seed", 1.5), ("seed", False), ("seed", None),
+    # each used to crash generation with a TypeError or AttributeError
+    ("demand", {"base": "90"}), ("wind_capacity", "120"), ("regime_targets", [1]),
 ])
 def test_spec_refuses_non_integer_hours_and_seed(key, value):
-    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+    with pytest.raises(ConfigError, match=rf"{key}\S* must be "):
         spec_from_dict({"hours": 48, key: value})
     with pytest.raises(ConfigError):
-        SyntheticSpec(**{key: value})
+        SyntheticSpec(**{key: DemandModel(**value) if key == "demand" else value})
     assert SyntheticSpec(hours=np.int64(48), seed=np.int64(3)).hours == 48
 
 
@@ -312,17 +306,21 @@ def test_report_json_has_no_timings(tmp_path):
     assert "timings" not in json.dumps(doc)
 
 
-def test_report_csv_summary(tmp_path):
-    report = _sample_report()
-    path = tmp_path / "report.csv"
-    write_report(report, path, fmt="csv")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",")[0] == "method"
-    row = lines[1].split(",")
-    assert row[0] == "basis" and int(row[1]) == 2
-    _assert_close(float(row[3]), report.full_cost, rel=1e-11)
-    with pytest.raises(ValueError):
-        write_report(report, path, fmt="yaml")
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(k=2.5), "k in report .* must be an integer"),
+    (lambda doc: doc.update(k="2"), "k in report .* must be an integer"),
+    (lambda doc: doc.update(k=True), "k in report .* must be an integer"),
+    (lambda doc: doc["per_cluster"][0].update(demand="abc"), "malformed report"),
+], ids=["fractional_k", "string_k", "boolean_k", "string_demand"])
+def test_read_report_refuses_malformed_values(tmp_path, edit, message):
+    # int() truncated k, and float("abc") escaped as a bare ValueError
+    path = tmp_path / "report.json"
+    write_report(_sample_report(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message):
+        read_report(path)
 
 
 def test_rounding_is_twelve_significant_digits(tmp_path):
@@ -344,17 +342,18 @@ def test_clusters_round_trip(tmp_path):
     model = basis_cluster(system, features)
     path = tmp_path / "clusters.json"
     write_clusters(model, features, path)
-    back = read_clusters(path)
-    assert isinstance(back, ClustersFile)
-    assert back.method == "basis" and back.k == model.k
-    assert back.columns == ("demand", "wind")
+    doc = json.loads(path.read_text())
+    back = read_clusters(path, features)
+    assert back.method is ClusterMethod.BASIS and back.k == model.k
+    assert doc["columns"] == ["demand", "wind"]
     assert np.array_equal(back.assignment, model.assignment)
     assert np.array_equal(back.weights, model.weights)
     assert back.labels == model.labels
-    assert all(b is not None for b in back.bases)
+    assert back.basis_map == model.basis_map
+    assert np.array_equal(back.centroids, model.centroids)
     # denormalised centroid = mean of member hours in physical units
     members = system.demand[model.assignment == 0]
-    _assert_close(back.centroids[0]["demand"], members.mean(), rel=1e-9)
+    _assert_close(doc["clusters"][0]["demand"], members.mean(), rel=1e-9)
 
 
 def test_dispatch_summary_fields():

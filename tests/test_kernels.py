@@ -29,7 +29,7 @@ def test_simplex_pivot_sequence_pinned():
     statuses = set()
     for _ in range(300):
         c, A, b = random_lp_data(rng)
-        st, basis, it = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
+        st, basis, it = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
         statuses.add(st)
         digest.update(np.array([st, it], dtype="<i8").tobytes())
         digest.update(np.asarray(basis, dtype="<i8").tobytes())
@@ -42,12 +42,12 @@ def test_basis_eval_matches_numpy_linalg():
     checked = 0
     while checked < 80:
         c, A, b = random_lp_data(rng)
-        st, basis, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
+        st, basis, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
         if st != _kernels.OPTIMAL:
             continue
         checked += 1
         idx = np.sort(basis)
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, idx, PIVOT_EPS)
+        ok, x, rc, obj = _kernels.basis_eval(c, A, b, idx, PIVOT_EPS, {})
         assert ok
         B = A[:, idx]
         xb = np.linalg.solve(B, b)
@@ -102,7 +102,7 @@ def test_basis_eval_bitwise_equal_to_reference():
     singular = 0
     for _ in range(2400):
         c, A, b, basis = _random_basis_case(rng)
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS)
+        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, {})
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
         assert ok == ok_ref
         assert _bits(x) == _bits(x_ref)
@@ -184,7 +184,7 @@ def test_simplex_matches_reference_on_random_lps():
     for case in range(3000):
         c, A, b, max_iter = _random_simplex_case(rng)
         args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
-        st, basis, it = _kernels.simplex(*args)
+        st, basis, it = _kernels.simplex(*args, {})
         st_ref, basis_ref, it_ref = simplex_reference(*args)
         assert (st, it) == (st_ref, it_ref), case
         assert np.array_equal(basis, basis_ref), case
