@@ -19,7 +19,6 @@ from .lp_core import (
     RankDeficientError,
     SingularBasisError,
     StandardFormLP,
-    reduced_costs,
     solve,
     solve_with_basis,
 )
@@ -29,10 +28,8 @@ from .dispatch_model import (
     Generator,
     InfeasiblePeriodError,
     Representative,
-    RepresentativeSet,
     SystemData,
     add_nse_generator,
-    build_aggregated,
     build_hourly_lp,
     regime_counts,
     regime_label,

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ class RegimeUnreachableError(DataError):
     """Synthetic targets cannot be met with the specified capacities."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesBundle:
     """Demand plus named capacity-factor series, all of one horizon."""
 
@@ -262,8 +262,10 @@ def load_config(path) -> SystemData:
         mult = nse.get("capacity_multiplier")
         if mult is not None:
             mult = float(_number(mult, "nse.capacity_multiplier"))
-        if nse and enabled:  # an empty block adds no unit
-            sentinel = mult * float(system.demand.max()) if mult is not None else None
+        if enabled:
+            # A zero peak gives no scale for the multiplier: default sentinel.
+            peak = float(system.demand.max())
+            sentinel = mult * peak if mult is not None and peak > 0 else None
             system = add_nse_generator(system, cost=cost, sentinel_capacity=sentinel)
     return system
 
@@ -405,26 +407,30 @@ def generate_synthetic(spec: SyntheticSpec) -> SystemData:
 def regime_fractions(system: SystemData) -> dict[str, float]:
     """Closed-form regime shares from merit-order availability arithmetic.
 
-    The marginal unit of an hour is the cheapest generator whose cumulative
-    availability covers demand; no LP is involved, so this doubles as an
-    independent cross-check of the basis-derived labels.
+    Every unit first runs at its must-run floor; the marginal unit of an
+    hour is then the cheapest generator whose cumulative headroom above the
+    floors (availability minus ``p_min``) covers demand.  An hour whose
+    floors alone exceed demand is "infeasible".  No LP is involved, so this
+    doubles as an independent cross-check of the basis-derived labels.
     """
     H = system.horizon
     order = sorted(
         range(system.size), key=lambda g: (system.generators[g].variable_cost, g)
     )
     counts: dict[str, int] = {}
-    avail = np.empty((system.size, H))
+    headroom = np.empty((system.size, H))
     for g, gen in enumerate(system.generators):
         if gen.is_variable:
-            avail[g] = gen.capacity * system.capacity_factors[gen.cf_series_id]
+            headroom[g] = gen.capacity * system.capacity_factors[gen.cf_series_id]
         else:
-            avail[g] = gen.capacity
+            headroom[g] = gen.capacity
+        headroom[g] -= gen.p_min
+    floors = float(sum(g.p_min for g in system.generators))
     for hidx in range(H):
-        cum = 0.0
+        cum = floors
         label = "infeasible"
-        for g in order:
-            cum += avail[g, hidx]
+        for g in order if floors <= system.demand[hidx] else ():
+            cum += headroom[g, hidx]
             if cum >= system.demand[hidx]:
                 gen = system.generators[g]
                 label = NSE_NAME if gen.name == NSE_NAME else f"{gen.name} marginal"
@@ -450,10 +456,6 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
         return SyntheticSpec(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad spec: {exc}") from exc
-
-
-def spec_to_dict(spec: SyntheticSpec) -> dict:
-    return asdict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +552,9 @@ def write_clusters(model: ClusterModel, features: FeatureMatrix, path) -> None:
                 "weight": float(model.weights[cid]),
                 "demand": rep.demand,
                 "cf": dict(sorted(rep.cf.items())),
-                "basis": (
-                    list(model.basis_map[cid].indices) if model.basis_map else None
-                ),
+                "basis": list(model.bases[cid].indices) if model.bases else None,
             }
-            for cid, rep in enumerate(reps.reps)
+            for cid, rep in enumerate(reps)
         ],
     }
     dump_json(doc, path)
@@ -602,10 +602,10 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
             f"clusters file has columns {list(columns)} but the "
             f"config features are {list(features.columns)}"
         )
-    basis_map = None if None in bases else dict(enumerate(bases))
     try:
         return ClusterModel.from_members(
-            features, k, assignment, weights, method, tuple(labels), basis_map
+            features, k, assignment, weights, method, tuple(labels),
+            None if None in bases else tuple(bases),
         )
     except ValueError as exc:
         raise ConfigError(f"malformed clusters file {path}: {exc}") from exc

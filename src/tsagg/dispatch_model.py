@@ -18,7 +18,7 @@ Unserved demand is modelled by an explicit high-cost generator (name
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -81,7 +81,7 @@ class Generator:
             raise ValueError(f"{self.name}: cf_series_id given for a thermal unit")
 
 
-@dataclass
+@dataclass(eq=False)
 class SystemData:
     """Generator fleet plus demand and capacity-factor series."""
 
@@ -90,9 +90,7 @@ class SystemData:
     capacity_factors: dict[str, np.ndarray] = field(default_factory=dict)
     # (generators, floor total, thermal headroom, variable units), built on
     # first use by ``_period_rhs``.
-    _rhs_parts: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _rhs_parts: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -160,23 +158,6 @@ class Representative:
                 raise ValueError(f"representative cf {key!r}={v} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class RepresentativeSet:
-    reps: tuple[Representative, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "reps", tuple(self.reps))
-        if not self.reps:
-            raise ValueError("representative set is empty")
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(r.weight for r in self.reps))
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-
 class DispatchKind(Enum):
     FULL = "full"
     AGGREGATED = "aggregated"
@@ -184,7 +165,6 @@ class DispatchKind(Enum):
 
 @dataclass(eq=False)
 class PeriodResult:
-    index: int
     weight: float
     solution: LPSolution
     production: np.ndarray  # physical MW per generator, p = x + p_min
@@ -198,6 +178,15 @@ class DispatchSolution:
 
     def bases(self) -> list[BasisSignature]:
         return [p.solution.basis for p in self.periods]
+
+    def basis_groups(self) -> tuple[np.ndarray, tuple[BasisSignature, ...]]:
+        """(each period's basis id, the distinct bases), ids in first-period order."""
+        ids: dict[BasisSignature, int] = {}
+        group = np.fromiter(
+            (ids.setdefault(p.solution.basis, len(ids)) for p in self.periods),
+            dtype=np.int64, count=len(self.periods),
+        )
+        return group, tuple(ids)
 
 
 def add_nse_generator(
@@ -309,30 +298,35 @@ def _rep_rhs(system: SystemData, rep: Representative) -> np.ndarray:
     return _period_rhs(system, rep.demand, cf_of)
 
 
-def build_aggregated(
-    system: SystemData, reps: RepresentativeSet
-) -> list[tuple[StandardFormLP, float]]:
-    """One LP per representative; weights scale the objective only."""
-    c, A = _template(system)
-    base = StandardFormLP(c, A, _rep_rhs(system, reps.reps[0]))
-    out = [(base, reps.reps[0].weight)]
-    for rep in reps.reps[1:]:
-        out.append((base.with_rhs(_rep_rhs(system, rep)), rep.weight))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
 
-def _solve_period(
-    lp: StandardFormLP, index: int, weight: float, pmin: np.ndarray
-) -> PeriodResult:
-    sol = solve(lp)
-    if sol.status is not LPStatus.OPTIMAL:
-        raise InfeasiblePeriodError(index, sol.status)
-    G = pmin.size
-    return PeriodResult(index, weight, sol, sol.x[:G] + pmin)
+def _solve_periods(
+    system: SystemData, kind: DispatchKind, periods: Iterable[tuple[np.ndarray, float]]
+) -> DispatchSolution:
+    """Solve one LP per (rhs, weight) pair, in order, as one ``with_rhs`` family.
+
+    The total weights each period's cost by its weight, summed in period
+    order.  Raises InfeasiblePeriodError with the position of the first
+    period that is not optimal.
+    """
+    c, A = _template(system)
+    pmin = _pmin_vector(system)
+    offset = cost_offset(system)
+    base = None
+    results = []
+    for index, (rhs, weight) in enumerate(periods):
+        if base is None:
+            lp = base = StandardFormLP(c, A, rhs)
+        else:
+            lp = base.with_rhs(rhs)
+        sol = solve(lp)
+        if sol.status is not LPStatus.OPTIMAL:
+            raise InfeasiblePeriodError(index, sol.status)
+        results.append(PeriodResult(weight, sol, sol.x[: pmin.size] + pmin))
+    total = float(sum(p.weight * (p.solution.objective + offset) for p in results))
+    return DispatchSolution(kind, results, total)
 
 
 def solve_full(system: SystemData) -> DispatchSolution:
@@ -341,32 +335,18 @@ def solve_full(system: SystemData) -> DispatchSolution:
     Raises InfeasiblePeriodError with the offending hour index if any
     period fails.
     """
-    H = system.horizon
-    c, A = _template(system)
-    pmin = _pmin_vector(system)
-    base = StandardFormLP(c, A, hourly_rhs(system, 0))
-    offset = cost_offset(system)
-
-    def run(h: int) -> PeriodResult:
-        lp = base if h == 0 else base.with_rhs(hourly_rhs(system, h))
-        return _solve_period(lp, h, 1.0, pmin)
-
-    periods = [run(h) for h in range(H)]
-    total = float(sum(p.solution.objective + offset for p in periods))
-    return DispatchSolution(DispatchKind.FULL, periods, total)
+    hours = ((hourly_rhs(system, h), 1.0) for h in range(system.horizon))
+    return _solve_periods(system, DispatchKind.FULL, hours)
 
 
-def solve_aggregated(system: SystemData, reps: RepresentativeSet) -> DispatchSolution:
+def solve_aggregated(
+    system: SystemData, reps: Sequence[Representative]
+) -> DispatchSolution:
     """Solve each representative LP; total cost weights each by its hours."""
-    pmin = _pmin_vector(system)
-    offset = cost_offset(system)
-    periods = []
-    for r, (lp, weight) in enumerate(build_aggregated(system, reps)):
-        periods.append(_solve_period(lp, r, weight, pmin))
-    total = float(
-        sum(p.weight * (p.solution.objective + offset) for p in periods)
-    )
-    return DispatchSolution(DispatchKind.AGGREGATED, periods, total)
+    if not reps:
+        raise ValueError("no representatives to solve")
+    periods = ((_rep_rhs(system, rep), rep.weight) for rep in reps)
+    return _solve_periods(system, DispatchKind.AGGREGATED, periods)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +359,13 @@ def regime_label(system: SystemData, basis: BasisSignature) -> str:
     In a non-degenerate optimum exactly one generator sits strictly between
     its bounds, which is the one whose production column and slack column
     are both basic.  The NSE unit maps to the plain label "NSE".
+
+    A degenerate hour, whose demand sits exactly on a merit-order boundary
+    so that some basic variable is zero, is labelled the same way: every
+    nonsingular basis of this LP has exactly one unit with both columns
+    basic, here one of the units that meet at the boundary (the one
+    Bland's rule leaves basic), which may sit at a bound.  Only a basis
+    without such a unique unit gets "degenerate <indices>".
     """
     G = system.size
     basic = set(basis.indices)
@@ -392,8 +379,9 @@ def regime_label(system: SystemData, basis: BasisSignature) -> str:
 def regime_counts(system: SystemData, dispatch: DispatchSolution) -> dict[str, int]:
     """Hours per regime label, in order of each label's first hour."""
     # Bases are counted first, in first-hour order, so each is labelled once.
+    ids, bases = dispatch.basis_groups()
     counts: dict[str, int] = {}
-    for basis, hours in Counter(p.solution.basis for p in dispatch.periods).items():
+    for basis, hours in zip(bases, np.bincount(ids).tolist()):
         label = regime_label(system, basis)
         counts[label] = counts.get(label, 0) + hours
     return counts

@@ -30,7 +30,6 @@ from .lp_core import (
     solve_with_basis,
 )
 from .tsa_clustering import (
-    ClusterMethod,
     ClusterModel,
     FeatureMatrix,
     basis_cluster,
@@ -212,21 +211,6 @@ def run_theorem_trials(n_trials: int, seed: int = 0) -> TheoremCheckResult:
     return TheoremCheckResult.combine(results)
 
 
-def _summaries(model: ClusterModel, reps) -> list[ClusterSummary]:
-    out = []
-    for cid, rep in enumerate(reps.reps):
-        out.append(
-            ClusterSummary(
-                weight=rep.weight,
-                demand=rep.demand,
-                cf=dict(rep.cf),
-                label=model.labels[cid],
-                basis=model.basis_map[cid] if model.basis_map else None,
-            )
-        )
-    return out
-
-
 @dataclass
 class ComparisonResult:
     """Reports plus the intermediate artefacts they were built from."""
@@ -265,31 +249,24 @@ def compare_methods_detailed(
     features = normalize_features(system)
     full = solve_full(system)
 
-    bmodel = basis_cluster(system, features=features, full=full)
-    breps = to_representatives(bmodel, features)
-    bagg = solve_aggregated(system, breps)
+    def report(model: ClusterModel) -> EvaluationReport:
+        reps = to_representatives(model, features)
+        agg = solve_aggregated(system, reps)
+        bases = model.bases or (None,) * model.k
+        return EvaluationReport(
+            method=model.method.value,
+            k=model.k,
+            input_mse=input_mse(features, model),
+            full_cost=full.total_cost,
+            aggregated_cost=agg.total_cost,
+            output_error_pct=output_error(full, agg),
+            per_cluster=[
+                ClusterSummary(rep.weight, rep.demand, dict(rep.cf), label, basis)
+                for rep, label, basis in zip(reps, model.labels, bases)
+            ],
+        )
 
+    bmodel = basis_cluster(system, features=features, full=full)
     k = bmodel.k if k_for_kmeans is None else k_for_kmeans
     kmodel = kmeans(features, k, seed=seed)
-    kreps = to_representatives(kmodel, features)
-    kagg = solve_aggregated(system, kreps)
-
-    kreport = EvaluationReport(
-        method=ClusterMethod.KMEANS.value,
-        k=kmodel.k,
-        input_mse=input_mse(features, kmodel),
-        full_cost=full.total_cost,
-        aggregated_cost=kagg.total_cost,
-        output_error_pct=output_error(full, kagg),
-        per_cluster=_summaries(kmodel, kreps),
-    )
-    breport = EvaluationReport(
-        method=ClusterMethod.BASIS.value,
-        k=bmodel.k,
-        input_mse=input_mse(features, bmodel),
-        full_cost=full.total_cost,
-        aggregated_cost=bagg.total_cost,
-        output_error_pct=output_error(full, bagg),
-        per_cluster=_summaries(bmodel, breps),
-    )
-    return ComparisonResult(features, full, kmodel, bmodel, kreport, breport)
+    return ComparisonResult(features, full, kmodel, bmodel, report(kmodel), report(bmodel))

@@ -231,13 +231,3 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
         status = LPStatus.OPTIMAL
     return LPSolution(status, float(obj), x, basis, rc)
 
-
-def reduced_costs(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:
-    """Reduced-cost vector c - A^T (B^-T c_B); exactly zero at basic indices."""
-    idx = _check_basis(lp, basis)
-    ok, _x, rc, _obj = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache
-    )
-    if not ok:
-        raise SingularBasisError(f"basis {basis.indices} is singular")
-    return rc

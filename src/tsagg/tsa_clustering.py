@@ -18,7 +18,6 @@ import numpy as np
 from .dispatch_model import (
     DispatchSolution,
     Representative,
-    RepresentativeSet,
     SystemData,
     regime_label,
     solve_full,
@@ -42,7 +41,7 @@ TOL = 1e-6
 RESTARTS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Normalised per-hour features with the affine map to undo them."""
 
@@ -50,7 +49,6 @@ class FeatureMatrix:
     columns: tuple[str, ...]      # "demand", then cf series ids
     mins: np.ndarray
     maxs: np.ndarray
-    degenerate: tuple[bool, ...]  # constant input columns pinned to 0.5
 
     def __post_init__(self):
         for name in ("values", "mins", "maxs"):
@@ -73,7 +71,7 @@ class FeatureMatrix:
         return self.mins + np.asarray(rows) * (self.maxs - self.mins)
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusterModel:
     k: int
     centroids: np.ndarray         # (k, F) normalised
@@ -81,7 +79,7 @@ class ClusterModel:
     weights: np.ndarray           # (k,) member counts
     method: ClusterMethod
     labels: tuple[str, ...]       # (k,) one per cluster
-    basis_map: dict[int, BasisSignature] | None = None
+    bases: tuple[BasisSignature, ...] | None = None  # (k,) basis clustering only
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=np.int64)
@@ -92,7 +90,7 @@ class ClusterModel:
 
     @classmethod
     def from_members(
-        cls, features, k, assignment, weights, method, labels, basis_map=None
+        cls, features, k, assignment, weights, method, labels, bases=None
     ):
         """The model whose centroids are the member means of ``assignment``.
 
@@ -103,7 +101,7 @@ class ClusterModel:
         assignment = np.asarray(assignment, dtype=np.int64)
         _check_partition(k, assignment, np.asarray(weights, dtype=np.int64))
         centroids = _member_means(features.values.T, assignment, k)
-        return cls(k, centroids, assignment, weights, method, labels, basis_map)
+        return cls(k, centroids, assignment, weights, method, labels, bases)
 
 
 def _check_partition(k, assignment, weights):
@@ -123,8 +121,8 @@ def normalize_features(system: SystemData) -> FeatureMatrix:
     """Min-max normalise demand and variable-generator capacity factors.
 
     A constant column carries no spread to normalise, so it is pinned to
-    0.5 and flagged; ``denormalize`` still restores the original constant
-    because the affine span is zero.
+    0.5; ``denormalize`` still restores the original constant because the
+    affine span is zero.
     """
     columns = ["demand"] + [g.cf_series_id for g in system.variable_generators()]
     raw = np.column_stack(
@@ -134,14 +132,13 @@ def normalize_features(system: SystemData) -> FeatureMatrix:
     mins = raw.min(axis=0)
     maxs = raw.max(axis=0)
     span = maxs - mins
-    degenerate = span == 0.0
     values = np.empty_like(raw)
     for f in range(raw.shape[1]):
-        if degenerate[f]:
+        if span[f] == 0.0:
             values[:, f] = 0.5
         else:
             values[:, f] = (raw[:, f] - mins[f]) / span[f]
-    return FeatureMatrix(values, tuple(columns), mins, maxs, tuple(bool(d) for d in degenerate))
+    return FeatureMatrix(values, tuple(columns), mins, maxs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +316,18 @@ def basis_cluster(
         full = solve_full(system)
     if len(full.periods) != features.H:
         raise ValueError("dispatch solution and features disagree on horizon")
-    sig_to_cid: dict[BasisSignature, int] = {}
-    assignment = np.empty(features.H, dtype=np.int64)
-    for h, period in enumerate(full.periods):
-        sig = period.solution.basis
-        if sig not in sig_to_cid:
-            sig_to_cid[sig] = len(sig_to_cid)
-        assignment[h] = sig_to_cid[sig]
-    k = len(sig_to_cid)
-    basis_map = {cid: sig for sig, cid in sig_to_cid.items()}
-    labels = tuple(regime_label(system, basis_map[cid]) for cid in range(k))
+    assignment, bases = full.basis_groups()
+    k = len(bases)
+    labels = tuple(regime_label(system, basis) for basis in bases)
     return ClusterModel.from_members(
         features, k, assignment, np.bincount(assignment, minlength=k),
-        ClusterMethod.BASIS, labels, basis_map,
+        ClusterMethod.BASIS, labels, bases,
     )
 
 
-def to_representatives(model: ClusterModel, features: FeatureMatrix) -> RepresentativeSet:
+def to_representatives(
+    model: ClusterModel, features: FeatureMatrix
+) -> tuple[Representative, ...]:
     """Denormalise centroids into representative periods weighted by size.
 
     Capacity factors are clamped to [0, 1] to shed rounding dust from the
@@ -349,4 +341,4 @@ def to_representatives(model: ClusterModel, features: FeatureMatrix) -> Represen
             for j in range(features.F - 1)
         }
         reps.append(Representative(float(phys[cid, 0]), cf, float(model.weights[cid])))
-    return RepresentativeSet(tuple(reps))
+    return tuple(reps)

@@ -14,8 +14,8 @@ from systems import degenerate_system, fleet_system
 from tsagg import _kernels, evaluation, lp_core
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
+    _rep_rhs,
     _template,
-    build_aggregated,
     hourly_rhs,
     solve_aggregated,
     solve_full,
@@ -72,7 +72,9 @@ def test_representatives_match_uncached_reference(solved):
     for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
         reps = to_representatives(model, features)
         periods = solve_aggregated(system, reps).periods
-        for r, (lp, _weight) in enumerate(build_aggregated(system, reps)):
+        c, A = _template(system)
+        for r, rep in enumerate(reps):
+            lp = StandardFormLP(c, A, _rep_rhs(system, rep))
             _assert_reference(lp, periods[r].solution, r)
 
 

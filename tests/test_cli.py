@@ -172,7 +172,7 @@ def test_aggregate_kmeans_writes_clusters(instance, tmp_path):
     model = _read_model(instance, tmp_path / "clusters_kmeans.json")
     assert model.k == 4
     assert model.assignment.size == 200
-    assert model.basis_map is None
+    assert model.bases is None
     assert all(c["basis"] is None for c in
                json.loads((tmp_path / "clusters_kmeans.json").read_text())["clusters"])
 

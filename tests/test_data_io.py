@@ -1,5 +1,6 @@
 """Serialisation round-trips, parse errors, and synthetic generation."""
 
+import dataclasses
 import json
 import math
 
@@ -25,13 +26,18 @@ from tsagg.data_io import (
     read_report,
     regime_fractions,
     spec_from_dict,
-    spec_to_dict,
     write_clusters,
     write_config,
     write_report,
     write_series,
 )
-from tsagg.dispatch_model import regime_counts, solve_full
+from tsagg.dispatch_model import (
+    Generator,
+    SystemData,
+    add_nse_generator,
+    regime_counts,
+    solve_full,
+)
 from tsagg.evaluation import ClusterSummary, EvaluationReport
 from tsagg.lp_core import BasisSignature
 from tsagg.tsa_clustering import ClusterMethod, basis_cluster, normalize_features
@@ -50,6 +56,15 @@ def test_series_round_trip_is_bit_identical(tmp_path):
     # repr-formatted floats must survive the text round trip exactly
     assert np.array_equal(back.demand, bundle.demand)
     assert np.array_equal(back.capacity_factors["wind"], bundle.capacity_factors["wind"])
+
+
+def test_series_bundles_compare_by_identity(tmp_path):
+    path = tmp_path / "series.csv"
+    write_series(SeriesBundle(np.array([1.0, 2.0]), {"wind": np.array([0.1, 0.2])}), path)
+    first, second = load_series(path), load_series(path)
+    assert first == first
+    assert (first == second) is False
+    assert len({first, second}) == 2
 
 
 def _write(tmp_path, text):
@@ -133,6 +148,24 @@ def test_load_config_nse_disabled(tmp_path):
     doc = dict(BASE_DOC, nse={"enabled": False})
     system = load_config(_write_config(tmp_path, doc))
     assert system.nse_generator() is None
+
+
+def test_load_config_empty_nse_block_adds_the_default_unit(tmp_path):
+    system = load_config(_write_config(tmp_path, dict(BASE_DOC, nse={})))
+    assert [g.name for g in system.generators] == ["wind", "thermal", "NSE"]
+    assert system.nse_generator().variable_cost == 1000.0
+    assert system.nse_generator().capacity == 1200.0  # 10 x peak demand of 120
+
+
+def test_all_zero_demand_config_round_trips_and_solves(tmp_path):
+    # write_config records a multiplier of 10 for a zero peak; reading it
+    # back used to give NSE capacity 10 * 0 and refuse the config
+    system = thermal_wind([0.0] * 4, [0.0, 0.5, 1.0, 0.2])
+    write_series(system, tmp_path / "series.csv")
+    write_config(system, tmp_path / "config.json", "series.csv")
+    back = load_config(tmp_path / "config.json")
+    assert back.nse_generator().capacity == system.nse_generator().capacity == 10.0
+    assert solve_full(back).total_cost == 0.0
 
 
 def test_load_config_horizon_mismatch(tmp_path):
@@ -223,11 +256,28 @@ def test_closed_form_fractions_match_lp_labels():
         assert arithmetic == lp_counts
 
 
+def test_closed_form_fractions_run_above_must_run_floors():
+    # The LP runs wind 30 and t0 at its floor of 30: wind is marginal.
+    # Counting t0's whole 40 MW from zero used to label the hour t0 marginal.
+    system = add_nse_generator(SystemData(
+        (Generator("wind", 0.0, 50.0, is_variable=True, cf_series_id="wind"),
+         Generator("t0", 10.0, 40.0, p_min=30.0)),
+        [60.0], {"wind": [1.0]},
+    ))
+    full = solve_full(system)
+    assert full.periods[0].production.tolist() == [30.0, 30.0, 0.0]
+    assert regime_counts(system, full) == {"wind marginal": 1}
+    assert regime_fractions(system) == {"wind marginal": 1.0}
+    # floors above demand cannot be met at all
+    low = SystemData(system.generators, [20.0], {"wind": [1.0]})
+    assert regime_fractions(low) == {"infeasible": 1.0}
+
+
 # --- spec JSON --------------------------------------------------------------
 
 def test_spec_dict_round_trip(tmp_path):
     spec = SyntheticSpec(hours=100, seed=7, demand=DemandModel(base=70.0))
-    doc = spec_to_dict(spec)
+    doc = dataclasses.asdict(spec)
     assert spec_from_dict(doc) == spec
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -349,7 +399,7 @@ def test_clusters_round_trip(tmp_path):
     assert np.array_equal(back.assignment, model.assignment)
     assert np.array_equal(back.weights, model.weights)
     assert back.labels == model.labels
-    assert back.basis_map == model.basis_map
+    assert back.bases == model.bases
     assert np.array_equal(back.centroids, model.centroids)
     # denormalised centroid = mean of member hours in physical units
     members = system.demand[model.assignment == 0]

@@ -13,10 +13,10 @@ from tsagg.dispatch_model import (
     InfeasiblePeriodError,
     MissingCFError,
     Representative,
-    RepresentativeSet,
     SystemData,
+    _rep_rhs,
+    _template,
     add_nse_generator,
-    build_aggregated,
     build_hourly_lp,
     cost_offset,
     hourly_rhs,
@@ -25,6 +25,7 @@ from tsagg.dispatch_model import (
     solve_aggregated,
     solve_full,
 )
+from tsagg.lp_core import StandardFormLP
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +107,11 @@ def test_period_rhs_matches_per_generator_formula_bitwise():
     for h in range(system.horizon):
         cf = {key: series[h] for key, series in cfs.items()}
         assert hourly_rhs(system, h).tobytes() == expected(system.demand[h], cf), h
-    reps = RepresentativeSet(
-        tuple(
-            Representative(float(system.demand[h]),
-                           {key: float(series[h]) for key, series in cfs.items()}, 1.0)
-            for h in range(0, system.horizon, 7)
-        )
-    )
-    for rep, (lp, _weight) in zip(reps.reps, build_aggregated(system, reps)):
+    c, A = _template(system)
+    for h in range(0, system.horizon, 7):
+        rep = Representative(float(system.demand[h]),
+                             {key: float(series[h]) for key, series in cfs.items()}, 1.0)
+        lp = StandardFormLP(c, A, _rep_rhs(system, rep))
         assert lp.b.tobytes() == expected(rep.demand, rep.cf)
 
 
@@ -195,6 +193,10 @@ def test_period_results_compare_by_identity():
     assert first[0] == first[0]
     assert (first[0] == second[0]) is False
     assert (first == second) is False
+    twin = thermal_wind([50.0, 50.0], [0.3, 0.3])
+    assert system == system
+    assert (system == twin) is False
+    assert len({system, twin}) == 2
 
 
 def test_solve_full_matches_oracle_on_random_systems():
@@ -259,11 +261,9 @@ def test_merit_order_holds_in_every_hour():
 
 def test_identity_aggregation_reproduces_full_cost():
     system = thermal_wind([50.0, 120.0, 160.0], [0.0, 0.8, 0.8])
-    reps = RepresentativeSet(
-        tuple(
-            Representative(float(system.demand[h]), {"wind": float(system.capacity_factors["wind"][h])}, 1.0)
-            for h in range(3)
-        )
+    reps = tuple(
+        Representative(float(system.demand[h]), {"wind": float(system.capacity_factors["wind"][h])}, 1.0)
+        for h in range(3)
     )
     agg = solve_aggregated(system, reps)
     full = solve_full(system)
@@ -273,7 +273,7 @@ def test_identity_aggregation_reproduces_full_cost():
 
 def test_weights_scale_objective_only():
     system = thermal_wind([120.0], [0.8])
-    reps = RepresentativeSet((Representative(120.0, {"wind": 0.8}, 5.0),))
+    reps = (Representative(120.0, {"wind": 0.8}, 5.0),)
     agg = solve_aggregated(system, reps)
     assert agg.periods[0].solution.objective == pytest.approx(800.0)
     assert agg.total_cost == pytest.approx(5 * 800.0)
@@ -281,9 +281,9 @@ def test_weights_scale_objective_only():
 
 def test_aggregated_missing_cf_rejected():
     system = thermal_wind([120.0], [0.8])
-    reps = RepresentativeSet((Representative(120.0, {}, 1.0),))
+    reps = (Representative(120.0, {}, 1.0),)
     with pytest.raises(MissingCFError):
-        build_aggregated(system, reps)
+        solve_aggregated(system, reps)
 
 
 def test_representative_validation():
@@ -294,7 +294,7 @@ def test_representative_validation():
     with pytest.raises(ValueError):
         Representative(10.0, {"wind": 1.5}, 1.0)
     with pytest.raises(ValueError):
-        RepresentativeSet(())
+        solve_aggregated(thermal_wind([120.0], [0.8]), ())
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def _assert_same(features, k, seed):
 def _features(values):
     F = values.shape[1]
     cols = ("demand",) + tuple(f"cf{i}" for i in range(F - 1))
-    return FeatureMatrix(values, cols, np.zeros(F), np.ones(F), (False,) * F)
+    return FeatureMatrix(values, cols, np.zeros(F), np.ones(F))
 
 
 def _random_case(rng):

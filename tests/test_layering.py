@@ -45,3 +45,46 @@ def test_the_check_sees_private_names(tmp_path):
         (2, ".lp_core", "_check_basis"),
         (3, "tsagg.tsa_clustering", "_member_means"),
     ]
+
+
+def _array_dataclasses_with_value_eq(path):
+    """Names of the ``@dataclass`` classes in ``path`` that have a field
+    annotated with ``np.ndarray`` but no ``eq=False``.  Their generated
+    ``==`` compares the arrays and raises ValueError, and ``hash`` of a
+    frozen one raises TypeError."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        arrays = any(
+            isinstance(stmt, ast.AnnAssign) and "np.ndarray" in ast.unparse(stmt.annotation)
+            for stmt in node.body
+        )
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            name = ast.unparse(call.func if call else deco)
+            if arrays and name in ("dataclass", "dataclasses.dataclass") and not (
+                call and any(ast.unparse(kw) == "eq=False" for kw in call.keywords)
+            ):
+                found.append(node.name)
+    return found
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    modules = sorted(PACKAGE.glob("*.py"))
+    offenders = {p.name: _array_dataclasses_with_value_eq(p) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_array_fields_without_eq_false(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import dataclasses\n"
+        "@dataclass\nclass A:\n    x: np.ndarray\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: np.ndarray | None = None\n"
+        "@dataclasses.dataclass(eq=True)\nclass C:\n    x: dict[str, np.ndarray]\n"
+        "@dataclass(eq=False)\nclass D:\n    x: np.ndarray\n"
+        "@dataclass\nclass E:\n    x: tuple[int, ...]\n"
+        "class F:\n    x: np.ndarray\n"
+    )
+    assert _array_dataclasses_with_value_eq(path) == ["A", "B", "C"]

@@ -14,7 +14,6 @@ from tsagg import (
     RankDeficientError,
     SingularBasisError,
     StandardFormLP,
-    reduced_costs,
     solve,
     solve_with_basis,
 )
@@ -140,8 +139,9 @@ def test_solve_negative_rhs_feasible():
 
 def test_reduced_costs_frozen_examples():
     lp = lp_1d()
-    np.testing.assert_allclose(reduced_costs(lp, BasisSignature((0,))), [0.0, 1.0])
-    np.testing.assert_allclose(reduced_costs(lp, BasisSignature((1,))), [-1.0, 0.0])
+    for basis, expected in (((0,), [0.0, 1.0]), ((1,), [-1.0, 0.0])):
+        rc = solve_with_basis(lp, BasisSignature(basis)).reduced_costs
+        np.testing.assert_allclose(rc, expected)
 
 
 def test_solve_with_basis_variants():
@@ -191,7 +191,7 @@ def test_singular_basis_error():
     with pytest.raises(SingularBasisError):
         solve_with_basis(lp, BasisSignature((0, 1)))  # columns 0,1 are parallel
     with pytest.raises(SingularBasisError):
-        reduced_costs(lp, BasisSignature((0, 1)))
+        solve_with_basis(lp, BasisSignature((0, 1))).reduced_costs
 
 
 def test_singular_basis_error_on_every_with_rhs_lp():
@@ -206,7 +206,7 @@ def test_singular_basis_error_on_every_with_rhs_lp():
         with pytest.raises(SingularBasisError):
             solve_with_basis(family, basis)
         with pytest.raises(SingularBasisError):
-            reduced_costs(family, basis)
+            solve_with_basis(family, basis).reduced_costs
     with pytest.raises(SingularBasisError):
         solve_with_basis(lp, basis)
 
@@ -251,13 +251,14 @@ def test_mutating_a_solution_leaves_other_solves_unchanged():
     at_basis = solve_with_basis(family[1], basis)
     at_basis.x[:] = 9.0
     at_basis.reduced_costs[:] = 9.0
-    rc = reduced_costs(family[2], basis)
+    rc = solve_with_basis(family[2], basis).reduced_costs
     rc[:] = 9.0
     _same(
         solve_with_basis(family[2], basis), solve_with_basis(_fresh(family[2]), basis)
     )
     np.testing.assert_array_equal(
-        reduced_costs(family[1], basis), reduced_costs(_fresh(family[1]), basis)
+        solve_with_basis(family[1], basis).reduced_costs,
+        solve_with_basis(_fresh(family[1]), basis).reduced_costs,
     )
 
 
@@ -370,5 +371,5 @@ def test_reduced_costs_zero_on_basis_across_random_instances():
         if s.status is not LPStatus.OPTIMAL:
             continue
         checked += 1
-        rc = reduced_costs(StandardFormLP(c, A, b), s.basis)
+        rc = solve_with_basis(StandardFormLP(c, A, b), s.basis).reduced_costs
         assert np.abs(rc[list(s.basis.indices)]).max() <= TOL_OPT

@@ -29,7 +29,7 @@ def feature_matrix(values):
     span = np.where(maxs > mins, maxs - mins, 1.0)
     norm = (values - mins) / span
     cols = tuple(["demand"] + [f"cf{i}" for i in range(values.shape[1] - 1)])
-    return FeatureMatrix(norm, cols, mins, maxs, tuple([False] * values.shape[1]))
+    return FeatureMatrix(norm, cols, mins, maxs)
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +42,26 @@ def test_normalize_hits_unit_interval_endpoints():
     assert feats.columns == ("demand", "wind")
     np.testing.assert_allclose(feats.values[:, 0], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(feats.values[:, 1], [0.0, 0.5, 1.0])
-    assert feats.degenerate == (False, False)
+    np.testing.assert_array_equal(feats.mins == feats.maxs, [False, False])
+
+
+def test_features_and_models_compare_by_identity():
+    system = thermal_wind([20.0, 60.0, 100.0], [0.1, 0.5, 0.9])
+    feats, twin = normalize_features(system), normalize_features(system)
+    assert feats == feats
+    assert (feats == twin) is False
+    assert len({feats, twin}) == 2
+    model, again = kmeans(feats, 2, seed=0), kmeans(feats, 2, seed=0)
+    assert model == model
+    assert (model == again) is False
+    assert len({model, again}) == 2
 
 
 def test_normalize_constant_column_pinned_and_flagged():
     system = thermal_wind([50.0, 50.0, 50.0], [0.2, 0.5, 0.8])
     feats = normalize_features(system)
     np.testing.assert_array_equal(feats.values[:, 0], [0.5, 0.5, 0.5])
-    assert feats.degenerate == (True, False)
+    np.testing.assert_array_equal(feats.mins == feats.maxs, [True, False])
     # the affine inverse still restores the constant
     np.testing.assert_allclose(feats.denormalize(feats.values)[:, 0], 50.0)
 
@@ -217,7 +229,7 @@ def test_basis_cluster_purity_and_reuse_of_precomputed_solve():
     full = solve_full(system)
     model = basis_cluster(system, full=full)
     for h, period in enumerate(full.periods):
-        assert model.basis_map[int(model.assignment[h])] == period.solution.basis
+        assert model.bases[int(model.assignment[h])] == period.solution.basis
 
 
 def test_basis_centroid_stays_optimal_for_cluster_basis():
@@ -229,7 +241,7 @@ def test_basis_centroid_stays_optimal_for_cluster_basis():
         model = basis_cluster(system, full=full)
         feats = normalize_features(system)
         reps = to_representatives(model, feats)
-        for cid, rep in enumerate(reps.reps):
+        for cid, rep in enumerate(reps):
             members = np.nonzero(model.assignment == cid)[0]
             member_obj = np.mean(
                 [full.periods[h].solution.objective for h in members]
@@ -240,7 +252,7 @@ def test_basis_centroid_stays_optimal_for_cluster_basis():
                 {"wind": [rep.cf["wind"]]},
             )
             lp = build_hourly_lp(agg_system, 0)
-            sol = solve_with_basis(lp, model.basis_map[cid])
+            sol = solve_with_basis(lp, model.bases[cid])
             assert sol.status is LPStatus.OPTIMAL
             assert sol.objective == pytest.approx(member_obj, rel=1e-9, abs=1e-9)
 
@@ -257,10 +269,10 @@ def test_to_representatives_denormalises_and_weights_sum_to_h():
     feats = normalize_features(system)
     model = basis_cluster(system, features=feats)
     reps = to_representatives(model, feats)
-    assert reps.total_weight == system.horizon
+    assert sum(rep.weight for rep in reps) == system.horizon
     demand = system.demand
     cf = system.capacity_factors["wind"]
-    for cid, rep in enumerate(reps.reps):
+    for cid, rep in enumerate(reps):
         members = model.assignment == cid
         assert rep.demand == pytest.approx(demand[members].mean(), rel=1e-12)
         assert rep.cf["wind"] == pytest.approx(cf[members].mean(), rel=1e-12)
@@ -274,8 +286,7 @@ def test_to_representatives_clamps_cf_rounding_dust():
         ("demand", "wind"),
         np.array([100.0, 0.0]),
         np.array([100.0, 1.0 + 5e-16]),
-        (True, False),
     )
     model = kmeans(feats, 1, seed=0)
     reps = to_representatives(model, feats)
-    assert reps.reps[0].cf["wind"] == 1.0
+    assert reps[0].cf["wind"] == 1.0
