@@ -140,18 +140,13 @@ def load_series(path) -> SeriesBundle:
 
 def write_series(bundle: SeriesBundle | SystemData, path) -> None:
     """Write a series CSV; floats use repr so a re-read is bit-identical."""
-    demand = bundle.demand
-    cfs = bundle.capacity_factors
-    names = sorted(cfs)
+    names = sorted(bundle.capacity_factors)
+    columns = [bundle.demand.tolist()] + [bundle.capacity_factors[n].tolist() for n in names]
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["hour", "demand"] + [f"cf_{n}" for n in names])
-            for h in range(len(demand)):
-                writer.writerow(
-                    [h, repr(float(demand[h]))]
-                    + [repr(float(cfs[n][h])) for n in names]
-                )
+            writer.writerows(zip(range(bundle.horizon), *(map(repr, c) for c in columns)))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -414,29 +409,25 @@ def regime_fractions(system: SystemData) -> dict[str, float]:
     doubles as an independent cross-check of the basis-derived labels.
     """
     H = system.horizon
-    order = sorted(
-        range(system.size), key=lambda g: (system.generators[g].variable_cost, g)
-    )
-    counts: dict[str, int] = {}
-    headroom = np.empty((system.size, H))
-    for g, gen in enumerate(system.generators):
+    gens = system.generators
+    merit = [gens[g] for g in sorted(range(len(gens)), key=lambda g: (gens[g].variable_cost, g))]
+    floors = float(sum(g.p_min for g in gens))
+    # covered[i, h]: the floors plus the headroom of merit[:i + 1] meet hour
+    # h's demand.  Each hour's sum runs in merit order, as a per-hour loop's.
+    covered = np.empty((len(merit), H), dtype=bool)
+    cum = np.full(H, floors)
+    for i, gen in enumerate(merit):
         if gen.is_variable:
-            headroom[g] = gen.capacity * system.capacity_factors[gen.cf_series_id]
+            cum = cum + (gen.capacity * system.capacity_factors[gen.cf_series_id] - gen.p_min)
         else:
-            headroom[g] = gen.capacity
-        headroom[g] -= gen.p_min
-    floors = float(sum(g.p_min for g in system.generators))
-    for hidx in range(H):
-        cum = floors
-        label = "infeasible"
-        for g in order if floors <= system.demand[hidx] else ():
-            cum += headroom[g, hidx]
-            if cum >= system.demand[hidx]:
-                gen = system.generators[g]
-                label = NSE_NAME if gen.name == NSE_NAME else f"{gen.name} marginal"
-                break
-        counts[label] = counts.get(label, 0) + 1
-    return {label: n / H for label, n in counts.items()}
+            cum = cum + (gen.capacity - gen.p_min)
+        covered[i] = cum >= system.demand
+    covered &= floors <= system.demand
+    labels = [NSE_NAME if g.name == NSE_NAME else f"{g.name} marginal" for g in merit]
+    labels.append("infeasible")
+    marginal = np.where(covered.any(axis=0), covered.argmax(axis=0), len(merit))
+    codes, first, counts = np.unique(marginal, return_index=True, return_counts=True)
+    return {labels[codes[i]]: int(counts[i]) / H for i in np.argsort(first)}
 
 
 # spec JSON -----------------------------------------------------------------

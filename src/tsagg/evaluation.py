@@ -50,7 +50,7 @@ TRIAL_MAX_N = 10
 TRIAL_MAX_SAMPLES = 4
 
 
-class ZeroBaselineError(Exception):
+class ZeroBaselineError(ValueError):
     """Full-model cost is zero; the relative output error is undefined."""
 
 
@@ -116,7 +116,7 @@ def output_error(full: DispatchSolution, aggregated: DispatchSolution) -> float:
     if aggregated.kind is not DispatchKind.AGGREGATED:
         raise ValueError("second argument must be an aggregated solution")
     if full.total_cost == 0.0:
-        raise ZeroBaselineError("full model cost is zero")
+        raise ZeroBaselineError("full model cost is zero; the relative output error is undefined")
     return 100.0 * abs(full.total_cost - aggregated.total_cost) / abs(full.total_cost)
 
 

@@ -8,8 +8,6 @@ one swatch per cluster.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .tsa_clustering import ClusterModel, FeatureMatrix
@@ -25,6 +23,12 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 60.0, 170.0, 40.0, 50.0
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _escape(text: str) -> str:
+    """Escape as ``xml.sax.saxutils.escape`` does, ``&`` first.  Importing
+    that module would load the network and e-mail stack into every run."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _axes(x_label: str, y_label: str, title: str) -> list[str]:
@@ -52,16 +56,16 @@ def _axes(x_label: str, y_label: str, title: str) -> list[str]:
         )
     parts.append(
         f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(_H - 12)}" font-size="13" '
-        f'text-anchor="middle">{escape(x_label)}</text>'
+        f'text-anchor="middle">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_fmt((y0 + y1) / 2)}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt((y0 + y1) / 2)})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_fmt((y0 + y1) / 2)})">{_escape(y_label)}</text>'
     )
     if title:
         parts.append(
             f'<text x="{_fmt((x0 + x1) / 2)}" y="22" font-size="15" '
-            f'text-anchor="middle">{escape(title)}</text>'
+            f'text-anchor="middle">{_escape(title)}</text>'
         )
     return parts
 
@@ -113,7 +117,7 @@ def render_scatter(model: ClusterModel, features: FeatureMatrix, title: str = ""
         )
         parts.append(
             f'<text x="{_fmt(lx + 18.0)}" y="{_fmt(ly + 10.0)}" font-size="12">'
-            f'{escape(model.labels[cid])} ({weight} h)</text>'
+            f'{_escape(model.labels[cid])} ({weight} h)</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

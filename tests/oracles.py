@@ -16,15 +16,27 @@ pivot count and basis.
 (H, k) distance temporaries per Lloyd step, ``argmin`` labels and
 ``np.add.at`` member sums.  ``tsagg.tsa_clustering`` must give the same
 assignment, centroids and ``input_mse`` in raw bytes.
+
+``regime_fractions_reference`` and ``write_series_reference`` are the
+earlier per-hour loop and per-row CSV writer of ``tsagg.data_io``: the
+array versions must give the same dict, key order included, and the same
+file bytes.
+
+``dual_certificate`` prices every hour with the dual vertex of each
+distinct optimal basis, y_j = B_j^-T c_B.  The optimal cost is the largest
+of these prices (LP duality), so it checks each hour's objective and basis
+without the simplex.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
 
 from tsagg._kernels import INFEASIBLE, NUMERICAL, OPTIMAL, RANK_DEFICIENT, UNBOUNDED
+from tsagg.dispatch_model import NSE_NAME, build_hourly_lp, hourly_rhs
 from tsagg.tsa_clustering import (
     ClusterMethod,
     ClusterModel,
@@ -370,3 +382,57 @@ def input_mse_reference(features, model) -> float:
     d2 = _point_distances(features.values, model.centroids)
     per_point = d2[np.arange(features.H), model.assignment]
     return float(per_point.sum() / (features.H * features.F))
+
+
+def regime_fractions_reference(system) -> dict[str, float]:
+    H = system.horizon
+    order = sorted(
+        range(system.size), key=lambda g: (system.generators[g].variable_cost, g)
+    )
+    counts: dict[str, int] = {}
+    headroom = np.empty((system.size, H))
+    for g, gen in enumerate(system.generators):
+        if gen.is_variable:
+            headroom[g] = gen.capacity * system.capacity_factors[gen.cf_series_id]
+        else:
+            headroom[g] = gen.capacity
+        headroom[g] -= gen.p_min
+    floors = float(sum(g.p_min for g in system.generators))
+    for hidx in range(H):
+        cum = floors
+        label = "infeasible"
+        for g in order if floors <= system.demand[hidx] else ():
+            cum += headroom[g, hidx]
+            if cum >= system.demand[hidx]:
+                gen = system.generators[g]
+                label = NSE_NAME if gen.name == NSE_NAME else f"{gen.name} marginal"
+                break
+        counts[label] = counts.get(label, 0) + 1
+    return {label: n / H for label, n in counts.items()}
+
+
+def write_series_reference(bundle, path) -> None:
+    demand = bundle.demand
+    cfs = bundle.capacity_factors
+    names = sorted(cfs)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["hour", "demand"] + [f"cf_{n}" for n in names])
+        for h in range(len(demand)):
+            writer.writerow(
+                [h, repr(float(demand[h]))]
+                + [repr(float(cfs[n][h])) for n in names]
+            )
+
+
+def dual_certificate(system, dispatch):
+    """(Z, own): Z[h, j] = y_j . b_h for each distinct basis j of ``dispatch``
+    (a full solution of ``system``), and ``own[h]`` the id of hour h's basis."""
+    lp = build_hourly_lp(system, 0)
+    own, bases = dispatch.basis_groups()
+    Y = np.array([
+        np.linalg.solve(lp.A[:, basis.as_array()].T, lp.c[basis.as_array()])
+        for basis in bases
+    ])
+    R = np.array([hourly_rhs(system, h) for h in range(system.horizon)])
+    return R @ Y.T, own

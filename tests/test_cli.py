@@ -3,12 +3,14 @@
 import json
 import warnings
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
 from tsagg.cli import main
-from tsagg.data_io import load_config, read_clusters, read_report
+from tsagg.data_io import load_config, read_clusters, read_report, write_config, write_series
+from tsagg.plotting import _escape
 from tsagg.tsa_clustering import normalize_features
 
 from systems import thermal_wind
@@ -213,6 +215,25 @@ def test_compare_outputs_are_byte_identical(instance, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("demand,cf", [
+    ([10.0, 20.0, 5.0], [0.5, 1.0, 0.2]),  # wind covers every hour
+    ([0.0] * 4, [0.0, 0.5, 1.0, 0.2]),
+], ids=["wind_covers_demand", "zero_demand"])
+def test_compare_zero_full_cost_exits_2(tmp_path, capsys, demand, cf):
+    # the relative output error divides by the full cost; this used to end
+    # in a ZeroBaselineError traceback, exit 1
+    system = thermal_wind(demand, cf)
+    write_series(system, tmp_path / "series.csv")
+    write_config(system, tmp_path / "config.json", "series.csv")
+    assert main(["solve-full", "--config", str(tmp_path / "config.json")]) == 0
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "relative output error is undefined" in err
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
@@ -248,6 +269,12 @@ def test_plot_svg_structure(instance, tmp_path):
         assert label in texts
     fills = {c.get("fill") for c in circles}
     assert len(fills) == model.k  # palette entry per cluster
+
+
+def test_svg_escape_matches_saxutils():
+    for text in ("", "plain", "a & b", "<g>", "x > y < z", "&amp;&lt;&gt;",
+                 "say \"hi\" & 'bye'", "<&>>&<"):
+        assert _escape(text) == escape(text), text
 
 
 def test_plot_is_deterministic(instance, tmp_path):

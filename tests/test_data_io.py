@@ -42,7 +42,8 @@ from tsagg.evaluation import ClusterSummary, EvaluationReport
 from tsagg.lp_core import BasisSignature
 from tsagg.tsa_clustering import ClusterMethod, basis_cluster, normalize_features
 
-from systems import random_system, thermal_wind
+from oracles import regime_fractions_reference, write_series_reference
+from systems import degenerate_system, fleet_system, random_system, thermal_wind
 
 
 # --- series CSV -------------------------------------------------------------
@@ -56,6 +57,24 @@ def test_series_round_trip_is_bit_identical(tmp_path):
     # repr-formatted floats must survive the text round trip exactly
     assert np.array_equal(back.demand, bundle.demand)
     assert np.array_equal(back.capacity_factors["wind"], bundle.capacity_factors["wind"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_synthetic(default_spec()),
+    lambda: fleet_system(np.random.default_rng(0)),
+    # a cf id that needs CSV quoting; signed zero, the smallest subnormal, 1.0
+    lambda: SeriesBundle(
+        np.array([-0.0, 5e-324, 1.0]),
+        {"a,b": np.array([1.0, -0.0, 5e-324]), "wind": np.array([5e-324, 1.0, -0.0])},
+    ),
+], ids=["default_year", "fleet", "quoting_and_edge_values"])
+def test_write_series_matches_the_per_row_writer(tmp_path, make):
+    bundle = make()
+    write_series(bundle, tmp_path / "columns.csv")
+    write_series_reference(bundle, tmp_path / "rows.csv")
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written.endswith(b"\r\n")
 
 
 def test_series_bundles_compare_by_identity(tmp_path):
@@ -271,6 +290,44 @@ def test_closed_form_fractions_run_above_must_run_floors():
     # floors above demand cannot be met at all
     low = SystemData(system.generators, [20.0], {"wind": [1.0]})
     assert regime_fractions(low) == {"infeasible": 1.0}
+
+
+def _floors_above_demand():
+    # the floors (30 + 5) exceed the demand of hours 0 and 1
+    return add_nse_generator(SystemData(
+        (Generator("wind", 0.0, 50.0, is_variable=True, cf_series_id="wind"),
+         Generator("t0", 10.0, 40.0, p_min=30.0),
+         Generator("t1", 20.0, 60.0, p_min=5.0)),
+        [10.0, 34.0, 35.0, 60.0, 120.0, 400.0], {"wind": [0.5, 1.0, 0.0, 0.2, 1.0, 0.3]},
+    ))
+
+
+REGIME_SYSTEMS = {
+    "default_year": lambda: generate_synthetic(default_spec()),
+    **{f"fleet_{i}": lambda i=i: fleet_system(np.random.default_rng(i)) for i in range(5)},
+    "degenerate": degenerate_system,
+    **{f"random_{seed}": lambda seed=seed: random_system(np.random.default_rng(seed))
+       for seed in range(5)},
+    **{f"random_{seed}_no_nse": lambda seed=seed: random_system(np.random.default_rng(seed), nse=False)
+       for seed in range(5)},
+    "floors_above_demand": _floors_above_demand,
+    # without NSE, hours 2 and 3 ask for more than the 100 MW + wind there is
+    "short_of_capacity": lambda: thermal_wind(
+        [50.0, 120.0, 160.0, 300.0], [0.0, 0.4, 1.0, 1.0], nse=False
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REGIME_SYSTEMS)
+def test_regime_fractions_match_the_per_hour_loop(name):
+    system = REGIME_SYSTEMS[name]()
+    expected = list(regime_fractions_reference(system).items())
+    assert list(regime_fractions(system).items()) == expected
+
+
+def test_the_regime_fixtures_reach_infeasible_hours():
+    for name, share in (("floors_above_demand", 2 / 6), ("short_of_capacity", 2 / 4)):
+        assert regime_fractions(REGIME_SYSTEMS[name]())["infeasible"] == share
 
 
 # --- spec JSON --------------------------------------------------------------

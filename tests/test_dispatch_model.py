@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_lp
-from systems import THERMAL, WIND, random_system, thermal_wind
+from oracles import dual_certificate, enumerate_lp
+from systems import THERMAL, WIND, degenerate_system, fleet_system, random_system, thermal_wind
+from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
     CostNotDominantError,
     DispatchKind,
@@ -295,6 +296,30 @@ def test_representative_validation():
         Representative(10.0, {"wind": 1.5}, 1.0)
     with pytest.raises(ValueError):
         solve_aggregated(thermal_wind([120.0], [0.8]), ())
+
+
+CERTIFIED_SYSTEMS = {
+    "default_year": lambda: generate_synthetic(default_spec()),
+    **{f"fleet_{i}": lambda i=i: fleet_system(np.random.default_rng(i)) for i in range(5)},
+    "degenerate": degenerate_system,
+    **{f"random_{seed}": lambda seed=seed: random_system(np.random.default_rng(seed))
+       for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED_SYSTEMS)
+def test_every_hour_is_certified_by_the_duals_of_the_distinct_bases(name):
+    """z(b) = max_j y_j . b over dual vertices, and the hour's own basis
+    attains it: a check of each hour's objective and basis that needs
+    neither the simplex nor enumeration."""
+    system = CERTIFIED_SYSTEMS[name]()
+    full = solve_full(system)
+    Z, own = dual_certificate(system, full)
+    objective = np.array([p.solution.objective for p in full.periods])
+    tol = 1e-12 * np.maximum(1.0, np.abs(objective))
+    best = Z.max(axis=1)
+    assert (np.abs(best - objective) <= tol).all()
+    assert (best - Z[np.arange(system.horizon), own] <= tol).all()
 
 
 # ---------------------------------------------------------------------------

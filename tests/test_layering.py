@@ -1,8 +1,12 @@
 """Module boundaries inside the package: no module reaches into another's
 private (``_``-prefixed) names.  Importing a private module, as in
-``from . import _kernels``, is allowed."""
+``from . import _kernels``, is allowed.  Importing the command line loads
+no XML, network or e-mail module: every run pays for what it imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tsagg"
@@ -88,3 +92,42 @@ def test_the_check_sees_array_fields_without_eq_false(tmp_path):
         "class F:\n    x: np.ndarray\n"
     )
     assert _array_dataclasses_with_value_eq(path) == ["A", "B", "C"]
+
+
+# Packages no tsagg run needs.  ``xml.sax.saxutils`` alone pulls in all of
+# them (through ``urllib.request``), tens of milliseconds on every run.
+UNNEEDED_PACKAGES = ("xml", "urllib.request", "http", "ssl", "socket", "email")
+
+
+def _loaded_beyond_numpy(statement):
+    """Modules that ``statement`` loads in a fresh interpreter after numpy."""
+    probe = (
+        "import sys, numpy; before = set(sys.modules); "
+        f"{statement}; print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout.split()
+
+
+def _unneeded(modules):
+    return sorted(
+        m for m in modules
+        if any(m == p or m.startswith(p + ".") for p in UNNEEDED_PACKAGES)
+    )
+
+
+def test_cli_import_loads_no_xml_network_or_email_module():
+    loaded = _loaded_beyond_numpy("import tsagg.cli")
+    assert "tsagg.cli" in loaded
+    assert _unneeded(loaded) == []
+
+
+def test_the_check_sees_unneeded_modules():
+    assert "xml.sax.saxutils" in _unneeded(_loaded_beyond_numpy("import xml.sax.saxutils"))
+    assert _unneeded(["xml", "xmlrpc", "urllib", "urllib.parse", "urllib.request",
+                      "http.client", "httpx", "email.utils", "socketserver"]) == [
+        "email.utils", "http.client", "urllib.request", "xml"
+    ]

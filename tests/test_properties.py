@@ -7,6 +7,9 @@ wind plus every thermal unit at capacity) or inside a segment.  Every
 capacity, floor, demand and capacity factor is a multiple of 1/64 (wind
 output of 1/4096), so the RHS arithmetic is exact and a boundary hour
 really is degenerate rather than a rounding error away from it.
+
+The k-means bound draws ``systems.random_system`` instead: its general
+data need no exact boundaries.
 """
 
 import numpy as np
@@ -15,15 +18,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from systems import random_system  # noqa: E402
 from tsagg.data_io import regime_fractions  # noqa: E402
 from tsagg.dispatch_model import (  # noqa: E402
     Generator,
     SystemData,
     add_nse_generator,
+    cost_offset,
     regime_label,
+    solve_aggregated,
     solve_full,
 )
 from tsagg.evaluation import compare_methods_detailed  # noqa: E402
+from tsagg.tsa_clustering import kmeans, normalize_features, to_representatives  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -80,3 +87,31 @@ def test_basis_aggregation_reproduces_the_full_cost(system):
     if solve_full(system).total_cost == 0.0:
         return  # the relative output error is undefined
     assert compare_methods_detailed(system).basis_report.output_error_pct <= 1e-6
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5]))
+def test_kmeans_never_overestimates_the_full_cost(seed, k):
+    """Jensen: the optimal cost is convex in the RHS and a representative's
+    RHS is its members' mean, so no cluster costs more aggregated than its
+    hours do in full.  The gap is 0 when the hours share one basis, on
+    which the cost is linear."""
+    system = random_system(np.random.default_rng(seed))
+    features = normalize_features(system)
+    full = solve_full(system)
+    model = kmeans(features, k)
+    aggregated = solve_aggregated(system, to_representatives(model, features))
+    scale = abs(full.total_cost)
+    assert aggregated.total_cost <= full.total_cost * (1 + 1e-12)
+    offset = cost_offset(system)
+    hour_cost = np.array([p.solution.objective + offset for p in full.periods])
+    basis_id, _ = full.basis_groups()
+    gaps = []
+    for cid, period in enumerate(aggregated.periods):
+        members = model.assignment == cid
+        gap = hour_cost[members].sum() - period.weight * (period.solution.objective + offset)
+        assert gap >= -1e-12 * scale, cid
+        if np.unique(basis_id[members]).size == 1:
+            assert abs(gap) <= 1e-12 * scale, cid
+        gaps.append(gap)
+    assert sum(gaps) == pytest.approx(full.total_cost - aggregated.total_cost, abs=1e-12 * scale)
