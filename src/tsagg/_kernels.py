@@ -19,7 +19,11 @@ leave only the entering column; the RHS is read by the ratio test and by
 phase 1's feasibility check alone.  So ``simplex`` can record each pivot
 path once per (c, A) and solve another b down the same path by carrying
 its RHS column alone, through the same operations and so to the same bits
-in every entry a decision reads.
+in every entry a decision reads.  A recorded pivot keeps what that walk
+reads: the rows eligible to leave with their entries and, per leaving row,
+1 / pivot and the column's other entries; a drive-out pivot keeps the
+last two (layout in ``simplex``).  A basis factor likewise keeps its LU
+solve as an op list.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -110,9 +114,12 @@ def _lu_solve(LU, perm, rhs):
 def _basis_factor(c, A, basis, pivot_eps):
     """The b-independent half of a basis evaluation, or None if B is singular.
 
-    Returns (LU of B, its perm, c_B, reduced costs).  The duals
-    y = B^-T c_B are solved on their own LU of B^T: solving them with the
-    LU of B would round them differently and move the pinned outputs.
+    Returns (solve ops, c_B, reduced costs); the ops are ``_lu_solve``'s on
+    the LU of B, in its order: swaps (k, p), forward terms (i, j, l) and
+    backward rows (i, pivot, terms (j, u)).  Every term is kept, since one
+    that is an exact zero can still flip the sign of a zero in x.  The
+    duals y = B^-T c_B are solved on their own LU of B^T: solving them with
+    the LU of B would round them differently and move the pinned outputs.
     """
     m = A.shape[0]
     B = A[:, basis]
@@ -131,7 +138,13 @@ def _basis_factor(c, A, basis, pivot_eps):
     for i in range(m):
         rc -= y[i] * A[i]
     rc[basis] = 0.0
-    return LU, perm, cb, rc
+    swaps = [(k, p) for k, p in enumerate(perm) if p != k]
+    forward = [(i, j, LU[i][j]) for i in range(1, m) for j in range(i)]
+    backward = [
+        (i, LU[i][i], [(j, LU[i][j]) for j in range(i + 1, m)])
+        for i in range(m - 1, -1, -1)
+    ]
+    return (swaps, forward, backward), cb, rc
 
 
 def basis_eval(c, A, b, basis, pivot_eps, factors):
@@ -154,11 +167,20 @@ def basis_eval(c, A, b, basis, pivot_eps, factors):
     n = A.shape[1]
     if factor is None:
         return False, np.zeros(n), np.zeros(n), 0.0
-    LU, perm, cb, rc = factor
-    xb = _lu_solve(LU, perm, b.tolist())
+    (swaps, forward, backward), cb, rc = factor
+    xb = b.tolist()
+    for k, p in swaps:
+        xb[k], xb[p] = xb[p], xb[k]
+    for i, j, l in forward:
+        xb[i] -= l * xb[j]
+    for i, piv, terms in backward:
+        s = xb[i]
+        for j, u in terms:
+            s -= u * xb[j]
+        xb[i] = s / piv
     obj = 0.0
-    for k in range(len(xb)):
-        obj += cb[k] * xb[k]
+    for cbk, xk in zip(cb, xb):
+        obj += cbk * xk
     x = np.zeros(n)
     x[basis] = xb
     return True, x, rc.copy(), obj
@@ -168,69 +190,46 @@ def basis_eval(c, A, b, basis, pivot_eps, factors):
 # Two-phase Bland simplex on a tableau of Python-float lists.
 # ---------------------------------------------------------------------------
 
-def _pivot(T, basis, r, jc):
+def _pivot(T, basis, r, jc, shared):
     """Pivot row ``r`` onto column ``jc``: the dense update minus exact zeros.
 
     Row r is scaled by ``inv = 1.0 / T[r][jc]``; every other row i,
     objective row included, becomes ``v - f * u`` with ``f = T[i][jc]``,
     but only where f and the pivot row entry u are nonzero.  Column jc is
-    then the unit vector at r.  Returns column jc as it was before the
-    pivot: its nonzero entries as a flat ``(i, f, i, f, ...)`` tuple in
-    row order.
+    then the unit vector at r.  Returns (inv, others): ``others`` holds the
+    nonzero entries of column jc before the pivot in the rows other than r,
+    as a flat ``(i, f, i, f, ...)`` tuple in row order.  Each is the equal
+    value already in the dict ``shared``, if any (see ``simplex``).
     """
-    piv = T[r][jc]
-    inv = 1.0 / piv
+    inv = 1.0 / T[r][jc]
     Tr = T[r] = [v * inv for v in T[r]]
     Tr[jc] = 0.0  # keeps jc out of the update; column jc is set below
     pairs = [(j, u) for j, u in enumerate(Tr) if u]
     Tr[jc] = 1.0
-    col = []
+    others = []
     for i, Ti in enumerate(T):
         f = Ti[jc]
-        if f == 0.0:
+        if f == 0.0 or i == r:
             continue
-        if i == r:
-            col += (i, piv)
-            continue
-        col += (i, f)
+        others += (i, f)
         for j, u in pairs:
             Ti[j] -= f * u
         Ti[jc] = 0.0
     basis[r] = jc
-    return tuple(col)
+    others = tuple(others)
+    if shared is None:
+        return inv, others
+    return shared.setdefault(inv, inv), shared.setdefault(others, others)
 
 
-def _carry(rhs, col, r, fr):
-    """Apply a pivot on row r to the RHS column alone.
-
-    ``col`` is the pivot column as ``_pivot`` returns it and ``fr`` its
-    entry in row r.  These are the operations ``_pivot`` applies to the
-    RHS entries, in the same order, so each result is the same bits.
-    """
-    u = rhs[r] = rhs[r] * (1.0 / fr)
-    if u:
-        it = iter(col)
-        for i, f in zip(it, it):
-            if i != r:
-                rhs[i] -= f * u
-
-
-def _child(node, r):
-    """The child of loop node ``node`` for leaving row ``r``; new ones are empty."""
-    try:
-        return node[node.index(r, 2) + 1]
-    except ValueError:
-        child = []
-        node += (r, child)
-        return child
-
-
-def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters, node):
+def _pivot_loop(
+    T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters, node, shared
+):
     """Run Bland pivots until optimal (0), unbounded (2) or the cap (4).
 
     Returns (status, iterations, node): ``node`` is the path node of the
-    state it stopped in.  Each state on the way that has no record yet
-    gets one (see ``simplex``).
+    state it stopped in.  Each state and leaving row on the way that has no
+    record yet gets one (see ``simplex``).
     """
     ntol = -tol_opt
     while iters < max_iter:
@@ -243,26 +242,38 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters, node)
                 node += (_OPTIMAL,)
             return 0, iters, node
         # Minimum ratio over the eligible rows; among rows at the minimum,
-        # the smallest basic index (Bland).
+        # the smallest basic index (Bland).  A new node keeps the eligible
+        # (row, entry) pairs.
+        new = not node
+        eligible = ()
         leave = -1
         for i in range(m):
             Ti = T[i]
             v = Ti[enter]
             if v > pivot_eps:
+                if new:
+                    eligible += (i, v)
                 q = Ti[-1] / v
                 if leave < 0 or q < best or (q == best and basis[i] < basis[leave]):
                     best = q
                     leave = i
         if leave < 0:
-            if not node:
+            if new:
                 node += (_NO_LEAVE,)
             return 2, iters, node
-        col = _pivot(T, basis, leave, enter)
-        if node:
-            node = _child(node, leave)
+        inv, others = _pivot(T, basis, leave, enter, shared)
+        if new:
+            if shared is not None:
+                eligible = shared.setdefault(eligible, eligible)
+            node += (enter, eligible, leave, inv, others, [])  # one extension: no spare slots
+            node = node[5]
         else:
-            node += (enter, col, leave, [])  # one extension: no spare slots
-            node = node[3]
+            k = 2
+            while k < len(node) and node[k] != leave:
+                k += 4
+            if k == len(node):
+                node += (leave, inv, others, [])
+            node = node[k + 3]
         iters += 1
     return 4, iters, node
 
@@ -289,23 +300,31 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, paths):
     reads only the objective row, and eligibility to leave and the
     drive-out only constraint columns.  So with the root keyed by
     (tol_opt, pivot_eps, sign pattern), each pivot state is a node that
-    stores its entering column and that column's nonzero entries,
-    objective row included, with one child per leaving row.  A solve
-    whose path is recorded walks it carrying only the RHS column, through
-    exactly the operations ``_pivot`` applies to it, so each entry a
-    decision reads keeps the tableau's bits, zero signs included, and the
-    decisions, basis and pivot count are the tableau's.  (Phase 2's
+    stores what a walk reads there: its entering column, the rows eligible
+    to leave with their entries and, per leaving row taken from it,
+    1 / pivot, the column's other nonzero entries and the child state.  A
+    solve whose path is recorded walks it carrying only the RHS column,
+    through exactly the operations ``_pivot`` applies to it, so each entry
+    a decision reads keeps the tableau's bits, zero signs included, and
+    the decisions, basis and pivot count are the tableau's.  (Phase 2's
     objective entry is write-only, like the artificial columns below, so
-    the walk does not rebuild it.)  A solve that reaches a state with no
-    record runs the tableau from the start and records the states it
-    lacks.
+    the walk does not rebuild it.)  A solve that reaches a state, or a
+    leaving row, with no record runs the tableau from the start and
+    records what it lacks.
 
     Node layout, as lists that recording fills in place: ``[]`` is a
-    state not yet recorded; ``[enter, column, row, child, row, child,
-    ...]`` a pivot; ``[_NO_LEAVE]`` no eligible leaving row; ``[_OPTIMAL]``
-    the optimum of phase 2, or the end of phase 1 before a feasible b has
-    reached it, and then ``[_OPTIMAL, drive-out pivots, phase-2 root]``,
-    with None for the root after a rank-deficient drive-out.
+    state not yet recorded; ``[enter, eligible, row, inv, others, child,
+    row, ...]`` a pivot, ``eligible`` being the flat ``(i, entry, ...)``
+    pairs in row order and ``(inv, others)`` what ``_pivot`` returns;
+    ``[_NO_LEAVE]`` no eligible leaving row; ``[_OPTIMAL]`` the optimum of
+    phase 2, or the end of phase 1 before a feasible b has reached it, and
+    then ``[_OPTIMAL, drive-out pivots (row, column, inv, others), phase-2
+    root]``, with None for the root after a rank-deficient drive-out.
+    Each key of ``paths`` holds (root node, shared).  A dispatch LP's
+    columns are mostly +-1, so a tableau solve after the root's first,
+    which shares nothing and so costs a one-shot LP nothing, records the
+    equal values already in the dict ``shared`` in place of its own.
+    Recorded values are nonzero and finite, so equal ones have equal bits.
 
     Skipping exact zeros in a pivot gives the dense update's decisions and
     nonzero values, provided every tableau entry stays finite.  A skipped
@@ -329,25 +348,27 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, paths):
     """
     m, n = A.shape
     bl = b.tolist()
-    root = paths.setdefault((tol_opt, pivot_eps, tuple([v < 0.0 for v in bl])), [])
+    key = (tol_opt, pivot_eps, tuple([v < 0.0 for v in bl]))
+    root, shared = paths.setdefault(key, ([], {}))
     status = None
     if root:
         basis = list(range(n, n + m))
-        status, iters = _walk(root, bl, basis, m, tol_feas, pivot_eps, max_iter)
+        status, iters = _walk(root, bl, basis, m, tol_feas, max_iter)
     if status is None:
         basis = list(range(n, n + m))
         status, iters = _two_phase(
-            c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, root
+            c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, root,
+            shared if root else None,
         )
     return status, np.array(basis, dtype=np.int64), iters
 
 
-def _walk(node, bl, basis, m, tol_feas, pivot_eps, max_iter):
+def _walk(node, bl, basis, m, tol_feas, max_iter):
     """Follow recorded path nodes from ``node``, carrying only the RHS.
 
     Returns (status, iterations) as ``_two_phase`` does and pivots
-    ``basis`` the same way, or status None on reaching a state with no
-    record.
+    ``basis`` the same way, or status None on reaching a state, or a
+    leaving row, with no record.
     """
     rhs = [-v if v < 0.0 else v for v in bl]
     obj = 0.0
@@ -363,20 +384,36 @@ def _walk(node, bl, basis, m, tol_feas, pivot_eps, max_iter):
             return None, iters
         enter = node[0]
         if enter >= 0:
-            col = node[1]
-            leave = -1
-            it = iter(col)
-            for i, v in zip(it, it):
-                if v > pivot_eps and i < m:
+            eligible = node[1]
+            if len(eligible) == 2:
+                leave = eligible[0]  # the only eligible row: no ratio to compare
+            elif len(eligible) == 4:  # two rows, the usual case: the loop unrolled
+                i, v, j, w = eligible
+                q = rhs[i] / v
+                p = rhs[j] / w
+                leave = j if p < q or (p == q and basis[j] < basis[i]) else i
+            else:
+                leave = -1
+                it = iter(eligible)
+                for i, v in zip(it, it):
                     q = rhs[i] / v
                     if leave < 0 or q < best or (q == best and basis[i] < basis[leave]):
                         best = q
                         leave = i
-                        fr = v
-            _carry(rhs, col, leave, fr)
+            k = 2
+            while node[k] != leave:
+                k += 4
+                if k == len(node):
+                    return None, iters
+            # What _pivot does to the RHS column, in the same order.
+            u = rhs[leave] = rhs[leave] * node[k + 1]
+            if u:
+                it = iter(node[k + 2])
+                for i, f in zip(it, it):
+                    rhs[i] -= f * u
             basis[leave] = enter
             iters += 1
-            node = _child(node, leave)
+            node = node[k + 3]
         elif enter == _NO_LEAVE:
             return (NUMERICAL if phase1 else UNBOUNDED), iters
         elif not phase1:
@@ -387,8 +424,12 @@ def _walk(node, bl, basis, m, tol_feas, pivot_eps, max_iter):
             return None, iters  # no feasible b has reached this end of phase 1
         else:
             _, drive, node = node
-            for r, j, fr, col in drive:
-                _carry(rhs, col, r, fr)
+            for r, j, inv, others in drive:
+                u = rhs[r] = rhs[r] * inv
+                if u:
+                    it = iter(others)
+                    for i, f in zip(it, it):
+                        rhs[i] -= f * u
                 basis[r] = j
                 iters += 1
             if node is None:
@@ -396,7 +437,7 @@ def _walk(node, bl, basis, m, tol_feas, pivot_eps, max_iter):
             phase1 = False
 
 
-def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, node):
+def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, node, shared):
     """The tableau solve of ``simplex`` from path root ``node``.
 
     Returns (status, iterations), pivots ``basis`` and records each state
@@ -417,7 +458,7 @@ def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, node):
         obj = [v - u for v, u in zip(obj, Ti)]
     T.append(obj)
     status, iters, node = _pivot_loop(
-        T, basis, m, n, tol_opt, pivot_eps, max_iter, 0, node
+        T, basis, m, n, tol_opt, pivot_eps, max_iter, 0, node, shared
     )
     if status != 0:
         # Phase 1 is bounded below by zero, so failing to pivot is numeric.
@@ -437,7 +478,7 @@ def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, node):
                 if len(node) == 1:
                     node += (tuple(drive), None)
                 return RANK_DEFICIENT, iters
-            drive.append((i, j, Ti[j], _pivot(T, basis, i, j)))
+            drive.append((i, j) + _pivot(T, basis, i, j, shared))
             iters += 1
     # Phase 2: rebuild the reduced-cost row from the true costs.
     cl = c.tolist()
@@ -450,7 +491,7 @@ def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter, node):
     if len(node) == 1:
         node += (tuple(drive), [])
     status, iters, _ = _pivot_loop(
-        T, basis, m, n, tol_opt, pivot_eps, max_iter, iters, node[2]
+        T, basis, m, n, tol_opt, pivot_eps, max_iter, iters, node[2], shared
     )
     if status == 2:
         return UNBOUNDED, iters

@@ -315,7 +315,7 @@ def _solve_periods(
     pmin = _pmin_vector(system)
     offset = cost_offset(system)
     base = None
-    results = []
+    solved = []
     for index, (rhs, weight) in enumerate(periods):
         if base is None:
             lp = base = StandardFormLP(c, A, rhs)
@@ -324,7 +324,10 @@ def _solve_periods(
         sol = solve(lp)
         if sol.status is not LPStatus.OPTIMAL:
             raise InfeasiblePeriodError(index, sol.status)
-        results.append(PeriodResult(weight, sol, sol.x[: pmin.size] + pmin))
+        solved.append((weight, sol))
+    # One (P, G) sum in place of P small ones; each row is a period's view.
+    production = np.array([sol.x for _, sol in solved])[:, : pmin.size] + pmin
+    results = [PeriodResult(w, sol, p) for (w, sol), p in zip(solved, production)]
     total = float(sum(p.weight * (p.solution.objective + offset) for p in results))
     return DispatchSolution(kind, results, total)
 

@@ -76,8 +76,8 @@ class StandardFormLP:
     _template: InitVar[StandardFormLP | None] = None
     # Valid only for this c and A.  Sorted basis bytes -> b-independent
     # factor (None if singular), see ``_kernels.basis_eval``; (tolerances,
-    # sign pattern of b) -> root of the recorded pivot paths, see
-    # ``_kernels.simplex``; and (row-order basis bytes,) -> its
+    # sign pattern of b) -> root of the recorded pivot paths and its table
+    # of shared values, see ``_kernels.simplex``; and (row-order basis bytes,) -> its
     # BasisSignature and read-only sorted index array, see ``solve``.  The
     # three kinds of key (bytes, 3-tuple, 1-tuple) never collide.
     _cache: dict = field(init=False, repr=False)

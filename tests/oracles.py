@@ -25,13 +25,16 @@ file bytes.
 ``dual_certificate`` prices every hour with the dual vertex of each
 distinct optimal basis, y_j = B_j^-T c_B.  The optimal cost is the largest
 of these prices (LP duality), so it checks each hour's objective and basis
-without the simplex.
+without the simplex.  ``exact_basis_check`` is its exact companion: it
+checks in rational arithmetic that each hour's basis is primal and dual
+feasible, so it grades the solver's float tolerances against exact truth.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -436,3 +439,55 @@ def dual_certificate(system, dispatch):
     ])
     R = np.array([hourly_rhs(system, h) for h in range(system.horizon)])
     return R @ Y.T, own
+
+
+def _exact_inverse(B):
+    """B^-1 of a square list of Fraction rows by Gauss-Jordan elimination,
+    or None if B is singular."""
+    m = len(B)
+    M = [row[:] + [Fraction(int(i == k)) for k in range(m)] for i, row in enumerate(B)]
+    for k in range(m):
+        p = next((i for i in range(k, m) if M[i][k] != 0), None)
+        if p is None:
+            return None
+        M[k], M[p] = M[p], M[k]
+        piv = M[k][k]
+        M[k] = [v / piv for v in M[k]]
+        for i in range(m):
+            f = M[i][k]
+            if i != k and f != 0:
+                M[i] = [v - f * u for v, u in zip(M[i], M[k])]
+    return [row[m:] for row in M]
+
+
+def exact_basis_check(system, dispatch):
+    """(primal, dual) for ``dispatch``, a full solution of ``system``:
+    ``primal`` lists the hours whose x_B = B^-1 b_h has a negative entry and
+    ``dual`` those whose basis has a negative reduced cost c - A^T B^-T c_B.
+
+    Everything is exact: each float of c, A and b_h is read as the rational
+    it stores, and B^-1 is computed once per distinct basis with
+    ``fractions.Fraction``.  Both lists are empty iff every hour's basis is
+    optimal for that hour in exact arithmetic, not only within the
+    solver's tolerances.
+    """
+    lp = build_hourly_lp(system, 0)
+    A = [[Fraction(v) for v in row] for row in lp.A.tolist()]
+    c = [Fraction(v) for v in lp.c.tolist()]
+    own, bases = dispatch.basis_groups()
+    primal, dual = [], []
+    inverses = []
+    for j, basis in enumerate(bases):
+        inv = _exact_inverse([[row[k] for k in basis.indices] for row in A])
+        if inv is None:
+            raise ValueError(f"basis {basis.indices} is singular")
+        inverses.append([[(k, v) for k, v in enumerate(row) if v] for row in inv])
+        cb = [c[i] for i in basis.indices]
+        y = [sum(ci * row[k] for ci, row in zip(cb, inv)) for k in range(len(inv))]
+        if any(cj < sum(yk * row[jj] for yk, row in zip(y, A)) for jj, cj in enumerate(c)):
+            dual.extend(np.flatnonzero(own == j).tolist())
+    for h, j in enumerate(own.tolist()):
+        b = [Fraction(v) for v in hourly_rhs(system, h).tolist()]
+        if any(sum(v * b[k] for k, v in row) < 0 for row in inverses[j]):
+            primal.append(h)
+    return primal, sorted(dual)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dual_certificate, enumerate_lp
+from oracles import dual_certificate, enumerate_lp, exact_basis_check
 from systems import THERMAL, WIND, degenerate_system, fleet_system, random_system, thermal_wind
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
@@ -320,6 +320,27 @@ def test_every_hour_is_certified_by_the_duals_of_the_distinct_bases(name):
     best = Z.max(axis=1)
     assert (np.abs(best - objective) <= tol).all()
     assert (best - Z[np.arange(system.horizon), own] <= tol).all()
+
+
+@pytest.mark.parametrize(
+    "name", ["default_year", *(f"fleet_{i}" for i in range(5)), "degenerate"]
+)
+def test_every_hour_basis_is_optimal_in_exact_arithmetic(name):
+    """x_B >= 0 and reduced costs >= 0 hold exactly, not only within the
+    solver's tolerances, for every hour's basis."""
+    system = CERTIFIED_SYSTEMS[name]()
+    full = solve_full(system)
+    assert exact_basis_check(system, full) == ([], [])
+
+
+def test_exact_basis_check_flags_an_hour_given_another_hours_basis():
+    system = generate_synthetic(default_spec())
+    full = solve_full(system)
+    own, bases = full.basis_groups()
+    h = int(np.flatnonzero(own == 1)[0])
+    full.periods[h].solution.basis = bases[0]  # optimal elsewhere, not at hour h
+    primal, dual = exact_basis_check(system, full)
+    assert primal == [h] and dual == []
 
 
 # ---------------------------------------------------------------------------

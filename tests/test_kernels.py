@@ -112,6 +112,32 @@ def test_basis_eval_bitwise_equal_to_reference():
     assert singular >= 100
 
 
+# B = A[:, basis] needs a row swap at its second LU step, and L and U hold
+# exact zeros; with -0.0 in b, leaving out the zero terms of the solve
+# would give x = +0.0 in the basic column that B holds third.
+SWAPPED_B = np.array([[-2.0, -1.0, 0.0], [0.0, 0.0, -2.0], [-2.0, -2.0, -2.0]])
+
+
+@pytest.mark.parametrize(
+    "b", [[1.0, -0.0, 1.0], [-0.0, 1.0, -0.0], [2.0, -0.0, -0.0]], ids=["mid", "ends", "tail"]
+)
+def test_basis_eval_keeps_zero_terms_and_row_swaps(b):
+    A = np.column_stack([SWAPPED_B[:, 1], [1.0, 0.0, 3.0], SWAPPED_B[:, 2], SWAPPED_B[:, 0]])
+    c = np.array([2.0, -1.0, 0.5, 3.0])
+    basis = np.array([3, 0, 2])  # B = SWAPPED_B
+    b = np.array(b)
+    factors = {}
+    for _ in range(2):  # the factor's first use, then the cached one
+        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, factors)
+        ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
+        assert ok and ok_ref
+        assert _bits(x) == _bits(x_ref)
+        assert _bits(rc) == _bits(rc_ref)
+        assert _bits(obj) == _bits(obj_ref)
+    (((swaps, _, _), _, _),) = factors.values()
+    assert swaps  # the LU permutation is not the identity
+
+
 def _assert_matches_reference(args, paths):
     """Solve ``args`` through ``paths`` and against the tableau reference:
     equal status, iterations and basis.  Returns the reference's result."""
@@ -294,13 +320,14 @@ def test_shared_paths_match_reference_on_random_families(monkeypatch):
     }
 
 
-def _phase1_ends(root):
-    """The nodes below path root ``root`` where phase 1 ended optimal."""
-    ends, stack = [], [root]
+def _phase1_ends(trie):
+    """The nodes below the root of ``trie``, a (root, shared) value of a
+    ``paths`` dict, where phase 1 ended optimal."""
+    ends, stack = [], [trie[0]]
     while stack:
         node = stack.pop()
         if node and node[0] >= 0:
-            stack.extend(node[3::2])
+            stack.extend(node[5::4])
         elif node and node[0] == _kernels._OPTIMAL:
             ends.append(node)
     return ends
@@ -346,17 +373,47 @@ def test_path_recorded_under_a_cap_is_walked_past_it(monkeypatch):
             assert len(tableau) == tableau_solves, (h, max_iter)
 
 
+def test_walk_misses_on_a_leaving_row_with_no_record_and_one_tableau_adds_it(monkeypatch):
+    """Both rows are eligible at the first pivot and the two b pick
+    different ones: the second b reaches the recorded root, finds no record
+    of its leaving row and misses; one tableau solve then adds exactly that
+    edge, and a second pass walks it."""
+    tableau = _count_calls(monkeypatch, "_two_phase")
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    c = np.array([1.0, 0.0, 0.0])
+    first, second = np.array([1.0, 2.0]), np.array([2.0, 1.0])
+    paths = {}
+
+    def solve(b):
+        return _assert_matches_reference((c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000), paths)
+
+    solve(first)
+    ((root, _),) = paths.values()
+    assert root[:2] == [0, (0, 1.0, 1, 1.0)]  # column 0 enters, both rows eligible
+    assert root[2::4] == [0]
+    recorded = root[:]
+    assert _kernels._walk(root, second.tolist(), [3, 4], 2, TOL_FEAS, 2000) == (None, 0)
+    del tableau[:]
+    solve(second)
+    assert len(tableau) == 1
+    assert root[2::4] == [0, 1]
+    assert all(a is b for a, b in zip(root, recorded))  # row 0's record untouched
+    del tableau[:]
+    solve(second)
+    assert tableau == []
+
+
 def _trie_size(paths):
     """(nodes, phase starts) of the tries in a ``paths`` dict: a phase start
     is a root or a phase-2 root."""
     nodes = 0
-    stack = list(paths.values())
+    stack = [root for root, _ in paths.values()]
     starts = len(stack)
     while stack:
         node = stack.pop()
         nodes += 1
         if node and node[0] >= 0:
-            stack.extend(node[3::2])
+            stack.extend(node[5::4])
         elif len(node) == 3 and node[2] is not None:
             stack.append(node[2])
             starts += 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from systems import random_system, thermal_wind
+from systems import fleet_system, random_system, thermal_wind
+from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import SystemData, solve_full
 from tsagg.lp_core import LPStatus, solve_with_basis
 from tsagg.dispatch_model import build_hourly_lp
@@ -290,3 +291,28 @@ def test_to_representatives_clamps_cf_rounding_dust():
     model = kmeans(feats, 1, seed=0)
     reps = to_representatives(model, feats)
     assert reps[0].cf["wind"] == 1.0
+
+
+CLAMP_SYSTEMS = {
+    "default_year": lambda: generate_synthetic(default_spec()),
+    **{f"fleet_{i}": lambda i=i: fleet_system(np.random.default_rng(i)) for i in range(5)},
+    **{f"random_{seed}": lambda seed=seed: random_system(np.random.default_rng(seed))
+       for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", CLAMP_SYSTEMS)
+def test_to_representatives_clamp_removes_only_rounding_dust(name):
+    """The [0, 1] clamp of a representative's capacity factors moves no
+    value by more than 4 ulp of 1.0, for the basis model (k = K) and for
+    k-means at k in {1, 3, K}."""
+    system = CLAMP_SYSTEMS[name]()
+    feats = normalize_features(system)
+    basis = basis_cluster(system, features=feats)
+    models = [basis] + [kmeans(feats, k, seed=0) for k in sorted({1, 3, basis.k})]
+    dust = 4 * np.spacing(1.0)
+    for model in models:
+        phys = feats.denormalize(model.centroids)
+        for cid, rep in enumerate(to_representatives(model, feats)):
+            for j, column in enumerate(feats.columns[1:], start=1):
+                assert abs(rep.cf[column] - phys[cid, j]) <= dust, (model.method, model.k)
