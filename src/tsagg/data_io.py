@@ -347,6 +347,8 @@ class SyntheticSpec:
         _integer(self.seed, "seed")
         if self.hours < 1:
             raise ValueError("hours must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _check_numbers(self)
         targets = self.regime_targets
         if not isinstance(targets, dict):

@@ -36,9 +36,12 @@ class KExceedsHError(ValueError):
 
 # k-means: Lloyd iterations per restart, the centroid shift that ends them
 # early, and the k-means++ restarts of which the lowest inertia is kept.
+# Restarts run g at a time in lockstep, with g*k*H at most GROUP_ELEMENTS
+# (g = 1 beyond), so short horizons pay numpy's call overhead once per group.
 MAX_ITER = 300
 TOL = 1e-6
 RESTARTS = 10
+GROUP_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,44 +149,29 @@ def normalize_features(system: SystemData) -> FeatureMatrix:
 # ---------------------------------------------------------------------------
 
 def _distances(XT, centroids, out):
-    """Squared distances (k, H) into ``out[0]``, accumulated feature by feature.
+    """Squared distances (..., k, H) into ``out[0]``, summed feature by feature.
 
-    ``XT`` holds the features as rows (F, H); ``out`` is a (2, k, H)
-    scratch buffer that callers reuse.  The sum runs ``diff0**2``, then
-    ``+= diff_f**2`` in feature order, so each value is the same as from an
-    (H, k) sum started at 0.0.
+    ``XT`` holds the features as rows (F, H), ``centroids`` is (..., k, F)
+    and ``out`` a (2, ..., k, H) scratch buffer that callers reuse.  The sum
+    runs ``diff0**2``, then ``+= diff_f**2`` in feature order, so each value
+    is the same as from an (H, k) sum started at 0.0.
     """
     d2, diff = out
-    np.subtract(XT[0], centroids[:, :1], out=d2)
+    np.subtract(XT[0], centroids[..., :1], out=d2)
     d2 *= d2
     for f in range(1, XT.shape[0]):
-        np.subtract(XT[f], centroids[:, f:f + 1], out=diff)
+        np.subtract(XT[f], centroids[..., f:f + 1], out=diff)
         diff *= diff
         d2 += diff
     return d2
 
 
-def _nearest(d2):
-    """(labels, own_d2): each point's first nearest centroid, as ``argmin``
-    picks it, and its squared distance to that centroid.
-
-    Row j takes a point only where it is strictly closer than rows 0..j-1,
-    so ties keep the lowest id; every label so far is below j, so
-    ``maximum`` sets exactly those points to j.
-    """
-    own_d2 = d2[0].copy()
-    labels = np.zeros(d2.shape[1], dtype=np.int64)
-    for j in range(1, d2.shape[0]):
-        closer = d2[j] < own_d2
-        np.minimum(own_d2, d2[j], out=own_d2)
-        np.maximum(labels, closer * j, out=labels)
-    return labels, own_d2
-
-
-def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    H = X.shape[0]
+def _kmeans_pp(XT, k, rng, out):
+    """(k, F) k-means++ seeds; ``out`` is a (2, 1, H) scratch.  Distances
+    are built column by column, the same sums as a row sum over (H, F)."""
+    H = XT.shape[1]
     chosen = [int(rng.integers(H))]
-    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _distances(XT, XT[:, chosen].T, out)[0].copy()
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -191,8 +179,8 @@ def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         else:
             j = int(rng.choice(H, p=d2 / total))
         chosen.append(j)
-        d2 = np.minimum(d2, ((X - X[j]) ** 2).sum(axis=1))
-    return X[np.array(chosen)].copy()
+        np.minimum(d2, _distances(XT, XT[:, [j]].T, out)[0], out=d2)
+    return XT[:, chosen].T.copy()
 
 
 def _reseed_empty(labels, counts, own_d2, k):
@@ -223,26 +211,57 @@ def _member_means(rows, assignment, k):
     return sums / np.bincount(assignment, minlength=k)[:, None]
 
 
-def _lloyd(XT, centroids, out):
-    k = centroids.shape[0]
-    labels = np.full(XT.shape[1], -1, dtype=np.int64)
+def _lloyd_group(XT, tiled, centroids, final, out):
+    """Lloyd iteration of g restarts in lockstep, one call per array
+    operation for all running restarts.
+
+    ``centroids`` (g, k, F) holds the seeds, ``tiled`` (F, >= g*H) the
+    feature rows repeated g times and ``out`` a (2, >= g, k, H) scratch.
+    Restart r leaves when its labels repeat, its centroids shift by less
+    than ``TOL`` or after ``MAX_ITER`` steps, with its labels in ``final[r]``
+    and centroids in ``centroids[r]``, as if it had run alone.
+    """
+    g, k, _ = centroids.shape
+    H = XT.shape[1]
+    offsets = np.arange(0, g * k, k)[:, None]
+    ids = np.arange(g)
+    labels = np.full((g, H), -1, dtype=np.int64)
+    C = centroids
     for _ in range(MAX_ITER):
-        new_labels, own_d2 = _nearest(_distances(XT, centroids, out))
-        counts = np.bincount(new_labels, minlength=k)
-        if (counts == 0).any():
-            _reseed_empty(new_labels, counts, own_d2, k)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        updated = _member_means(XT, labels, k)
-        if np.abs(updated - centroids).max() < TOL:
-            centroids = updated
-            break
-        centroids = updated
-    # Every exit leaves centroids as the exact member means of labels.
-    d2 = _distances(XT, centroids, out)
-    inertia = float(d2[labels, np.arange(XT.shape[1])].sum())
-    return labels, centroids, inertia
+        a = len(ids)
+        d2 = _distances(XT, C, out[:, :a])
+        # Row j takes the points strictly closer than rows 0..j-1 (ties keep
+        # the lowest id, as ``argmin``); all labels so far are below j.
+        own_d2 = d2[:, 0].copy()
+        new = np.zeros((a, H), dtype=np.int64)
+        for j in range(1, k):
+            closer = d2[:, j] < own_d2
+            np.minimum(own_d2, d2[:, j], out=own_d2)
+            np.maximum(new, closer * j, out=new)
+        # Restart r's ids are offset by r*k, so one bincount serves the group
+        # and each bin still adds its own restart's points in point order.
+        bins = (new + offsets[:a]).ravel()
+        counts = np.bincount(bins, minlength=a * k).reshape(a, k)
+        if counts.min() == 0:
+            for r in np.flatnonzero((counts == 0).any(axis=1)):
+                _reseed_empty(new[r], counts[r], own_d2[r], k)
+            bins = (new + offsets[:a]).ravel()
+        sums = np.column_stack(
+            [np.bincount(bins, weights=row[:a * H], minlength=a * k) for row in tiled]
+        )
+        updated = (sums / counts.reshape(a * k, 1)).reshape(a, k, -1)
+        stop = np.abs(updated - C).max(axis=(1, 2)) < TOL
+        stop |= (new == labels).all(axis=1)
+        # A restart whose labels repeat gets back the centroids it has: they
+        # were the member means of those labels, summed the same way.
+        labels, C = new, updated
+        if stop.any():
+            final[ids[stop]], centroids[ids[stop]] = labels[stop], C[stop]
+            ids, labels, C = ids[~stop], labels[~stop], C[~stop]
+            if not len(ids):
+                return
+    final[ids] = labels
+    centroids[ids] = C
 
 
 def _order_by_first_occurrence(labels, centroids, k):
@@ -260,20 +279,35 @@ def kmeans(features: FeatureMatrix, k: int, seed: int = 0) -> ClusterModel:
     seed sequence and ties keep the earliest restart.  Empty clusters are
     re-seeded with the farthest point of a non-singleton cluster, so all k
     clusters stay populated.
+
+    Consecutive restarts run in lockstep groups of g = max(1, min(RESTARTS,
+    GROUP_ELEMENTS // (k*H))): each numpy call of a Lloyd step serves g of
+    them (the default year runs at g = 1), and no value changes.
     """
-    X = features.values
-    if not 1 <= k <= features.H:
-        raise KExceedsHError(f"k={k} outside [1, {features.H}]")
-    XT = np.ascontiguousarray(X.T)
-    out = np.empty((2, k, features.H))
+    H = features.H
+    if not 1 <= k <= H:
+        raise KExceedsHError(f"k={k} outside [1, {H}]")
+    if seed < 0:
+        raise ValueError(f"k-means seed must be >= 0, got {seed}")
+    XT = np.ascontiguousarray(features.values.T)
+    g = max(1, min(RESTARTS, GROUP_ELEMENTS // (k * H)))
+    tiled = XT if g == 1 else np.tile(XT, g)
+    out = np.empty((2, g, k, H))
+    final = np.empty((g, H), dtype=np.int64)
     streams = np.random.SeedSequence(seed).spawn(RESTARTS)
     best = None
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        init = _kmeans_pp(X, k, rng)
-        labels, centroids, inertia = _lloyd(XT, init, out)
-        if best is None or inertia < best[0]:
-            best = (inertia, labels, centroids)
+    for start in range(0, RESTARTS, g):
+        centroids = np.array([
+            _kmeans_pp(XT, k, np.random.default_rng(stream), out[:, :1, 0])
+            for stream in streams[start:start + g]
+        ])
+        _lloyd_group(XT, tiled, centroids, final, out)
+        for r in range(len(centroids)):
+            # Every exit leaves centroids as the exact member means of labels.
+            d2 = _distances(XT, centroids[r], out[:, 0])
+            inertia = float(d2[final[r], np.arange(H)].sum())
+            if best is None or inertia < best[0]:
+                best = (inertia, final[r].copy(), centroids[r])
     _, labels, centroids = best
     labels, centroids = _order_by_first_occurrence(labels, centroids, k)
     weights = np.bincount(labels, minlength=k)

@@ -13,8 +13,9 @@ return bitwise the same results, and for the simplex the same status,
 pivot count and basis.
 
 ``kmeans_reference`` and ``input_mse_reference`` are the earlier k-means:
-(H, k) distance temporaries per Lloyd step, ``argmin`` labels and
-``np.add.at`` member sums.  ``tsagg.tsa_clustering`` must give the same
+k-means++ seeding by row sums over (H, F), one restart at a time, (H, k)
+distance temporaries per Lloyd step, ``argmin`` labels and ``np.add.at``
+member sums.  ``tsagg.tsa_clustering`` must give the same
 assignment, centroids and ``input_mse`` in raw bytes.
 
 ``regime_fractions_reference`` and ``write_series_reference`` are the
@@ -44,7 +45,6 @@ from tsagg.tsa_clustering import (
     ClusterMethod,
     ClusterModel,
     KExceedsHError,
-    _kmeans_pp,
     _order_by_first_occurrence,
     _reseed_empty,
 )
@@ -324,6 +324,21 @@ def _member_means(values, assignment, k):
     sums = np.zeros((k, values.shape[1]))
     np.add.at(sums, assignment, values)
     return sums / np.bincount(assignment, minlength=k)[:, None]
+
+
+def _kmeans_pp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    H = X.shape[0]
+    chosen = [int(rng.integers(H))]
+    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            j = int(rng.integers(H))  # every point already sits on a centroid
+        else:
+            j = int(rng.choice(H, p=d2 / total))
+        chosen.append(j)
+        d2 = np.minimum(d2, ((X - X[j]) ** 2).sum(axis=1))
+    return X[np.array(chosen)].copy()
 
 
 def _lloyd(X, centroids, max_iter, tol):

@@ -68,6 +68,20 @@ def test_generate_fractional_hours_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv,spec", [
+    (["--seed", "-1"], None),
+    ([], {"seed": -3}),
+], ids=["flag", "spec_file"])
+def test_generate_negative_seed_exits_2(tmp_path, capsys, argv, spec):
+    # numpy's bare "expected non-negative integer" named nothing
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = argv + ["--spec", str(tmp_path / "spec.json")]
+    assert main(["generate", "--out", str(tmp_path / "x"), "--hours", "24"] + argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("spec,message", [
     ({"demand": {"base": "90"}}, "demand.base must be a number"),
     ({"wind_capacity": "120"}, "wind_capacity must be a number"),
@@ -183,6 +197,19 @@ def test_aggregate_k_too_large_exits_2(instance, tmp_path, capsys):
     code = main(["aggregate", "--config", str(instance / "config.json"),
                  "--method", "kmeans", "--k", "999", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["aggregate", "--method", "kmeans", "--k", "3"],
+    ["compare"],
+], ids=["aggregate", "compare"])
+def test_kmeans_negative_seed_exits_2(instance, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main(command + ["--config", str(instance / "config.json"),
+                           "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "k-means seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- compare ----------------------------------------------------------------

@@ -362,6 +362,15 @@ def test_spec_refuses_non_integer_hours_and_seed(key, value):
     assert SyntheticSpec(hours=np.int64(48), seed=np.int64(3)).hours == 48
 
 
+def test_spec_refuses_negative_seed():
+    # numpy's bare "expected non-negative integer" named nothing
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SyntheticSpec(hours=48, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        spec_from_dict({"hours": 48, "seed": -3})
+    assert SyntheticSpec(hours=48, seed=0).seed == 0
+
+
 # --- reports ----------------------------------------------------------------
 
 def _sample_report():

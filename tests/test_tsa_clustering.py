@@ -1,5 +1,7 @@
 """Clustering tests: normalisation, k-means behaviour, basis grouping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,24 @@ def test_kmeans_k_bounds():
         kmeans(feats, 3)
     with pytest.raises(KExceedsHError):
         kmeans(feats, 0)
+
+
+@pytest.mark.parametrize("make,k", [
+    (lambda: generate_synthetic(default_spec()), 3),
+    (lambda: fleet_system(np.random.default_rng(0)), 10),
+    (lambda: generate_synthetic(default_spec(hours=336)), 3),
+], ids=["default_year", "fleet", "two_weeks"])
+def test_kmeans_scratch_stays_within_the_year_budget(make, k):
+    # the lockstep groups are sized so that no input's k-means allocates
+    # more than the default year's (about 1.1 MiB)
+    features = normalize_features(make())
+    tracemalloc.start()
+    try:
+        kmeans(features, k, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 2**20
 
 
 def blobs(seed=0, per=30):
