@@ -504,13 +504,18 @@ def write_report(report: EvaluationReport, path) -> None:
 
 def read_report(path) -> EvaluationReport:
     doc = _load_json(path)
+    where = f"malformed report {path}:"
+
+    def number(value, name):
+        return float(_number(value, f"{where} {name}"))
+
     try:
         clusters = [
             ClusterSummary(
-                weight=float(c["weight"]),
-                demand=float(c["demand"]),
-                cf={k: float(v) for k, v in c["cf"].items()},
-                label=str(c["label"]),
+                weight=number(c["weight"], "weight"),
+                demand=number(c["demand"], "demand"),
+                cf={k: number(v, f"cf {k!r}") for k, v in dict(c["cf"]).items()},
+                label=_string(c["label"], f"{where} label"),
                 basis=(
                     BasisSignature(tuple(c["basis"])) if c["basis"] is not None else None
                 ),
@@ -518,16 +523,16 @@ def read_report(path) -> EvaluationReport:
             for c in doc["per_cluster"]
         ]
         return EvaluationReport(
-            method=str(doc["method"]),
+            method=_string(doc["method"], f"{where} method"),
             k=_integer(doc["k"], f"k in report {path}"),
-            input_mse=float(doc["input_mse"]),
-            full_cost=float(doc["full_cost"]),
-            aggregated_cost=float(doc["aggregated_cost"]),
-            output_error_pct=float(doc["output_error_pct"]),
+            input_mse=number(doc["input_mse"], "input_mse"),
+            full_cost=number(doc["full_cost"], "full_cost"),
+            aggregated_cost=number(doc["aggregated_cost"], "aggregated_cost"),
+            output_error_pct=number(doc["output_error_pct"], "output_error_pct"),
             per_cluster=clusters,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed report {path}: {exc}") from exc
+        raise ConfigError(f"{where} {exc}") from exc
 
 
 def write_clusters(model: ClusterModel, features: FeatureMatrix, path) -> None:
@@ -568,9 +573,10 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
     The file must cover the hours and columns of ``features``.  Centroids
     are rebuilt exactly as the member means of the saved assignment rather
     than by inverting their rounded physical values, which are only checked
-    to parse.
+    to be numbers.
     """
     doc = _load_json(path)
+    where = f"malformed clusters file {path}:"
     try:
         k = _integer(doc["k"], f"k in clusters file {path}")
         method = ClusterMethod(doc["method"])
@@ -579,12 +585,13 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
         weights = _integers(doc["weights"], "weights", path)
         labels, bases = [], []
         for c in doc["clusters"]:
-            labels.append(str(c["label"]))
+            labels.append(_string(c["label"], f"{where} label"))
             bases.append(None if c["basis"] is None else BasisSignature(tuple(c["basis"])))
             for v in (c["demand"], *dict(c["cf"]).values()):
-                float(v)  # centroids are rebuilt below; the written ones must parse
+                # centroids are rebuilt below; the written ones must be numbers
+                _number(v, f"{where} demand or cf")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed clusters file {path}: {exc}") from exc
+        raise ConfigError(f"{where} {exc}") from exc
     if len(assignment) != features.H:
         raise DataError(
             f"clusters file covers {len(assignment)} hours but the "
@@ -601,7 +608,7 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
             None if None in bases else tuple(bases),
         )
     except ValueError as exc:
-        raise ConfigError(f"malformed clusters file {path}: {exc}") from exc
+        raise ConfigError(f"{where} {exc}") from exc
 
 
 def dispatch_summary(system: SystemData, dispatch: DispatchSolution) -> dict:

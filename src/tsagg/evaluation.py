@@ -33,6 +33,7 @@ from .tsa_clustering import (
     ClusterModel,
     FeatureMatrix,
     basis_cluster,
+    check_kmeans_args,
     input_mse,
     kmeans,
     normalize_features,
@@ -247,6 +248,7 @@ def compare_methods_detailed(
     seed: int = 0,
 ) -> ComparisonResult:
     features = normalize_features(system)
+    check_kmeans_args(features.H, k_for_kmeans, seed)  # before the costly solve
     full = solve_full(system)
 
     def report(model: ClusterModel) -> EvaluationReport:

@@ -10,10 +10,10 @@ LPs made with ``StandardFormLP.with_rhs`` share their template's ``c``, ``A``
 and one cache of what depends on them alone.  B, the duals and the reduced
 costs depend only on (c, A, basis), so a basis is factorised once for the
 whole family and each evaluation then costs one triangular solve against
-its own b.  Likewise each simplex pivot path is recorded once, and a solve
-that follows a recorded path carries only its own right-hand side down it.
-Each basis the simplex ends in gets one ``BasisSignature`` per family, which
-every solve that ends there shares.
+its own b.  A basis the simplex has ended in twice is taken without
+pivoting for any later b whose unique optimum it is (``_kernels.simplex``).
+Each basis the simplex ends in gets one ``BasisSignature`` per family,
+which every solve that ends there shares.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ class StandardFormLP:
     b: np.ndarray
     _template: InitVar[StandardFormLP | None] = None
     # Valid only for this c and A.  Sorted basis bytes -> b-independent
-    # factor (None if singular), see ``_kernels.basis_eval``; (tolerances,
-    # sign pattern of b) -> root of the recorded pivot paths and its table
-    # of shared values, see ``_kernels.simplex``; and (row-order basis bytes,) -> its
+    # factor (None if singular), see ``_kernels.basis_eval``; ``"cone"`` ->
+    # the registered bases and the bases the tableau has ended in, see
+    # ``_kernels.simplex``; and (row-order basis bytes,) -> its
     # BasisSignature and read-only sorted index array, see ``solve``.  The
-    # three kinds of key (bytes, 3-tuple, 1-tuple) never collide.
+    # three kinds of key (bytes, str, 1-tuple) never collide.
     _cache: dict = field(init=False, repr=False)
 
     def __post_init__(self, _template):
@@ -124,8 +124,8 @@ class StandardFormLP:
         """Same costs and constraint matrix, new right-hand side.
 
         The new LP shares this one's ``c`` and ``A`` arrays and its cache, so
-        each distinct basis is factorised and each pivot path recorded once
-        across all of them; ``b`` is copied and checked as usual.
+        each distinct basis is factorised once across all of them; ``b`` is
+        copied and checked as usual.
         """
         return StandardFormLP(self.c, self.A, b, self)
 

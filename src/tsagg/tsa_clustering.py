@@ -272,6 +272,15 @@ def _order_by_first_occurrence(labels, centroids, k):
     return remap[labels], centroids[order]
 
 
+def check_kmeans_args(H: int, k: int | None, seed: int) -> None:
+    """Refuse a ``kmeans`` k outside [1, H] (None is not checked) or a
+    negative seed, as ``kmeans`` itself does."""
+    if k is not None and not 1 <= k <= H:
+        raise KExceedsHError(f"k={k} outside [1, {H}]")
+    if seed < 0:
+        raise ValueError(f"k-means seed must be >= 0, got {seed}")
+
+
 def kmeans(features: FeatureMatrix, k: int, seed: int = 0) -> ClusterModel:
     """Best-of-restarts Lloyd iteration with k-means++ seeding.
 
@@ -285,10 +294,7 @@ def kmeans(features: FeatureMatrix, k: int, seed: int = 0) -> ClusterModel:
     them (the default year runs at g = 1), and no value changes.
     """
     H = features.H
-    if not 1 <= k <= H:
-        raise KExceedsHError(f"k={k} outside [1, {H}]")
-    if seed < 0:
-        raise ValueError(f"k-means seed must be >= 0, got {seed}")
+    check_kmeans_args(H, k, seed)
     XT = np.ascontiguousarray(features.values.T)
     g = max(1, min(RESTARTS, GROUP_ELEMENTS // (k * H)))
     tiled = XT if g == 1 else np.tile(XT, g)

@@ -8,6 +8,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
+from tsagg import evaluation
 from tsagg.cli import main
 from tsagg.data_io import load_config, read_clusters, read_report, write_config, write_series
 from tsagg.plotting import _escape
@@ -212,6 +213,26 @@ def test_kmeans_negative_seed_exits_2(instance, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--seed", "-1"], "k-means seed must be >= 0, got -1"),
+    (["--k", "0"], "k=0 outside [1, 200]"),
+    (["--k", "9000"], "k=9000 outside [1, 200]"),
+], ids=["negative_seed", "zero_k", "large_k"])
+def test_compare_checks_kmeans_args_before_the_full_solve(
+    instance, tmp_path, capsys, monkeypatch, args, message
+):
+    def no_solve(system):
+        raise AssertionError("solve_full ran before the k-means arguments were checked")
+
+    monkeypatch.setattr(evaluation, "solve_full", no_solve)
+    out = tmp_path / "out"
+    code = main(["compare", "--config", str(instance / "config.json"),
+                 "--out", str(out)] + args)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- compare ----------------------------------------------------------------
 
 def test_compare_writes_scorecard(instance, tmp_path, capsys):
@@ -369,6 +390,10 @@ def _scalar_assignment(doc):
     doc["assignment"] = 5  # used to crash with a TypeError, exit 1
 
 
+def _numeric_label(doc):
+    doc["clusters"][0]["label"] = 7  # str() used to read it as "7"
+
+
 def test_plot_bad_cluster_id_exits_2(instance, tmp_path, capsys):
     assert main(["aggregate", "--config", str(instance / "config.json"),
                  "--method", "kmeans", "--k", "2", "--out", str(tmp_path)]) == 0
@@ -376,7 +401,8 @@ def test_plot_bad_cluster_id_exits_2(instance, tmp_path, capsys):
     assert good["columns"] == ["demand", "wind"]
     for edit in (_assign_unknown_id, _declare_empty_id, _drop_last_cluster,
                  _raise_ids_by_half, _cut_columns, _fractional_k, _string_k,
-                 _unparsable_centroid, _unknown_method, _scalar_assignment):
+                 _unparsable_centroid, _unknown_method, _scalar_assignment,
+                 _numeric_label):
         doc = json.loads(json.dumps(good))
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"

@@ -427,9 +427,16 @@ def test_report_json_has_no_timings(tmp_path):
     (lambda doc: doc.update(k="2"), "k in report .* must be an integer"),
     (lambda doc: doc.update(k=True), "k in report .* must be an integer"),
     (lambda doc: doc["per_cluster"][0].update(demand="abc"), "malformed report"),
-], ids=["fractional_k", "string_k", "boolean_k", "string_demand"])
+    (lambda doc: doc.update(full_cost=True), "malformed report .* full_cost must be a number"),
+    (lambda doc: doc.update(input_mse="0.5"), "malformed report .* input_mse must be a number"),
+    (lambda doc: doc["per_cluster"][0].update(label=7), "malformed report .* label must be a string"),
+    (lambda doc: doc["per_cluster"][0].update(cf=[0.5]), "malformed report"),
+], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
+        "string_number", "numeric_label", "list_cf"])
 def test_read_report_refuses_malformed_values(tmp_path, edit, message):
-    # int() truncated k, and float("abc") escaped as a bare ValueError
+    # int() truncated k, float("abc") escaped as a bare ValueError, the
+    # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
+    # of cf values escaped as a bare AttributeError
     path = tmp_path / "report.json"
     write_report(_sample_report(), path)
     doc = json.loads(path.read_text())

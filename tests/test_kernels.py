@@ -1,5 +1,5 @@
-"""Simplex kernel guards: pinned pivot sequence, recorded pivot paths and
-basis evaluation."""
+"""Simplex kernel guards: pinned pivot sequence, the basis-cone test of
+registered bases and basis evaluation."""
 
 import hashlib
 
@@ -8,7 +8,7 @@ import pytest
 
 from oracles import basis_eval_reference, random_lp_data, simplex_reference
 from systems import degenerate_system, fleet_system, random_system
-from tsagg import _kernels
+from tsagg import _kernels, evaluation
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import _template, hourly_rhs, solve_full
 from tsagg.lp_core import PIVOT_EPS, TOL_FEAS, TOL_OPT
@@ -138,41 +138,71 @@ def test_basis_eval_keeps_zero_terms_and_row_swaps(b):
     assert swaps  # the LU permutation is not the identity
 
 
-def _assert_matches_reference(args, paths):
-    """Solve ``args`` through ``paths`` and against the tableau reference:
-    equal status, iterations and basis.  Returns the reference's result."""
-    st, basis, it = _kernels.simplex(*args, paths)
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``_kernels.<name>``: the list returned gets one
+    entry per call."""
+    calls = []
+    original = getattr(_kernels, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, name, counted)
+    return calls
+
+
+def _assert_matches_reference(args, cache, tableau):
+    """Solve ``args`` through ``cache`` and against the tableau reference.
+
+    ``tableau`` counts ``_two_phase`` calls (see ``_count_calls``).  Where
+    the kernel ran it, status, iterations and basis in row order equal the
+    reference's.  Otherwise it accepted a registered basis: OPTIMAL in 0
+    iterations, with the reference's status and sorted basis.  Returns the
+    kernel's result.
+    """
+    solves = len(tableau)
+    st, basis, it = _kernels.simplex(*args, cache)
     ref = simplex_reference(*args)
-    assert (st, it) == (ref[0], ref[2])
-    assert np.array_equal(basis, ref[1])
-    return ref
+    assert st == ref[0]
+    if len(tableau) > solves:
+        assert it == ref[2]
+        assert np.array_equal(basis, ref[1])
+    else:
+        assert (st, it) == (_kernels.OPTIMAL, 0)
+        assert sorted(basis.tolist()) == sorted(ref[1].tolist())
+    return st, basis, it
 
 
-def _assert_hours_match_reference(system):
-    """Every hour through one shared path trie, then through ``solve_full``,
-    against the tableau reference: status, iterations and basis."""
+def _assert_hours_match_reference(system, monkeypatch):
+    """Every hour through one family cache, then through ``solve_full``,
+    against the tableau reference; returns the hours the tableau solved."""
+    tableau = _count_calls(monkeypatch, "_two_phase")
     c, A = _template(system)
-    paths = {}
-    refs = []
+    cache = {}
+    results = []
     for h in range(system.horizon):
         args = (c, A, hourly_rhs(system, h), TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
-        _, basis_ref, it_ref = _assert_matches_reference(args, paths)
-        refs.append((it_ref, tuple(sorted(basis_ref.tolist()))))
+        _, basis, it = _assert_matches_reference(args, cache, tableau)
+        results.append((it, tuple(sorted(basis.tolist()))))
+    solved = len(tableau)
     # Iterations reach no output file, so no digest would see them move.
     periods = solve_full(system).periods
-    assert [(p.solution.iterations, p.solution.basis.indices) for p in periods] == refs
+    assert [(p.solution.iterations, p.solution.basis.indices) for p in periods] == results
+    return solved
 
 
-def test_simplex_matches_reference_on_default_year():
-    _assert_hours_match_reference(generate_synthetic(default_spec()))
+def test_simplex_matches_reference_on_default_year(monkeypatch):
+    # two tableau solves register each of the year's three bases
+    assert _assert_hours_match_reference(generate_synthetic(default_spec()), monkeypatch) == 6
 
 
-def test_simplex_matches_reference_on_degenerate_fleet():
+def test_simplex_matches_reference_on_degenerate_fleet(monkeypatch):
     system = fleet_system(np.random.default_rng(4))  # 7 exact ratio-test ties
     assert system.size == 13
     cf = system.capacity_factors["wind_a"]
     assert (cf == 0.0).any() and (cf == 1.0).any()
-    _assert_hours_match_reference(system)
+    _assert_hours_match_reference(system, monkeypatch)
 
 
 def _random_simplex_case(rng):
@@ -224,34 +254,20 @@ def test_simplex_matches_reference_on_random_lps():
     }
 
 
-@pytest.mark.parametrize(
-    "system",
-    [
-        degenerate_system(),
-        random_system(np.random.default_rng(11), hours=48),
-        random_system(np.random.default_rng(12), hours=48),
-    ],
-    ids=["degenerate", "random11", "random12"],
-)
-def test_simplex_matches_reference_on_small_systems(system):
-    _assert_hours_match_reference(system)
+SMALL_SYSTEMS = {
+    "degenerate": degenerate_system,
+    **{f"random{s}": lambda s=s: random_system(np.random.default_rng(s), hours=48)
+       for s in range(11, 21)},
+    **{f"fleet{s}": lambda s=s: fleet_system(np.random.default_rng(s)) for s in range(4)},
+}
 
 
-# --- recorded pivot paths -----------------------------------------------------
+@pytest.mark.parametrize("name", sorted(SMALL_SYSTEMS))
+def test_simplex_matches_reference_on_small_systems(name, monkeypatch):
+    _assert_hours_match_reference(SMALL_SYSTEMS[name](), monkeypatch)
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of ``_kernels.<name>``: the list returned gets one
-    entry per call."""
-    calls = []
-    original = getattr(_kernels, name)
 
-    def counted(*args):
-        calls.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(_kernels, name, counted)
-    return calls
-
+# --- the basis-cone test --------------------------------------------------------
 
 def _random_family(rng):
     """One (c, A) and 12 calls (b, max_iter, tol_opt, pivot_eps) on it.
@@ -296,148 +312,120 @@ def _random_family(rng):
 
 
 def test_shared_paths_match_reference_on_random_families(monkeypatch):
-    """Each b solved twice through its family's trie, the second time under
-    another cap; walks that need no tableau must reach every status."""
+    """Each b solved twice through its family's cache, the second time under
+    another cap.  Tableau solves match the reference exactly.  An accepted
+    basis is the unique optimum by the reference's own evaluation, and at
+    the default tolerances the reference's basis; the cone must accept
+    under a cap and under coarse tolerances too."""
     tableau = _count_calls(monkeypatch, "_two_phase")
     rng = np.random.default_rng(61)
-    walked = set()
+    solved, accepted = set(), set()
     for _ in range(200):
         c, A, calls = _random_family(rng)
-        paths = {}
+        cache = {}
         for b, max_iter, tol_opt, pivot_eps in calls:
             for cap in (max_iter, 2000 if max_iter < 2000 else int(rng.integers(1, 8))):
                 solves = len(tableau)
                 args = (c, A, b, TOL_FEAS, tol_opt, pivot_eps, cap)
-                st = _assert_matches_reference(args, paths)[0]
-                if len(tableau) == solves:
-                    walked.add(st)
-    assert walked == {
+                st, basis, it = _kernels.simplex(*args, cache)
+                if len(tableau) > solves:
+                    ref = simplex_reference(*args)
+                    assert (st, it) == (ref[0], ref[2])
+                    assert np.array_equal(basis, ref[1])
+                    solved.add(st)
+                    continue
+                assert (st, it) == (_kernels.OPTIMAL, 0)
+                idx = np.sort(basis)
+                # the family's factors are kept whatever pivot_eps built them
+                ok, x, rc, _ = basis_eval_reference(c, A, b, idx, PIVOT_EPS)
+                assert ok and x[idx].min() > TOL_FEAS
+                assert np.delete(rc, idx).min(initial=np.inf) > tol_opt
+                if tol_opt == TOL_OPT:
+                    # Bland with coarse tolerances may stop short of the optimum
+                    ref = simplex_reference(c, A, b, TOL_FEAS, tol_opt, pivot_eps, 2000)
+                    assert ref[0] == _kernels.OPTIMAL
+                    assert np.array_equal(idx, np.sort(ref[1]))
+                accepted.add((cap < 2000, tol_opt == TOL_OPT))
+    assert solved == {
         _kernels.OPTIMAL,
         _kernels.INFEASIBLE,
         _kernels.UNBOUNDED,
         _kernels.RANK_DEFICIENT,
         _kernels.NUMERICAL,
     }
+    assert accepted == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def _phase1_ends(trie):
-    """The nodes below the root of ``trie``, a (root, shared) value of a
-    ``paths`` dict, where phase 1 ended optimal."""
-    ends, stack = [], [trie[0]]
-    while stack:
-        node = stack.pop()
-        if node and node[0] >= 0:
-            stack.extend(node[5::4])
-        elif node and node[0] == _kernels._OPTIMAL:
-            ends.append(node)
-    return ends
+# min x0 + 2 x1 s.t. x0 + x1 = d, x0 + x2 = 10, x1 + x3 = 10: for 0 < d < 10
+# the optimal basis is {0, 2, 3}, with x1's reduced cost 1 its smallest.
+CONE_C = np.array([1.0, 2.0, 0.0, 0.0])
+CONE_A = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
 
 
-def test_phase1_end_reached_first_by_infeasible_then_by_feasible_b():
-    A = np.array([
-        [1.0, 2.0, 1.0, 2.0, 2.0],
-        [0.0, 2.0, 0.0, 2.0, 1.0],
-        [0.0, 1.0, 2.0, 2.0, 1.0],
-    ])
-    c = np.array([3.0, 3.0, 2.0, 1.0, 2.0])
-    infeasible, feasible = np.array([2.0, 2.0, 3.0]), np.array([2.0, 2.0, 2.0])
-    paths = {}
-
-    def status(b):
-        args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
-        return _assert_matches_reference(args, paths)[0]
-
-    assert status(infeasible) == _kernels.INFEASIBLE
-    (root,) = paths.values()
-    (end,) = _phase1_ends(root)
-    assert end == [_kernels._OPTIMAL]  # no drive-out recorded yet
-    assert status(feasible) == _kernels.OPTIMAL
-    assert _phase1_ends(root) == [end]
-    assert len(end) == 3 and len(end[1]) == 1  # one drive-out pivot
-    assert (status(infeasible), status(feasible)) == (_kernels.INFEASIBLE, _kernels.OPTIMAL)
-
-
-def test_path_recorded_under_a_cap_is_walked_past_it(monkeypatch):
+def _cone_solver(monkeypatch, c=CONE_C):
+    """A solve of demand d in one family of the LP above, checked against
+    the reference; it returns (status, iterations, whether the tableau ran)."""
     tableau = _count_calls(monkeypatch, "_two_phase")
-    system = fleet_system(np.random.default_rng(4))
-    c, A = _template(system)
-    for h in range(0, system.horizon, 24):
-        b = hourly_rhs(system, h)
-        cap = simplex_reference(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)[2] // 2
-        paths = {}
-        for max_iter, tableau_solves in ((cap, 1), (2000, 1), (cap, 0), (2000, 0)):
-            del tableau[:]
-            args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
-            st = _assert_matches_reference(args, paths)[0]
-            assert st == (_kernels.NUMERICAL if max_iter == cap else _kernels.OPTIMAL)
-            assert len(tableau) == tableau_solves, (h, max_iter)
+    cache = {}
+
+    def solve(d, tol_opt=TOL_OPT):
+        solves = len(tableau)
+        args = (c, CONE_A, np.array([d, 10.0, 10.0]), TOL_FEAS, tol_opt, PIVOT_EPS, 2000)
+        st, _, it = _assert_matches_reference(args, cache, tableau)
+        return st, it, len(tableau) > solves
+
+    return solve, cache
 
 
-def test_walk_misses_on_a_leaving_row_with_no_record_and_one_tableau_adds_it(monkeypatch):
-    """Both rows are eligible at the first pivot and the two b pick
-    different ones: the second b reaches the recorded root, finds no record
-    of its leaving row and misses; one tableau solve then adds exactly that
-    edge, and a second pass walks it."""
+def test_registration_happens_on_the_second_sighting(monkeypatch):
+    solve, cache = _cone_solver(monkeypatch)
+    factors = _count_calls(monkeypatch, "_basis_factor")
+    assert solve(4.0)[2]
+    assert factors == []  # the first sighting does no registration work
+    assert solve(5.0)[2]
+    ((rc_min, _, basis),) = cache[_kernels._CONE][0]
+    assert (rc_min, basis.tolist(), len(factors)) == (1.0, [0, 2, 3], 1)
+    assert solve(6.0) == (_kernels.OPTIMAL, 0, False)
+
+
+@pytest.mark.parametrize("d", [0.0, 10.0])
+def test_degenerate_hour_is_never_accepted(monkeypatch, d):
+    solve, cache = _cone_solver(monkeypatch)
+    assert solve(d)[2] and solve(d)[2]  # x0 or x2 is exactly 0
+    assert cache[_kernels._CONE][0] == []
+    assert solve(4.0)[2]  # a later sighting registers the basis
+    assert solve(d)[2]  # which is refused here
+    assert solve(6.0) == (_kernels.OPTIMAL, 0, False)
+
+
+def test_zero_nonbasic_reduced_cost_is_never_accepted(monkeypatch):
+    solve, cache = _cone_solver(monkeypatch, c=np.array([1.0, 1.0, 0.0, 0.0]))
+    assert all(solve(d)[2] for d in (4.0, 5.0, 6.0, 5.0))
+    assert cache[_kernels._CONE][0] == []
+
+
+def test_candidate_is_refused_under_tol_opt_at_or_above_its_smallest_reduced_cost(monkeypatch):
+    solve, _ = _cone_solver(monkeypatch)
+    solve(4.0)
+    solve(5.0)
+    assert solve(6.0, tol_opt=1.0)[2]
+    assert solve(6.0, tol_opt=1.5)[2]
+    assert solve(6.0, tol_opt=0.999) == (_kernels.OPTIMAL, 0, False)
+
+
+def test_theorem_trials_solve_every_averaged_rhs_with_the_tableau(monkeypatch):
     tableau = _count_calls(monkeypatch, "_two_phase")
-    A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    c = np.array([1.0, 0.0, 0.0])
-    first, second = np.array([1.0, 2.0]), np.array([2.0, 1.0])
-    paths = {}
+    simplex = _count_calls(monkeypatch, "simplex")
+    fresh = []
+    check = evaluation.theorem_check
 
-    def solve(b):
-        return _assert_matches_reference((c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000), paths)
+    def counted_check(*args):
+        before = len(tableau), len(simplex)
+        result = check(*args)
+        fresh.append((len(tableau) - before[0], len(simplex) - before[1]))
+        return result
 
-    solve(first)
-    ((root, _),) = paths.values()
-    assert root[:2] == [0, (0, 1.0, 1, 1.0)]  # column 0 enters, both rows eligible
-    assert root[2::4] == [0]
-    recorded = root[:]
-    assert _kernels._walk(root, second.tolist(), [3, 4], 2, TOL_FEAS, 2000) == (None, 0)
-    del tableau[:]
-    solve(second)
-    assert len(tableau) == 1
-    assert root[2::4] == [0, 1]
-    assert all(a is b for a, b in zip(root, recorded))  # row 0's record untouched
-    del tableau[:]
-    solve(second)
-    assert tableau == []
-
-
-def _trie_size(paths):
-    """(nodes, phase starts) of the tries in a ``paths`` dict: a phase start
-    is a root or a phase-2 root."""
-    nodes = 0
-    stack = [root for root, _ in paths.values()]
-    starts = len(stack)
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        if node and node[0] >= 0:
-            stack.extend(node[5::4])
-        elif len(node) == 3 and node[2] is not None:
-            stack.append(node[2])
-            starts += 1
-    return nodes, starts
-
-
-def test_trie_holds_no_more_nodes_than_the_pivots_it_recorded(monkeypatch):
-    """Each node but a phase start is the child a tableau pivot led to, and
-    a tableau solve adds at most one root and one phase-2 root; a second
-    pass over the same hours walks every one and adds nothing."""
-    pivots = _count_calls(monkeypatch, "_pivot")
-    tableau = _count_calls(monkeypatch, "_two_phase")
-    system = fleet_system(np.random.default_rng(4))
-    c, A = _template(system)
-    bs = [hourly_rhs(system, h) for h in range(system.horizon)]
-    paths = {}
-    for b in bs:
-        _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, paths)
-        nodes, starts = _trie_size(paths)
-        assert nodes - starts <= len(pivots)
-        assert starts <= 2 * len(tableau)
-    size = _trie_size(paths)
-    del pivots[:], tableau[:]
-    for b in bs:
-        _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, paths)
-    assert pivots == tableau == []
-    assert _trie_size(paths) == size
+    monkeypatch.setattr(evaluation, "theorem_check", counted_check)
+    assert evaluation.run_theorem_trials(200, seed=3).trials == 200
+    assert fresh == [(1, 1)] * 200
+    assert len(tableau) == len(simplex)
