@@ -12,9 +12,13 @@ leaves out phase 1's artificial columns: no decision and no other column
 ever reads them, so they are write-only (both arguments are in
 ``simplex``).
 
-A basis factor keeps the LU solves of B and B^T as op lists.  ``simplex``
-first tries the optimal bases the tableau has ended in twice for its
-(c, A), and skips the tableau where one is the unique optimum for b.
+A basis factor keeps the LU solves of B and B^T as op lists, and the
+duals.  ``simplex`` first tries the optimal bases the tableau has ended in
+twice for its (c, A): the most recently accepted one, then the others by
+descending dual bound on b, which ranks the only one that can pass first.
+It skips the tableau where one is the unique optimum for b, and returns
+that basis's x_B, which ``basis_eval`` takes in place of its own solve; so
+an hour in a registered cone costs about one LU solve.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -86,8 +90,14 @@ def _lu_factor(M, perm, pivot_eps):
     return swaps, forward, backward
 
 
-def _solve(ops, rhs):
-    """Solve against ``_lu_factor``'s op list: a new list from ``rhs``."""
+def _solve(ops, rhs, floor=None):
+    """Solve against ``_lu_factor``'s op list: a new list from ``rhs``.
+
+    With a ``floor``, returns None instead as soon as the backward pass
+    finishes an entry that is not above it (NaN included), so a rejected
+    cone candidate (see ``simplex``) skips the rows left.  A list returned
+    is the same with or without a floor.
+    """
     swaps, forward, backward = ops
     x = list(rhs)
     for k, p in swaps:
@@ -98,16 +108,19 @@ def _solve(ops, rhs):
         s = x[i]
         for j, u in terms:
             s -= u * x[j]
-        x[i] = s / piv
+        s /= piv
+        if floor is not None and not s > floor:
+            return None
+        x[i] = s
     return x
 
 
 def _basis_factor(c, A, basis, pivot_eps):
     """The b-independent half of a basis evaluation, or None if B is singular.
 
-    Returns (solve ops of B, c_B, reduced costs).  The duals y = B^-T c_B
-    are solved on their own LU of B^T: solving them with the LU of B would
-    round them differently and move the pinned outputs.
+    Returns (solve ops of B, c_B, reduced costs, duals y).  The duals
+    y = B^-T c_B are solved on their own LU of B^T: solving them with the
+    LU of B would round them differently and move the pinned outputs.
     """
     m = A.shape[0]
     B = A[:, basis]
@@ -124,7 +137,7 @@ def _basis_factor(c, A, basis, pivot_eps):
     for i in range(m):
         rc -= y[i] * A[i]
     rc[basis] = 0.0
-    return ops, cb, rc
+    return ops, cb, rc, y
 
 
 def _factor(c, A, key, basis, pivot_eps, factors):
@@ -134,7 +147,7 @@ def _factor(c, A, key, basis, pivot_eps, factors):
     return factors[key]
 
 
-def basis_eval(c, A, b, basis, pivot_eps, factors):
+def basis_eval(c, A, b, basis, pivot_eps, factors, xb=None):
     """Evaluate a basis B = A[:, basis]: x_B = B^-1 b, duals, reduced costs.
 
     Returns (ok, x, reduced_costs, objective).  ok is False when a
@@ -143,15 +156,18 @@ def basis_eval(c, A, b, basis, pivot_eps, factors):
 
     Only x_B and the objective depend on b.  ``factors`` is a dict that
     keeps the rest per basis (None for a singular one) across calls; it
-    must only ever be passed with this same c and A.  The arrays returned
-    are fresh.
+    must only ever be passed with this same c and A.  ``xb``, if given, is
+    the x_B list ``simplex`` returned for this basis (in sorted index
+    order) and b: the same factor applied to the same ``b.tolist()``, so
+    it is taken in place of the solve.  The arrays returned are fresh.
     """
     factor = _factor(c, A, basis.tobytes(), basis, pivot_eps, factors)
     n = A.shape[1]
     if factor is None:
         return False, np.zeros(n), np.zeros(n), 0.0
-    ops, cb, rc = factor
-    xb = _solve(ops, b.tolist())
+    ops, cb, rc, _ = factor
+    if xb is None:
+        xb = _solve(ops, b.tolist())
     obj = 0.0
     for cbk, xk in zip(cb, xb):
         obj += cbk * xk
@@ -215,12 +231,39 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
     return NUMERICAL, iters
 
 
+class _Cone:
+    """A family's registered bases (see ``simplex``), kept under ``_CONE``.
+
+    ``bases`` holds (smallest nonbasic reduced cost, solve ops of B, basis
+    in row order, duals y) in registration order.  Once there are two,
+    ``duals`` stacks their y as a (K, m) array; with one there is nothing
+    to order.  ``mru`` is the index of the most recently accepted basis;
+    ``seen`` holds the sorted index tuples the tableau has ended in.
+    """
+
+    __slots__ = ("bases", "duals", "mru", "seen")
+
+    def __init__(self):
+        self.bases = []
+        self.duals = None
+        self.mru = 0
+        self.seen = set()
+
+
+def _cone_x(entry, bl, tol_feas, tol_opt):
+    """x_B of a registered basis if it passes the cone test for b, else None."""
+    rc_min, ops, _, _ = entry
+    return _solve(ops, bl, tol_feas) if rc_min > tol_opt else None
+
+
 def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
     """Two-phase Bland simplex on min c.x, A x = b, x >= 0.
 
-    Returns (status, basis, iterations): a status code above, the basic
-    column of each row as an int64 array (partial unless OPTIMAL) and the
-    number of pivots.
+    Returns (status, basis, iterations, x_B): a status code above, the
+    basic column of each row as an int64 array (partial unless OPTIMAL),
+    the number of pivots, and the list x_B = B^-1 b of the returned basis
+    in sorted index order where the call computed it (else None); it is
+    what ``basis_eval`` would compute, so it can be passed on there.
 
     Bland's rule: the entering column is the first j < n with reduced cost
     below ``-tol_opt``; the leaving row has the minimum ratio rhs / col over
@@ -231,16 +274,24 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
     ``cache``, like ``basis_eval``'s ``factors`` (it may be the same
     dict), must only ever be passed with this c and A.  Under ``_CONE`` it
     keeps the registered bases and the bases the tableau has ended in.  A
-    registered basis is accepted, most recently accepted first, when every
-    x_B = B^-1 b exceeds ``tol_feas`` and every nonbasic reduced cost
-    exceeds ``tol_opt``: the call returns OPTIMAL, the basis in its
-    registered row order and 0 pivots, whatever ``max_iter``.  Such a basis
-    is the unique optimal one for b (Bertsimas & Tsitsiklis, *Introduction
-    to Linear Optimization*, ch. 3), so Bland's rule ends there too at
-    tolerances small against the data; a coarse ``tol_opt`` or
-    ``pivot_eps`` can stop it short.  Otherwise the tableau runs, and from
-    the second time it ends OPTIMAL in a basis on, registers that basis if
-    it is nonsingular and passes the same test.
+    registered basis is accepted when every x_B = B^-1 b exceeds
+    ``tol_feas`` and every nonbasic reduced cost exceeds ``tol_opt``: the
+    call returns OPTIMAL, the basis in its registered row order, 0 pivots
+    and that x_B, whatever ``max_iter``.  Such a basis is the unique
+    optimal one for b (Bertsimas & Tsitsiklis, *Introduction to Linear
+    Optimization*, ch. 3), so Bland's rule ends there too at tolerances
+    small against the data; a coarse ``tol_opt`` or ``pivot_eps`` can stop
+    it short.  The most recently accepted basis is tried first, since
+    hours come in runs of one basis, then the others by descending dual
+    bound y_j.b.  Every registered basis is dual
+    feasible, so y_j.b <= z(b), the optimal cost, by weak duality, with
+    equality for an optimal basis; the one basis that can pass ranks first
+    up to rounding.  Every candidate is tried before the tableau runs, so
+    the order changes how many solves a call makes, never its result.  A
+    candidate's solve stops at its first x_B entry not above ``tol_feas``.
+    Otherwise the tableau runs, and from the second time it ends OPTIMAL in
+    a basis on, solves that basis's x_B and registers the basis if it is
+    nonsingular and passes the same test.
 
     Skipping exact zeros in a pivot gives the dense update's decisions and
     nonzero values, provided every tableau entry stays finite.  A skipped
@@ -264,30 +315,45 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
     """
     m, n = A.shape
     bl = b.tolist()
-    accepted, _ = cache.get(_CONE) or ((), ())
-    for k, (rc_min, ops, registered) in enumerate(accepted):
-        if rc_min > tol_opt and min(_solve(ops, bl)) > tol_feas:
-            if k:
-                accepted.insert(0, accepted.pop(k))
-            return OPTIMAL, registered.copy(), 0
+    cone = cache.get(_CONE)
+    if cone is not None and cone.bases:
+        bases, k = cone.bases, cone.mru
+        xb = _cone_x(bases[k], bl, tol_feas, tol_opt)
+        if xb is None and len(bases) > 1:
+            scores = (cone.duals @ b).tolist()
+            for k in sorted(range(len(bases)), key=scores.__getitem__, reverse=True):
+                if k != cone.mru:
+                    xb = _cone_x(bases[k], bl, tol_feas, tol_opt)
+                    if xb is not None:
+                        break
+        if xb is not None:
+            cone.mru = k
+            return OPTIMAL, bases[k][2].copy(), 0, xb
     basis = list(range(n, n + m))
     status, iters = _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter)
+    xb = None
     if status == OPTIMAL:
-        accepted, seen = cache.setdefault(_CONE, ([], set()))
+        if cone is None:
+            cone = cache[_CONE] = _Cone()
         key = tuple(sorted(basis))
-        if key in seen:
+        if key in cone.seen:
             idx = np.array(key, dtype=np.int64)
             factor = _factor(c, A, idx.tobytes(), idx, pivot_eps, cache)
             if factor is not None:
-                ops, _, rc = factor
+                ops, _, rc, y = factor
+                xb = _solve(ops, bl)
                 rcl = rc.tolist()
                 for j in key:
                     rcl[j] = np.inf
                 rc_min = min(rcl)
-                if rc_min > tol_opt and min(_solve(ops, bl)) > tol_feas:
-                    accepted.insert(0, (rc_min, ops, np.array(basis, dtype=np.int64)))
-        seen.add(key)
-    return status, np.array(basis, dtype=np.int64), iters
+                if rc_min > tol_opt and min(xb) > tol_feas:
+                    bases = cone.bases
+                    cone.mru = len(bases)
+                    bases.append((rc_min, ops, np.array(basis, dtype=np.int64), y))
+                    if len(bases) > 1:
+                        cone.duals = np.array([entry[3] for entry in bases])
+        cone.seen.add(key)
+    return status, np.array(basis, dtype=np.int64), iters, xb
 
 
 def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .data_io import (
     DataError,
+    check_writable,
     default_spec,
     dispatch_summary,
     dump_json,
@@ -73,6 +74,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve_full(args) -> int:
+    if args.out:
+        check_writable(args.out)
     system = load_config(args.config)
     full = solve_full(system)
     summary = dispatch_summary(system, full)

@@ -10,9 +10,11 @@ so a re-read agrees to well below 1e-10.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -464,6 +466,22 @@ def _round12(obj):
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     return obj
+
+
+def check_writable(path) -> None:
+    """Refuse an output file before any work is done for it.
+
+    Raises the ``IoError`` that writing ``path`` would: when it is a
+    directory, or when its parent is not one.
+    """
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise IoError(f"cannot write {path}: {OSError(code, os.strerror(code), str(path))}")
 
 
 def dump_json(doc, path) -> None:

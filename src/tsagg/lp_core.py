@@ -11,7 +11,10 @@ and one cache of what depends on them alone.  B, the duals and the reduced
 costs depend only on (c, A, basis), so a basis is factorised once for the
 whole family and each evaluation then costs one triangular solve against
 its own b.  A basis the simplex has ended in twice is taken without
-pivoting for any later b whose unique optimum it is (``_kernels.simplex``).
+pivoting for any later b whose unique optimum it is (``_kernels.simplex``
+tries the last basis taken, then the others by descending dual bound on
+b), and the x_B that test solved is the one ``solve`` returns, so such an
+hour costs about one triangular solve in all.
 Each basis the simplex ends in gets one ``BasisSignature`` per family,
 which every solve that ends there shares.
 """
@@ -76,8 +79,8 @@ class StandardFormLP:
     _template: InitVar[StandardFormLP | None] = None
     # Valid only for this c and A.  Sorted basis bytes -> b-independent
     # factor (None if singular), see ``_kernels.basis_eval``; ``"cone"`` ->
-    # the registered bases and the bases the tableau has ended in, see
-    # ``_kernels.simplex``; and (row-order basis bytes,) -> its
+    # the registered bases with their duals and the bases the tableau has
+    # ended in, see ``_kernels.simplex``; and (row-order basis bytes,) -> its
     # BasisSignature and read-only sorted index array, see ``solve``.  The
     # three kinds of key (bytes, str, 1-tuple) never collide.
     _cache: dict = field(init=False, repr=False)
@@ -179,7 +182,7 @@ def solve(lp: StandardFormLP) -> LPSolution:
     breaks down or takes more than 50 (n + m + 10) pivots.
     """
     m, n = lp.A.shape
-    status, basis_arr, iters = _kernels.simplex(
+    status, basis_arr, iters, xb = _kernels.simplex(
         lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 50 * (n + m + 10), lp._cache
     )
     if status == _kernels.RANK_DEFICIENT:
@@ -203,7 +206,7 @@ def solve(lp: StandardFormLP) -> LPSolution:
         idx.setflags(write=False)
         entry = lp._cache[key] = (sig, idx)
     sig, idx = entry
-    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache)
+    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache, xb)
     if not ok:
         raise NumericalFailureError("terminal basis factorisation broke down")
     return LPSolution(LPStatus.OPTIMAL, float(obj), x, sig, rc, iters)

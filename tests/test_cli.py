@@ -8,9 +8,17 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
-from tsagg import evaluation
+from tsagg import cli, evaluation
 from tsagg.cli import main
-from tsagg.data_io import load_config, read_clusters, read_report, write_config, write_series
+from tsagg.data_io import (
+    IoError,
+    dump_json,
+    load_config,
+    read_clusters,
+    read_report,
+    write_config,
+    write_series,
+)
 from tsagg.plotting import _escape
 from tsagg.tsa_clustering import normalize_features
 
@@ -108,6 +116,26 @@ def test_solve_full_prints_cost_and_writes_summary(instance, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["hours"] == 200
     assert sum(doc["regime_hours"].values()) == 200
+
+
+@pytest.mark.parametrize("out", ["nodir/x.json", "file/x.json", "dir"],
+                         ids=["missing_parent", "parent_is_a_file", "out_is_a_directory"])
+def test_solve_full_checks_out_before_the_full_solve(instance, tmp_path, capsys, monkeypatch, out):
+    def no_solve(system):
+        raise AssertionError("solve_full ran before --out was checked")
+
+    monkeypatch.setattr(cli, "solve_full", no_solve)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / out)
+    with pytest.raises(IoError) as failed_write:
+        dump_json({}, out)
+    code = main(["solve-full", "--config", str(instance / "config.json"), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {failed_write.value}\n"
+    assert not (tmp_path / "nodir").exists()
 
 
 def _write_infeasible_instance(tmp_path):

@@ -29,7 +29,7 @@ def test_simplex_pivot_sequence_pinned():
     statuses = set()
     for _ in range(300):
         c, A, b = random_lp_data(rng)
-        st, basis, it = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
+        st, basis, it, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
         statuses.add(st)
         digest.update(np.array([st, it], dtype="<i8").tobytes())
         digest.update(np.asarray(basis, dtype="<i8").tobytes())
@@ -42,7 +42,7 @@ def test_basis_eval_matches_numpy_linalg():
     checked = 0
     while checked < 80:
         c, A, b = random_lp_data(rng)
-        st, basis, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
+        st, basis, _, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
         if st != _kernels.OPTIMAL:
             continue
         checked += 1
@@ -134,7 +134,7 @@ def test_basis_eval_keeps_zero_terms_and_row_swaps(b):
         assert _bits(x) == _bits(x_ref)
         assert _bits(rc) == _bits(rc_ref)
         assert _bits(obj) == _bits(obj_ref)
-    (((swaps, _, _), _, _),) = factors.values()
+    (((swaps, _, _), _, _, _),) = factors.values()
     assert swaps  # the LU permutation is not the identity
 
 
@@ -162,7 +162,7 @@ def _assert_matches_reference(args, cache, tableau):
     kernel's result.
     """
     solves = len(tableau)
-    st, basis, it = _kernels.simplex(*args, cache)
+    st, basis, it, _ = _kernels.simplex(*args, cache)
     ref = simplex_reference(*args)
     assert st == ref[0]
     if len(tableau) > solves:
@@ -240,7 +240,7 @@ def test_simplex_matches_reference_on_random_lps():
     for case in range(3000):
         c, A, b, max_iter = _random_simplex_case(rng)
         args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
-        st, basis, it = _kernels.simplex(*args, {})
+        st, basis, it, _ = _kernels.simplex(*args, {})
         st_ref, basis_ref, it_ref = simplex_reference(*args)
         assert (st, it) == (st_ref, it_ref), case
         assert np.array_equal(basis, basis_ref), case
@@ -327,7 +327,7 @@ def test_shared_paths_match_reference_on_random_families(monkeypatch):
             for cap in (max_iter, 2000 if max_iter < 2000 else int(rng.integers(1, 8))):
                 solves = len(tableau)
                 args = (c, A, b, TOL_FEAS, tol_opt, pivot_eps, cap)
-                st, basis, it = _kernels.simplex(*args, cache)
+                st, basis, it, _ = _kernels.simplex(*args, cache)
                 if len(tableau) > solves:
                     ref = simplex_reference(*args)
                     assert (st, it) == (ref[0], ref[2])
@@ -383,7 +383,7 @@ def test_registration_happens_on_the_second_sighting(monkeypatch):
     assert solve(4.0)[2]
     assert factors == []  # the first sighting does no registration work
     assert solve(5.0)[2]
-    ((rc_min, _, basis),) = cache[_kernels._CONE][0]
+    ((rc_min, _, basis, _),) = cache[_kernels._CONE].bases
     assert (rc_min, basis.tolist(), len(factors)) == (1.0, [0, 2, 3], 1)
     assert solve(6.0) == (_kernels.OPTIMAL, 0, False)
 
@@ -392,7 +392,7 @@ def test_registration_happens_on_the_second_sighting(monkeypatch):
 def test_degenerate_hour_is_never_accepted(monkeypatch, d):
     solve, cache = _cone_solver(monkeypatch)
     assert solve(d)[2] and solve(d)[2]  # x0 or x2 is exactly 0
-    assert cache[_kernels._CONE][0] == []
+    assert cache[_kernels._CONE].bases == []
     assert solve(4.0)[2]  # a later sighting registers the basis
     assert solve(d)[2]  # which is refused here
     assert solve(6.0) == (_kernels.OPTIMAL, 0, False)
@@ -401,7 +401,7 @@ def test_degenerate_hour_is_never_accepted(monkeypatch, d):
 def test_zero_nonbasic_reduced_cost_is_never_accepted(monkeypatch):
     solve, cache = _cone_solver(monkeypatch, c=np.array([1.0, 1.0, 0.0, 0.0]))
     assert all(solve(d)[2] for d in (4.0, 5.0, 6.0, 5.0))
-    assert cache[_kernels._CONE][0] == []
+    assert cache[_kernels._CONE].bases == []
 
 
 def test_candidate_is_refused_under_tol_opt_at_or_above_its_smallest_reduced_cost(monkeypatch):
@@ -429,3 +429,138 @@ def test_theorem_trials_solve_every_averaged_rhs_with_the_tableau(monkeypatch):
     assert evaluation.run_theorem_trials(200, seed=3).trials == 200
     assert fresh == [(1, 1)] * 200
     assert len(tableau) == len(simplex)
+
+
+# --- the early exit of a candidate solve ----------------------------------------
+
+def _assert_early_exit_agrees(ops, bl, floor):
+    """``_solve`` with a floor: the full list, bitwise, if every entry is
+    above the floor, else None; returns whether it gave None."""
+    full = _kernels._solve(ops, bl)
+    cut = _kernels._solve(ops, bl, floor)
+    if all(v > floor for v in full):
+        assert cut is not None and _bits(cut) == _bits(full)
+    else:
+        assert cut is None
+    return cut is None
+
+
+def _floors(full):
+    """Each entry itself (which must be refused), the float just below it,
+    and the package's tol."""
+    return [v for e in full for v in (e, np.nextafter(e, -np.inf))] + [TOL_FEAS]
+
+
+def test_early_exit_matches_the_full_solve_on_swapped_zero_terms():
+    """The op list of ``test_basis_eval_keeps_zero_terms_and_row_swaps``,
+    with its mid, ends and tail right-hand sides."""
+    ops = _kernels._lu_factor(SWAPPED_B.tolist(), [0] * 3, PIVOT_EPS)
+    assert ops[0]  # row swaps
+    negative_zero, outcomes = False, set()
+    for b in ([1.0, -0.0, 1.0], [-0.0, 1.0, -0.0], [2.0, -0.0, -0.0]):
+        full = _kernels._solve(ops, b)
+        negative_zero |= any(v == 0.0 and np.signbit(v) for v in full)
+        for floor in _floors(full) + [0.0, -0.0]:
+            outcomes.add(_assert_early_exit_agrees(ops, b, floor))
+    assert negative_zero and outcomes == {False, True}
+
+
+def test_early_exit_matches_the_full_solve_on_random_factors():
+    rng = np.random.default_rng(67)
+    outcomes = set()
+    for _ in range(600):
+        c, A, b, basis = _random_basis_case(rng)
+        ops = _kernels._lu_factor(A[:, basis].tolist(), [0] * len(b), PIVOT_EPS)
+        if ops is None:
+            continue
+        bl = b.tolist()
+        for floor in _floors(_kernels._solve(ops, bl)):
+            outcomes.add(_assert_early_exit_agrees(ops, bl, floor))
+    assert outcomes == {False, True}
+
+
+# --- candidate order and the x_B handed to basis_eval ---------------------------
+
+ORDER_SYSTEMS = {
+    "default_year": lambda: generate_synthetic(default_spec()),
+    **{f"fleet{s}": lambda s=s: fleet_system(np.random.default_rng(s)) for s in range(5)},
+    "degenerate": degenerate_system,
+}
+
+
+def _fingerprint(full):
+    return [
+        (p.solution.basis.indices, _bits(p.solution.x), _bits(p.solution.reduced_costs),
+         _bits(p.solution.objective))
+        for p in full.periods
+    ]
+
+
+@pytest.mark.parametrize("order", ["negated", "permuted"])
+def test_candidate_order_never_changes_the_solution(order, monkeypatch):
+    """The stored dual scores negated (worst bound first) or shuffled for
+    every call: the same bases, x, reduced costs and objectives, bitwise."""
+    expected = {name: _fingerprint(solve_full(make())) for name, make in ORDER_SYSTEMS.items()}
+    rng = np.random.default_rng(71)
+    simplex = _kernels.simplex
+    reordered_calls = []
+
+    def reordered(*args):
+        cone = args[-1].get(_kernels._CONE)
+        if cone is None or cone.duals is None:
+            return simplex(*args)
+        duals = cone.duals
+        cone.duals = changed = (
+            -duals if order == "negated" else duals[rng.permutation(len(duals))]
+        )
+        reordered_calls.append(None)
+        try:
+            return simplex(*args)
+        finally:
+            if cone.duals is changed:  # else a registration rebuilt it
+                cone.duals = duals
+
+    monkeypatch.setattr(_kernels, "simplex", reordered)
+    for name, make in ORDER_SYSTEMS.items():
+        assert _fingerprint(solve_full(make())) == expected[name], name
+    assert reordered_calls
+
+
+@pytest.mark.parametrize("name,hours,bound", [
+    ("default_year", None, 1.25),
+    *[(f"fleet{s}", 1008, 2.5) for s in range(5)],
+])
+def test_lu_solves_per_hour_stay_bounded(name, hours, bound, monkeypatch):
+    """``_solve`` calls under ``solve_full``, ``basis_eval``'s included.
+    Without the dual-bound order, the early exit and the x_B handoff (the
+    other registered bases tried by recency, each solved in full, and the
+    accepted one solved again by ``basis_eval``) these are 2.19 per hour on
+    the year and 5.2-5.6 on these fleets."""
+    if name == "default_year":
+        system = generate_synthetic(default_spec())
+    else:
+        system = fleet_system(np.random.default_rng(int(name[5:])), hours=hours)
+    solves = _count_calls(monkeypatch, "_solve")
+    solve_full(system)
+    assert len(solves) <= bound * system.horizon
+
+
+@pytest.mark.parametrize("name", ["default_year", "fleet4", "degenerate"])
+def test_simplex_returns_the_x_b_that_basis_eval_would_solve(name):
+    """x_B comes back on every call that tested the hour's basis, bitwise
+    what the reference evaluation gives, and None only on the tableau's
+    first sighting of a basis."""
+    system = ORDER_SYSTEMS[name]()
+    c, A = _template(system)
+    cache, seen = {}, set()
+    for h in range(system.horizon):
+        b = hourly_rhs(system, h)
+        st, basis, _, xb = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, cache)
+        assert st == _kernels.OPTIMAL
+        idx = np.sort(basis)
+        key = tuple(idx.tolist())
+        assert (xb is None) == (key not in seen), h
+        seen.add(key)
+        if xb is not None:
+            ok, x, _, _ = basis_eval_reference(c, A, b, idx, PIVOT_EPS)
+            assert ok and _bits(xb) == _bits(x[idx]), h
