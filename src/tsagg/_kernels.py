@@ -18,7 +18,12 @@ twice for its (c, A): the most recently accepted one, then the others by
 descending dual bound on b, which ranks the only one that can pass first.
 It skips the tableau where one is the unique optimum for b, and returns
 that basis's x_B, which ``basis_eval`` takes in place of its own solve; so
-an hour in a registered cone costs about one LU solve.
+an hour in a registered cone costs about one LU solve.  That test solve
+runs over the basis's nonzero LU terms only, with the dense list's result
+bit for bit (see ``_solve``).  A dispatch B is one balance row plus bound
+rows, so on a 12-unit fleet (m = 14) a basis keeps about 45 of its 182
+terms.  ``dispatch_model`` keeps one family per system, so its aggregated
+solves test the full solve's cones too.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -42,6 +47,8 @@ NUMERICAL = 4
 # Key of a family cache's registered bases; see ``simplex``.
 _CONE = "cone"
 
+_INF = float("inf")
+
 # One backend only; the name is kept because benchmark records report it.
 BACKEND = "numpy"
 
@@ -56,8 +63,9 @@ def _lu_factor(M, perm, pivot_eps):
     ``perm`` records the row swap made at each elimination step.  Returns
     None once the best pivot magnitude left is below ``pivot_eps``, else
     the solve as ``_solve``'s op list: swaps (k, p), forward terms (i, j, l)
-    and backward rows (i, pivot, terms (j, u)), in order.  Every term is
-    kept: an exact zero one can still flip the sign of a zero in x.
+    and backward rows (i, pivot, terms (j, u)), in order.  This dense list
+    keeps every term, exact zeros included, which ``basis_eval`` needs
+    (see ``_solve``); ``_zero_free`` gives the cone test its own list.
     """
     m = len(M)
     for k in range(m):
@@ -97,6 +105,27 @@ def _solve(ops, rhs, floor=None):
     finishes an entry that is not above it (NaN included), so a rejected
     cone candidate (see ``simplex``) skips the rows left.  A list returned
     is the same with or without a floor.
+
+    On the dense list an exact zero term can still flip the sign of a zero
+    in x, so ``basis_eval`` keeps every term.  The cone test runs on
+    ``_zero_free``'s list, which leaves out the zero l and u terms, and
+    that gives the dense list's decision and x_B bit for bit:
+
+    - A dropped term is ``0 * x[j]``: +-0 when x[j] is finite, NaN when
+      not.  Subtracting +-0 leaves a nonzero or infinite value as it is
+      and can only flip the sign of a zero; divisors are pivots, never
+      zero.  So every dense intermediate either equals the zero-free one
+      up to the sign of a zero, or is NaN.
+    - Hence a zero-free rejection implies a dense one: +-0 compare the
+      same against the floor, and NaN never passes it.
+    - A non-finite intermediate never becomes finite again on the
+      zero-free list (each term left has a nonzero factor), so if every
+      zero-free entry is finite, every intermediate was, no dropped term
+      was NaN, and the dense entries differ at most in the sign of a
+      zero: if none is zero, the two lists are bitwise equal.
+    - An accepted list with a zero entry (possible at a negative floor) or
+      an infinite one is therefore solved again on the dense list, which
+      decides, as ``_cone_solve`` does.
     """
     swaps, forward, backward = ops
     x = list(rhs)
@@ -112,6 +141,28 @@ def _solve(ops, rhs, floor=None):
         if floor is not None and not s > floor:
             return None
         x[i] = s
+    return x
+
+
+def _zero_free(ops):
+    """``ops`` without its exact-zero forward l and backward u terms."""
+    swaps, forward, backward = ops
+    return (
+        swaps,
+        [term for term in forward if term[2]],
+        [(i, piv, [term for term in terms if term[1]]) for i, piv, terms in backward],
+    )
+
+
+def _cone_solve(ops, free, rhs, floor):
+    """``_solve(ops, rhs, floor)``, bitwise, mostly run on ``free``.
+
+    ``free`` is ``_zero_free(ops)``; its result stands unless it accepts
+    an entry that is zero or infinite (see ``_solve``).
+    """
+    x = _solve(free, rhs, floor)
+    if x is not None and (0.0 in x or _INF in x):
+        return _solve(ops, rhs, floor)
     return x
 
 
@@ -237,23 +288,32 @@ class _Cone:
     ``bases`` holds (smallest nonbasic reduced cost, solve ops of B, basis
     in row order, duals y) in registration order.  Once there are two,
     ``duals`` stacks their y as a (K, m) array; with one there is nothing
-    to order.  ``mru`` is the index of the most recently accepted basis;
-    ``seen`` holds the sorted index tuples the tableau has ended in.
+    to order.  ``free`` holds each basis's ``_zero_free`` op list, None
+    until its first cone test: a basis that is never tested (as in
+    ``evaluation.run_theorem_trials``) never pays for it.  ``mru`` is the
+    index of the most recently accepted basis; ``seen`` holds the sorted
+    index tuples the tableau has ended in.
     """
 
-    __slots__ = ("bases", "duals", "mru", "seen")
+    __slots__ = ("bases", "duals", "free", "mru", "seen")
 
     def __init__(self):
         self.bases = []
         self.duals = None
+        self.free = []
         self.mru = 0
         self.seen = set()
 
 
-def _cone_x(entry, bl, tol_feas, tol_opt):
-    """x_B of a registered basis if it passes the cone test for b, else None."""
-    rc_min, ops, _, _ = entry
-    return _solve(ops, bl, tol_feas) if rc_min > tol_opt else None
+def _cone_x(cone, k, bl, tol_feas, tol_opt):
+    """x_B of registered basis k if it passes the cone test for b, else None."""
+    rc_min, ops, _, _ = cone.bases[k]
+    if not rc_min > tol_opt:
+        return None
+    free = cone.free[k]
+    if free is None:
+        free = cone.free[k] = _zero_free(ops)
+    return _cone_solve(ops, free, bl, tol_feas)
 
 
 def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
@@ -288,7 +348,11 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
     equality for an optimal basis; the one basis that can pass ranks first
     up to rounding.  Every candidate is tried before the tableau runs, so
     the order changes how many solves a call makes, never its result.  A
-    candidate's solve stops at its first x_B entry not above ``tol_feas``.
+    candidate's solve stops at its first x_B entry not above ``tol_feas``,
+    and runs over the basis's nonzero LU terms only (``_zero_free``, built
+    on the basis's first test): it accepts and returns exactly what the
+    dense list would, as ``_solve`` argues, which keeps every term for
+    ``basis_eval``, the duals and registration.
     Otherwise the tableau runs, and from the second time it ends OPTIMAL in
     a basis on, solves that basis's x_B and registers the basis if it is
     nonsingular and passes the same test.
@@ -318,12 +382,12 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
     cone = cache.get(_CONE)
     if cone is not None and cone.bases:
         bases, k = cone.bases, cone.mru
-        xb = _cone_x(bases[k], bl, tol_feas, tol_opt)
+        xb = _cone_x(cone, k, bl, tol_feas, tol_opt)
         if xb is None and len(bases) > 1:
             scores = (cone.duals @ b).tolist()
             for k in sorted(range(len(bases)), key=scores.__getitem__, reverse=True):
                 if k != cone.mru:
-                    xb = _cone_x(bases[k], bl, tol_feas, tol_opt)
+                    xb = _cone_x(cone, k, bl, tol_feas, tol_opt)
                     if xb is not None:
                         break
         if xb is not None:
@@ -350,6 +414,7 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
                     bases = cone.bases
                     cone.mru = len(bases)
                     bases.append((rc_min, ops, np.array(basis, dtype=np.int64), y))
+                    cone.free.append(None)
                     if len(bases) > 1:
                         cone.duals = np.array([entry[3] for entry in bases])
         cone.seen.add(key)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .data_io import (
     DataError,
+    check_directory,
     check_writable,
     default_spec,
     dispatch_summary,
@@ -47,6 +48,7 @@ def _outdir(path_str: str) -> Path:
 
 
 def _cmd_generate(args) -> int:
+    check_directory(args.out)
     spec = load_spec(args.spec) if args.spec else default_spec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -90,6 +92,7 @@ def _cmd_solve_full(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    check_directory(args.out)
     system = load_config(args.config)
     features = normalize_features(system)
     if args.method == "kmeans":
@@ -130,6 +133,7 @@ def _format_summary(reports: list[EvaluationReport]) -> str:
 
 
 def _cmd_compare(args) -> int:
+    check_directory(args.out)
     system = load_config(args.config)
     result = compare_methods_detailed(system, k_for_kmeans=args.k, seed=args.seed)
     out = _outdir(args.out)

@@ -484,6 +484,29 @@ def check_writable(path) -> None:
     raise IoError(f"cannot write {path}: {OSError(code, os.strerror(code), str(path))}")
 
 
+def check_directory(path) -> None:
+    """Refuse an output directory before any work is done for it.
+
+    Raises the ``OSError`` that ``Path(path).mkdir(parents=True,
+    exist_ok=True)`` would, where that is known without making anything:
+    when ``path`` exists and is not a directory, or its nearest existing
+    ancestor is not one.
+    """
+    target = Path(path)
+    if target.exists():
+        if target.is_dir():
+            return
+        code = errno.EEXIST
+    else:
+        parent = target.parent
+        while not parent.exists() and parent != parent.parent:
+            parent = parent.parent
+        if parent.is_dir():
+            return
+        code = errno.ENOTDIR
+    raise OSError(code, os.strerror(code), str(target))
+
+
 def dump_json(doc, path) -> None:
     try:
         with open(path, "w") as handle:

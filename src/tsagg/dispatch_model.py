@@ -88,8 +88,8 @@ class SystemData:
     generators: tuple[Generator, ...]
     demand: np.ndarray
     capacity_factors: dict[str, np.ndarray] = field(default_factory=dict)
-    # (generators, floor total, thermal headroom, variable units), built on
-    # first use by ``_period_rhs``.
+    # (generators, floor total, thermal headroom, variable units, family
+    # LP), see ``_rhs_parts``.
     _rhs_parts: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -249,12 +249,14 @@ def cost_offset(system: SystemData) -> float:
     return float(sum(g.variable_cost * g.p_min for g in system.generators))
 
 
-def _period_rhs(system: SystemData, demand: float, cf_of) -> np.ndarray:
-    """RHS for one period: net demand then per-generator headroom.
+def _rhs_parts(system: SystemData) -> tuple:
+    """What every period of ``system`` shares, kept on the system.
 
-    ``cf_of(series_id)`` is a variable unit's capacity factor in the period.
-    The floor total and the thermal headroom do not depend on the period,
-    so they are computed once per generator tuple and kept on the system.
+    (generators, floor total, thermal headroom, variable units, family LP):
+    the floor total and the thermal headroom do not depend on the period,
+    and the family LP is the first LP ``_solve_periods`` built (None before
+    that), whose ``with_rhs`` cache every later solve shares.  All of it is
+    rebuilt when ``system.generators`` is replaced.
     """
     parts = system._rhs_parts
     if parts is None or parts[0] is not system.generators:
@@ -265,9 +267,17 @@ def _period_rhs(system: SystemData, demand: float, cf_of) -> np.ndarray:
                 variable.append((1 + g, gen.cf_series_id, gen.capacity, gen.p_min))
             else:
                 fixed[1 + g] = gen.capacity - gen.p_min
-        parts = (system.generators, _pmin_vector(system).sum(), fixed, variable)
+        parts = (system.generators, _pmin_vector(system).sum(), fixed, variable, None)
         system._rhs_parts = parts
-    _, floor_total, fixed, variable = parts
+    return parts
+
+
+def _period_rhs(system: SystemData, demand: float, cf_of) -> np.ndarray:
+    """RHS for one period: net demand then per-generator headroom.
+
+    ``cf_of(series_id)`` is a variable unit's capacity factor in the period.
+    """
+    _, floor_total, fixed, variable, _ = _rhs_parts(system)
     b = fixed.copy()
     b[0] = demand - floor_total
     for i, key, capacity, p_min in variable:
@@ -305,20 +315,24 @@ def _rep_rhs(system: SystemData, rep: Representative) -> np.ndarray:
 def _solve_periods(
     system: SystemData, kind: DispatchKind, periods: Iterable[tuple[np.ndarray, float]]
 ) -> DispatchSolution:
-    """Solve one LP per (rhs, weight) pair, in order, as one ``with_rhs`` family.
+    """Solve one LP per (rhs, weight) pair, in order, in the system's family.
 
-    The total weights each period's cost by its weight, summed in period
-    order.  Raises InfeasiblePeriodError with the position of the first
-    period that is not optimal.
+    Every solve of one system, full or aggregated, is a ``with_rhs`` LP of
+    one family (see ``_rhs_parts``), so a later solve reuses the bases,
+    factors and cones that earlier ones found.  Only the pivot counts
+    depend on what was solved before, not bases or values.  The total
+    weights each period's cost by its weight, summed in period order.
+    Raises InfeasiblePeriodError with the position of the first period
+    that is not optimal.
     """
-    c, A = _template(system)
     pmin = _pmin_vector(system)
     offset = cost_offset(system)
-    base = None
+    base = _rhs_parts(system)[4]
     solved = []
     for index, (rhs, weight) in enumerate(periods):
         if base is None:
-            lp = base = StandardFormLP(c, A, rhs)
+            lp = base = StandardFormLP(*_template(system), rhs)
+            system._rhs_parts = system._rhs_parts[:4] + (base,)
         else:
             lp = base.with_rhs(rhs)
         sol = solve(lp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import Generator, SystemData, add_nse_generator
 
 THERMAL = Generator("thermal", 10.0, 100.0)
@@ -79,3 +80,12 @@ def degenerate_system() -> SystemData:
     gens = (WIND, THERMAL, Generator("peaker", 20.0, 50.0))
     system = SystemData(gens, np.array(demand), {"wind": np.array(cf)})
     return add_nse_generator(system)
+
+
+# The default year, wide fleets and exactly degenerate hours: the systems
+# on which solver fast paths are checked against what they replace.
+SOLVER_SYSTEMS = {
+    "default_year": lambda: generate_synthetic(default_spec()),
+    **{f"fleet{s}": lambda s=s: fleet_system(np.random.default_rng(s)) for s in range(5)},
+    "degenerate": degenerate_system,
+}

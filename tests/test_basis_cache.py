@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from oracles import basis_eval_reference
-from systems import degenerate_system, fleet_system
+from systems import SOLVER_SYSTEMS, degenerate_system, fleet_system
 from tsagg import _kernels, evaluation, lp_core
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
+    SystemData,
     _rep_rhs,
     _template,
     hourly_rhs,
@@ -78,8 +79,15 @@ def test_representatives_match_uncached_reference(solved):
             _assert_reference(lp, periods[r].solution, r)
 
 
+def _fresh(system):
+    """The same data in a new SystemData, which shares no solver state."""
+    return SystemData(system.generators, system.demand, dict(system.capacity_factors))
+
+
 def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
+    """Once per system: a later solve of the same system factorises nothing."""
     system, full = solved
+    system = _fresh(system)
     calls = []
     factor = _kernels._basis_factor
 
@@ -91,10 +99,14 @@ def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
     again = solve_full(system)
     assert again.bases() == full.bases()
     assert sorted(calls) == sorted({b.indices for b in full.bases()})
+    calls.clear()
+    assert solve_full(system).bases() == full.bases()
+    assert calls == []
 
 
 def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
     system, full = solved
+    system = _fresh(system)
     built, kernel_bases, evaluated = [], set(), []
     signature, simplex, basis_eval = (
         lp_core.BasisSignature, _kernels.simplex, _kernels.basis_eval
@@ -135,6 +147,39 @@ def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
             idx[0] = 0
+
+
+
+
+def _dispatch_bits(dispatch):
+    periods = [
+        (p.solution.basis.indices, _bits(p.solution.x), _bits(p.solution.reduced_costs),
+         _bits(p.solution.objective))
+        for p in dispatch.periods
+    ]
+    return periods, _bits(dispatch.total_cost)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_SYSTEMS))
+def test_solves_of_one_system_do_not_depend_on_its_earlier_solves(name):
+    """Aggregated solves run in the full solve's family, reusing its cones:
+    bitwise what a fresh system gives, for k-means and basis
+    representatives, and a full solve after them is unchanged too."""
+    system = SOLVER_SYSTEMS[name]()
+    full = solve_full(system)
+    features = normalize_features(system)
+    bmodel = basis_cluster(system, features=features, full=full)
+    untableaued = [0, 0]  # periods solved in 0 pivots: shared, fresh
+    for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
+        reps = to_representatives(model, features)
+        shared = solve_aggregated(system, reps)
+        fresh = _fresh(system)
+        alone = solve_aggregated(fresh, reps)
+        assert _dispatch_bits(shared) == _dispatch_bits(alone)
+        assert _dispatch_bits(solve_full(fresh)) == _dispatch_bits(full)
+        for i, dispatch in enumerate((shared, alone)):
+            untableaued[i] += sum(p.solution.iterations == 0 for p in dispatch.periods)
+    assert untableaued[0] > untableaued[1]  # the full solve's cones took some
 
 
 def test_mutating_one_hour_leaves_the_others_bitwise_unchanged(solved):

@@ -3,6 +3,7 @@
 import json
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -136,6 +137,39 @@ def test_solve_full_checks_out_before_the_full_solve(instance, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"error: {failed_write.value}\n"
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub", "file/a/b"],
+                         ids=["out_is_a_file", "parent_is_a_file", "ancestor_is_a_file"])
+@pytest.mark.parametrize("command", [
+    ["generate"],
+    ["aggregate", "--method", "kmeans", "--k", "3"],
+    ["aggregate", "--method", "basis"],
+    ["compare"],
+], ids=["generate", "aggregate_kmeans", "aggregate_basis", "compare"])
+def test_output_directory_is_checked_before_any_work(
+    instance, tmp_path, capsys, monkeypatch, command, out
+):
+    """The message and exit code that creating the directory after all
+    the work would give, with nothing loaded, generated or solved."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for module, name in [(cli, "load_config"), (cli, "generate_synthetic"), (cli, "kmeans"),
+                         (cli, "basis_cluster"), (evaluation, "solve_full"),
+                         (evaluation, "kmeans")]:
+        monkeypatch.setattr(module, name, forbidden)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / out)
+    with pytest.raises(OSError) as failed_mkdir:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    if command != ["generate"]:
+        command = command + ["--config", str(instance / "config.json")]
+    code = main(command + ["--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {failed_mkdir.value}\n"
 
 
 def _write_infeasible_instance(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import basis_eval_reference, random_lp_data, simplex_reference
-from systems import degenerate_system, fleet_system, random_system
+from systems import SOLVER_SYSTEMS, degenerate_system, fleet_system, random_system
 from tsagg import _kernels, evaluation
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import _template, hourly_rhs, solve_full
@@ -433,60 +433,100 @@ def test_theorem_trials_solve_every_averaged_rhs_with_the_tableau(monkeypatch):
 
 # --- the early exit of a candidate solve ----------------------------------------
 
-def _assert_early_exit_agrees(ops, bl, floor):
+def _assert_early_exit_agrees(ops, bl, floor, branches):
     """``_solve`` with a floor: the full list, bitwise, if every entry is
-    above the floor, else None; returns whether it gave None."""
+    above the floor, else None; returns whether it gave None.
+
+    The cone test's solve over the zero-free list must decide the same and
+    return the same bits.  ``branches`` collects which way it went: the
+    zero-free list rejected, or accepted a list with a zero entry or an
+    infinite one (both solved again on the dense list), or accepted a list
+    of finite nonzero entries, which must then be bitwise the dense one;
+    ``"needed"`` marks a fallback whose zero-free list differs from the
+    dense result."""
     full = _kernels._solve(ops, bl)
     cut = _kernels._solve(ops, bl, floor)
     if all(v > floor for v in full):
         assert cut is not None and _bits(cut) == _bits(full)
     else:
         assert cut is None
+    free = _kernels._zero_free(ops)
+    cone = _kernels._cone_solve(ops, free, bl, floor)
+    assert (cone is None) == (cut is None)
+    assert cut is None or _bits(cone) == _bits(cut)
+    alone = _kernels._solve(free, bl, floor)
+    if alone is None:
+        assert cut is None  # a zero-free rejection is a dense one
+        branches.add("rejected")
+    elif 0.0 in alone or np.inf in alone:
+        branches.add("zero" if 0.0 in alone else "infinite")
+        if cut is None or _bits(alone) != _bits(cut):
+            branches.add("needed")
+    else:
+        assert cut is not None and _bits(alone) == _bits(cut)
+        branches.add("exact")
     return cut is None
 
 
 def _floors(full):
     """Each entry itself (which must be refused), the float just below it,
-    and the package's tol."""
-    return [v for e in full for v in (e, np.nextafter(e, -np.inf))] + [TOL_FEAS]
+    the package's tol, +-0 and a negative floor, at which a zero entry
+    passes."""
+    return [v for e in full for v in (e, np.nextafter(e, -np.inf))] + [TOL_FEAS, 0.0, -0.0, -1.0]
+
+
+def _overflowing(bl):
+    """``bl`` scaled so that its largest entry is 1e308: the solve's
+    products and sums overflow to inf, and inf - inf or 0 * inf is NaN."""
+    top = max(map(abs, bl))
+    return [v * (1e308 / top) for v in bl] if top else None
 
 
 def test_early_exit_matches_the_full_solve_on_swapped_zero_terms():
     """The op list of ``test_basis_eval_keeps_zero_terms_and_row_swaps``,
-    with its mid, ends and tail right-hand sides."""
+    with its mid, ends and tail right-hand sides, and them scaled toward
+    overflow."""
     ops = _kernels._lu_factor(SWAPPED_B.tolist(), [0] * 3, PIVOT_EPS)
     assert ops[0]  # row swaps
-    negative_zero, outcomes = False, set()
+    negative_zero, outcomes, branches = False, set(), set()
     for b in ([1.0, -0.0, 1.0], [-0.0, 1.0, -0.0], [2.0, -0.0, -0.0]):
         full = _kernels._solve(ops, b)
         negative_zero |= any(v == 0.0 and np.signbit(v) for v in full)
-        for floor in _floors(full) + [0.0, -0.0]:
-            outcomes.add(_assert_early_exit_agrees(ops, b, floor))
+        for rhs in (b, _overflowing(b)):
+            for floor in _floors(_kernels._solve(ops, rhs)):
+                outcomes.add(_assert_early_exit_agrees(ops, rhs, floor, branches))
     assert negative_zero and outcomes == {False, True}
+    assert branches >= {"rejected", "zero", "exact", "needed"}
 
 
 def test_early_exit_matches_the_full_solve_on_random_factors():
     rng = np.random.default_rng(67)
-    outcomes = set()
+    outcomes, branches = set(), set()
     for _ in range(600):
         c, A, b, basis = _random_basis_case(rng)
         ops = _kernels._lu_factor(A[:, basis].tolist(), [0] * len(b), PIVOT_EPS)
         if ops is None:
             continue
-        bl = b.tolist()
-        for floor in _floors(_kernels._solve(ops, bl)):
-            outcomes.add(_assert_early_exit_agrees(ops, bl, floor))
+        for bl in (b.tolist(), _overflowing(b.tolist())):
+            if bl is None:
+                continue
+            for floor in _floors(_kernels._solve(ops, bl)):
+                outcomes.add(_assert_early_exit_agrees(ops, bl, floor, branches))
     assert outcomes == {False, True}
+    assert branches == {"rejected", "zero", "infinite", "exact"}
+
+
+def test_zero_free_acceptance_of_an_infinite_entry_goes_to_the_dense_list():
+    """x_1 = 1e308 / 1e-10 overflows; the dense list's dropped term 0 * inf
+    makes x_0 NaN and rejects, while the zero-free x_0 is 1.0."""
+    ops = _kernels._lu_factor([[1.0, 0.0], [0.0, 1e-10]], [0] * 2, PIVOT_EPS)
+    free = _kernels._zero_free(ops)
+    assert _kernels._solve(free, [1.0, 1e308], TOL_FEAS) == [1.0, np.inf]
+    assert _kernels._solve(ops, [1.0, 1e308], TOL_FEAS) is None
+    assert _kernels._cone_solve(ops, free, [1.0, 1e308], TOL_FEAS) is None
 
 
 # --- candidate order and the x_B handed to basis_eval ---------------------------
-
-ORDER_SYSTEMS = {
-    "default_year": lambda: generate_synthetic(default_spec()),
-    **{f"fleet{s}": lambda s=s: fleet_system(np.random.default_rng(s)) for s in range(5)},
-    "degenerate": degenerate_system,
-}
-
 
 def _fingerprint(full):
     return [
@@ -500,7 +540,7 @@ def _fingerprint(full):
 def test_candidate_order_never_changes_the_solution(order, monkeypatch):
     """The stored dual scores negated (worst bound first) or shuffled for
     every call: the same bases, x, reduced costs and objectives, bitwise."""
-    expected = {name: _fingerprint(solve_full(make())) for name, make in ORDER_SYSTEMS.items()}
+    expected = {name: _fingerprint(solve_full(make())) for name, make in SOLVER_SYSTEMS.items()}
     rng = np.random.default_rng(71)
     simplex = _kernels.simplex
     reordered_calls = []
@@ -521,7 +561,7 @@ def test_candidate_order_never_changes_the_solution(order, monkeypatch):
                 cone.duals = duals
 
     monkeypatch.setattr(_kernels, "simplex", reordered)
-    for name, make in ORDER_SYSTEMS.items():
+    for name, make in SOLVER_SYSTEMS.items():
         assert _fingerprint(solve_full(make())) == expected[name], name
     assert reordered_calls
 
@@ -545,12 +585,39 @@ def test_lu_solves_per_hour_stay_bounded(name, hours, bound, monkeypatch):
     assert len(solves) <= bound * system.horizon
 
 
+@pytest.mark.parametrize("name", ["default_year", "fleet4"])
+def test_accepted_cone_tests_run_on_the_zero_free_list(name, monkeypatch):
+    """Under ``solve_full`` no accepted cone test is solved on a dense op
+    list (one ``_basis_factor`` returned): the zero-free list decides."""
+    system = SOLVER_SYSTEMS[name]()
+    dense, accepted = set(), []
+    factor, solve = _kernels._basis_factor, _kernels._solve
+
+    def recorded_factor(*args):
+        result = factor(*args)
+        if result is not None:
+            dense.add(id(result[0]))
+        return result
+
+    def recorded_solve(ops, rhs, floor=None):
+        x = solve(ops, rhs, floor)
+        if floor is not None and x is not None:
+            accepted.append(id(ops) in dense)
+        return x
+
+    monkeypatch.setattr(_kernels, "_basis_factor", recorded_factor)
+    monkeypatch.setattr(_kernels, "_solve", recorded_solve)
+    solve_full(system)
+    assert accepted.count(False) > system.horizon // 2
+    assert accepted.count(True) == 0
+
+
 @pytest.mark.parametrize("name", ["default_year", "fleet4", "degenerate"])
 def test_simplex_returns_the_x_b_that_basis_eval_would_solve(name):
     """x_B comes back on every call that tested the hour's basis, bitwise
     what the reference evaluation gives, and None only on the tableau's
     first sighting of a basis."""
-    system = ORDER_SYSTEMS[name]()
+    system = SOLVER_SYSTEMS[name]()
     c, A = _template(system)
     cache, seen = {}, set()
     for h in range(system.horizon):
