@@ -12,18 +12,18 @@ leaves out phase 1's artificial columns: no decision and no other column
 ever reads them, so they are write-only (both arguments are in
 ``simplex``).
 
-A basis factor keeps the LU solves of B and B^T as op lists, and the
-duals.  ``simplex`` first tries the optimal bases the tableau has ended in
-twice for its (c, A): the most recently accepted one, then the others by
-descending dual bound on b, which ranks the only one that can pass first.
-It skips the tableau where one is the unique optimum for b, and returns
-that basis's x_B, which ``basis_eval`` takes in place of its own solve; so
-an hour in a registered cone costs about one LU solve.  That test solve
-runs over the basis's nonzero LU terms only, with the dense list's result
-bit for bit (see ``_solve``).  A dispatch B is one balance row plus bound
-rows, so on a 12-unit fleet (m = 14) a basis keeps about 45 of its 182
-terms.  ``dispatch_model`` keeps one family per system, so its aggregated
-solves test the full solve's cones too.
+Each basis of a (c, A) family has one ``_Basis`` record in its ``Family``:
+the LU solves of B and B^T as op lists, c_B, the reduced costs and the
+duals.  ``simplex`` first tries the bases the tableau has ended in twice,
+the most recently accepted first, then by descending dual bound on b.  It
+skips the tableau where one is the unique optimum for b and returns that
+record with its x_B, which ``evaluate`` takes in place of its own solve;
+so an hour in a registered cone costs about one LU solve, run over the
+basis's nonzero LU terms only, bit for bit (see ``_solve``).  A dispatch B
+is one balance row plus bound rows: on a 12-unit fleet (m = 14) a basis
+keeps about 45 of its 182 terms.  ``dispatch_model`` keeps one family per
+system, so its aggregated solves test the full solve's cones too.  Only
+this module reads or writes a family's entries.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -44,9 +44,6 @@ UNBOUNDED = 2
 RANK_DEFICIENT = 3
 NUMERICAL = 4
 
-# Key of a family cache's registered bases; see ``simplex``.
-_CONE = "cone"
-
 _INF = float("inf")
 
 # One backend only; the name is kept because benchmark records report it.
@@ -64,7 +61,7 @@ def _lu_factor(M, perm, pivot_eps):
     None once the best pivot magnitude left is below ``pivot_eps``, else
     the solve as ``_solve``'s op list: swaps (k, p), forward terms (i, j, l)
     and backward rows (i, pivot, terms (j, u)), in order.  This dense list
-    keeps every term, exact zeros included, which ``basis_eval`` needs
+    keeps every term, exact zeros included, which ``evaluate`` needs
     (see ``_solve``); ``_zero_free`` gives the cone test its own list.
     """
     m = len(M)
@@ -107,7 +104,7 @@ def _solve(ops, rhs, floor=None):
     is the same with or without a floor.
 
     On the dense list an exact zero term can still flip the sign of a zero
-    in x, so ``basis_eval`` keeps every term.  The cone test runs on
+    in x, so ``evaluate`` keeps every term.  The cone test runs on
     ``_zero_free``'s list, which leaves out the zero l and u terms, and
     that gives the dense list's decision and x_B bit for bit:
 
@@ -191,40 +188,76 @@ def _basis_factor(c, A, basis, pivot_eps):
     return ops, cb, rc, y
 
 
-def _factor(c, A, key, basis, pivot_eps, factors):
-    """``_basis_factor`` of ``basis``, kept in ``factors`` under ``key``."""
-    if key not in factors:
-        factors[key] = _basis_factor(c, A, basis, pivot_eps)
-    return factors[key]
+class _Basis:
+    """One basis of a family: read-only ``idx`` and ``_basis_factor``'s
+    ``ops``, ``cb``, ``rc`` and ``y`` (if B is singular, None but for
+    zero reduced costs, which is what ``basis_eval`` returns then).
+
+    ``rc_min``, the smallest nonbasic reduced cost, is set at registration
+    (see ``simplex``); ``free``, the ``_zero_free`` op list, on the first
+    cone test, so a basis never tested never pays for it.  ``tag`` is the
+    caller's: ``lp_core`` keeps the basis's one signature there.
+    """
+
+    __slots__ = ("idx", "ops", "cb", "rc", "y", "rc_min", "free", "tag")
+
+    def __init__(self, c, A, idx, pivot_eps):
+        self.idx = idx = np.array(idx, dtype=np.int64)
+        idx.setflags(write=False)
+        factor = _basis_factor(c, A, idx, pivot_eps)
+        self.ops, self.cb, self.rc, self.y = factor or (None, None, np.zeros(len(c)), None)
+        self.rc_min = self.free = self.tag = None
 
 
-def basis_eval(c, A, b, basis, pivot_eps, factors, xb=None):
+class Family(dict):
+    """Basis index array bytes -> ``_Basis`` record, for one (c, A) only.
+
+    ``cone`` holds the registered records in registration order, ``duals``
+    their stacked y as a (K, m) array once K >= 2, and ``mru`` the index
+    of the most recently accepted one (see ``simplex``).
+    """
+
+    __slots__ = ("cone", "duals", "mru")
+
+    def __init__(self):
+        super().__init__()
+        self.cone = []
+        self.duals = None
+        self.mru = 0
+
+
+def evaluate(record, b, xb=None):
+    """``basis_eval``'s result for ``record``'s basis at b.  ``xb`` is the
+    x_B ``simplex`` returned with the record for this b, if any: the same
+    solve, so it is taken as is.
+    """
+    rc = record.rc
+    x = np.zeros(len(rc))
+    if record.ops is None:
+        return False, x, rc.copy(), 0.0
+    if xb is None:
+        xb = _solve(record.ops, b.tolist())
+    obj = 0.0
+    for cbk, xk in zip(record.cb, xb):
+        obj += cbk * xk
+    x[record.idx] = xb
+    return True, x, rc.copy(), obj
+
+
+def basis_eval(c, A, b, basis, pivot_eps, family):
     """Evaluate a basis B = A[:, basis]: x_B = B^-1 b, duals, reduced costs.
 
-    Returns (ok, x, reduced_costs, objective).  ok is False when a
-    factorisation pivot falls below ``pivot_eps``.  Reduced costs at basic
-    indices are zeroed exactly.
-
-    Only x_B and the objective depend on b.  ``factors`` is a dict that
-    keeps the rest per basis (None for a singular one) across calls; it
-    must only ever be passed with this same c and A.  ``xb``, if given, is
-    the x_B list ``simplex`` returned for this basis (in sorted index
-    order) and b: the same factor applied to the same ``b.tolist()``, so
-    it is taken in place of the solve.  The arrays returned are fresh.
+    Returns (ok, x, reduced_costs, objective), fresh arrays; ok is False
+    when a factorisation pivot falls below ``pivot_eps``.  Reduced costs at
+    basic indices are zeroed exactly.  All but x_B and the objective come
+    from the basis's record in ``family``, made on first use (a sighting
+    for ``simplex``).
     """
-    factor = _factor(c, A, basis.tobytes(), basis, pivot_eps, factors)
-    n = A.shape[1]
-    if factor is None:
-        return False, np.zeros(n), np.zeros(n), 0.0
-    ops, cb, rc, _ = factor
-    if xb is None:
-        xb = _solve(ops, b.tolist())
-    obj = 0.0
-    for cbk, xk in zip(cb, xb):
-        obj += cbk * xk
-    x = np.zeros(n)
-    x[basis] = xb
-    return True, x, rc.copy(), obj
+    key = basis.tobytes()
+    record = family.get(key)
+    if record is None:
+        record = family[key] = _Basis(c, A, basis, pivot_eps)
+    return evaluate(record, b)
 
 
 # ---------------------------------------------------------------------------
@@ -282,48 +315,25 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
     return NUMERICAL, iters
 
 
-class _Cone:
-    """A family's registered bases (see ``simplex``), kept under ``_CONE``.
-
-    ``bases`` holds (smallest nonbasic reduced cost, solve ops of B, basis
-    in row order, duals y) in registration order.  Once there are two,
-    ``duals`` stacks their y as a (K, m) array; with one there is nothing
-    to order.  ``free`` holds each basis's ``_zero_free`` op list, None
-    until its first cone test: a basis that is never tested (as in
-    ``evaluation.run_theorem_trials``) never pays for it.  ``mru`` is the
-    index of the most recently accepted basis; ``seen`` holds the sorted
-    index tuples the tableau has ended in.
-    """
-
-    __slots__ = ("bases", "duals", "free", "mru", "seen")
-
-    def __init__(self):
-        self.bases = []
-        self.duals = None
-        self.free = []
-        self.mru = 0
-        self.seen = set()
-
-
-def _cone_x(cone, k, bl, tol_feas, tol_opt):
-    """x_B of registered basis k if it passes the cone test for b, else None."""
-    rc_min, ops, _, _ = cone.bases[k]
-    if not rc_min > tol_opt:
+def _cone_x(record, bl, tol_feas, tol_opt):
+    """x_B of registered ``record`` if it passes the cone test for b, else None."""
+    if not record.rc_min > tol_opt:
         return None
-    free = cone.free[k]
+    free = record.free
     if free is None:
-        free = cone.free[k] = _zero_free(ops)
-    return _cone_solve(ops, free, bl, tol_feas)
+        free = record.free = _zero_free(record.ops)
+    return _cone_solve(record.ops, free, bl, tol_feas)
 
 
-def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
+def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     """Two-phase Bland simplex on min c.x, A x = b, x >= 0.
 
-    Returns (status, basis, iterations, x_B): a status code above, the
+    Returns (status, basis, iterations, hit): a status code above, the
     basic column of each row as an int64 array (partial unless OPTIMAL),
-    the number of pivots, and the list x_B = B^-1 b of the returned basis
-    in sorted index order where the call computed it (else None); it is
-    what ``basis_eval`` would compute, so it can be passed on there.
+    the number of pivots, and on OPTIMAL (record, x_B), else None.  The
+    record is the returned basis's ``_Basis`` in ``family``; x_B = B^-1 b
+    is the list in sorted index order where the call solved it, else None.
+    It is what ``evaluate`` would solve, so it can be passed on there.
 
     Bland's rule: the entering column is the first j < n with reduced cost
     below ``-tol_opt``; the leaving row has the minimum ratio rhs / col over
@@ -331,31 +341,31 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
     phase-1 cost row subtracts the rows one by one in order, and the
     phase-2 row is ``row - cb * T[i]`` in order i.
 
-    ``cache``, like ``basis_eval``'s ``factors`` (it may be the same
-    dict), must only ever be passed with this c and A.  Under ``_CONE`` it
-    keeps the registered bases and the bases the tableau has ended in.  A
-    registered basis is accepted when every x_B = B^-1 b exceeds
-    ``tol_feas`` and every nonbasic reduced cost exceeds ``tol_opt``: the
-    call returns OPTIMAL, the basis in its registered row order, 0 pivots
-    and that x_B, whatever ``max_iter``.  Such a basis is the unique
-    optimal one for b (Bertsimas & Tsitsiklis, *Introduction to Linear
-    Optimization*, ch. 3), so Bland's rule ends there too at tolerances
-    small against the data; a coarse ``tol_opt`` or ``pivot_eps`` can stop
-    it short.  The most recently accepted basis is tried first, since
-    hours come in runs of one basis, then the others by descending dual
-    bound y_j.b.  Every registered basis is dual
-    feasible, so y_j.b <= z(b), the optimal cost, by weak duality, with
-    equality for an optimal basis; the one basis that can pass ranks first
-    up to rounding.  Every candidate is tried before the tableau runs, so
-    the order changes how many solves a call makes, never its result.  A
+    ``family`` is the ``Family`` of this c and A.  A registered basis is
+    accepted when every x_B = B^-1 b exceeds ``tol_feas`` and every
+    nonbasic reduced cost exceeds ``tol_opt``: the call returns OPTIMAL,
+    the record's sorted ``idx`` (no tableau ran, so there is no row order),
+    0 pivots and that x_B, whatever ``max_iter``.  Such a basis is the
+    unique optimal one for b (Bertsimas & Tsitsiklis, *Introduction to
+    Linear Optimization*, ch. 3), so Bland's rule ends there too at
+    tolerances small against the data; a coarse ``tol_opt`` or
+    ``pivot_eps`` can stop it short.  The most recently accepted basis is
+    tried first, since hours come in runs of one basis, then the others by
+    descending dual bound y_j.b.  Every registered basis is dual feasible,
+    so y_j.b <= z(b), the optimal cost, by weak duality, with equality for
+    an optimal basis; the one basis that can pass ranks first up to
+    rounding.  Every candidate is tried before the tableau runs, so the
+    order changes how many solves a call makes, never its result.  A
     candidate's solve stops at its first x_B entry not above ``tol_feas``,
     and runs over the basis's nonzero LU terms only (``_zero_free``, built
     on the basis's first test): it accepts and returns exactly what the
     dense list would, as ``_solve`` argues, which keeps every term for
-    ``basis_eval``, the duals and registration.
-    Otherwise the tableau runs, and from the second time it ends OPTIMAL in
-    a basis on, solves that basis's x_B and registers the basis if it is
-    nonsingular and passes the same test.
+    ``evaluate``, the duals and registration.
+    Otherwise the tableau runs.  The first time it ends OPTIMAL in a basis,
+    the basis gets its record, factor included; a later ending in a record
+    not yet registered solves x_B and registers the basis if it is
+    nonsingular and passes the same test.  A record first made by
+    ``basis_eval`` counts as a sighting.
 
     Skipping exact zeros in a pivot gives the dense update's decisions and
     nonzero values, provided every tableau entry stays finite.  A skipped
@@ -379,46 +389,45 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, cache):
     """
     m, n = A.shape
     bl = b.tolist()
-    cone = cache.get(_CONE)
-    if cone is not None and cone.bases:
-        bases, k = cone.bases, cone.mru
-        xb = _cone_x(cone, k, bl, tol_feas, tol_opt)
-        if xb is None and len(bases) > 1:
-            scores = (cone.duals @ b).tolist()
-            for k in sorted(range(len(bases)), key=scores.__getitem__, reverse=True):
-                if k != cone.mru:
-                    xb = _cone_x(cone, k, bl, tol_feas, tol_opt)
+    cone = family.cone
+    if cone:
+        k = family.mru
+        xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
+        if xb is None and len(cone) > 1:
+            scores = (family.duals @ b).tolist()
+            for k in sorted(range(len(cone)), key=scores.__getitem__, reverse=True):
+                if k != family.mru:
+                    xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
                     if xb is not None:
                         break
         if xb is not None:
-            cone.mru = k
-            return OPTIMAL, bases[k][2].copy(), 0, xb
+            family.mru = k
+            record = cone[k]
+            return OPTIMAL, record.idx, 0, (record, xb)
     basis = list(range(n, n + m))
     status, iters = _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter)
-    xb = None
+    hit = None
     if status == OPTIMAL:
-        if cone is None:
-            cone = cache[_CONE] = _Cone()
-        key = tuple(sorted(basis))
-        if key in cone.seen:
-            idx = np.array(key, dtype=np.int64)
-            factor = _factor(c, A, idx.tobytes(), idx, pivot_eps, cache)
-            if factor is not None:
-                ops, _, rc, y = factor
-                xb = _solve(ops, bl)
-                rcl = rc.tolist()
-                for j in key:
-                    rcl[j] = np.inf
-                rc_min = min(rcl)
-                if rc_min > tol_opt and min(xb) > tol_feas:
-                    bases = cone.bases
-                    cone.mru = len(bases)
-                    bases.append((rc_min, ops, np.array(basis, dtype=np.int64), y))
-                    cone.free.append(None)
-                    if len(bases) > 1:
-                        cone.duals = np.array([entry[3] for entry in bases])
-        cone.seen.add(key)
-    return status, np.array(basis, dtype=np.int64), iters, xb
+        idx = np.array(sorted(basis), dtype=np.int64)
+        key = idx.tobytes()
+        record = family.get(key)
+        xb = None
+        if record is None:
+            record = family[key] = _Basis(c, A, idx, pivot_eps)
+        elif record.rc_min is None and record.ops is not None:
+            xb = _solve(record.ops, bl)
+            rcl = record.rc.tolist()
+            for j in idx.tolist():
+                rcl[j] = _INF
+            rc_min = min(rcl)
+            if rc_min > tol_opt and min(xb) > tol_feas:
+                record.rc_min = rc_min
+                family.mru = len(cone)
+                cone.append(record)
+                if len(cone) > 1:
+                    family.duals = np.array([r.y for r in cone])
+        hit = (record, xb)
+    return status, np.array(basis, dtype=np.int64), iters, hit
 
 
 def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter):

@@ -157,6 +157,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    check_writable(args.out)
     features = normalize_features(load_config(args.config))
     model = read_clusters(args.clusters, features)
     title = args.title if args.title is not None else f"{model.method.value} clustering"

@@ -7,15 +7,15 @@ anti-cycling and gives every input a single canonical optimal basis:
 solving the same bits twice returns the same basic index set.
 
 LPs made with ``StandardFormLP.with_rhs`` share their template's ``c``, ``A``
-and one cache of what depends on them alone.  B, the duals and the reduced
-costs depend only on (c, A, basis), so a basis is factorised once for the
-whole family and each evaluation then costs one triangular solve against
-its own b.  A basis the simplex has ended in twice is taken without
-pivoting for any later b whose unique optimum it is (``_kernels.simplex``
-tries the last basis taken, then the others by descending dual bound on
-b), and the x_B that test solved is the one ``solve`` returns, so such an
-hour costs about one triangular solve in all.
-Each basis the simplex ends in gets one ``BasisSignature`` per family,
+and one ``_kernels.Family``: a record per basis of what depends on (c, A,
+basis) alone, B's factor, the duals and the reduced costs, so a basis is
+factorised once for the whole family and each evaluation then costs one
+triangular solve against its own b.  A basis the simplex has ended in twice
+is taken without pivoting for any later b whose unique optimum it is
+(``_kernels.simplex`` tries the last basis taken, then the others by
+descending dual bound on b), and the x_B that test solved is the one
+``solve`` returns, so such an hour costs about one triangular solve in all.
+Each basis gets one ``BasisSignature`` per family, kept on its record,
 which every solve that ends there shares.
 """
 
@@ -69,30 +69,25 @@ class StandardFormLP:
     """min c.x subject to A x = b, x >= 0.
 
     The arrays are read-only copies.  An LP made by ``with_rhs`` shares its
-    template's ``c`` and ``A`` arrays and its cache; any other
-    construction, ``dataclasses.replace`` included, starts afresh.
+    template's ``c`` and ``A`` arrays and its ``_kernels.Family``; any
+    other construction, ``dataclasses.replace`` included, starts afresh.
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     _template: InitVar[StandardFormLP | None] = None
-    # Valid only for this c and A.  Sorted basis bytes -> b-independent
-    # factor (None if singular), see ``_kernels.basis_eval``; ``"cone"`` ->
-    # the registered bases with their duals and the bases the tableau has
-    # ended in, see ``_kernels.simplex``; and (row-order basis bytes,) -> its
-    # BasisSignature and read-only sorted index array, see ``solve``.  The
-    # three kinds of key (bytes, str, 1-tuple) never collide.
-    _cache: dict = field(init=False, repr=False)
+    # Valid only for this c and A; only ``_kernels`` reads its entries.
+    _cache: _kernels.Family = field(init=False, repr=False)
 
     def __post_init__(self, _template):
         b = _readonly(self.b)
         if _template is not None and self.c is _template.c and self.A is _template.A:
             # with_rhs: c and A are the template's checked read-only arrays,
             # so only what the new b can break is checked.
-            cache = _template._cache
+            family = _template._cache
         else:
-            c, A, cache = _readonly(self.c), _readonly(self.A), {}
+            c, A, family = _readonly(self.c), _readonly(self.A), _kernels.Family()
             if A.ndim != 2 or c.ndim != 1:
                 raise ValueError("expected A 2-d, c and b 1-d")
             m, n = A.shape
@@ -113,7 +108,7 @@ class StandardFormLP:
         if not all(map(math.isfinite, b.tolist())):
             raise ValueError("LP data must be finite")
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_cache", cache)
+        object.__setattr__(self, "_cache", family)
 
     @property
     def m(self) -> int:
@@ -126,7 +121,7 @@ class StandardFormLP:
     def with_rhs(self, b: np.ndarray) -> "StandardFormLP":
         """Same costs and constraint matrix, new right-hand side.
 
-        The new LP shares this one's ``c`` and ``A`` arrays and its cache, so
+        The new LP shares this one's ``c`` and ``A`` arrays and family, so
         each distinct basis is factorised once across all of them; ``b`` is
         copied and checked as usual.
         """
@@ -182,7 +177,7 @@ def solve(lp: StandardFormLP) -> LPSolution:
     breaks down or takes more than 50 (n + m + 10) pivots.
     """
     m, n = lp.A.shape
-    status, basis_arr, iters, xb = _kernels.simplex(
+    status, _, iters, hit = _kernels.simplex(
         lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 50 * (n + m + 10), lp._cache
     )
     if status == _kernels.RANK_DEFICIENT:
@@ -197,19 +192,13 @@ def solve(lp: StandardFormLP) -> LPSolution:
         return LPSolution(LPStatus.INFEASIBLE, math.nan, iterations=iters)
     if status == _kernels.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, -math.inf, iterations=iters)
-    # One signature and read-only index array per kernel basis and family.
-    key = (basis_arr.tobytes(),)
-    entry = lp._cache.get(key)
-    if entry is None:
-        sig = BasisSignature(tuple(basis_arr.tolist()))
-        idx = sig.as_array()
-        idx.setflags(write=False)
-        entry = lp._cache[key] = (sig, idx)
-    sig, idx = entry
-    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache, xb)
+    record, xb = hit
+    ok, x, rc, obj = _kernels.evaluate(record, lp.b, xb)
     if not ok:
         raise NumericalFailureError("terminal basis factorisation broke down")
-    return LPSolution(LPStatus.OPTIMAL, float(obj), x, sig, rc, iters)
+    if record.tag is None:
+        record.tag = BasisSignature(tuple(record.idx.tolist()))
+    return LPSolution(LPStatus.OPTIMAL, float(obj), x, record.tag, rc, iters)
 
 
 def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
@@ -221,9 +210,7 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
     way).  Raises SingularBasisError when B cannot be factorised.
     """
     idx = _check_basis(lp, basis)
-    ok, x, rc, obj = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache
-    )
+    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache)
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
     if x[idx].min(initial=math.inf) < -TOL_FEAS:

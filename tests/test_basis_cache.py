@@ -105,12 +105,13 @@ def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
 
 
 def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
+    """One signature per distinct basis, kept on the basis's record: every
+    hour of the full solve, and every representative solved after it, that
+    ends in a basis gets that very object."""
     system, full = solved
     system = _fresh(system)
-    built, kernel_bases, evaluated = [], set(), []
-    signature, simplex, basis_eval = (
-        lp_core.BasisSignature, _kernels.simplex, _kernels.basis_eval
-    )
+    built, records = [], []
+    signature, simplex = lp_core.BasisSignature, _kernels.simplex
 
     def counted_signature(indices):
         built.append(tuple(indices))
@@ -119,36 +120,30 @@ def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
     def recorded_simplex(*args):
         result = simplex(*args)
         assert result[0] == _kernels.OPTIMAL
-        kernel_bases.add(tuple(result[1].tolist()))
+        records.append(result[3][0])
         return result
-
-    def recorded_basis_eval(c, A, b, basis, *args):
-        evaluated.append(basis)
-        return basis_eval(c, A, b, basis, *args)
 
     monkeypatch.setattr(lp_core, "BasisSignature", counted_signature)
     monkeypatch.setattr(_kernels, "simplex", recorded_simplex)
-    monkeypatch.setattr(_kernels, "basis_eval", recorded_basis_eval)
     again = solve_full(system)
-    # one build per distinct row-order kernel basis, shared by its hours
-    assert sorted(built) == sorted(kernel_bases)
-    assert len({id(b) for b in again.bases()}) == len(built)
     assert again.bases() == full.bases()
-    # hours that share a basis get equal, equally hashed signatures
+    features = normalize_features(system)
+    bmodel = basis_cluster(system, features=features, full=again)
+    bases = list(again.bases())
+    for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
+        reps = to_representatives(model, features)
+        bases += [p.solution.basis for p in solve_aggregated(system, reps).periods]
     first = {}
-    for basis in again.bases():
-        seen = first.setdefault(basis.indices, basis)
-        assert basis == seen and hash(basis) == hash(seen)
-    assert len(set(again.bases())) == len(first)
-    # the cached index arrays handed to basis_eval are read-only
-    assert len(evaluated) == system.horizon
-    assert len({id(a) for a in evaluated}) == len(built)
-    for idx in evaluated:
-        assert not idx.flags.writeable
+    for basis in bases:
+        assert first.setdefault(basis.indices, basis) is basis
+    assert sorted(built) == sorted(first)
+    # each record keeps its basis's signature and a read-only index array
+    assert len(records) == len(bases)
+    for record in records:
+        assert record.tag is first[tuple(record.idx.tolist())]
+        assert not record.idx.flags.writeable
         with pytest.raises(ValueError):
-            idx[0] = 0
-
-
+            record.idx[0] = 0
 
 
 def _dispatch_bits(dispatch):

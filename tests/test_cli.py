@@ -411,6 +411,30 @@ def test_plot_horizon_mismatch_exits_2(instance, tmp_path, capsys):
     assert "hours" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["nodir/x.svg", "file/x.svg", "dir"],
+                         ids=["missing_parent", "parent_is_a_file", "out_is_a_directory"])
+def test_plot_checks_out_before_any_work(instance, tmp_path, capsys, monkeypatch, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("plot did work before --out was checked")
+
+    monkeypatch.setattr(cli, "load_config", no_work)
+    monkeypatch.setattr(cli, "read_clusters", no_work)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / out)
+    with pytest.raises(IoError) as failed_write:
+        dump_json({}, out)
+    code = main(["plot", "--config", str(instance / "config.json"),
+                 "--clusters", str(tmp_path / "clusters.json"), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {failed_write.value}\n"
+    assert failed_write.value.args[0].startswith(f"cannot write {out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def _assign_unknown_id(doc):
     doc["assignment"][5] = doc["k"]
 

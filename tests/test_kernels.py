@@ -29,7 +29,7 @@ def test_simplex_pivot_sequence_pinned():
     statuses = set()
     for _ in range(300):
         c, A, b = random_lp_data(rng)
-        st, basis, it, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
+        st, basis, it, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, _kernels.Family())
         statuses.add(st)
         digest.update(np.array([st, it], dtype="<i8").tobytes())
         digest.update(np.asarray(basis, dtype="<i8").tobytes())
@@ -42,12 +42,12 @@ def test_basis_eval_matches_numpy_linalg():
     checked = 0
     while checked < 80:
         c, A, b = random_lp_data(rng)
-        st, basis, _, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, {})
+        st, basis, _, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, _kernels.Family())
         if st != _kernels.OPTIMAL:
             continue
         checked += 1
         idx = np.sort(basis)
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, idx, PIVOT_EPS, {})
+        ok, x, rc, obj = _kernels.basis_eval(c, A, b, idx, PIVOT_EPS, _kernels.Family())
         assert ok
         B = A[:, idx]
         xb = np.linalg.solve(B, b)
@@ -102,7 +102,7 @@ def test_basis_eval_bitwise_equal_to_reference():
     singular = 0
     for _ in range(2400):
         c, A, b, basis = _random_basis_case(rng)
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, {})
+        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, _kernels.Family())
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
         assert ok == ok_ref
         assert _bits(x) == _bits(x_ref)
@@ -126,16 +126,16 @@ def test_basis_eval_keeps_zero_terms_and_row_swaps(b):
     c = np.array([2.0, -1.0, 0.5, 3.0])
     basis = np.array([3, 0, 2])  # B = SWAPPED_B
     b = np.array(b)
-    factors = {}
-    for _ in range(2):  # the factor's first use, then the cached one
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, factors)
+    family = _kernels.Family()
+    for _ in range(2):  # the record's first use, then the kept one
+        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, family)
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
         assert ok and ok_ref
         assert _bits(x) == _bits(x_ref)
         assert _bits(rc) == _bits(rc_ref)
         assert _bits(obj) == _bits(obj_ref)
-    (((swaps, _, _), _, _, _),) = factors.values()
-    assert swaps  # the LU permutation is not the identity
+    (record,) = family.values()
+    assert record.ops[0]  # the LU permutation is not the identity
 
 
 def _count_calls(monkeypatch, name):
@@ -152,8 +152,8 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _assert_matches_reference(args, cache, tableau):
-    """Solve ``args`` through ``cache`` and against the tableau reference.
+def _assert_matches_reference(args, family, tableau):
+    """Solve ``args`` through ``family`` and against the tableau reference.
 
     ``tableau`` counts ``_two_phase`` calls (see ``_count_calls``).  Where
     the kernel ran it, status, iterations and basis in row order equal the
@@ -162,7 +162,7 @@ def _assert_matches_reference(args, cache, tableau):
     kernel's result.
     """
     solves = len(tableau)
-    st, basis, it, _ = _kernels.simplex(*args, cache)
+    st, basis, it, _ = _kernels.simplex(*args, family)
     ref = simplex_reference(*args)
     assert st == ref[0]
     if len(tableau) > solves:
@@ -175,15 +175,15 @@ def _assert_matches_reference(args, cache, tableau):
 
 
 def _assert_hours_match_reference(system, monkeypatch):
-    """Every hour through one family cache, then through ``solve_full``,
+    """Every hour through one family, then through ``solve_full``,
     against the tableau reference; returns the hours the tableau solved."""
     tableau = _count_calls(monkeypatch, "_two_phase")
     c, A = _template(system)
-    cache = {}
+    family = _kernels.Family()
     results = []
     for h in range(system.horizon):
         args = (c, A, hourly_rhs(system, h), TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
-        _, basis, it = _assert_matches_reference(args, cache, tableau)
+        _, basis, it = _assert_matches_reference(args, family, tableau)
         results.append((it, tuple(sorted(basis.tolist()))))
     solved = len(tableau)
     # Iterations reach no output file, so no digest would see them move.
@@ -240,7 +240,7 @@ def test_simplex_matches_reference_on_random_lps():
     for case in range(3000):
         c, A, b, max_iter = _random_simplex_case(rng)
         args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
-        st, basis, it, _ = _kernels.simplex(*args, {})
+        st, basis, it, _ = _kernels.simplex(*args, _kernels.Family())
         st_ref, basis_ref, it_ref = simplex_reference(*args)
         assert (st, it) == (st_ref, it_ref), case
         assert np.array_equal(basis, basis_ref), case
@@ -312,22 +312,30 @@ def _random_family(rng):
 
 
 def test_shared_paths_match_reference_on_random_families(monkeypatch):
-    """Each b solved twice through its family's cache, the second time under
+    """Each b solved twice through its family, the second time under
     another cap.  Tableau solves match the reference exactly.  An accepted
     basis is the unique optimum by the reference's own evaluation, and at
     the default tolerances the reference's basis; the cone must accept
-    under a cap and under coarse tolerances too."""
+    under a cap and under coarse tolerances too.  A basis keeps one record
+    across calls, and no record is registered twice."""
     tableau = _count_calls(monkeypatch, "_two_phase")
     rng = np.random.default_rng(61)
     solved, accepted = set(), set()
     for _ in range(200):
         c, A, calls = _random_family(rng)
-        cache = {}
+        family, records = _kernels.Family(), {}
         for b, max_iter, tol_opt, pivot_eps in calls:
             for cap in (max_iter, 2000 if max_iter < 2000 else int(rng.integers(1, 8))):
                 solves = len(tableau)
                 args = (c, A, b, TOL_FEAS, tol_opt, pivot_eps, cap)
-                st, basis, it, _ = _kernels.simplex(*args, cache)
+                st, basis, it, hit = _kernels.simplex(*args, family)
+                assert (hit is None) == (st != _kernels.OPTIMAL)
+                if hit is not None:
+                    key = tuple(sorted(basis.tolist()))
+                    assert records.setdefault(key, hit[0]) is hit[0]
+                    assert tuple(hit[0].idx.tolist()) == key
+                cone = [r.idx.tobytes() for r in family.cone]
+                assert len(set(cone)) == len(cone)
                 if len(tableau) > solves:
                     ref = simplex_reference(*args)
                     assert (st, it) == (ref[0], ref[2])
@@ -366,42 +374,43 @@ def _cone_solver(monkeypatch, c=CONE_C):
     """A solve of demand d in one family of the LP above, checked against
     the reference; it returns (status, iterations, whether the tableau ran)."""
     tableau = _count_calls(monkeypatch, "_two_phase")
-    cache = {}
+    family = _kernels.Family()
 
     def solve(d, tol_opt=TOL_OPT):
         solves = len(tableau)
         args = (c, CONE_A, np.array([d, 10.0, 10.0]), TOL_FEAS, tol_opt, PIVOT_EPS, 2000)
-        st, _, it = _assert_matches_reference(args, cache, tableau)
+        st, _, it = _assert_matches_reference(args, family, tableau)
         return st, it, len(tableau) > solves
 
-    return solve, cache
+    return solve, family
 
 
 def test_registration_happens_on_the_second_sighting(monkeypatch):
-    solve, cache = _cone_solver(monkeypatch)
+    solve, family = _cone_solver(monkeypatch)
     factors = _count_calls(monkeypatch, "_basis_factor")
     assert solve(4.0)[2]
-    assert factors == []  # the first sighting does no registration work
+    # the first sighting makes the record, factor included, and registers nothing
+    assert (len(factors), family.cone) == (1, [])
     assert solve(5.0)[2]
-    ((rc_min, _, basis, _),) = cache[_kernels._CONE].bases
-    assert (rc_min, basis.tolist(), len(factors)) == (1.0, [0, 2, 3], 1)
+    (record,) = family.cone
+    assert (record.rc_min, record.idx.tolist(), len(factors)) == (1.0, [0, 2, 3], 1)
     assert solve(6.0) == (_kernels.OPTIMAL, 0, False)
 
 
 @pytest.mark.parametrize("d", [0.0, 10.0])
 def test_degenerate_hour_is_never_accepted(monkeypatch, d):
-    solve, cache = _cone_solver(monkeypatch)
+    solve, family = _cone_solver(monkeypatch)
     assert solve(d)[2] and solve(d)[2]  # x0 or x2 is exactly 0
-    assert cache[_kernels._CONE].bases == []
+    assert family.cone == []
     assert solve(4.0)[2]  # a later sighting registers the basis
     assert solve(d)[2]  # which is refused here
     assert solve(6.0) == (_kernels.OPTIMAL, 0, False)
 
 
 def test_zero_nonbasic_reduced_cost_is_never_accepted(monkeypatch):
-    solve, cache = _cone_solver(monkeypatch, c=np.array([1.0, 1.0, 0.0, 0.0]))
+    solve, family = _cone_solver(monkeypatch, c=np.array([1.0, 1.0, 0.0, 0.0]))
     assert all(solve(d)[2] for d in (4.0, 5.0, 6.0, 5.0))
-    assert cache[_kernels._CONE].bases == []
+    assert family.cone == []
 
 
 def test_candidate_is_refused_under_tol_opt_at_or_above_its_smallest_reduced_cost(monkeypatch):
@@ -526,7 +535,7 @@ def test_zero_free_acceptance_of_an_infinite_entry_goes_to_the_dense_list():
     assert _kernels._cone_solve(ops, free, [1.0, 1e308], TOL_FEAS) is None
 
 
-# --- candidate order and the x_B handed to basis_eval ---------------------------
+# --- candidate order and the x_B handed to evaluate -----------------------------
 
 def _fingerprint(full):
     return [
@@ -546,19 +555,19 @@ def test_candidate_order_never_changes_the_solution(order, monkeypatch):
     reordered_calls = []
 
     def reordered(*args):
-        cone = args[-1].get(_kernels._CONE)
-        if cone is None or cone.duals is None:
+        family = args[-1]
+        if family.duals is None:
             return simplex(*args)
-        duals = cone.duals
-        cone.duals = changed = (
+        duals = family.duals
+        family.duals = changed = (
             -duals if order == "negated" else duals[rng.permutation(len(duals))]
         )
         reordered_calls.append(None)
         try:
             return simplex(*args)
         finally:
-            if cone.duals is changed:  # else a registration rebuilt it
-                cone.duals = duals
+            if family.duals is changed:  # else a registration rebuilt it
+                family.duals = duals
 
     monkeypatch.setattr(_kernels, "simplex", reordered)
     for name, make in SOLVER_SYSTEMS.items():
@@ -571,10 +580,10 @@ def test_candidate_order_never_changes_the_solution(order, monkeypatch):
     *[(f"fleet{s}", 1008, 2.5) for s in range(5)],
 ])
 def test_lu_solves_per_hour_stay_bounded(name, hours, bound, monkeypatch):
-    """``_solve`` calls under ``solve_full``, ``basis_eval``'s included.
+    """``_solve`` calls under ``solve_full``, ``evaluate``'s included.
     Without the dual-bound order, the early exit and the x_B handoff (the
     other registered bases tried by recency, each solved in full, and the
-    accepted one solved again by ``basis_eval``) these are 2.19 per hour on
+    accepted one solved again by ``evaluate``) these are 2.19 per hour on
     the year and 5.2-5.6 on these fleets."""
     if name == "default_year":
         system = generate_synthetic(default_spec())
@@ -613,21 +622,30 @@ def test_accepted_cone_tests_run_on_the_zero_free_list(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["default_year", "fleet4", "degenerate"])
-def test_simplex_returns_the_x_b_that_basis_eval_would_solve(name):
-    """x_B comes back on every call that tested the hour's basis, bitwise
-    what the reference evaluation gives, and None only on the tableau's
-    first sighting of a basis."""
+def test_simplex_returns_the_x_b_that_basis_eval_would_solve(name, monkeypatch):
+    """Each OPTIMAL call returns its basis's one record in the family, and
+    x_B bitwise what the reference evaluation gives, except where the
+    tableau ran and ended in a basis it had not seen or had registered
+    already: there x_B is None."""
+    tableau = _count_calls(monkeypatch, "_two_phase")
     system = SOLVER_SYSTEMS[name]()
     c, A = _template(system)
-    cache, seen = {}, set()
+    family, records = _kernels.Family(), {}
     for h in range(system.horizon):
         b = hourly_rhs(system, h)
-        st, basis, _, xb = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, cache)
+        registered = set(map(id, family.cone))
+        solves = len(tableau)
+        st, basis, _, (record, xb) = _kernels.simplex(
+            c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, family
+        )
         assert st == _kernels.OPTIMAL
         idx = np.sort(basis)
         key = tuple(idx.tolist())
-        assert (xb is None) == (key not in seen), h
-        seen.add(key)
+        first = key not in records
+        assert records.setdefault(key, record) is record
+        assert family[idx.tobytes()] is record and tuple(record.idx.tolist()) == key
+        ran = len(tableau) > solves
+        assert (xb is None) == (ran and (first or id(record) in registered)), h
         if xb is not None:
             ok, x, _, _ = basis_eval_reference(c, A, b, idx, PIVOT_EPS)
             assert ok and _bits(xb) == _bits(x[idx]), h

@@ -51,6 +51,54 @@ def test_the_check_sees_private_names(tmp_path):
     ]
 
 
+# Only ``_kernels`` reads or writes the entries of an LP family.
+FAMILY_READS = ("get", "setdefault", "items", "keys", "values")
+
+
+def _family_entry_access(path):
+    """(line, expression) of each subscript of an expression ending in
+    ``._cache`` in ``path``, and each call of one of ``FAMILY_READS`` on
+    one.  Passing the family on, as ``f(lp._cache)``, is allowed."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        target = None
+        if isinstance(node, ast.Subscript):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in FAMILY_READS:
+                target = node.func.value
+        if isinstance(target, ast.Attribute) and target.attr == "_cache":
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_only_the_kernels_touch_a_family_s_entries():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "_kernels.py")
+    assert len(modules) > 5
+    offenders = {p.name: _family_entry_access(p) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_family_entry_access(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "lp._cache[key] = entry\n"
+        "entry = self.lp._cache.get(key)\n"
+        "lp._cache.setdefault(key, entry)\n"
+        "n = len(list(lp._cache.values()))\n"
+        "simplex(c, A, b, lp._cache)\n"
+        "cache.get(key)\n"
+        "lp._caches[key]\n"
+        "lp._cache.cone\n"
+    )
+    assert _family_entry_access(path) == [
+        (1, "lp._cache[key]"),
+        (2, "self.lp._cache.get(key)"),
+        (3, "lp._cache.setdefault(key, entry)"),
+        (4, "lp._cache.values()"),
+    ]
+
+
 def _array_dataclasses_with_value_eq(path):
     """Names of the ``@dataclass`` classes in ``path`` that have a field
     annotated with ``np.ndarray`` but no ``eq=False``.  Their generated
