@@ -14,12 +14,14 @@ ever reads them, so they are write-only (both arguments are in
 
 Each basis of a (c, A) family has one ``_Basis`` record in its ``Family``:
 the LU solves of B and B^T as op lists, c_B, the reduced costs and the
-duals.  ``simplex`` first tries the bases the tableau has ended in twice,
-the most recently accepted first, then by descending dual bound on b.  It
+duals.  ``simplex`` first tries the bases the tableau has ended in twice:
+the most recently accepted first, then the one of highest dual bound on
+b, and only if that fails too the rest in descending order of it.  It
 skips the tableau where one is the unique optimum for b and returns that
-record with its x_B, which ``evaluate`` takes in place of its own solve;
-so an hour in a registered cone costs about one LU solve, run over the
-basis's nonzero LU terms only, bit for bit (see ``_solve``).  A dispatch B
+record with its x_B, which ``evaluate`` takes in place of its own solve
+and scatters into x through the record's index list; so an hour in a
+registered cone costs about one LU solve, run over the basis's nonzero
+LU terms only, bit for bit (see ``_solve``).  A dispatch B
 is one balance row plus bound rows: on a 12-unit fleet (m = 14) a basis
 keeps about 45 of its 182 terms.  ``dispatch_model`` keeps one family per
 system, so its aggregated solves test the full solve's cones too.  Only
@@ -189,9 +191,10 @@ def _basis_factor(c, A, basis, pivot_eps):
 
 
 class _Basis:
-    """One basis of a family: read-only ``idx`` and ``_basis_factor``'s
-    ``ops``, ``cb``, ``rc`` and ``y`` (if B is singular, None but for
-    zero reduced costs, which is what ``basis_eval`` returns then).
+    """One basis of a family: read-only ``idx``, the same indices as the
+    list ``cols``, and ``_basis_factor``'s ``ops``, ``cb``, ``rc`` and
+    ``y`` (if B is singular, None but for zero reduced costs, which is
+    what ``basis_eval`` returns then).
 
     ``rc_min``, the smallest nonbasic reduced cost, is set at registration
     (see ``simplex``); ``free``, the ``_zero_free`` op list, on the first
@@ -199,11 +202,12 @@ class _Basis:
     caller's: ``lp_core`` keeps the basis's one signature there.
     """
 
-    __slots__ = ("idx", "ops", "cb", "rc", "y", "rc_min", "free", "tag")
+    __slots__ = ("idx", "cols", "ops", "cb", "rc", "y", "rc_min", "free", "tag")
 
     def __init__(self, c, A, idx, pivot_eps):
         self.idx = idx = np.array(idx, dtype=np.int64)
         idx.setflags(write=False)
+        self.cols = idx.tolist()
         factor = _basis_factor(c, A, idx, pivot_eps)
         self.ops, self.cb, self.rc, self.y = factor or (None, None, np.zeros(len(c)), None)
         self.rc_min = self.free = self.tag = None
@@ -232,16 +236,16 @@ def evaluate(record, b, xb=None):
     solve, so it is taken as is.
     """
     rc = record.rc
-    x = np.zeros(len(rc))
     if record.ops is None:
-        return False, x, rc.copy(), 0.0
+        return False, np.zeros(len(rc)), rc.copy(), 0.0
     if xb is None:
         xb = _solve(record.ops, b.tolist())
     obj = 0.0
-    for cbk, xk in zip(record.cb, xb):
+    x = [0.0] * len(rc)
+    for j, cbk, xk in zip(record.cols, record.cb, xb):
         obj += cbk * xk
-    x[record.idx] = xb
-    return True, x, rc.copy(), obj
+        x[j] = xk
+    return True, np.array(x), rc.copy(), obj
 
 
 def basis_eval(c, A, b, basis, pivot_eps, family):
@@ -354,8 +358,11 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     descending dual bound y_j.b.  Every registered basis is dual feasible,
     so y_j.b <= z(b), the optimal cost, by weak duality, with equality for
     an optimal basis; the one basis that can pass ranks first up to
-    rounding.  Every candidate is tried before the tableau runs, so the
-    order changes how many solves a call makes, never its result.  A
+    rounding.  So after a miss of the last basis, one ``max`` finds the
+    top bound (the first of equal ones, which a stable descending sort
+    puts first), and the rest are sorted only if it fails too; no basis
+    is tried twice.  Every candidate is tried before the tableau runs, so
+    the order changes how many solves a call makes, never its result.  A
     candidate's solve stops at its first x_B entry not above ``tol_feas``,
     and runs over the basis's nonzero LU terms only (``_zero_free``, built
     on the basis's first test): it accepts and returns exactly what the
@@ -365,7 +372,7 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     the basis gets its record, factor included; a later ending in a record
     not yet registered solves x_B and registers the basis if it is
     nonsingular and passes the same test.  A record first made by
-    ``basis_eval`` counts as a sighting.
+    ``basis_eval`` counts as a sighting.  Only this path reads A's shape.
 
     Skipping exact zeros in a pivot gives the dense update's decisions and
     nonzero values, provided every tableau entry stays finite.  A skipped
@@ -387,23 +394,29 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     pivot column alone.  So every decision, the pivot count and every
     value outside those columns are what the full tableau gives.
     """
-    m, n = A.shape
     bl = b.tolist()
     cone = family.cone
     if cone:
-        k = family.mru
+        k = mru = family.mru
         xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
         if xb is None and len(cone) > 1:
+            # The first of the top scores, which a stable descending sort
+            # would put first; the rest are sorted only if it fails too.
             scores = (family.duals @ b).tolist()
-            for k in sorted(range(len(cone)), key=scores.__getitem__, reverse=True):
-                if k != family.mru:
-                    xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
-                    if xb is not None:
-                        break
+            k = top = scores.index(max(scores))
+            if top != mru:
+                xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
+            if xb is None:
+                for k in sorted(range(len(cone)), key=scores.__getitem__, reverse=True):
+                    if k != mru and k != top:
+                        xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
+                        if xb is not None:
+                            break
         if xb is not None:
             family.mru = k
             record = cone[k]
             return OPTIMAL, record.idx, 0, (record, xb)
+    m, n = A.shape
     basis = list(range(n, n + m))
     status, iters = _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter)
     hit = None
@@ -417,7 +430,7 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
         elif record.rc_min is None and record.ops is not None:
             xb = _solve(record.ops, bl)
             rcl = record.rc.tolist()
-            for j in idx.tolist():
+            for j in record.cols:
                 rcl[j] = _INF
             rc_min = min(rcl)
             if rc_min > tol_opt and min(xb) > tol_feas:

@@ -17,6 +17,7 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -83,7 +84,12 @@ class SeriesBundle:
 # ---------------------------------------------------------------------------
 
 def load_series(path) -> SeriesBundle:
-    """Parse a series CSV; errors carry the offending line number."""
+    """Parse a series CSV; errors carry the offending line number.
+
+    The body is parsed column by column; a file that this parse does not
+    pass is read again row by row (``_raise_first_bad_row``), which reports
+    its first bad line.
+    """
     try:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
@@ -101,15 +107,43 @@ def load_series(path) -> SeriesBundle:
         cf_names.append(cell[3:])
     if len(set(cf_names)) != len(cf_names):
         raise ParseError(f"duplicate capacity factor columns in {header}", 1)
+    columns = _parse_columns(rows[1:], len(header))
+    if columns is None:
+        _raise_first_bad_row(rows[1:], len(header))
+    demand, *cfs = columns
+    return SeriesBundle(demand, dict(zip(cf_names, cfs)))
 
-    demand = []
-    cfs: list[list[float]] = [[] for _ in cf_names]
-    for i, row in enumerate(rows[1:]):
+
+def _parse_columns(body: list[list[str]], width: int) -> list[np.ndarray] | None:
+    """The demand and cf columns of ``body`` as float64 arrays, or None
+    unless every row passes ``_raise_first_bad_row``'s checks.
+
+    Each cell goes through the same ``int`` or ``float`` as there, so the
+    arrays are bitwise what a row-by-row parse gives.
+    """
+    if not body or set(map(len, body)) != {width}:
+        return None
+    hours, *cells = zip(*body)
+    try:
+        if list(map(int, hours)) != list(range(len(body))):
+            return None
+        demand, *cfs = [np.array(list(map(float, column))) for column in cells]
+    except ValueError:
+        return None
+    # NaN fails every comparison, so these also refuse it.
+    if not (demand.min() >= 0.0 and demand.max() < math.inf):
+        return None
+    if not all(cf.min() >= 0.0 and cf.max() <= 1.0 for cf in cfs):
+        return None
+    return [demand, *cfs]
+
+
+def _raise_first_bad_row(body: list[list[str]], width: int) -> NoReturn:
+    """Raise the ParseError of the first bad row of a series body."""
+    for i, row in enumerate(body):
         line = i + 2
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", line
-            )
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, got {len(row)}", line)
         try:
             hour = int(row[0])
         except ValueError as exc:
@@ -124,20 +158,16 @@ def load_series(path) -> SeriesBundle:
             raise ParseError(f"bad demand {row[1]!r}", line) from exc
         if not math.isfinite(d) or d < 0.0:
             raise ParseError(f"demand {d} must be finite and >= 0", line)
-        demand.append(d)
-        for j, cell in enumerate(row[2:]):
+        for cell in row[2:]:
             try:
                 v = float(cell)
             except ValueError as exc:
                 raise ParseError(f"bad capacity factor {cell!r}", line) from exc
             if not math.isfinite(v) or v < 0.0 or v > 1.0:
                 raise OutOfRangeCFError(v, line)
-            cfs[j].append(v)
-    if not demand:
-        raise ParseError("series file has a header but no rows", 2)
-    return SeriesBundle(
-        np.array(demand), {name: np.array(col) for name, col in zip(cf_names, cfs)}
-    )
+    # Every row passed, so there is none: ``_parse_columns`` takes any
+    # non-empty body whose rows all pass.
+    raise ParseError("series file has a header but no rows", 2)
 
 
 def write_series(bundle: SeriesBundle | SystemData, path) -> None:

@@ -10,7 +10,10 @@ encoded in equality form over shifted variables x_g = p_g - Pmin_g with one
 slack per upper bound.  The costs and constraint matrix depend only on the
 generator fleet, so every hour of a system shares bitwise-identical (c, A)
 and differs in the right-hand side alone; that is what lets one optimal
-basis be reused across periods.
+basis be reused across periods.  The hourly right-hand sides are the rows
+of one (H, m) matrix per system, built with the IEEE operations of the
+per-period formula and rebuilt when the fleet or a series is replaced
+(``_rhs_matrix``), so an hour's RHS costs a row copy.
 
 Unserved demand is modelled by an explicit high-cost generator (name
 ``NSE``) with a capacity sentinel comfortably above peak demand.
@@ -21,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -91,6 +95,9 @@ class SystemData:
     # (generators, floor total, thermal headroom, variable units, family
     # LP), see ``_rhs_parts``.
     _rhs_parts: tuple | None = field(default=None, init=False, repr=False)
+    # (generators, demand, (series id, cf array) pairs, RHS matrix), see
+    # ``_rhs_matrix``.
+    _rhs_rows: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -285,12 +292,46 @@ def _period_rhs(system: SystemData, demand: float, cf_of) -> np.ndarray:
     return b
 
 
-def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
-    """RHS for hour h: net demand then per-generator headroom."""
-    if not 0 <= h < system.horizon:
-        raise IndexError(f"hour {h} outside horizon {system.horizon}")
+def _rhs_matrix(system: SystemData) -> np.ndarray:
+    """Every hour's RHS as the rows of one (H, m) array, kept on the system.
+
+    Column 0 is ``demand - floor total`` and a variable unit's column
+    ``capacity * cf - p_min``, elementwise: the IEEE operations of
+    ``_period_rhs``, so row h is bitwise that hour's RHS.  ``SystemData``
+    is mutable, so the matrix is keyed by the identity of the generators,
+    the demand array and each variable unit's cf array, and rebuilt when
+    any of them is replaced.  The system stores these arrays read-only; a
+    writable one assigned later and then written in place goes unnoticed.
+    """
+    cached = system._rhs_rows
     cfs = system.capacity_factors
-    return _period_rhs(system, system.demand[h], lambda key: cfs[key][h])
+    if cached is not None and cached[0] is system.generators and cached[1] is system.demand:
+        for key, series in cached[2]:
+            if cfs[key] is not series:
+                break
+        else:
+            return cached[3]
+    _, floor_total, fixed, variable, _ = _rhs_parts(system)
+    demand = system.demand
+    matrix = np.empty((demand.size, fixed.size))
+    matrix[:] = fixed
+    matrix[:, 0] = demand - floor_total
+    used = []
+    for i, key, capacity, p_min in variable:
+        series = cfs[key]
+        matrix[:, i] = capacity * series - p_min
+        used.append((key, series))
+    system._rhs_rows = (system.generators, demand, used, matrix)
+    return matrix
+
+
+def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
+    """RHS for hour h: net demand then per-generator headroom (a fresh
+    copy of row h of ``_rhs_matrix``)."""
+    matrix = _rhs_matrix(system)
+    if not 0 <= h < len(matrix):
+        raise IndexError(f"hour {h} outside horizon {system.horizon}")
+    return matrix[h].copy()
 
 
 def build_hourly_lp(system: SystemData, h: int) -> StandardFormLP:
@@ -313,36 +354,38 @@ def _rep_rhs(system: SystemData, rep: Representative) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _solve_periods(
-    system: SystemData, kind: DispatchKind, periods: Iterable[tuple[np.ndarray, float]]
+    system: SystemData, kind: DispatchKind, rhss: Iterable[np.ndarray],
+    weights: Sequence[float],
 ) -> DispatchSolution:
-    """Solve one LP per (rhs, weight) pair, in order, in the system's family.
+    """Solve one LP per RHS, in order, in the system's family.
 
     Every solve of one system, full or aggregated, is a ``with_rhs`` LP of
     one family (see ``_rhs_parts``), so a later solve reuses the bases,
     factors and cones that earlier ones found.  Only the pivot counts
-    depend on what was solved before, not bases or values.  The total
-    weights each period's cost by its weight, summed in period order.
-    Raises InfeasiblePeriodError with the position of the first period
-    that is not optimal.
+    depend on what was solved before, not bases or values.  ``weights``
+    has one entry per RHS; the total weights each period's cost by its
+    weight, summed in period order.  Raises InfeasiblePeriodError with the
+    position of the first period that is not optimal.
     """
     pmin = _pmin_vector(system)
     offset = cost_offset(system)
     base = _rhs_parts(system)[4]
+    optimal = LPStatus.OPTIMAL
     solved = []
-    for index, (rhs, weight) in enumerate(periods):
+    for rhs in rhss:
         if base is None:
             lp = base = StandardFormLP(*_template(system), rhs)
             system._rhs_parts = system._rhs_parts[:4] + (base,)
         else:
             lp = base.with_rhs(rhs)
         sol = solve(lp)
-        if sol.status is not LPStatus.OPTIMAL:
-            raise InfeasiblePeriodError(index, sol.status)
-        solved.append((weight, sol))
+        if sol.status is not optimal:
+            raise InfeasiblePeriodError(len(solved), sol.status)
+        solved.append(sol)
     # One (P, G) sum in place of P small ones; each row is a period's view.
-    production = np.array([sol.x for _, sol in solved])[:, : pmin.size] + pmin
-    results = [PeriodResult(w, sol, p) for (w, sol), p in zip(solved, production)]
-    total = float(sum(p.weight * (p.solution.objective + offset) for p in results))
+    production = np.array([sol.x for sol in solved])[:, : pmin.size] + pmin
+    results = list(map(PeriodResult, weights, solved, production))
+    total = float(sum(w * (sol.objective + offset) for w, sol in zip(weights, solved)))
     return DispatchSolution(kind, results, total)
 
 
@@ -352,8 +395,9 @@ def solve_full(system: SystemData) -> DispatchSolution:
     Raises InfeasiblePeriodError with the offending hour index if any
     period fails.
     """
-    hours = ((hourly_rhs(system, h), 1.0) for h in range(system.horizon))
-    return _solve_periods(system, DispatchKind.FULL, hours)
+    H = system.horizon
+    hours = map(hourly_rhs, repeat(system, H), range(H))
+    return _solve_periods(system, DispatchKind.FULL, hours, [1.0] * H)
 
 
 def solve_aggregated(
@@ -362,8 +406,9 @@ def solve_aggregated(
     """Solve each representative LP; total cost weights each by its hours."""
     if not reps:
         raise ValueError("no representatives to solve")
-    periods = ((_rep_rhs(system, rep), rep.weight) for rep in reps)
-    return _solve_periods(system, DispatchKind.AGGREGATED, periods)
+    periods = (_rep_rhs(system, rep) for rep in reps)
+    weights = [rep.weight for rep in reps]
+    return _solve_periods(system, DispatchKind.AGGREGATED, periods, weights)
 
 
 # ---------------------------------------------------------------------------

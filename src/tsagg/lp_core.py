@@ -12,17 +12,20 @@ basis) alone, B's factor, the duals and the reduced costs, so a basis is
 factorised once for the whole family and each evaluation then costs one
 triangular solve against its own b.  A basis the simplex has ended in twice
 is taken without pivoting for any later b whose unique optimum it is
-(``_kernels.simplex`` tries the last basis taken, then the others by
-descending dual bound on b), and the x_B that test solved is the one
-``solve`` returns, so such an hour costs about one triangular solve in all.
-Each basis gets one ``BasisSignature`` per family, kept on its record,
-which every solve that ends there shares.
+(``_kernels.simplex`` tries the last basis taken, then the one of top dual
+bound on b, then the rest by descending bound), and the x_B that test
+solved is the one ``solve`` returns, so such an hour costs about one
+triangular solve in all.  Each basis gets one ``BasisSignature`` per
+family, kept on its record, which every solve that ends there shares.  A
+b that is already a float64 ndarray, as ``dispatch_model.hourly_rhs``
+returns, is copied once as it is and set read-only; its shape and
+finiteness are checked as for any b, with the same errors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -58,13 +61,20 @@ class LPStatus(Enum):
     BASIS_SUBOPTIMAL = "basis_suboptimal"
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+    """A read-only float64 copy of ``a``; a float64 ndarray is copied as is."""
+    if type(a) is np.ndarray and a.dtype is _FLOAT64:
+        out = a.copy()
+    else:
+        out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StandardFormLP:
     """min c.x subject to A x = b, x >= 0.
 
@@ -76,18 +86,17 @@ class StandardFormLP:
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    _template: InitVar[StandardFormLP | None] = None
     # Valid only for this c and A; only ``_kernels`` reads its entries.
     _cache: _kernels.Family = field(init=False, repr=False)
 
-    def __post_init__(self, _template):
-        b = _readonly(self.b)
-        if _template is not None and self.c is _template.c and self.A is _template.A:
+    def __init__(self, c, A, b, _template: StandardFormLP | None = None):
+        b = _readonly(b)
+        if _template is not None and c is _template.c and A is _template.A:
             # with_rhs: c and A are the template's checked read-only arrays,
             # so only what the new b can break is checked.
             family = _template._cache
         else:
-            c, A, family = _readonly(self.c), _readonly(self.A), _kernels.Family()
+            c, A, family = _readonly(c), _readonly(A), _kernels.Family()
             if A.ndim != 2 or c.ndim != 1:
                 raise ValueError("expected A 2-d, c and b 1-d")
             m, n = A.shape
@@ -99,16 +108,14 @@ class StandardFormLP:
                 raise ValueError(f"more rows than columns (m={m} > n={n})")
             if not (np.isfinite(c).all() and np.isfinite(A).all()):
                 raise ValueError("LP data must be finite")
-            object.__setattr__(self, "c", c)
-            object.__setattr__(self, "A", A)
-        if b.ndim != 1:
-            raise ValueError("expected A 2-d, c and b 1-d")
-        if b.shape[0] != self.A.shape[0]:
-            raise ValueError(f"inconsistent shapes: A {self.A.shape}, b {b.shape}")
+        if b.shape != (len(A),):
+            if b.ndim != 1:
+                raise ValueError("expected A 2-d, c and b 1-d")
+            raise ValueError(f"inconsistent shapes: A {A.shape}, b {b.shape}")
         if not all(map(math.isfinite, b.tolist())):
             raise ValueError("LP data must be finite")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_cache", family)
+        # The instance is frozen: its fields are set through its dict.
+        vars(self).update(c=c, A=A, b=b, _cache=family)
 
     @property
     def m(self) -> int:
@@ -149,7 +156,7 @@ class BasisSignature:
         return len(self.indices)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LPSolution:
     status: LPStatus
     objective: float
@@ -180,6 +187,14 @@ def solve(lp: StandardFormLP) -> LPSolution:
     status, _, iters, hit = _kernels.simplex(
         lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 50 * (n + m + 10), lp._cache
     )
+    if status == _kernels.OPTIMAL:
+        record, xb = hit
+        ok, x, rc, obj = _kernels.evaluate(record, lp.b, xb)
+        if not ok:
+            raise NumericalFailureError("terminal basis factorisation broke down")
+        if record.tag is None:
+            record.tag = BasisSignature(tuple(record.cols))
+        return LPSolution(LPStatus.OPTIMAL, obj, x, record.tag, rc, iters)
     if status == _kernels.RANK_DEFICIENT:
         raise RankDeficientError("constraint matrix has dependent rows")
     if status == _kernels.NUMERICAL:
@@ -190,15 +205,7 @@ def solve(lp: StandardFormLP) -> LPSolution:
         if np.linalg.matrix_rank(lp.A) < lp.m:
             raise RankDeficientError("constraint matrix has dependent rows")
         return LPSolution(LPStatus.INFEASIBLE, math.nan, iterations=iters)
-    if status == _kernels.UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED, -math.inf, iterations=iters)
-    record, xb = hit
-    ok, x, rc, obj = _kernels.evaluate(record, lp.b, xb)
-    if not ok:
-        raise NumericalFailureError("terminal basis factorisation broke down")
-    if record.tag is None:
-        record.tag = BasisSignature(tuple(record.idx.tolist()))
-    return LPSolution(LPStatus.OPTIMAL, float(obj), x, record.tag, rc, iters)
+    return LPSolution(LPStatus.UNBOUNDED, -math.inf, iterations=iters)
 
 
 def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -441,6 +442,60 @@ def write_series_reference(bundle, path) -> None:
                 [h, repr(float(demand[h]))]
                 + [repr(float(cfs[n][h])) for n in names]
             )
+
+
+def load_series_reference(path):
+    """``load_series``'s earlier row-by-row parse: (demand, {cf id: array}).
+
+    It reads the header and every row in file order and raises the
+    package's errors with the same messages and line numbers.
+    """
+    from tsagg.data_io import NonContiguousHoursError, OutOfRangeCFError, ParseError
+
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise ParseError("empty series file", 1)
+    header = [cell.strip() for cell in rows[0]]
+    if header[:2] != ["hour", "demand"]:
+        raise ParseError(f"header must start with hour,demand; got {header}", 1)
+    cf_names = []
+    for cell in header[2:]:
+        if not cell.startswith("cf_") or len(cell) <= 3:
+            raise ParseError(f"capacity factor column {cell!r} must be cf_<id>", 1)
+        cf_names.append(cell[3:])
+    if len(set(cf_names)) != len(cf_names):
+        raise ParseError(f"duplicate capacity factor columns in {header}", 1)
+    demand = []
+    cfs = [[] for _ in cf_names]
+    for i, row in enumerate(rows[1:]):
+        line = i + 2
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+        try:
+            hour = int(row[0])
+        except ValueError as exc:
+            raise ParseError(f"bad hour {row[0]!r}", line) from exc
+        if hour != i:
+            raise NonContiguousHoursError(f"hour {hour} out of order (expected {i})", line)
+        try:
+            d = float(row[1])
+        except ValueError as exc:
+            raise ParseError(f"bad demand {row[1]!r}", line) from exc
+        if not math.isfinite(d) or d < 0.0:
+            raise ParseError(f"demand {d} must be finite and >= 0", line)
+        demand.append(d)
+        for j, cell in enumerate(row[2:]):
+            try:
+                v = float(cell)
+            except ValueError as exc:
+                raise ParseError(f"bad capacity factor {cell!r}", line) from exc
+            if not math.isfinite(v) or v < 0.0 or v > 1.0:
+                raise OutOfRangeCFError(v, line)
+            cfs[j].append(v)
+    if not demand:
+        raise ParseError("series file has a header but no rows", 2)
+    return np.array(demand), {name: np.array(col) for name, col in zip(cf_names, cfs)}
 
 
 def dual_certificate(system, dispatch):

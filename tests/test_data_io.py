@@ -42,8 +42,9 @@ from tsagg.evaluation import ClusterSummary, EvaluationReport
 from tsagg.lp_core import BasisSignature
 from tsagg.tsa_clustering import ClusterMethod, basis_cluster, normalize_features
 
-from oracles import regime_fractions_reference, write_series_reference
+from oracles import load_series_reference, regime_fractions_reference, write_series_reference
 from systems import degenerate_system, fleet_system, random_system, thermal_wind
+from tsbench.instances import build_fleet
 
 
 # --- series CSV -------------------------------------------------------------
@@ -133,6 +134,90 @@ def test_series_empty_and_header_only(tmp_path):
         load_series(_write(tmp_path, ""))
     with pytest.raises(ParseError):
         load_series(_write(tmp_path, "hour,demand\n"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_synthetic(default_spec()),
+    lambda: build_fleet(0),
+    lambda: SeriesBundle(
+        np.array([-0.0, 5e-324, 1.0, 1e300]),
+        {"a,b": np.array([1.0, -0.0, 5e-324, 0.5]), "wind": np.array([5e-324, 1.0, -0.0, 0.0])},
+    ),
+], ids=["default_year", "build_fleet", "edge_values"])
+def test_column_parse_gives_the_row_loop_s_arrays_bitwise(tmp_path, make):
+    path = tmp_path / "series.csv"
+    write_series(make(), path)
+    got = load_series(path)
+    demand, cfs = load_series_reference(path)
+    assert got.demand.dtype == demand.dtype and got.demand.tobytes() == demand.tobytes()
+    assert list(got.capacity_factors) == list(cfs)
+    for key, series in cfs.items():
+        assert got.capacity_factors[key].tobytes() == series.tobytes()
+
+
+# Cells that the column parse takes as the row loop does: quoted, padded
+# with spaces, signed or with digit separators.
+@pytest.mark.parametrize("text", [
+    'hour,demand,cf_wind\n"0","1.5",0.5\n1,2.0," 0.25 "\n',
+    "hour,demand,cf_wind\n 0 ,+1.5 ,0.5\n1, 2.0\t,1e-1\n",
+    "hour,demand,cf_wind\n0,1_000.5,0.5\n0_1,2.0,0.5\n",
+    "hour , demand\n0,-0.0\n",
+], ids=["quoted", "spaces", "separators", "padded_header"])
+def test_odd_but_valid_cells_parse_as_in_the_row_loop(tmp_path, text):
+    path = _write(tmp_path, text)
+    demand, cfs = load_series_reference(path)
+    got = load_series(path)
+    assert got.demand.tobytes() == demand.tobytes()
+    assert {k: v.tobytes() for k, v in got.capacity_factors.items()} == {
+        k: v.tobytes() for k, v in cfs.items()
+    }
+
+
+GOOD = "hour,demand,cf_wind\n0,1.0,0.5\n1,2.0,0.25\n"
+
+# (text, error type, message, line): the earlier errors, then bad last rows
+# and bad quoted or spaced cells, which only the row loop can place.
+SERIES_ERRORS = [
+    ("", ParseError, "empty series file", 1),
+    ("time,demand\n0,1.0\n", ParseError,
+     "header must start with hour,demand; got ['time', 'demand']", 1),
+    ("hour,demand,wind\n0,1.0,0.5\n", ParseError,
+     "capacity factor column 'wind' must be cf_<id>", 1),
+    ("hour,demand,cf_a,cf_a\n0,1.0,0.5,0.5\n", ParseError,
+     "duplicate capacity factor columns in ['hour', 'demand', 'cf_a', 'cf_a']", 1),
+    ("hour,demand\n", ParseError, "series file has a header but no rows", 2),
+    ("hour,demand\n0,1.0\n2,1.0\n", NonContiguousHoursError,
+     "hour 2 out of order (expected 1)", 3),
+    ("hour,demand,cf_wind\n0,1.0,0.5\n1,1.0,1.5\n", OutOfRangeCFError,
+     "capacity factor 1.5 outside [0, 1]", 3),
+    ("hour,demand\n0,abc\n", ParseError, "bad demand 'abc'", 2),
+    ("hour,demand\n0,1.0,9\n", ParseError, "expected 2 fields, got 3", 2),
+    ("hour,demand\n0,-3.0\n", ParseError, "demand -3.0 must be finite and >= 0", 2),
+    ("hour,demand\nx,1.0\n", ParseError, "bad hour 'x'", 2),
+    ("hour,demand,cf_wind\n0,1.0,y\n", ParseError, "bad capacity factor 'y'", 2),
+    (GOOD + "2,1.0,nan\n", OutOfRangeCFError, "capacity factor nan outside [0, 1]", 4),
+    (GOOD + "2,inf,0.5\n", ParseError, "demand inf must be finite and >= 0", 4),
+    (GOOD + "2,1.0\n", ParseError, "expected 3 fields, got 2", 4),
+    (GOOD + "3,1.0,0.5\n", NonContiguousHoursError, "hour 3 out of order (expected 2)", 4),
+    (GOOD + "2,1.0,-1e-300\n", OutOfRangeCFError, "capacity factor -1e-300 outside [0, 1]", 4),
+    (GOOD + "2,nan,0.5\n", ParseError, "demand nan must be finite and >= 0", 4),
+    (GOOD + '2,"1,5",0.5\n', ParseError, "bad demand '1,5'", 4),
+    (GOOD + '"2 ",1.0,"0. 5"\n', ParseError, "bad capacity factor '0. 5'", 4),
+    (GOOD + "2,1 0,0.5\n", ParseError, "bad demand '1 0'", 4),
+    (GOOD + "\n2,1.0,0.5\n", ParseError, "expected 3 fields, got 0", 4),
+]
+
+
+@pytest.mark.parametrize("text,kind,message,line", SERIES_ERRORS)
+def test_series_errors_keep_their_message_and_line(tmp_path, text, kind, message, line):
+    path = _write(tmp_path, text)
+    with pytest.raises(ParseError) as err:
+        load_series(path)
+    assert (type(err.value), str(err.value)) == (kind, f"{message} (line {line})")
+    assert err.value.line == line
+    with pytest.raises(ParseError) as ref:
+        load_series_reference(path)
+    assert (type(ref.value), str(ref.value), ref.value.line) == (kind, str(err.value), line)
 
 
 # --- config JSON ------------------------------------------------------------

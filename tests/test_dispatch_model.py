@@ -15,6 +15,7 @@ from tsagg.dispatch_model import (
     MissingCFError,
     Representative,
     SystemData,
+    _period_rhs,
     _rep_rhs,
     _template,
     add_nse_generator,
@@ -82,7 +83,9 @@ def test_period_rhs_matches_per_generator_formula_bitwise():
     """Hourly and representative RHS: D - sum(Pmin), then cap * cf - Pmin.
 
     Forty units with random float floors, so summing the floors in another
-    order than numpy's would round differently (asserted below).
+    order than numpy's would round differently (asserted below).  On the
+    test systems after that, each row of the hourly RHS matrix is bitwise
+    the scalar ``_period_rhs`` of its hour.
     """
     rng = np.random.default_rng(0)
     hours = 48
@@ -114,6 +117,56 @@ def test_period_rhs_matches_per_generator_formula_bitwise():
                              {key: float(series[h]) for key, series in cfs.items()}, 1.0)
         lp = StandardFormLP(c, A, _rep_rhs(system, rep))
         assert lp.b.tobytes() == expected(rep.demand, rep.cf)
+
+    systems = [fleet_system(np.random.default_rng(s)) for s in range(3)]
+    systems += [degenerate_system(), random_system(np.random.default_rng(7))]
+    for system in systems:
+        cfs = system.capacity_factors
+        for h in range(system.horizon):
+            scalar = _period_rhs(system, system.demand[h], lambda key: cfs[key][h])
+            assert hourly_rhs(system, h).tobytes() == scalar.tobytes(), h
+
+
+def _replaced(system, **changes):
+    """A new system from ``system``'s data with ``changes`` applied."""
+    data = {"generators": system.generators, "demand": system.demand,
+            "capacity_factors": system.capacity_factors, **changes}
+    return SystemData(**data)
+
+
+@pytest.mark.parametrize("what", ["demand", "cf", "generators"])
+def test_reassigned_series_or_fleet_is_seen_after_a_solve(what):
+    """``SystemData`` is mutable: after a ``solve_full``, replacing the
+    demand, one cf series or the fleet changes the next RHS and solve
+    exactly as building the system afresh would."""
+    system = random_system(np.random.default_rng(3), hours=24)
+    first = solve_full(system)
+    if what == "demand":
+        new = system.demand * 0.5
+        new.setflags(write=False)
+        system.demand = new
+        fresh = _replaced(system, demand=new)
+    elif what == "cf":
+        key = next(iter(system.capacity_factors))
+        new = system.capacity_factors[key][::-1].copy()
+        new.setflags(write=False)
+        system.capacity_factors[key] = new
+        fresh = _replaced(system)
+    else:
+        cheaper = tuple(
+            Generator(g.name, g.variable_cost * 0.5, g.capacity * 2.0, g.p_min,
+                      g.is_variable, g.cf_series_id)
+            for g in system.generators
+        )
+        system.generators = cheaper
+        fresh = _replaced(system, generators=cheaper)
+    for h in range(system.horizon):
+        assert hourly_rhs(system, h).tobytes() == hourly_rhs(fresh, h).tobytes()
+    again, expected = solve_full(system), solve_full(fresh)
+    assert again.total_cost == expected.total_cost != first.total_cost
+    assert again.bases() == expected.bases()
+    for got, want in zip(again.periods, expected.periods):
+        assert got.solution.x.tobytes() == want.solution.x.tobytes()
 
 
 def test_hour_out_of_range():

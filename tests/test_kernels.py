@@ -575,6 +575,43 @@ def test_candidate_order_never_changes_the_solution(order, monkeypatch):
     assert reordered_calls
 
 
+def test_cone_candidates_are_tried_in_the_stable_descending_order(monkeypatch):
+    """Under ``solve_full``, each call tests the most recently accepted
+    basis, then the rest by a stable descending sort of their dual scores,
+    up to the first that passes (all of them if none does): the picked
+    top score and the sort of the rest after it test the same records in
+    the same order as sorting them all."""
+    simplex, cone_x = _kernels.simplex, _kernels._cone_x
+    tried, checked = [], []
+
+    def recorded_cone_x(record, *args):
+        xb = cone_x(record, *args)
+        tried.append((record, xb is not None))
+        return xb
+
+    def checked_simplex(c, A, b, *args):
+        family = args[-1]
+        cone, mru = list(family.cone), family.mru
+        order = [mru] if cone else []
+        if len(cone) > 1:
+            scores = (family.duals @ b).tolist()
+            ranked = sorted(range(len(cone)), key=scores.__getitem__, reverse=True)
+            order += [k for k in ranked if k != mru]
+        del tried[:]
+        result = simplex(c, A, b, *args)
+        passed = [ok for _, ok in tried]
+        assert [record for record, _ in tried] == [cone[k] for k in order[: len(tried)]]
+        assert passed == [False] * (len(tried) - 1) + [True] or passed == [False] * len(order)
+        checked.append(len(tried))
+        return result
+
+    monkeypatch.setattr(_kernels, "_cone_x", recorded_cone_x)
+    monkeypatch.setattr(_kernels, "simplex", checked_simplex)
+    for name, make in SOLVER_SYSTEMS.items():
+        solve_full(make())
+    assert max(checked) >= 3  # some calls got past the top score
+
+
 @pytest.mark.parametrize("name,hours,bound", [
     ("default_year", None, 1.25),
     *[(f"fleet{s}", 1008, 2.5) for s in range(5)],

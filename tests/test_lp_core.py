@@ -95,6 +95,63 @@ def test_with_rhs_copies_rhs():
     assert not lp2.b.flags.writeable
 
 
+def lp_2d():
+    return StandardFormLP([1.0, 2.0, 0.0], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], [3.0, 1.0])
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.array([np.nan, 1.0]), "LP data must be finite"),
+    (np.array([1.0, -np.inf]), "LP data must be finite"),
+    (np.array([1.0, 2.0, 3.0]), r"inconsistent shapes: A \(2, 3\), b \(3,\)"),
+    (np.array([1.0]), r"inconsistent shapes: A \(2, 3\), b \(1,\)"),
+    (np.array([[1.0, 2.0]]), "expected A 2-d, c and b 1-d"),
+    (np.array([[1.0], [2.0]]), "expected A 2-d, c and b 1-d"),
+    (np.array(1.0), "expected A 2-d, c and b 1-d"),
+])
+def test_with_rhs_refuses_a_bad_float64_array(bad, message):
+    """A float64 ndarray b is copied as it is, but checked as any other."""
+    lp = lp_2d()
+    with pytest.raises(ValueError, match=message):
+        lp.with_rhs(bad)
+    with pytest.raises(ValueError, match=message):
+        StandardFormLP(lp.c, lp.A, bad)
+
+
+def test_with_rhs_keeps_a_read_only_copy_of_a_float64_array():
+    lp = lp_2d()
+    b = np.array([4.0, -0.0])
+    lp2 = lp.with_rhs(b)
+    assert lp2.b is not b and not lp2.b.flags.writeable
+    assert b.flags.writeable
+    b[:] = 9.0
+    assert lp2.b.tobytes() == np.array([4.0, -0.0]).tobytes()
+    # A strided view is copied into a contiguous array of its own.
+    rows = np.array([[5.0, 1.0], [6.0, 2.0]])
+    lp3 = lp.with_rhs(rows[:, 0])
+    rows[:, 0] = 0.0
+    assert lp3.b.tolist() == [5.0, 6.0] and lp3.b.flags.c_contiguous
+    # So is a broadcast view with zero strides.
+    lp4 = lp.with_rhs(np.broadcast_to(np.array(2.0), (2,)))
+    assert lp4.b.tolist() == [2.0, 2.0] and not lp4.b.flags.writeable
+
+
+@pytest.mark.parametrize("b", [
+    np.array([3, 1]),
+    np.array([3.1, 1.7], dtype=np.float32),
+    np.array([3.1, 1.7], dtype=">f8"),
+    [3.1, 1.7],
+    (3, 1.7),
+])
+def test_with_rhs_of_other_types_gives_the_float64_bits(b):
+    lp = lp_2d()
+    expected = np.array(b, dtype=np.float64).ravel()
+    for made in (lp.with_rhs(b), StandardFormLP(lp.c, lp.A, b)):
+        assert type(made.b) is np.ndarray and made.b.dtype == np.float64
+        assert made.b.tobytes() == expected.tobytes()
+        assert not made.b.flags.writeable
+        assert solve(made).x.tobytes() == solve(lp.with_rhs(expected)).x.tobytes()
+
+
 def test_basis_signature_canonical_order():
     assert BasisSignature((3, 0, 2)).indices == (0, 2, 3)
 
