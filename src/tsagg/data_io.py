@@ -538,10 +538,10 @@ def check_directory(path) -> None:
 
 
 def dump_json(doc, path) -> None:
+    text = json.dumps(_round12(doc), indent=2) + "\n"
     try:
         with open(path, "w") as handle:
-            json.dump(_round12(doc), handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -612,8 +612,8 @@ def write_clusters(model: ClusterModel, features: FeatureMatrix, path) -> None:
         "method": model.method.value,
         "k": model.k,
         "columns": list(features.columns),
-        "assignment": [int(a) for a in model.assignment],
-        "weights": [int(w) for w in model.weights],
+        "assignment": model.assignment.tolist(),
+        "weights": model.weights.tolist(),
         "clusters": [
             {
                 "id": cid,
@@ -686,7 +686,7 @@ def dispatch_summary(system: SystemData, dispatch: DispatchSolution) -> dict:
     """Small JSON-ready summary of a full solve for the CLI."""
     return {
         "status": "optimal",
-        "hours": len(dispatch.periods),
+        "hours": len(dispatch.weights),
         "total_cost": dispatch.total_cost,
         "regime_hours": dict(sorted(regime_counts(system, dispatch).items())),
     }

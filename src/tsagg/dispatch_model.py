@@ -15,13 +15,22 @@ of one (H, m) matrix per system, built with the IEEE operations of the
 per-period formula and rebuilt when the fleet or a series is replaced
 (``_rhs_matrix``), so an hour's RHS costs a row copy.
 
+A solve still calls ``lp_core.solve`` once per period, and writes each
+period's vertex, objective, pivot count and basis id into arrays sized
+once per solve: a ``DispatchSolution`` is these columns, with one row of
+reduced costs per distinct basis, not one object per period.  The former
+``PeriodResult`` list (``periods``), ``bases()`` and ``basis_groups()``
+are gone as stored data; ``periods`` and ``bases()`` remain only as views
+built from the columns on each call.
+
 Unserved demand is modelled by an explicit high-cost generator (name
 ``NSE``) with a capacity sentinel comfortably above peak demand.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import weakref
+from collections.abc import Iterable, MutableMapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -85,49 +94,130 @@ class Generator:
             raise ValueError(f"{self.name}: cf_series_id given for a thermal unit")
 
 
-@dataclass(eq=False)
+_SERIES_FIELDS = ("generators", "demand", "capacity_factors")
+
+
+class CapacityFactors(MutableMapping):
+    """A system's capacity-factor series by id, each a read-only float64 array.
+
+    Setting or deleting an item assigns the system a new series dict, so it
+    runs the same checks and copies as ``SystemData`` does; a refused value
+    leaves the system and this mapping as they were.  The system is held
+    by a weak reference, so that a system and its mapping form no cycle
+    and are freed as soon as the system is dropped.
+    """
+
+    __slots__ = ("_system", "_series")
+
+    def __init__(self, system: SystemData, series: dict[str, np.ndarray]):
+        self._system = weakref.ref(system)
+        self._series = series
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._series[key]
+
+    def __iter__(self):
+        return iter(self._series)
+
+    def __len__(self) -> int:
+        return len(self._series)
+
+    def __setitem__(self, key: str, series) -> None:
+        self._assign({**self._series, key: series})
+
+    def __delitem__(self, key: str) -> None:
+        rest = dict(self._series)
+        del rest[key]
+        self._assign(rest)
+
+    def _assign(self, series: dict) -> None:
+        system = self._system()
+        if system is None:
+            raise ReferenceError("the system of these capacity factors is gone")
+        system.capacity_factors = series
+
+    def __repr__(self) -> str:
+        return repr(self._series)
+
+
+@dataclass(eq=False, init=False)
 class SystemData:
-    """Generator fleet plus demand and capacity-factor series."""
+    """Generator fleet plus demand and capacity-factor series.
+
+    The constructor, every later assignment of ``generators``, ``demand`` or
+    ``capacity_factors``, and every item set into ``capacity_factors`` run
+    the same checks (``_assign``) and keep read-only copies of new series,
+    so a write to the caller's array never reaches the system.  A refused
+    value raises ValueError and leaves the system as it was.
+    """
 
     generators: tuple[Generator, ...]
     demand: np.ndarray
-    capacity_factors: dict[str, np.ndarray] = field(default_factory=dict)
-    # (generators, floor total, thermal headroom, variable units, family
-    # LP), see ``_rhs_parts``.
-    _rhs_parts: tuple | None = field(default=None, init=False, repr=False)
-    # (generators, demand, (series id, cf array) pairs, RHS matrix), see
-    # ``_rhs_matrix``.
-    _rhs_rows: tuple | None = field(default=None, init=False, repr=False)
+    capacity_factors: CapacityFactors
+    # (floor total, thermal headroom, variable units, family LP), see
+    # ``_rhs_parts``; dropped when the fleet is replaced.
+    _rhs_parts: tuple | None = field(default=None, repr=False)
+    # Every hour's RHS, see ``_rhs_matrix``; dropped by every assignment.
+    _rhs_rows: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        self.generators = tuple(self.generators)
-        if not self.generators:
+    def __init__(self, generators, demand, capacity_factors=None):
+        vars(self)["capacity_factors"] = CapacityFactors(self, {})
+        self._assign(generators, demand, capacity_factors or {})
+
+    def __setattr__(self, name, value):
+        if name in _SERIES_FIELDS:
+            values = {key: getattr(self, key) for key in _SERIES_FIELDS}
+            values[name] = value
+            self._assign(**values)
+        else:
+            object.__setattr__(self, name, value)
+
+    def _assign(self, generators, demand, capacity_factors) -> None:
+        """Check the fleet and series together, then store them.
+
+        A series array the system already stores is kept as it is; any
+        other value is copied into a new read-only float64 array.  The RHS
+        matrix is dropped, and the per-fleet RHS parts with the solver
+        family too when the fleet is a new one.
+        """
+        own = vars(self)
+        stored = self.capacity_factors
+
+        def series(value, current):
+            if value is current:
+                return value
+            arr = np.array(value, dtype=np.float64, copy=True)
+            arr.setflags(write=False)
+            return arr
+
+        generators = tuple(generators)
+        if not generators:
             raise ValueError("system needs at least one generator")
-        names = [g.name for g in self.generators]
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names: {names}")
-        demand = np.array(self.demand, dtype=np.float64, copy=True)
+        demand = series(demand, own.get("demand"))
         if demand.ndim != 1 or demand.size == 0:
             raise ValueError("demand must be a non-empty 1-d series")
         if not np.isfinite(demand).all() or demand.min() < 0.0:
             raise ValueError("demand must be finite and non-negative")
-        demand.setflags(write=False)
-        self.demand = demand
         cfs = {}
-        for key, series in self.capacity_factors.items():
-            arr = np.array(series, dtype=np.float64, copy=True)
+        for key, value in capacity_factors.items():
+            arr = series(value, stored.get(key))
             if arr.shape != demand.shape:
                 raise ValueError(
                     f"cf series {key!r} has length {arr.size}, demand {demand.size}"
                 )
             if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
                 raise ValueError(f"cf series {key!r} must lie in [0, 1]")
-            arr.setflags(write=False)
             cfs[key] = arr
-        self.capacity_factors = cfs
-        for g in self.generators:
+        for g in generators:
             if g.is_variable and g.cf_series_id not in cfs:
                 raise ValueError(f"{g.name}: missing cf series {g.cf_series_id!r}")
+        if generators is not own.get("generators"):
+            own["_rhs_parts"] = None
+        own.update(generators=generators, demand=demand, _rhs_rows=None)
+        stored._series = cfs
 
     @property
     def horizon(self) -> int:
@@ -172,28 +262,55 @@ class DispatchKind(Enum):
 
 @dataclass(eq=False)
 class PeriodResult:
+    """One period of a ``DispatchSolution``, built on demand by ``periods``."""
+
     weight: float
     solution: LPSolution
     production: np.ndarray  # physical MW per generator, p = x + p_min
 
 
-@dataclass
+@dataclass(eq=False)
 class DispatchSolution:
+    """Every period of one solve as columns, rows in solve order.
+
+    For P periods, n LP columns, G generators and K distinct optimal bases:
+    ``weights``, ``objective`` (the LP's, without the must-run offset) and
+    ``iterations`` are (P,); ``x`` is (P, n); ``basis_ids`` (P,) indexes
+    ``distinct_bases``, the K bases in first-period order; row j of
+    ``reduced_costs`` (K, n) belongs to basis j, which every period of that
+    basis shares; ``production`` (P, G) is ``x[:, :G] + p_min`` in MW.
+    ``total_cost`` weights each period's objective plus offset by its
+    weight, summed in period order.
+    """
+
     kind: DispatchKind
-    periods: list[PeriodResult]
+    weights: np.ndarray
+    x: np.ndarray
+    objective: np.ndarray
+    iterations: np.ndarray
+    basis_ids: np.ndarray
+    distinct_bases: tuple[BasisSignature, ...]
+    reduced_costs: np.ndarray
+    production: np.ndarray
     total_cost: float
 
-    def bases(self) -> list[BasisSignature]:
-        return [p.solution.basis for p in self.periods]
+    # Per-period views in the shape of the former one-object-per-period
+    # solution, which tsbench's tests still read.  Built on each call
+    # from the columns; nothing of them is kept.
 
-    def basis_groups(self) -> tuple[np.ndarray, tuple[BasisSignature, ...]]:
-        """(each period's basis id, the distinct bases), ids in first-period order."""
-        ids: dict[BasisSignature, int] = {}
-        group = np.fromiter(
-            (ids.setdefault(p.solution.basis, len(ids)) for p in self.periods),
-            dtype=np.int64, count=len(self.periods),
-        )
-        return group, tuple(ids)
+    @property
+    def periods(self) -> list[PeriodResult]:
+        return [
+            PeriodResult(w, LPSolution(LPStatus.OPTIMAL, obj, x, self.distinct_bases[j],
+                                       self.reduced_costs[j], it), prod)
+            for w, obj, x, j, it, prod in zip(
+                self.weights.tolist(), self.objective.tolist(), self.x,
+                self.basis_ids.tolist(), self.iterations.tolist(), self.production,
+            )
+        ]
+
+    def bases(self) -> list[BasisSignature]:
+        return [self.distinct_bases[j] for j in self.basis_ids.tolist()]
 
 
 def add_nse_generator(
@@ -259,14 +376,14 @@ def cost_offset(system: SystemData) -> float:
 def _rhs_parts(system: SystemData) -> tuple:
     """What every period of ``system`` shares, kept on the system.
 
-    (generators, floor total, thermal headroom, variable units, family LP):
-    the floor total and the thermal headroom do not depend on the period,
-    and the family LP is the first LP ``_solve_periods`` built (None before
-    that), whose ``with_rhs`` cache every later solve shares.  All of it is
-    rebuilt when ``system.generators`` is replaced.
+    (floor total, thermal headroom, variable units, family LP): the floor
+    total and the thermal headroom do not depend on the period, and the
+    family LP is the first LP ``_solve_periods`` built (None before that),
+    whose ``with_rhs`` cache every later solve shares.  All of it is
+    rebuilt after ``system.generators`` is replaced.
     """
     parts = system._rhs_parts
-    if parts is None or parts[0] is not system.generators:
+    if parts is None:
         fixed = np.empty(system.size + 1)
         variable = []
         for g, gen in enumerate(system.generators):
@@ -274,7 +391,7 @@ def _rhs_parts(system: SystemData) -> tuple:
                 variable.append((1 + g, gen.cf_series_id, gen.capacity, gen.p_min))
             else:
                 fixed[1 + g] = gen.capacity - gen.p_min
-        parts = (system.generators, _pmin_vector(system).sum(), fixed, variable, None)
+        parts = (_pmin_vector(system).sum(), fixed, variable, None)
         system._rhs_parts = parts
     return parts
 
@@ -284,7 +401,7 @@ def _period_rhs(system: SystemData, demand: float, cf_of) -> np.ndarray:
 
     ``cf_of(series_id)`` is a variable unit's capacity factor in the period.
     """
-    _, floor_total, fixed, variable, _ = _rhs_parts(system)
+    floor_total, fixed, variable, _ = _rhs_parts(system)
     b = fixed.copy()
     b[0] = demand - floor_total
     for i, key, capacity, p_min in variable:
@@ -297,31 +414,19 @@ def _rhs_matrix(system: SystemData) -> np.ndarray:
 
     Column 0 is ``demand - floor total`` and a variable unit's column
     ``capacity * cf - p_min``, elementwise: the IEEE operations of
-    ``_period_rhs``, so row h is bitwise that hour's RHS.  ``SystemData``
-    is mutable, so the matrix is keyed by the identity of the generators,
-    the demand array and each variable unit's cf array, and rebuilt when
-    any of them is replaced.  The system stores these arrays read-only; a
-    writable one assigned later and then written in place goes unnoticed.
+    ``_period_rhs``, so row h is bitwise that hour's RHS.  The series it
+    is built from are read-only copies that only an assignment to the
+    system replaces, and every assignment drops the matrix.
     """
-    cached = system._rhs_rows
-    cfs = system.capacity_factors
-    if cached is not None and cached[0] is system.generators and cached[1] is system.demand:
-        for key, series in cached[2]:
-            if cfs[key] is not series:
-                break
-        else:
-            return cached[3]
-    _, floor_total, fixed, variable, _ = _rhs_parts(system)
-    demand = system.demand
-    matrix = np.empty((demand.size, fixed.size))
-    matrix[:] = fixed
-    matrix[:, 0] = demand - floor_total
-    used = []
-    for i, key, capacity, p_min in variable:
-        series = cfs[key]
-        matrix[:, i] = capacity * series - p_min
-        used.append((key, series))
-    system._rhs_rows = (system.generators, demand, used, matrix)
+    matrix = system._rhs_rows
+    if matrix is None:
+        floor_total, fixed, variable, _ = _rhs_parts(system)
+        matrix = np.empty((system.horizon, fixed.size))
+        matrix[:] = fixed
+        matrix[:, 0] = system.demand - floor_total
+        for i, key, capacity, p_min in variable:
+            matrix[:, i] = capacity * system.capacity_factors[key] - p_min
+        system._rhs_rows = matrix
     return matrix
 
 
@@ -363,30 +468,44 @@ def _solve_periods(
     one family (see ``_rhs_parts``), so a later solve reuses the bases,
     factors and cones that earlier ones found.  Only the pivot counts
     depend on what was solved before, not bases or values.  ``weights``
-    has one entry per RHS; the total weights each period's cost by its
-    weight, summed in period order.  Raises InfeasiblePeriodError with the
-    position of the first period that is not optimal.
+    has one entry per RHS.  Each period's solution is written into the
+    columns of the result and then dropped.  Raises InfeasiblePeriodError
+    with the position of the first period that is not optimal.
     """
     pmin = _pmin_vector(system)
-    offset = cost_offset(system)
-    base = _rhs_parts(system)[4]
+    base = _rhs_parts(system)[3]
+    weights = np.array(weights, dtype=np.float64)
+    P = weights.size
+    x = np.empty((P, 2 * pmin.size))
+    objective = np.empty(P)
+    iterations = np.empty(P, dtype=np.int64)
+    basis_ids = np.empty(P, dtype=np.int64)
+    ids: dict[BasisSignature, int] = {}
+    reduced_costs = []
     optimal = LPStatus.OPTIMAL
-    solved = []
-    for rhs in rhss:
+    for p, rhs in enumerate(rhss):
         if base is None:
             lp = base = StandardFormLP(*_template(system), rhs)
-            system._rhs_parts = system._rhs_parts[:4] + (base,)
+            system._rhs_parts = system._rhs_parts[:3] + (base,)
         else:
             lp = base.with_rhs(rhs)
         sol = solve(lp)
         if sol.status is not optimal:
-            raise InfeasiblePeriodError(len(solved), sol.status)
-        solved.append(sol)
-    # One (P, G) sum in place of P small ones; each row is a period's view.
-    production = np.array([sol.x for sol in solved])[:, : pmin.size] + pmin
-    results = list(map(PeriodResult, weights, solved, production))
-    total = float(sum(w * (sol.objective + offset) for w, sol in zip(weights, solved)))
-    return DispatchSolution(kind, results, total)
+            raise InfeasiblePeriodError(p, sol.status)
+        x[p] = sol.x
+        objective[p] = sol.objective
+        iterations[p] = sol.iterations
+        basis_ids[p] = j = ids.setdefault(sol.basis, len(ids))
+        if j == len(reduced_costs):
+            reduced_costs.append(sol.reduced_costs)
+    offset = cost_offset(system)
+    total = float(sum(
+        w * (obj + offset) for w, obj in zip(weights.tolist(), objective.tolist())
+    ))
+    return DispatchSolution(
+        kind, weights, x, objective, iterations, basis_ids, tuple(ids),
+        np.array(reduced_costs), x[:, : pmin.size] + pmin, total,
+    )
 
 
 def solve_full(system: SystemData) -> DispatchSolution:
@@ -441,9 +560,9 @@ def regime_label(system: SystemData, basis: BasisSignature) -> str:
 def regime_counts(system: SystemData, dispatch: DispatchSolution) -> dict[str, int]:
     """Hours per regime label, in order of each label's first hour."""
     # Bases are counted first, in first-hour order, so each is labelled once.
-    ids, bases = dispatch.basis_groups()
     counts: dict[str, int] = {}
-    for basis, hours in zip(bases, np.bincount(ids).tolist()):
+    hours_per_basis = np.bincount(dispatch.basis_ids).tolist()
+    for basis, hours in zip(dispatch.distinct_bases, hours_per_basis):
         label = regime_label(system, basis)
         counts[label] = counts.get(label, 0) + hours
     return counts

@@ -354,9 +354,9 @@ def basis_cluster(
         features = normalize_features(system)
     if full is None:
         full = solve_full(system)
-    if len(full.periods) != features.H:
+    if len(full.basis_ids) != features.H:
         raise ValueError("dispatch solution and features disagree on horizon")
-    assignment, bases = full.basis_groups()
+    assignment, bases = full.basis_ids.copy(), full.distinct_bases
     k = len(bases)
     labels = tuple(regime_label(system, basis) for basis in bases)
     return ClusterModel.from_members(

@@ -502,7 +502,7 @@ def dual_certificate(system, dispatch):
     """(Z, own): Z[h, j] = y_j . b_h for each distinct basis j of ``dispatch``
     (a full solution of ``system``), and ``own[h]`` the id of hour h's basis."""
     lp = build_hourly_lp(system, 0)
-    own, bases = dispatch.basis_groups()
+    own, bases = dispatch.basis_ids, dispatch.distinct_bases
     Y = np.array([
         np.linalg.solve(lp.A[:, basis.as_array()].T, lp.c[basis.as_array()])
         for basis in bases
@@ -544,7 +544,7 @@ def exact_basis_check(system, dispatch):
     lp = build_hourly_lp(system, 0)
     A = [[Fraction(v) for v in row] for row in lp.A.tolist()]
     c = [Fraction(v) for v in lp.c.tolist()]
-    own, bases = dispatch.basis_groups()
+    own, bases = dispatch.basis_ids, dispatch.distinct_bases
     primal, dual = [], []
     inverses = []
     for j, basis in enumerate(bases):

@@ -34,14 +34,18 @@ def _bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
-def _assert_reference(lp, sol, where):
-    ok, x, rc, obj = basis_eval_reference(
-        lp.c, lp.A, lp.b, sol.basis.as_array(), PIVOT_EPS
-    )
+def _rows(dispatch):
+    """Each period's (basis, x, reduced costs, objective), from the columns."""
+    for j, x, obj in zip(dispatch.basis_ids.tolist(), dispatch.x, dispatch.objective.tolist()):
+        yield dispatch.distinct_bases[j], x, dispatch.reduced_costs[j], obj
+
+
+def _assert_reference(lp, where, basis, x, reduced_costs, objective):
+    ok, ref_x, rc, obj = basis_eval_reference(lp.c, lp.A, lp.b, basis.as_array(), PIVOT_EPS)
     assert ok, where
-    assert _bits(sol.x) == _bits(x), where
-    assert _bits(sol.reduced_costs) == _bits(rc), where
-    assert _bits(sol.objective) == _bits(obj), where
+    assert _bits(x) == _bits(ref_x), where
+    assert _bits(reduced_costs) == _bits(rc), where
+    assert _bits(objective) == _bits(obj), where
 
 
 SYSTEMS = {
@@ -60,10 +64,10 @@ def solved(request):
 def test_solve_full_hours_match_uncached_reference(solved):
     system, full = solved
     c, A = _template(system)
-    assert len(full.periods) == system.horizon
-    for h, period in enumerate(full.periods):
+    assert len(full.objective) == system.horizon
+    for h, row in enumerate(_rows(full)):
         lp = StandardFormLP(c, A, hourly_rhs(system, h))
-        _assert_reference(lp, period.solution, h)
+        _assert_reference(lp, h, *row)
 
 
 def test_representatives_match_uncached_reference(solved):
@@ -72,11 +76,15 @@ def test_representatives_match_uncached_reference(solved):
     bmodel = basis_cluster(system, features=features, full=full)
     for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
         reps = to_representatives(model, features)
-        periods = solve_aggregated(system, reps).periods
+        periods = _rows(solve_aggregated(system, reps))
         c, A = _template(system)
-        for r, rep in enumerate(reps):
+        for r, (rep, row) in enumerate(zip(reps, periods, strict=True)):
             lp = StandardFormLP(c, A, _rep_rhs(system, rep))
-            _assert_reference(lp, periods[r].solution, r)
+            _assert_reference(lp, r, *row)
+
+
+def _period_bases(dispatch):
+    return [dispatch.distinct_bases[j] for j in dispatch.basis_ids.tolist()]
 
 
 def _fresh(system):
@@ -97,10 +105,10 @@ def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
 
     monkeypatch.setattr(_kernels, "_basis_factor", counted)
     again = solve_full(system)
-    assert again.bases() == full.bases()
-    assert sorted(calls) == sorted({b.indices for b in full.bases()})
+    assert _period_bases(again) == _period_bases(full)
+    assert sorted(calls) == sorted(b.indices for b in full.distinct_bases)
     calls.clear()
-    assert solve_full(system).bases() == full.bases()
+    assert _period_bases(solve_full(system)) == _period_bases(full)
     assert calls == []
 
 
@@ -126,13 +134,13 @@ def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
     monkeypatch.setattr(lp_core, "BasisSignature", counted_signature)
     monkeypatch.setattr(_kernels, "simplex", recorded_simplex)
     again = solve_full(system)
-    assert again.bases() == full.bases()
+    assert _period_bases(again) == _period_bases(full)
     features = normalize_features(system)
     bmodel = basis_cluster(system, features=features, full=again)
-    bases = list(again.bases())
+    bases = _period_bases(again)
     for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
         reps = to_representatives(model, features)
-        bases += [p.solution.basis for p in solve_aggregated(system, reps).periods]
+        bases += _period_bases(solve_aggregated(system, reps))
     first = {}
     for basis in bases:
         assert first.setdefault(basis.indices, basis) is basis
@@ -148,9 +156,8 @@ def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
 
 def _dispatch_bits(dispatch):
     periods = [
-        (p.solution.basis.indices, _bits(p.solution.x), _bits(p.solution.reduced_costs),
-         _bits(p.solution.objective))
-        for p in dispatch.periods
+        (basis.indices, _bits(x), _bits(rc), _bits(obj))
+        for basis, x, rc, obj in _rows(dispatch)
     ]
     return periods, _bits(dispatch.total_cost)
 
@@ -173,7 +180,7 @@ def test_solves_of_one_system_do_not_depend_on_its_earlier_solves(name):
         assert _dispatch_bits(shared) == _dispatch_bits(alone)
         assert _dispatch_bits(solve_full(fresh)) == _dispatch_bits(full)
         for i, dispatch in enumerate((shared, alone)):
-            untableaued[i] += sum(p.solution.iterations == 0 for p in dispatch.periods)
+            untableaued[i] += int((dispatch.iterations == 0).sum())
     assert untableaued[0] > untableaued[1]  # the full solve's cones took some
 
 
@@ -188,7 +195,7 @@ def test_mutating_one_hour_leaves_the_others_bitwise_unchanged(solved):
 
     sols = [solve(lp) for lp in lps]
     before = [snapshot(sol) for sol in sols]
-    assert before == [snapshot(p.solution) for p in full.periods]
+    assert before == _dispatch_bits(full)[0]
     # the first hour of each distinct basis is the one mutated
     victims = {}
     for h, sol in enumerate(sols):
@@ -221,8 +228,8 @@ def test_theorem_trial_evaluations_match_uncached_reference(monkeypatch):
     assert result.trials == 200
     assert len(seen["solve_with_basis"]) >= 3 * 200
     for i, (lp, sol) in enumerate(seen["solve_with_basis"]):
-        _assert_reference(lp, sol, i)
+        _assert_reference(lp, i, sol.basis, sol.x, sol.reduced_costs, sol.objective)
     optimal = [(lp, s) for lp, s in seen["solve"] if s.status is LPStatus.OPTIMAL]
     assert len(optimal) >= 2 * 200
     for i, (lp, sol) in enumerate(optimal):
-        _assert_reference(lp, sol, i)
+        _assert_reference(lp, i, sol.basis, sol.x, sol.reduced_costs, sol.objective)

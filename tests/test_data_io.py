@@ -369,7 +369,7 @@ def test_closed_form_fractions_run_above_must_run_floors():
         [60.0], {"wind": [1.0]},
     ))
     full = solve_full(system)
-    assert full.periods[0].production.tolist() == [30.0, 30.0, 0.0]
+    assert full.production[0].tolist() == [30.0, 30.0, 0.0]
     assert regime_counts(system, full) == {"wind marginal": 1}
     assert regime_fractions(system) == {"wind marginal": 1.0}
     # floors above demand cannot be met at all

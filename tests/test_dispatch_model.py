@@ -1,5 +1,9 @@
 """Dispatch construction and solve tests against hand-checked and oracle values."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,6 +173,80 @@ def test_reassigned_series_or_fleet_is_seen_after_a_solve(what):
         assert got.solution.x.tobytes() == want.solution.x.tobytes()
 
 
+def test_assignments_are_refused_as_the_constructor_refuses_them():
+    """Every assignment, an item set into ``capacity_factors`` included,
+    runs the constructor's checks; a refused value changes nothing."""
+    system = thermal_wind([30.0, 60.0], [0.2, 0.4])
+
+    def stored():
+        return system.generators, system.demand, system.capacity_factors["wind"]
+
+    kept = stored()
+    rhs = hourly_rhs(system, 0).tobytes()
+    w2 = Generator("w2", 0.0, 10.0, is_variable=True, cf_series_id="w2")
+    refusals = [
+        ("cf above 1", lambda: system.capacity_factors.__setitem__("wind", np.array([1.5, 0.5]))),
+        ("cf below 0", lambda: system.capacity_factors.__setitem__("wind", [-0.1, 0.5])),
+        ("cf not finite", lambda: system.capacity_factors.__setitem__("wind", [np.nan, 0.5])),
+        ("cf too short", lambda: system.capacity_factors.__setitem__("wind", [0.5])),
+        ("cf in use deleted", lambda: system.capacity_factors.__delitem__("wind")),
+        ("cf dict without wind", lambda: setattr(system, "capacity_factors", {})),
+        ("negative demand", lambda: setattr(system, "demand", [-1.0, 60.0])),
+        ("demand shorter than cf", lambda: setattr(system, "demand", [30.0])),
+        ("2-d demand", lambda: setattr(system, "demand", [[30.0, 60.0]])),
+        ("no generators", lambda: setattr(system, "generators", ())),
+        ("duplicate names", lambda: setattr(system, "generators", (THERMAL, THERMAL))),
+        ("unit without cf", lambda: setattr(system, "generators", system.generators + (w2,))),
+    ]
+    for what, assign in refusals:
+        with pytest.raises(ValueError):
+            assign()
+        assert all(now is then for now, then in zip(stored(), kept)), what
+        assert hourly_rhs(system, 0).tobytes() == rhs, what
+    assert list(system.capacity_factors) == ["wind"]
+    np.testing.assert_array_equal(hourly_rhs(system, 0), [30.0, 100.0, 10.0, 600.0])
+
+
+def test_series_written_in_place_after_assignment_never_reach_the_system():
+    """An assigned series is copied read-only: a later write to the
+    caller's array changes neither the system nor its cached RHS."""
+    system = thermal_wind([30.0, 60.0], [0.2, 0.4])
+    held = system.capacity_factors
+    demand, cf = np.array([30.0, 60.0]), np.array([0.6, 0.4])
+    system.demand = demand
+    system.capacity_factors["wind"] = cf
+    assert held["wind"][0] == 0.6  # a mapping held across the item set sees it
+    rhs = hourly_rhs(system, 0)
+    assert rhs[0] == 30.0 and rhs[2] == 30.0
+    demand[0] += 10.0
+    cf[0] = 1.0
+    assert system.demand[0] == 30.0 and system.capacity_factors["wind"][0] == 0.6
+    assert hourly_rhs(system, 0).tobytes() == rhs.tobytes()
+    for stored in (system.demand, system.capacity_factors["wind"]):
+        with pytest.raises(ValueError):
+            stored[0] = 0.0
+
+
+def test_a_dropped_system_is_freed_at_once_and_its_cf_mapping_refuses_writes():
+    """A system and its cf mapping form no reference cycle: the system and
+    its cached RHS matrix go when the last reference does, not at the next
+    cycle collection."""
+    system = thermal_wind([30.0, 60.0], [0.2, 0.4])
+    hourly_rhs(system, 0)
+    held, gone = system.capacity_factors, weakref.ref(system)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del system
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert held["wind"].tolist() == [0.2, 0.4]
+    with pytest.raises(ReferenceError):
+        held["wind"] = [0.5, 0.5]
+
+
 def test_hour_out_of_range():
     with pytest.raises(IndexError):
         build_hourly_lp(SystemData((THERMAL,), [50.0]), 1)
@@ -214,7 +292,7 @@ def test_single_hour_wind_thermal_oracle_value():
     assert (status, obj) == ("optimal", pytest.approx(800.0))
     full = solve_full(system)
     assert full.total_cost == pytest.approx(800.0, abs=1e-9)
-    np.testing.assert_allclose(full.periods[0].production, [80.0, 40.0], atol=1e-9)
+    np.testing.assert_allclose(full.production[0], [80.0, 40.0], atol=1e-9)
 
 
 def test_single_hour_with_nse_oracle_value():
@@ -225,14 +303,14 @@ def test_single_hour_with_nse_oracle_value():
     assert (status, obj) == ("optimal", pytest.approx(21000.0))
     full = solve_full(system)
     assert full.total_cost == pytest.approx(21000.0, abs=1e-6)
-    np.testing.assert_allclose(full.periods[0].production, [100.0, 40.0, 20.0], atol=1e-9)
-    assert full.periods[0].solution.basis.indices == (0, 1, 2, 5)
+    np.testing.assert_allclose(full.production[0], [100.0, 40.0, 20.0], atol=1e-9)
+    assert full.distinct_bases[full.basis_ids[0]].indices == (0, 1, 2, 5)
 
 
 def test_three_hour_total_is_sum_of_hours():
     system = thermal_wind([50.0, 120.0, 160.0], [0.0, 0.8, 0.8])
     full = solve_full(system)
-    assert [p.solution.objective for p in full.periods] == [
+    assert full.objective.tolist() == [
         pytest.approx(500.0),
         pytest.approx(800.0),
         pytest.approx(21000.0),
@@ -241,11 +319,10 @@ def test_three_hour_total_is_sum_of_hours():
     assert full.kind is DispatchKind.FULL
 
 
-def test_period_results_compare_by_identity():
+def test_solutions_compare_by_identity():
     system = thermal_wind([50.0, 50.0], [0.3, 0.3])
-    first, second = solve_full(system).periods, solve_full(system).periods
-    assert first[0] == first[0]
-    assert (first[0] == second[0]) is False
+    first, second = solve_full(system), solve_full(system)
+    assert first == first
     assert (first == second) is False
     twin = thermal_wind([50.0, 50.0], [0.3, 0.3])
     assert system == system
@@ -262,7 +339,25 @@ def test_solve_full_matches_oracle_on_random_systems():
             lp = build_hourly_lp(system, h)
             status, obj, _ = enumerate_lp(lp.c, lp.A, lp.b)
             assert status == "optimal"
-            assert full.periods[h].solution.objective == pytest.approx(obj, abs=1e-7)
+            assert full.objective[h] == pytest.approx(obj, abs=1e-7)
+
+
+def test_full_solve_of_the_default_year_is_kept_in_columns_under_one_mib():
+    """A solution is a few arrays, not an object per hour: once the system's
+    RHS matrix and bases exist, ``solve_full`` on the default year keeps at
+    most 1 MiB and peaks at no more than 2 MiB while it runs."""
+    system = generate_synthetic(default_spec())
+    solve_full(system)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        full = solve_full(system)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2**20, retained
+    assert peak <= 2 * 2**20, peak
+    assert full.objective.size == 8760
 
 
 def test_infeasible_hour_propagates_index():
@@ -282,7 +377,7 @@ def test_monotone_demand_gives_monotone_cost():
     demands = np.linspace(10.0, 170.0, 9)
     system = thermal_wind(demands, [0.5] * 9)
     full = solve_full(system)
-    costs = [p.solution.objective for p in full.periods]
+    costs = full.objective.tolist()
     assert all(a <= b + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
@@ -293,7 +388,7 @@ def test_merit_order_holds_in_every_hour():
         system = random_system(rng, hours=12)
         order = np.argsort([g.variable_cost for g in system.generators])
         full = solve_full(system)
-        for h, period in enumerate(full.periods):
+        for h, production in enumerate(full.production):
             caps = []
             for g, gen in enumerate(system.generators):
                 cf = (
@@ -303,9 +398,9 @@ def test_merit_order_holds_in_every_hour():
                 )
                 caps.append(gen.capacity * cf)
             for rank, g in enumerate(order):
-                if period.production[g] > system.generators[g].p_min + 1e-7:
+                if production[g] > system.generators[g].p_min + 1e-7:
                     for cheaper in order[:rank]:
-                        slack = caps[cheaper] - period.production[cheaper]
+                        slack = caps[cheaper] - production[cheaper]
                         assert slack <= 1e-7, (h, g, cheaper, slack)
 
 
@@ -329,7 +424,7 @@ def test_weights_scale_objective_only():
     system = thermal_wind([120.0], [0.8])
     reps = (Representative(120.0, {"wind": 0.8}, 5.0),)
     agg = solve_aggregated(system, reps)
-    assert agg.periods[0].solution.objective == pytest.approx(800.0)
+    assert agg.objective[0] == pytest.approx(800.0)
     assert agg.total_cost == pytest.approx(5 * 800.0)
 
 
@@ -368,7 +463,7 @@ def test_every_hour_is_certified_by_the_duals_of_the_distinct_bases(name):
     system = CERTIFIED_SYSTEMS[name]()
     full = solve_full(system)
     Z, own = dual_certificate(system, full)
-    objective = np.array([p.solution.objective for p in full.periods])
+    objective = full.objective
     tol = 1e-12 * np.maximum(1.0, np.abs(objective))
     best = Z.max(axis=1)
     assert (np.abs(best - objective) <= tol).all()
@@ -389,9 +484,8 @@ def test_every_hour_basis_is_optimal_in_exact_arithmetic(name):
 def test_exact_basis_check_flags_an_hour_given_another_hours_basis():
     system = generate_synthetic(default_spec())
     full = solve_full(system)
-    own, bases = full.basis_groups()
-    h = int(np.flatnonzero(own == 1)[0])
-    full.periods[h].solution.basis = bases[0]  # optimal elsewhere, not at hour h
+    h = int(np.flatnonzero(full.basis_ids == 1)[0])
+    full.basis_ids[h] = 0  # optimal elsewhere, not at hour h
     primal, dual = exact_basis_check(system, full)
     assert primal == [h] and dual == []
 
@@ -404,7 +498,7 @@ def test_regime_labels_cover_three_structures():
     # wind covers demand / thermal marginal / unserved energy
     system = thermal_wind([30.0, 120.0, 160.0], [0.9, 0.8, 0.8])
     full = solve_full(system)
-    labels = [regime_label(system, p.solution.basis) for p in full.periods]
+    labels = [regime_label(system, full.distinct_bases[j]) for j in full.basis_ids]
     assert labels == ["wind marginal", "thermal marginal", "NSE"]
     counts = regime_counts(system, full)
     assert counts == {"wind marginal": 1, "thermal marginal": 1, "NSE": 1}

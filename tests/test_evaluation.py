@@ -25,7 +25,8 @@ from tsagg.dispatch_model import solve_aggregated
 
 
 def stub(kind, cost):
-    return DispatchSolution(kind, [], cost)
+    none, no_rows = np.empty(0), np.empty((0, 0))
+    return DispatchSolution(kind, none, no_rows, none, none, none, (), no_rows, no_rows, cost)
 
 
 # ---------------------------------------------------------------------------

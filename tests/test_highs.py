@@ -60,4 +60,4 @@ def test_hourly_objectives_match_highs(make):
     for h in hours:
         res = _highs(build_hourly_lp(system, h))
         assert res.status == 0, (h, res.message)
-        _assert_objective(full.periods[h].solution.objective, res.fun, h)
+        _assert_objective(full.objective[h], res.fun, h)

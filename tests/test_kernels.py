@@ -187,8 +187,9 @@ def _assert_hours_match_reference(system, monkeypatch):
         results.append((it, tuple(sorted(basis.tolist()))))
     solved = len(tableau)
     # Iterations reach no output file, so no digest would see them move.
-    periods = solve_full(system).periods
-    assert [(p.solution.iterations, p.solution.basis.indices) for p in periods] == results
+    full = solve_full(system)
+    bases = [full.distinct_bases[j].indices for j in full.basis_ids.tolist()]
+    assert list(zip(full.iterations.tolist(), bases)) == results
     return solved
 
 
@@ -539,9 +540,8 @@ def test_zero_free_acceptance_of_an_infinite_entry_goes_to_the_dense_list():
 
 def _fingerprint(full):
     return [
-        (p.solution.basis.indices, _bits(p.solution.x), _bits(p.solution.reduced_costs),
-         _bits(p.solution.objective))
-        for p in full.periods
+        (full.distinct_bases[j].indices, _bits(x), _bits(full.reduced_costs[j]), _bits(obj))
+        for j, x, obj in zip(full.basis_ids.tolist(), full.x, full.objective.tolist())
     ]
 
 

@@ -73,9 +73,9 @@ def systems(draw):
 def test_basis_label_matches_merit_order_on_nondegenerate_hours(system):
     full = solve_full(system)
     cf = system.capacity_factors["wind"]
-    for h, period in enumerate(full.periods):
-        basis = period.solution.basis
-        if not (period.solution.x[list(basis.indices)] > 0.0).all():
+    for h, j in enumerate(full.basis_ids):
+        basis = full.distinct_bases[j]
+        if not (full.x[h, list(basis.indices)] > 0.0).all():
             continue  # a degenerate hour: some basic variable sits at zero
         hour = SystemData(system.generators, [system.demand[h]], {"wind": [cf[h]]})
         assert list(regime_fractions(hour)) == [regime_label(system, basis)], h
@@ -104,12 +104,12 @@ def test_kmeans_never_overestimates_the_full_cost(seed, k):
     scale = abs(full.total_cost)
     assert aggregated.total_cost <= full.total_cost * (1 + 1e-12)
     offset = cost_offset(system)
-    hour_cost = np.array([p.solution.objective + offset for p in full.periods])
-    basis_id, _ = full.basis_groups()
+    hour_cost = full.objective + offset
+    basis_id = full.basis_ids
     gaps = []
-    for cid, period in enumerate(aggregated.periods):
+    for cid, (weight, objective) in enumerate(zip(aggregated.weights, aggregated.objective)):
         members = model.assignment == cid
-        gap = hour_cost[members].sum() - period.weight * (period.solution.objective + offset)
+        gap = hour_cost[members].sum() - weight * (objective + offset)
         assert gap >= -1e-12 * scale, cid
         if np.unique(basis_id[members]).size == 1:
             assert abs(gap) <= 1e-12 * scale, cid

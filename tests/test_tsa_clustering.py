@@ -249,8 +249,8 @@ def test_basis_cluster_purity_and_reuse_of_precomputed_solve():
     system = random_system(rng, hours=40)
     full = solve_full(system)
     model = basis_cluster(system, full=full)
-    for h, period in enumerate(full.periods):
-        assert model.bases[int(model.assignment[h])] == period.solution.basis
+    for h, j in enumerate(full.basis_ids):
+        assert model.bases[int(model.assignment[h])] == full.distinct_bases[j]
 
 
 def test_basis_centroid_stays_optimal_for_cluster_basis():
@@ -264,9 +264,7 @@ def test_basis_centroid_stays_optimal_for_cluster_basis():
         reps = to_representatives(model, feats)
         for cid, rep in enumerate(reps):
             members = np.nonzero(model.assignment == cid)[0]
-            member_obj = np.mean(
-                [full.periods[h].solution.objective for h in members]
-            )
+            member_obj = np.mean(full.objective[members])
             agg_system = SystemData(
                 system.generators,
                 [rep.demand],
