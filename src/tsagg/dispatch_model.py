@@ -10,18 +10,17 @@ encoded in equality form over shifted variables x_g = p_g - Pmin_g with one
 slack per upper bound.  The costs and constraint matrix depend only on the
 generator fleet, so every hour of a system shares bitwise-identical (c, A)
 and differs in the right-hand side alone; that is what lets one optimal
-basis be reused across periods.  The hourly right-hand sides are the rows
-of one (H, m) matrix per system, built with the IEEE operations of the
-per-period formula and rebuilt when the fleet or a series is replaced
-(``_rhs_matrix``), so an hour's RHS costs a row copy.
+basis be reused across periods.  A ``SystemData`` is immutable, so what
+is derived from it is computed once: the hourly right-hand sides are the
+rows of one (H, m) matrix per system, built by ``_rhs`` with the IEEE
+operations of the per-period formula, so an hour's RHS costs a row copy;
+representatives get theirs from the same builder.
 
-A solve still calls ``lp_core.solve`` once per period, and writes each
-period's vertex, objective, pivot count and basis id into arrays sized
-once per solve: a ``DispatchSolution`` is these columns, with one row of
-reduced costs per distinct basis, not one object per period.  The former
-``PeriodResult`` list (``periods``), ``bases()`` and ``basis_groups()``
-are gone as stored data; ``periods`` and ``bases()`` remain only as views
-built from the columns on each call.
+A solve calls ``lp_core.solve`` once per period, and writes each period's
+vertex, objective, pivot count and basis id into arrays sized once per
+solve: a ``DispatchSolution`` is these columns, with one row of reduced
+costs per distinct basis.  ``periods`` and ``bases()`` are per-period
+views built from the columns on each call.
 
 Unserved demand is modelled by an explicit high-cost generator (name
 ``NSE``) with a capacity sentinel comfortably above peak demand.
@@ -29,11 +28,12 @@ Unserved demand is modelled by an explicit high-cost generator (name
 
 from __future__ import annotations
 
-import weakref
-from collections.abc import Iterable, MutableMapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -94,116 +94,47 @@ class Generator:
             raise ValueError(f"{self.name}: cf_series_id given for a thermal unit")
 
 
-_SERIES_FIELDS = ("generators", "demand", "capacity_factors")
-
-
-class CapacityFactors(MutableMapping):
-    """A system's capacity-factor series by id, each a read-only float64 array.
-
-    Setting or deleting an item assigns the system a new series dict, so it
-    runs the same checks and copies as ``SystemData`` does; a refused value
-    leaves the system and this mapping as they were.  The system is held
-    by a weak reference, so that a system and its mapping form no cycle
-    and are freed as soon as the system is dropped.
-    """
-
-    __slots__ = ("_system", "_series")
-
-    def __init__(self, system: SystemData, series: dict[str, np.ndarray]):
-        self._system = weakref.ref(system)
-        self._series = series
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self._series[key]
-
-    def __iter__(self):
-        return iter(self._series)
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def __setitem__(self, key: str, series) -> None:
-        self._assign({**self._series, key: series})
-
-    def __delitem__(self, key: str) -> None:
-        rest = dict(self._series)
-        del rest[key]
-        self._assign(rest)
-
-    def _assign(self, series: dict) -> None:
-        system = self._system()
-        if system is None:
-            raise ReferenceError("the system of these capacity factors is gone")
-        system.capacity_factors = series
-
-    def __repr__(self) -> str:
-        return repr(self._series)
-
-
-@dataclass(eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class SystemData:
-    """Generator fleet plus demand and capacity-factor series.
+    """Generator fleet plus demand and capacity-factor series; immutable.
 
-    The constructor, every later assignment of ``generators``, ``demand`` or
-    ``capacity_factors``, and every item set into ``capacity_factors`` run
-    the same checks (``_assign``) and keep read-only copies of new series,
-    so a write to the caller's array never reaches the system.  A refused
-    value raises ValueError and leaves the system as it was.
+    The constructor checks the fleet and the series together and keeps
+    read-only float64 copies of the series, so a later write to the
+    caller's arrays never reaches the system.  ``capacity_factors`` (None
+    for no series) is stored as a read-only mapping.  A changed system is
+    a new one: ``dataclasses.replace`` runs the same checks.  What is
+    derived from a system, the hourly RHS matrix and the LP family of its
+    solves, is therefore computed once and never invalidated.
     """
 
     generators: tuple[Generator, ...]
     demand: np.ndarray
-    capacity_factors: CapacityFactors
-    # (floor total, thermal headroom, variable units, family LP), see
-    # ``_rhs_parts``; dropped when the fleet is replaced.
-    _rhs_parts: tuple | None = field(default=None, repr=False)
-    # Every hour's RHS, see ``_rhs_matrix``; dropped by every assignment.
-    _rhs_rows: np.ndarray | None = field(default=None, repr=False)
+    capacity_factors: Mapping[str, np.ndarray] | None = None
 
-    def __init__(self, generators, demand, capacity_factors=None):
-        vars(self)["capacity_factors"] = CapacityFactors(self, {})
-        self._assign(generators, demand, capacity_factors or {})
+    # The first LP any solve of this system built, whose ``with_rhs``
+    # family every later solve shares; set once by ``_solve_periods``.
+    _family = None
 
-    def __setattr__(self, name, value):
-        if name in _SERIES_FIELDS:
-            values = {key: getattr(self, key) for key in _SERIES_FIELDS}
-            values[name] = value
-            self._assign(**values)
-        else:
-            object.__setattr__(self, name, value)
-
-    def _assign(self, generators, demand, capacity_factors) -> None:
-        """Check the fleet and series together, then store them.
-
-        A series array the system already stores is kept as it is; any
-        other value is copied into a new read-only float64 array.  The RHS
-        matrix is dropped, and the per-fleet RHS parts with the solver
-        family too when the fleet is a new one.
-        """
-        own = vars(self)
-        stored = self.capacity_factors
-
-        def series(value, current):
-            if value is current:
-                return value
+    def __post_init__(self):
+        def series(value):
             arr = np.array(value, dtype=np.float64, copy=True)
             arr.setflags(write=False)
             return arr
 
-        generators = tuple(generators)
+        generators = tuple(self.generators)
         if not generators:
             raise ValueError("system needs at least one generator")
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names: {names}")
-        demand = series(demand, own.get("demand"))
+        demand = series(self.demand)
         if demand.ndim != 1 or demand.size == 0:
             raise ValueError("demand must be a non-empty 1-d series")
         if not np.isfinite(demand).all() or demand.min() < 0.0:
             raise ValueError("demand must be finite and non-negative")
         cfs = {}
-        for key, value in capacity_factors.items():
-            arr = series(value, stored.get(key))
+        for key, value in (self.capacity_factors or {}).items():
+            arr = series(value)
             if arr.shape != demand.shape:
                 raise ValueError(
                     f"cf series {key!r} has length {arr.size}, demand {demand.size}"
@@ -214,10 +145,14 @@ class SystemData:
         for g in generators:
             if g.is_variable and g.cf_series_id not in cfs:
                 raise ValueError(f"{g.name}: missing cf series {g.cf_series_id!r}")
-        if generators is not own.get("generators"):
-            own["_rhs_parts"] = None
-        own.update(generators=generators, demand=demand, _rhs_rows=None)
-        stored._series = cfs
+        # The instance is frozen: its fields are set through its dict.
+        vars(self).update(generators=generators, demand=demand,
+                          capacity_factors=MappingProxyType(cfs))
+
+    @cached_property
+    def _hour_rhs(self) -> np.ndarray:
+        """Every hour's RHS, the rows of one (H, m) array."""
+        return _rhs(self, self.demand, self.capacity_factors)
 
     @property
     def horizon(self) -> int:
@@ -340,9 +275,7 @@ def add_nse_generator(
             f"sentinel capacity {sentinel_capacity} below peak demand {peak}"
         )
     nse = Generator(NSE_NAME, float(cost), float(sentinel_capacity))
-    return SystemData(
-        system.generators + (nse,), system.demand, dict(system.capacity_factors)
-    )
+    return replace(system, generators=system.generators + (nse,))
 
 
 # ---------------------------------------------------------------------------
@@ -373,85 +306,40 @@ def cost_offset(system: SystemData) -> float:
     return float(sum(g.variable_cost * g.p_min for g in system.generators))
 
 
-def _rhs_parts(system: SystemData) -> tuple:
-    """What every period of ``system`` shares, kept on the system.
+def _rhs(system: SystemData, demand, cf) -> np.ndarray:
+    """RHS of P periods as the rows of a (P, m) array.
 
-    (floor total, thermal headroom, variable units, family LP): the floor
-    total and the thermal headroom do not depend on the period, and the
-    family LP is the first LP ``_solve_periods`` built (None before that),
-    whose ``with_rhs`` cache every later solve shares.  All of it is
-    rebuilt after ``system.generators`` is replaced.
+    ``demand`` holds the P demands and ``cf[key]`` the P capacity factors
+    of series ``key``.  Column 0 is ``demand - sum(Pmin)``, a thermal
+    unit's column ``capacity - Pmin`` and a variable unit's
+    ``capacity * cf - Pmin``: elementwise, each value the IEEE operations
+    of the per-period formula, so a row is bitwise that period's RHS.
     """
-    parts = system._rhs_parts
-    if parts is None:
-        fixed = np.empty(system.size + 1)
-        variable = []
-        for g, gen in enumerate(system.generators):
-            if gen.is_variable:
-                variable.append((1 + g, gen.cf_series_id, gen.capacity, gen.p_min))
-            else:
-                fixed[1 + g] = gen.capacity - gen.p_min
-        parts = (_pmin_vector(system).sum(), fixed, variable, None)
-        system._rhs_parts = parts
-    return parts
-
-
-def _period_rhs(system: SystemData, demand: float, cf_of) -> np.ndarray:
-    """RHS for one period: net demand then per-generator headroom.
-
-    ``cf_of(series_id)`` is a variable unit's capacity factor in the period.
-    """
-    floor_total, fixed, variable, _ = _rhs_parts(system)
-    b = fixed.copy()
-    b[0] = demand - floor_total
-    for i, key, capacity, p_min in variable:
-        b[i] = capacity * cf_of(key) - p_min
-    return b
-
-
-def _rhs_matrix(system: SystemData) -> np.ndarray:
-    """Every hour's RHS as the rows of one (H, m) array, kept on the system.
-
-    Column 0 is ``demand - floor total`` and a variable unit's column
-    ``capacity * cf - p_min``, elementwise: the IEEE operations of
-    ``_period_rhs``, so row h is bitwise that hour's RHS.  The series it
-    is built from are read-only copies that only an assignment to the
-    system replaces, and every assignment drops the matrix.
-    """
-    matrix = system._rhs_rows
-    if matrix is None:
-        floor_total, fixed, variable, _ = _rhs_parts(system)
-        matrix = np.empty((system.horizon, fixed.size))
-        matrix[:] = fixed
-        matrix[:, 0] = system.demand - floor_total
-        for i, key, capacity, p_min in variable:
-            matrix[:, i] = capacity * system.capacity_factors[key] - p_min
-        system._rhs_rows = matrix
-    return matrix
+    demand = np.asarray(demand, dtype=np.float64)
+    rows = np.empty((demand.size, system.size + 1))
+    rows[:, 0] = demand - _pmin_vector(system).sum()
+    for i, gen in enumerate(system.generators, start=1):
+        if gen.is_variable:
+            series = np.asarray(cf[gen.cf_series_id], dtype=np.float64)
+            rows[:, i] = gen.capacity * series - gen.p_min
+        else:
+            rows[:, i] = gen.capacity - gen.p_min
+    return rows
 
 
 def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
     """RHS for hour h: net demand then per-generator headroom (a fresh
-    copy of row h of ``_rhs_matrix``)."""
-    matrix = _rhs_matrix(system)
-    if not 0 <= h < len(matrix):
+    copy of row h of the system's RHS matrix)."""
+    rows = system._hour_rhs
+    if not 0 <= h < len(rows):
         raise IndexError(f"hour {h} outside horizon {system.horizon}")
-    return matrix[h].copy()
+    return rows[h].copy()
 
 
 def build_hourly_lp(system: SystemData, h: int) -> StandardFormLP:
     """Standard-form LP for hour h; (c, A) identical across hours."""
     c, A = _template(system)
     return StandardFormLP(c, A, hourly_rhs(system, h))
-
-
-def _rep_rhs(system: SystemData, rep: Representative) -> np.ndarray:
-    def cf_of(key: str) -> float:
-        if key not in rep.cf:
-            raise MissingCFError(f"representative lacks cf for series {key!r}")
-        return rep.cf[key]
-
-    return _period_rhs(system, rep.demand, cf_of)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +353,7 @@ def _solve_periods(
     """Solve one LP per RHS, in order, in the system's family.
 
     Every solve of one system, full or aggregated, is a ``with_rhs`` LP of
-    one family (see ``_rhs_parts``), so a later solve reuses the bases,
+    the first LP any of them built, so a later solve reuses the bases,
     factors and cones that earlier ones found.  Only the pivot counts
     depend on what was solved before, not bases or values.  ``weights``
     has one entry per RHS.  Each period's solution is written into the
@@ -473,7 +361,7 @@ def _solve_periods(
     with the position of the first period that is not optimal.
     """
     pmin = _pmin_vector(system)
-    base = _rhs_parts(system)[3]
+    base = system._family
     weights = np.array(weights, dtype=np.float64)
     P = weights.size
     x = np.empty((P, 2 * pmin.size))
@@ -486,7 +374,7 @@ def _solve_periods(
     for p, rhs in enumerate(rhss):
         if base is None:
             lp = base = StandardFormLP(*_template(system), rhs)
-            system._rhs_parts = system._rhs_parts[:3] + (base,)
+            vars(system)["_family"] = base
         else:
             lp = base.with_rhs(rhs)
         sol = solve(lp)
@@ -522,12 +410,22 @@ def solve_full(system: SystemData) -> DispatchSolution:
 def solve_aggregated(
     system: SystemData, reps: Sequence[Representative]
 ) -> DispatchSolution:
-    """Solve each representative LP; total cost weights each by its hours."""
+    """Solve each representative LP; total cost weights each by its hours.
+
+    Raises MissingCFError, before any LP is built, if a representative
+    lacks the capacity factor of a variable unit.
+    """
     if not reps:
         raise ValueError("no representatives to solve")
-    periods = (_rep_rhs(system, rep) for rep in reps)
+    cf = {}
+    for gen in system.variable_generators():
+        key = gen.cf_series_id
+        if any(key not in rep.cf for rep in reps):
+            raise MissingCFError(f"representative lacks cf for series {key!r}")
+        cf[key] = [rep.cf[key] for rep in reps]
+    rows = _rhs(system, [rep.demand for rep in reps], cf)
     weights = [rep.weight for rep in reps]
-    return _solve_periods(system, DispatchKind.AGGREGATED, periods, weights)
+    return _solve_periods(system, DispatchKind.AGGREGATED, rows, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ class BasisSignature:
             raise ValueError(f"duplicate basis indices: {self.indices}")
         if idx and idx[0] < 0:
             raise ValueError(f"negative basis index: {self.indices}")
-        object.__setattr__(self, "indices", idx)
+        vars(self)["indices"] = idx  # frozen: set through the dict
 
     def as_array(self) -> np.ndarray:
         return np.array(self.indices, dtype=np.int64)

@@ -57,7 +57,7 @@ class FeatureMatrix:
         for name in ("values", "mins", "maxs"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            vars(self)[name] = arr  # frozen: set through the dict
         if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
             raise ValueError("feature matrix shape does not match columns")
 

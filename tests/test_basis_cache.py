@@ -15,7 +15,7 @@ from tsagg import _kernels, evaluation, lp_core
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
     SystemData,
-    _rep_rhs,
+    _rhs,
     _template,
     hourly_rhs,
     solve_aggregated,
@@ -78,8 +78,10 @@ def test_representatives_match_uncached_reference(solved):
         reps = to_representatives(model, features)
         periods = _rows(solve_aggregated(system, reps))
         c, A = _template(system)
-        for r, (rep, row) in enumerate(zip(reps, periods, strict=True)):
-            lp = StandardFormLP(c, A, _rep_rhs(system, rep))
+        rhss = _rhs(system, [rep.demand for rep in reps],
+                    {key: [rep.cf[key] for rep in reps] for key in system.capacity_factors})
+        for r, (rhs, row) in enumerate(zip(rhss, periods, strict=True)):
+            lp = StandardFormLP(c, A, rhs)
             _assert_reference(lp, r, *row)
 
 

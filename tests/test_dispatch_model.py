@@ -3,12 +3,14 @@
 import gc
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from oracles import dual_certificate, enumerate_lp, exact_basis_check
 from systems import THERMAL, WIND, degenerate_system, fleet_system, random_system, thermal_wind
+from tsagg import _kernels
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import (
     CostNotDominantError,
@@ -19,9 +21,7 @@ from tsagg.dispatch_model import (
     MissingCFError,
     Representative,
     SystemData,
-    _period_rhs,
-    _rep_rhs,
-    _template,
+    _rhs,
     add_nse_generator,
     build_hourly_lp,
     cost_offset,
@@ -31,7 +31,6 @@ from tsagg.dispatch_model import (
     solve_aggregated,
     solve_full,
 )
-from tsagg.lp_core import StandardFormLP
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +82,24 @@ def test_only_rhs_varies_across_hours():
         assert np.unique(rhs[:, 0]).size > 1  # demand really varies
 
 
+def _expected_rhs(system, demand, cf):
+    """One period's RHS bytes, generator by generator, as floats."""
+    floors = np.array([g.p_min for g in system.generators]).sum()
+    b = [demand - floors]
+    for g in system.generators:
+        cap = g.capacity * cf[g.cf_series_id] if g.is_variable else g.capacity
+        b.append(cap - g.p_min)
+    return np.array(b).tobytes()
+
+
 def test_period_rhs_matches_per_generator_formula_bitwise():
     """Hourly and representative RHS: D - sum(Pmin), then cap * cf - Pmin.
 
     Forty units with random float floors, so summing the floors in another
-    order than numpy's would round differently (asserted below).  On the
-    test systems after that, each row of the hourly RHS matrix is bitwise
-    the scalar ``_period_rhs`` of its hour.
+    order than numpy's would round differently (asserted below).  On that
+    system and the test systems after it, every hour's row and every
+    representative's row from ``_rhs`` is bitwise the per-generator
+    formula.
     """
     rng = np.random.default_rng(0)
     hours = 48
@@ -101,123 +111,111 @@ def test_period_rhs_matches_per_generator_formula_bitwise():
     units[5:5] = [WIND, Generator("w2", 0.0, 80.0, is_variable=True, cf_series_id="w2")]
     cfs = {"wind": rng.uniform(0.0, 1.0, hours), "w2": rng.uniform(0.0, 1.0, hours)}
     demand = floors_mw.sum() + rng.uniform(0.0, 500.0, hours)
-    system = SystemData(tuple(units), demand, cfs)
-    floors = np.array([g.p_min for g in system.generators]).sum()
-    assert floors != sum(g.p_min for g in system.generators)
+    two_wind = SystemData(tuple(units), demand, cfs)
+    floors = np.array([g.p_min for g in two_wind.generators]).sum()
+    assert floors != sum(g.p_min for g in two_wind.generators)
 
-    def expected(demand, cf):
-        b = [demand - floors]
-        for g in system.generators:
-            cap = g.capacity * cf[g.cf_series_id] if g.is_variable else g.capacity
-            b.append(cap - g.p_min)
-        return np.array(b).tobytes()
-
-    for h in range(system.horizon):
-        cf = {key: series[h] for key, series in cfs.items()}
-        assert hourly_rhs(system, h).tobytes() == expected(system.demand[h], cf), h
-    c, A = _template(system)
-    for h in range(0, system.horizon, 7):
-        rep = Representative(float(system.demand[h]),
-                             {key: float(series[h]) for key, series in cfs.items()}, 1.0)
-        lp = StandardFormLP(c, A, _rep_rhs(system, rep))
-        assert lp.b.tobytes() == expected(rep.demand, rep.cf)
-
-    systems = [fleet_system(np.random.default_rng(s)) for s in range(3)]
+    systems = [two_wind] + [fleet_system(np.random.default_rng(s)) for s in range(3)]
     systems += [degenerate_system(), random_system(np.random.default_rng(7))]
     for system in systems:
         cfs = system.capacity_factors
         for h in range(system.horizon):
-            scalar = _period_rhs(system, system.demand[h], lambda key: cfs[key][h])
-            assert hourly_rhs(system, h).tobytes() == scalar.tobytes(), h
+            cf = {key: series[h] for key, series in cfs.items()}
+            assert hourly_rhs(system, h).tobytes() == _expected_rhs(
+                system, system.demand[h], cf), h
+        reps = [
+            Representative(float(system.demand[h]),
+                           {key: float(series[h]) for key, series in cfs.items()}, 1.0)
+            for h in range(0, system.horizon, 7)
+        ]
+        rows = _rhs(system, [rep.demand for rep in reps],
+                    {key: [rep.cf[key] for rep in reps] for key in cfs})
+        for rep, row in zip(reps, rows, strict=True):
+            assert row.tobytes() == _expected_rhs(system, rep.demand, rep.cf)
 
 
-def _replaced(system, **changes):
-    """A new system from ``system``'s data with ``changes`` applied."""
-    data = {"generators": system.generators, "demand": system.demand,
-            "capacity_factors": system.capacity_factors, **changes}
-    return SystemData(**data)
+def _bits(dispatch):
+    """A solve's bases, x, objectives and total, without its pivot counts."""
+    bases = [dispatch.distinct_bases[j].indices for j in dispatch.basis_ids.tolist()]
+    return bases, dispatch.x.tobytes(), dispatch.objective.tobytes(), dispatch.total_cost
 
 
 @pytest.mark.parametrize("what", ["demand", "cf", "generators"])
-def test_reassigned_series_or_fleet_is_seen_after_a_solve(what):
-    """``SystemData`` is mutable: after a ``solve_full``, replacing the
-    demand, one cf series or the fleet changes the next RHS and solve
-    exactly as building the system afresh would."""
+def test_a_replaced_system_is_a_fresh_one_and_leaves_the_original_as_it_was(what):
+    """``dataclasses.replace`` after a full solve, of the demand, one cf
+    series or the fleet, gives a system whose RHS rows, bases and x are
+    those of a fresh build; no RHS matrix or LP family carries over, and
+    the original's next solve is bitwise its first."""
     system = random_system(np.random.default_rng(3), hours=24)
     first = solve_full(system)
     if what == "demand":
-        new = system.demand * 0.5
-        new.setflags(write=False)
-        system.demand = new
-        fresh = _replaced(system, demand=new)
+        changed = replace(system, demand=system.demand * 0.5)
     elif what == "cf":
         key = next(iter(system.capacity_factors))
-        new = system.capacity_factors[key][::-1].copy()
-        new.setflags(write=False)
-        system.capacity_factors[key] = new
-        fresh = _replaced(system)
+        series = system.capacity_factors[key][::-1]
+        changed = replace(system, capacity_factors={**system.capacity_factors, key: series})
     else:
         cheaper = tuple(
             Generator(g.name, g.variable_cost * 0.5, g.capacity * 2.0, g.p_min,
                       g.is_variable, g.cf_series_id)
             for g in system.generators
         )
-        system.generators = cheaper
-        fresh = _replaced(system, generators=cheaper)
+        changed = replace(system, generators=cheaper)
+    fresh = SystemData(changed.generators, changed.demand.copy(),
+                       {key: s.copy() for key, s in changed.capacity_factors.items()})
     for h in range(system.horizon):
-        assert hourly_rhs(system, h).tobytes() == hourly_rhs(fresh, h).tobytes()
-    again, expected = solve_full(system), solve_full(fresh)
-    assert again.total_cost == expected.total_cost != first.total_cost
-    assert again.bases() == expected.bases()
-    for got, want in zip(again.periods, expected.periods):
-        assert got.solution.x.tobytes() == want.solution.x.tobytes()
+        assert hourly_rhs(changed, h).tobytes() == hourly_rhs(fresh, h).tobytes()
+    again = solve_full(changed)
+    assert _bits(again) == _bits(solve_full(fresh))
+    assert again.total_cost != first.total_cost
+    assert _bits(solve_full(system)) == _bits(first)
 
 
-def test_assignments_are_refused_as_the_constructor_refuses_them():
-    """Every assignment, an item set into ``capacity_factors`` included,
-    runs the constructor's checks; a refused value changes nothing."""
+W2 = Generator("w2", 0.0, 10.0, is_variable=True, cf_series_id="w2")
+
+
+@pytest.mark.parametrize("changes", [
+    pytest.param({"capacity_factors": {"wind": np.array([1.5, 0.5])}}, id="cf above 1"),
+    pytest.param({"capacity_factors": {"wind": [-0.1, 0.5]}}, id="cf below 0"),
+    pytest.param({"capacity_factors": {"wind": [np.nan, 0.5]}}, id="cf not finite"),
+    pytest.param({"capacity_factors": {"wind": [0.5]}}, id="cf too short"),
+    pytest.param({"capacity_factors": None}, id="no cf series"),
+    pytest.param({"capacity_factors": {"other": [0.5, 0.5]}}, id="cf dict without wind"),
+    pytest.param({"demand": [-1.0, 60.0]}, id="negative demand"),
+    pytest.param({"demand": [30.0]}, id="demand shorter than cf"),
+    pytest.param({"demand": [[30.0, 60.0]]}, id="2-d demand"),
+    pytest.param({"generators": ()}, id="no generators"),
+    pytest.param({"generators": (THERMAL, THERMAL)}, id="duplicate names"),
+    pytest.param({"generators": (THERMAL, WIND, W2)}, id="unit without cf"),
+])
+def test_the_constructor_and_replace_refuse_the_same_values(changes):
+    """A refused value raises ValueError, whether it reaches a system
+    through the constructor or through ``dataclasses.replace``."""
     system = thermal_wind([30.0, 60.0], [0.2, 0.4])
-
-    def stored():
-        return system.generators, system.demand, system.capacity_factors["wind"]
-
-    kept = stored()
-    rhs = hourly_rhs(system, 0).tobytes()
-    w2 = Generator("w2", 0.0, 10.0, is_variable=True, cf_series_id="w2")
-    refusals = [
-        ("cf above 1", lambda: system.capacity_factors.__setitem__("wind", np.array([1.5, 0.5]))),
-        ("cf below 0", lambda: system.capacity_factors.__setitem__("wind", [-0.1, 0.5])),
-        ("cf not finite", lambda: system.capacity_factors.__setitem__("wind", [np.nan, 0.5])),
-        ("cf too short", lambda: system.capacity_factors.__setitem__("wind", [0.5])),
-        ("cf in use deleted", lambda: system.capacity_factors.__delitem__("wind")),
-        ("cf dict without wind", lambda: setattr(system, "capacity_factors", {})),
-        ("negative demand", lambda: setattr(system, "demand", [-1.0, 60.0])),
-        ("demand shorter than cf", lambda: setattr(system, "demand", [30.0])),
-        ("2-d demand", lambda: setattr(system, "demand", [[30.0, 60.0]])),
-        ("no generators", lambda: setattr(system, "generators", ())),
-        ("duplicate names", lambda: setattr(system, "generators", (THERMAL, THERMAL))),
-        ("unit without cf", lambda: setattr(system, "generators", system.generators + (w2,))),
-    ]
-    for what, assign in refusals:
-        with pytest.raises(ValueError):
-            assign()
-        assert all(now is then for now, then in zip(stored(), kept)), what
-        assert hourly_rhs(system, 0).tobytes() == rhs, what
-    assert list(system.capacity_factors) == ["wind"]
-    np.testing.assert_array_equal(hourly_rhs(system, 0), [30.0, 100.0, 10.0, 600.0])
+    fields = {"generators": system.generators, "demand": system.demand,
+              "capacity_factors": system.capacity_factors}
+    with pytest.raises(ValueError):
+        SystemData(**{**fields, **changes})
+    with pytest.raises(ValueError):
+        replace(system, **changes)
 
 
-def test_series_written_in_place_after_assignment_never_reach_the_system():
-    """An assigned series is copied read-only: a later write to the
-    caller's array changes neither the system nor its cached RHS."""
-    system = thermal_wind([30.0, 60.0], [0.2, 0.4])
-    held = system.capacity_factors
+def test_a_system_refuses_every_write_and_keeps_its_own_copies():
+    """Fields cannot be assigned or deleted, the cf mapping takes no item
+    set or delete, the stored series are read-only, and a later write to
+    an array the caller passed never reaches the system or its RHS."""
     demand, cf = np.array([30.0, 60.0]), np.array([0.6, 0.4])
-    system.demand = demand
-    system.capacity_factors["wind"] = cf
-    assert held["wind"][0] == 0.6  # a mapping held across the item set sees it
+    system = SystemData((THERMAL, WIND), demand, {"wind": cf})
     rhs = hourly_rhs(system, 0)
-    assert rhs[0] == 30.0 and rhs[2] == 30.0
+    for name in ("generators", "demand", "capacity_factors"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(system, name, getattr(system, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(system, name)
+    with pytest.raises(TypeError):
+        system.capacity_factors["wind"] = cf
+    with pytest.raises(TypeError):
+        del system.capacity_factors["wind"]
     demand[0] += 10.0
     cf[0] = 1.0
     assert system.demand[0] == 30.0 and system.capacity_factors["wind"][0] == 0.6
@@ -227,12 +225,14 @@ def test_series_written_in_place_after_assignment_never_reach_the_system():
             stored[0] = 0.0
 
 
-def test_a_dropped_system_is_freed_at_once_and_its_cf_mapping_refuses_writes():
-    """A system and its cf mapping form no reference cycle: the system and
-    its cached RHS matrix go when the last reference does, not at the next
-    cycle collection."""
+def test_a_dropped_system_is_freed_at_once_after_its_solves():
+    """Nothing a system holds, its RHS matrix, LP family and cf mapping
+    included, points back at it: after a full and an aggregated solve the
+    system goes when the last reference does, not at the next cycle
+    collection, and its solutions and cf mapping outlive it."""
     system = thermal_wind([30.0, 60.0], [0.2, 0.4])
-    hourly_rhs(system, 0)
+    full = solve_full(system)
+    agg = solve_aggregated(system, (Representative(45.0, {"wind": 0.3}, 2.0),))
     held, gone = system.capacity_factors, weakref.ref(system)
     enabled = gc.isenabled()
     gc.disable()
@@ -243,8 +243,7 @@ def test_a_dropped_system_is_freed_at_once_and_its_cf_mapping_refuses_writes():
         if enabled:
             gc.enable()
     assert held["wind"].tolist() == [0.2, 0.4]
-    with pytest.raises(ReferenceError):
-        held["wind"] = [0.5, 0.5]
+    assert full.objective.size == 2 and agg.objective.size == 1
 
 
 def test_hour_out_of_range():
@@ -428,11 +427,18 @@ def test_weights_scale_objective_only():
     assert agg.total_cost == pytest.approx(5 * 800.0)
 
 
-def test_aggregated_missing_cf_rejected():
+def test_aggregated_missing_cf_rejected(monkeypatch):
+    """A representative without a cf is refused before any LP is solved,
+    also when it follows a valid one."""
+    def never(*args):
+        raise AssertionError("simplex ran before the representatives were checked")
+
+    monkeypatch.setattr(_kernels, "simplex", never)
     system = thermal_wind([120.0], [0.8])
-    reps = (Representative(120.0, {}, 1.0),)
-    with pytest.raises(MissingCFError):
-        solve_aggregated(system, reps)
+    valid, lacking = Representative(120.0, {"wind": 0.8}, 1.0), Representative(120.0, {}, 1.0)
+    for reps in ((lacking,), (valid, lacking)):
+        with pytest.raises(MissingCFError):
+            solve_aggregated(system, reps)
 
 
 def test_representative_validation():
