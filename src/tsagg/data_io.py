@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -30,7 +30,7 @@ from .dispatch_model import (
     regime_counts,
 )
 from .evaluation import ClusterSummary, EvaluationReport
-from .lp_core import BasisSignature
+from .lp_core import BasisSignature, FrozenDict, readonly
 from .tsa_clustering import ClusterMethod, ClusterModel, FeatureMatrix, to_representatives
 
 
@@ -69,10 +69,15 @@ class RegimeUnreachableError(DataError):
 
 @dataclass(frozen=True, eq=False)
 class SeriesBundle:
-    """Demand plus named capacity-factor series, all of one horizon."""
+    """Demand plus named capacity-factor series, all of one horizon, kept
+    as read-only copies."""
 
     demand: np.ndarray
     capacity_factors: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        cfs = FrozenDict({key: readonly(cf) for key, cf in self.capacity_factors.items()})
+        vars(self).update(demand=readonly(self.demand), capacity_factors=cfs)  # frozen
 
     @property
     def horizon(self) -> int:
@@ -355,10 +360,6 @@ class WindModel:
         _check_numbers(self, "wind.")
 
 
-def _default_targets() -> dict[str, float]:
-    return {"wind marginal": 0.005, "thermal marginal": 0.25, "NSE": 0.001}
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a reproducible wind/thermal/NSE test-year."""
@@ -372,7 +373,8 @@ class SyntheticSpec:
     thermal_capacity: float = 100.0
     thermal_cost: float = 10.0
     nse_cost: float = 1000.0
-    regime_targets: dict[str, float] = field(default_factory=_default_targets)
+    regime_targets: dict[str, float] = FrozenDict(
+        {"wind marginal": 0.005, "thermal marginal": 0.25, "NSE": 0.001})
 
     def __post_init__(self):
         _integer(self.hours, "hours")
@@ -387,6 +389,7 @@ class SyntheticSpec:
             raise ConfigError(f"regime_targets must be an object, got {targets!r}")
         for label, share in targets.items():
             _number(share, f"regime_targets[{label!r}]")
+        vars(self)["regime_targets"] = FrozenDict(targets)  # frozen: set through the dict
 
 
 def default_spec(seed: int = 1, hours: int = 8760) -> SyntheticSpec:
@@ -587,9 +590,7 @@ def read_report(path) -> EvaluationReport:
                 demand=number(c["demand"], "demand"),
                 cf={k: number(v, f"cf {k!r}") for k, v in dict(c["cf"]).items()},
                 label=_string(c["label"], f"{where} label"),
-                basis=(
-                    BasisSignature(tuple(c["basis"])) if c["basis"] is not None else None
-                ),
+                basis=None if c["basis"] is None else BasisSignature(tuple(c["basis"])),
             )
             for c in doc["per_cluster"]
         ]
@@ -653,7 +654,7 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
         method = ClusterMethod(doc["method"])
         columns = tuple(doc["columns"])
         assignment = _integers(doc["assignment"], "assignment", path)
-        weights = _integers(doc["weights"], "weights", path)
+        weights = _integers(doc["weights"], "weights", path).tolist()
         labels, bases = [], []
         for c in doc["clusters"]:
             labels.append(_string(c["label"], f"{where} label"))
@@ -674,12 +675,13 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
             f"config features are {list(features.columns)}"
         )
     try:
-        return ClusterModel.from_members(
-            features, k, assignment, weights, method, tuple(labels),
-            None if None in bases else tuple(bases),
-        )
+        model = ClusterModel.from_members(
+            features, k, assignment, method, labels, None if None in bases else bases)
+        if model.weights.tolist() != weights:  # the file's own list must agree
+            raise ValueError("weights must be the cluster cardinalities")
     except ValueError as exc:
         raise ConfigError(f"{where} {exc}") from exc
+    return model
 
 
 def dispatch_summary(system: SystemData, dispatch: DispatchSolution) -> dict:

@@ -33,11 +33,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from types import MappingProxyType
 
 import numpy as np
 
-from .lp_core import BasisSignature, LPSolution, LPStatus, StandardFormLP, solve
+from .lp_core import (
+    BasisSignature, FrozenDict, LPSolution, LPStatus, StandardFormLP, readonly, solve)
 
 NSE_NAME = "NSE"
 DEFAULT_NSE_COST = 1000.0
@@ -116,25 +116,20 @@ class SystemData:
     _family = None
 
     def __post_init__(self):
-        def series(value):
-            arr = np.array(value, dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            return arr
-
         generators = tuple(self.generators)
         if not generators:
             raise ValueError("system needs at least one generator")
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names: {names}")
-        demand = series(self.demand)
+        demand = readonly(self.demand)
         if demand.ndim != 1 or demand.size == 0:
             raise ValueError("demand must be a non-empty 1-d series")
         if not np.isfinite(demand).all() or demand.min() < 0.0:
             raise ValueError("demand must be finite and non-negative")
         cfs = {}
         for key, value in (self.capacity_factors or {}).items():
-            arr = series(value)
+            arr = readonly(value)
             if arr.shape != demand.shape:
                 raise ValueError(
                     f"cf series {key!r} has length {arr.size}, demand {demand.size}"
@@ -145,14 +140,13 @@ class SystemData:
         for g in generators:
             if g.is_variable and g.cf_series_id not in cfs:
                 raise ValueError(f"{g.name}: missing cf series {g.cf_series_id!r}")
-        # The instance is frozen: its fields are set through its dict.
-        vars(self).update(generators=generators, demand=demand,
-                          capacity_factors=MappingProxyType(cfs))
+        vars(self).update(generators=generators, demand=demand,  # frozen: set through the dict
+                          capacity_factors=FrozenDict(cfs))
 
     @cached_property
     def _hour_rhs(self) -> np.ndarray:
         """Every hour's RHS, the rows of one (H, m) array."""
-        return _rhs(self, self.demand, self.capacity_factors)
+        return readonly(_rhs(self, self.demand, self.capacity_factors), copy=False)
 
     @property
     def horizon(self) -> int:
@@ -174,13 +168,15 @@ class SystemData:
 
 @dataclass(frozen=True)
 class Representative:
-    """One aggregated period: average inputs plus the hours it stands for."""
+    """One aggregated period: average inputs plus the hours it stands for.
+    ``cf`` is kept as a ``FrozenDict`` copy, which is what is checked."""
 
     demand: float
     cf: dict[str, float]
     weight: float
 
     def __post_init__(self):
+        vars(self)["cf"] = FrozenDict(self.cf)  # frozen: set through the dict
         if not (np.isfinite(self.demand) and self.demand >= 0.0):
             raise ValueError("representative demand must be finite and >= 0")
         if not (np.isfinite(self.weight) and self.weight > 0.0):
@@ -195,7 +191,7 @@ class DispatchKind(Enum):
     AGGREGATED = "aggregated"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PeriodResult:
     """One period of a ``DispatchSolution``, built on demand by ``periods``."""
 
@@ -204,7 +200,7 @@ class PeriodResult:
     production: np.ndarray  # physical MW per generator, p = x + p_min
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DispatchSolution:
     """Every period of one solve as columns, rows in solve order.
 
@@ -228,6 +224,11 @@ class DispatchSolution:
     reduced_costs: np.ndarray
     production: np.ndarray
     total_cost: float
+
+    def __post_init__(self):  # the columns are set read-only in place, not copied
+        for name in ("weights", "x", "objective", "iterations", "basis_ids", "reduced_costs",
+                     "production"):
+            vars(self)[name] = readonly(col := getattr(self, name), col.dtype, copy=False)
 
     # Per-period views in the shape of the former one-object-per-period
     # solution, which tsbench's tests still read.  Built on each call

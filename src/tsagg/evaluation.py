@@ -17,6 +17,7 @@ import numpy as np
 from .dispatch_model import (
     DispatchKind,
     DispatchSolution,
+    Representative,
     SystemData,
     solve_aggregated,
     solve_full,
@@ -65,15 +66,14 @@ class SampleRejectedError(Exception):
 
 
 @dataclass(frozen=True)
-class ClusterSummary:
-    weight: float
-    demand: float
-    cf: dict[str, float]
+class ClusterSummary(Representative):
+    """A report's representative, with its cluster's label and basis."""
+
     label: str
     basis: BasisSignature | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvaluationReport:
     method: str
     k: int
@@ -81,10 +81,13 @@ class EvaluationReport:
     full_cost: float
     aggregated_cost: float
     output_error_pct: float
-    per_cluster: list[ClusterSummary]
+    per_cluster: tuple[ClusterSummary, ...]
+
+    def __post_init__(self):
+        vars(self)["per_cluster"] = tuple(self.per_cluster)  # frozen: set through the dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremCheckResult:
     trials: int
     failures: int
@@ -95,19 +98,12 @@ class TheoremCheckResult:
     def combine(results: list["TheoremCheckResult"]) -> "TheoremCheckResult":
         """Sum counts; the violation kept is the one with the largest gap
         among results that have one (the first on ties)."""
-        worst = max(
-            (r for r in results if r.worst_basis_violation is not None),
-            key=lambda r: r.worst_objective_gap,
-            default=None,
-        )
+        flagged = [r for r in results if r.worst_basis_violation is not None]
+        worst = max(flagged, key=lambda r: r.worst_objective_gap, default=None)
         return TheoremCheckResult(
-            trials=sum(r.trials for r in results),
-            failures=sum(r.failures for r in results),
-            worst_objective_gap=max(
-                (r.worst_objective_gap for r in results), default=0.0
-            ),
-            worst_basis_violation=None if worst is None else worst.worst_basis_violation,
-        )
+            sum(r.trials for r in results), sum(r.failures for r in results),
+            max((r.worst_objective_gap for r in results), default=0.0),
+            None if worst is None else worst.worst_basis_violation)
 
 
 def output_error(full: DispatchSolution, aggregated: DispatchSolution) -> float:
@@ -157,21 +153,15 @@ def theorem_check(
 
     fresh = solve(lp_template.with_rhs(b_mean))
     if fresh.status is not LPStatus.OPTIMAL:
-        violation = violation or (
-            f"fresh solve of averaged rhs is {fresh.status.value}"
-        )
+        violation = violation or f"fresh solve of averaged rhs is {fresh.status.value}"
         fresh_gap = np.inf
     else:
         fresh_gap = abs(fresh.objective - at_mean.objective) / scale
 
     worst_gap = float(max(gap, fresh_gap))
     failed = violation is not None or worst_gap > REL_TOL
-    return TheoremCheckResult(
-        trials=1,
-        failures=1 if failed else 0,
-        worst_objective_gap=worst_gap,
-        worst_basis_violation=violation,
-    )
+    return TheoremCheckResult(trials=1, failures=1 if failed else 0,
+                              worst_objective_gap=worst_gap, worst_basis_violation=violation)
 
 
 def _random_optimal_lp(rng: np.random.Generator):
@@ -212,7 +202,7 @@ def run_theorem_trials(n_trials: int, seed: int = 0) -> TheoremCheckResult:
     return TheoremCheckResult.combine(results)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonResult:
     """Reports plus the intermediate artefacts they were built from."""
 
@@ -262,10 +252,10 @@ def compare_methods_detailed(
             full_cost=full.total_cost,
             aggregated_cost=agg.total_cost,
             output_error_pct=output_error(full, agg),
-            per_cluster=[
-                ClusterSummary(rep.weight, rep.demand, dict(rep.cf), label, basis)
+            per_cluster=tuple(
+                ClusterSummary(rep.demand, rep.cf, rep.weight, label, basis)
                 for rep, label, basis in zip(reps, model.labels, bases)
-            ],
+            ),
         )
 
     bmodel = basis_cluster(system, features=features, full=full)

@@ -1,4 +1,4 @@
-"""Standard-form LP types and a deterministic two-phase simplex.
+"""Standard-form LP types, a deterministic two-phase simplex, and the freezing helpers.
 
 Problems are minimisations ``min c.x  s.t.  A x = b, x >= 0`` with dense
 float64 data and full row rank A.  Bland's smallest-index rule is used for
@@ -64,14 +64,35 @@ class LPStatus(Enum):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of ``a``; a float64 ndarray is copied as is."""
-    if type(a) is np.ndarray and a.dtype is _FLOAT64:
-        out = a.copy()
+def readonly(a, dtype: np.dtype = _FLOAT64, copy: bool = True) -> np.ndarray:
+    """``a`` as a read-only ``dtype`` array: a copy, or with ``copy=False``
+    ``a`` itself, set read-only, when it already is an ndarray of ``dtype``.
+
+    Every value tsagg returns is a frozen dataclass that stores its arrays
+    this way, its mappings as ``FrozenDict``s and its sequences as tuples.
+    """
+    if type(a) is np.ndarray and a.dtype == dtype:
+        out = a.copy() if copy else a
     else:
-        out = np.array(a, dtype=np.float64)
+        out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+class FrozenDict(dict):
+    """A dict that refuses every change after construction: equal to any
+    dict of the same items, and hashable when its values are."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} does not support item assignment")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):  # copy and pickle without item assignment
+        return type(self), (dict(self),)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -90,13 +111,13 @@ class StandardFormLP:
     _cache: _kernels.Family = field(init=False, repr=False)
 
     def __init__(self, c, A, b, _template: StandardFormLP | None = None):
-        b = _readonly(b)
+        b = readonly(b)
         if _template is not None and c is _template.c and A is _template.A:
             # with_rhs: c and A are the template's checked read-only arrays,
             # so only what the new b can break is checked.
             family = _template._cache
         else:
-            c, A, family = _readonly(c), _readonly(A), _kernels.Family()
+            c, A, family = readonly(c), readonly(A), _kernels.Family()
             if A.ndim != 2 or c.ndim != 1:
                 raise ValueError("expected A 2-d, c and b 1-d")
             m, n = A.shape

@@ -10,7 +10,7 @@ model rather than chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -22,7 +22,7 @@ from .dispatch_model import (
     regime_label,
     solve_full,
 )
-from .lp_core import BasisSignature
+from .lp_core import BasisSignature, readonly
 
 
 class ClusterMethod(Enum):
@@ -55,9 +55,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         for name in ("values", "mins", "maxs"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            vars(self)[name] = arr  # frozen: set through the dict
+            vars(self)[name] = readonly(getattr(self, name))  # frozen: set through the dict
         if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
             raise ValueError("feature matrix shape does not match columns")
 
@@ -74,50 +72,50 @@ class FeatureMatrix:
         return self.mins + np.asarray(rows) * (self.maxs - self.mins)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ClusterModel:
+    """A partition of the hours into k populated clusters, with read-only
+    arrays; ``weights``, each id's member count, is derived, not passed."""
+
     k: int
     centroids: np.ndarray         # (k, F) normalised
     assignment: np.ndarray        # (H,) cluster id per hour
-    weights: np.ndarray           # (k,) member counts
     method: ClusterMethod
     labels: tuple[str, ...]       # (k,) one per cluster
     bases: tuple[BasisSignature, ...] | None = None  # (k,) basis clustering only
+    weights: np.ndarray = field(init=False)  # (k,) member counts
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.int64)
-        _check_partition(self.k, self.assignment, self.weights)
+        assignment = readonly(self.assignment, np.int64)
+        weights = readonly(_check_partition(self.k, assignment), np.int64, copy=False)
+        bases = None if self.bases is None else tuple(self.bases)
+        vars(self).update(centroids=readonly(self.centroids), assignment=assignment,
+                          weights=weights, labels=tuple(self.labels), bases=bases)  # frozen
         if len(self.labels) != self.k:
             raise ValueError(f"{len(self.labels)} cluster labels for k = {self.k}")
 
     @classmethod
-    def from_members(
-        cls, features, k, assignment, weights, method, labels, bases=None
-    ):
-        """The model whose centroids are the member means of ``assignment``.
-
-        ``weights`` must count the members of each of the k ids; that is
-        checked before the means are taken, so an id without members raises
-        ValueError instead of dividing 0 by 0.
-        """
+    def from_members(cls, features, k, assignment, method, labels, bases=None):
+        """The model whose centroids are the member means of ``assignment``,
+        checked first, so an id without members raises ValueError instead
+        of dividing 0 by 0."""
         assignment = np.asarray(assignment, dtype=np.int64)
-        _check_partition(k, assignment, np.asarray(weights, dtype=np.int64))
+        _check_partition(k, assignment)
         centroids = _member_means(features.values.T, assignment, k)
-        return cls(k, centroids, assignment, weights, method, labels, bases)
+        return cls(k, centroids, assignment, method, labels, bases)
 
 
-def _check_partition(k, assignment, weights):
-    """Raise ValueError unless ``weights`` counts the members of all k ids."""
+def _check_partition(k, assignment):
+    """The member count of each of the k ids of ``assignment``; ValueError
+    unless every id is in [0, k) and each of them has a member."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if assignment.min() < 0 or assignment.max() >= k:
         raise ValueError("assignment references unknown cluster ids")
     counts = np.bincount(assignment, minlength=k)
-    if not np.array_equal(counts, weights):
-        raise ValueError("weights must be the cluster cardinalities")
-    if (weights == 0).any():
+    if (counts == 0).any():
         raise ValueError("empty cluster in model")
+    return counts
 
 
 def normalize_features(system: SystemData) -> FeatureMatrix:
@@ -316,15 +314,8 @@ def kmeans(features: FeatureMatrix, k: int, seed: int = 0) -> ClusterModel:
                 best = (inertia, final[r].copy(), centroids[r])
     _, labels, centroids = best
     labels, centroids = _order_by_first_occurrence(labels, centroids, k)
-    weights = np.bincount(labels, minlength=k)
-    return ClusterModel(
-        k,
-        centroids,
-        labels,
-        weights,
-        ClusterMethod.KMEANS,
-        labels=tuple(f"cluster {i}" for i in range(k)),
-    )
+    return ClusterModel(k, centroids, labels, ClusterMethod.KMEANS,
+                        tuple(f"cluster {i}" for i in range(k)))
 
 
 def input_mse(features: FeatureMatrix, model: ClusterModel) -> float:
@@ -356,13 +347,9 @@ def basis_cluster(
         full = solve_full(system)
     if len(full.basis_ids) != features.H:
         raise ValueError("dispatch solution and features disagree on horizon")
-    assignment, bases = full.basis_ids.copy(), full.distinct_bases
-    k = len(bases)
-    labels = tuple(regime_label(system, basis) for basis in bases)
-    return ClusterModel.from_members(
-        features, k, assignment, np.bincount(assignment, minlength=k),
-        ClusterMethod.BASIS, labels, bases,
-    )
+    labels = [regime_label(system, basis) for basis in full.distinct_bases]
+    return ClusterModel.from_members(features, len(labels), full.basis_ids, ClusterMethod.BASIS,
+                                     labels, full.distinct_bases)
 
 
 def to_representatives(
@@ -374,11 +361,8 @@ def to_representatives(
     normalisation round trip; weights are member counts, so they sum to H.
     """
     phys = features.denormalize(model.centroids)
-    reps = []
-    for cid in range(model.k):
-        cf = {
-            features.columns[1 + j]: float(np.clip(phys[cid, 1 + j], 0.0, 1.0))
-            for j in range(features.F - 1)
-        }
-        reps.append(Representative(float(phys[cid, 0]), cf, float(model.weights[cid])))
-    return tuple(reps)
+    cfs = np.clip(phys[:, 1:], 0.0, 1.0).tolist()
+    return tuple(
+        Representative(float(row[0]), dict(zip(features.columns[1:], cf)), float(weight))
+        for row, cf, weight in zip(phys, cfs, model.weights)
+    )

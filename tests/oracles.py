@@ -386,12 +386,10 @@ def kmeans_reference(
             best = (inertia, labels, centroids)
     _, labels, centroids = best
     labels, centroids = _order_by_first_occurrence(labels, centroids, k)
-    weights = np.bincount(labels, minlength=k)
     return ClusterModel(
         k,
         centroids,
         labels,
-        weights,
         ClusterMethod.KMEANS,
         labels=tuple(f"cluster {i}" for i in range(k)),
     )

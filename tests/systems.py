@@ -82,10 +82,55 @@ def degenerate_system() -> SystemData:
     return add_nse_generator(system)
 
 
-# The default year, wide fleets and exactly degenerate hours: the systems
-# on which solver fast paths are checked against what they replace.
+# Offsets in MW from a merit-order boundary: on it, then from inside the
+# solver's 1e-9 tolerances (TOL_FEAS) out to beyond them.  ``near_boundary_system``
+# also places hours 1 to 5 ulp either side.
+BOUNDARY_OFFSETS = (0.0, *(sign * 10.0 ** e for e in range(-12, -6) for sign in (-1, 1)))
+
+
+def _ulps_away(x: float, k: int) -> float:
+    """The float ``k`` representable steps above ``x`` (below for k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.inf if k > 0 else -np.inf))
+    return x
+
+
+def near_boundary_system(rng, generic_hours=18) -> SystemData:
+    """Hours within and around the solver's tolerances of every boundary.
+
+    Wind, a thermal unit with a must-run floor and a peaker, in that merit
+    order, plus NSE.  The first ``generic_hours`` hours draw demand well
+    inside the regimes, so the solver has registered cones by the time the
+    rest arrive.  Then each of the three boundaries (wind, thermal and
+    peaker at full availability) gets one capacity factor and an hour at
+    each ``BOUNDARY_OFFSETS`` offset and 1 to 5 ulp either side of it.
+    """
+    wind = Generator("wind", 0.0, rng.uniform(60.0, 160.0), is_variable=True,
+                     cf_series_id="wind")
+    cap = rng.uniform(50.0, 120.0)
+    thermal = Generator("thermal", rng.uniform(5.0, 30.0), cap, p_min=rng.uniform(0.0, 0.3) * cap)
+    peaker = Generator("peaker", rng.uniform(35.0, 80.0), rng.uniform(20.0, 60.0))
+    cf = list(rng.beta(2.0, 3.0, generic_hours))
+    top = wind.capacity + cap + peaker.capacity
+    demand = list(rng.uniform(thermal.p_min + 1.0, 1.1 * top, generic_hours))
+    for boundary in range(3):
+        wind_cf = float(rng.uniform(0.05, 0.95))
+        headroom = [wind.capacity * wind_cf, cap - thermal.p_min, peaker.capacity]
+        at = thermal.p_min + sum(headroom[: boundary + 1])
+        hours = [at + offset for offset in BOUNDARY_OFFSETS]
+        hours += [_ulps_away(at, k) for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)]
+        demand += hours
+        cf += [wind_cf] * len(hours)
+    system = SystemData((wind, thermal, peaker), np.array(demand), {"wind": np.array(cf)})
+    return add_nse_generator(system)
+
+
+# The default year, wide fleets, exactly degenerate hours and hours at
+# tolerance distance from each boundary: the systems on which solver fast
+# paths are checked against what they replace.
 SOLVER_SYSTEMS = {
     "default_year": lambda: generate_synthetic(default_spec()),
     **{f"fleet{s}": lambda s=s: fleet_system(np.random.default_rng(s)) for s in range(5)},
     "degenerate": degenerate_system,
+    "near_boundary": lambda: near_boundary_system(np.random.default_rng(0)),
 }

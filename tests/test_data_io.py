@@ -426,6 +426,21 @@ def test_spec_dict_round_trip(tmp_path):
     assert load_spec(path) == spec
 
 
+def test_a_spec_keeps_a_read_only_copy_of_its_regime_targets():
+    """D27: the spec kept the caller's dict, so a later write skipped the
+    constructor's number check and generation failed with a bare
+    TypeError from a comparison; ``hash(spec)`` raised too."""
+    targets = {"thermal marginal": 0.1}
+    spec = SyntheticSpec(hours=240, regime_targets=targets)
+    targets["NSE"] = "x"
+    with pytest.raises(TypeError):
+        spec.regime_targets["NSE"] = "x"
+    assert spec.regime_targets == {"thermal marginal": 0.1}
+    assert hash(spec) == hash(SyntheticSpec(hours=240, regime_targets={"thermal marginal": 0.1}))
+    assert generate_synthetic(spec).horizon == 240
+    assert hash(default_spec()) == hash(dataclasses.replace(default_spec(), seed=1))
+
+
 def test_spec_unknown_key_rejected():
     with pytest.raises(ConfigError):
         spec_from_dict({"hours": 10, "bogus": 1})
@@ -467,9 +482,10 @@ def _sample_report():
         aggregated_cost=7589427.74281239,
         output_error_pct=1.23e-13,
         per_cluster=[
-            ClusterSummary(10.0, 55.5, {"wind": 0.25}, "thermal marginal",
-                           BasisSignature((0, 1, 2, 5))),
-            ClusterSummary(14.0, 80.0, {"wind": 0.75}, "wind marginal", None),
+            ClusterSummary(weight=10.0, demand=55.5, cf={"wind": 0.25},
+                           label="thermal marginal", basis=BasisSignature((0, 1, 2, 5))),
+            ClusterSummary(weight=14.0, demand=80.0, cf={"wind": 0.75},
+                           label="wind marginal", basis=None),
         ],
     )
 
@@ -516,8 +532,10 @@ def test_report_json_has_no_timings(tmp_path):
     (lambda doc: doc.update(input_mse="0.5"), "malformed report .* input_mse must be a number"),
     (lambda doc: doc["per_cluster"][0].update(label=7), "malformed report .* label must be a string"),
     (lambda doc: doc["per_cluster"][0].update(cf=[0.5]), "malformed report"),
+    (lambda doc: doc["per_cluster"][0].update(weight=0.0), "malformed report .* weight must be positive"),
+    (lambda doc: doc["per_cluster"][1].update(cf={"wind": 1.5}), "malformed report .* outside \\[0, 1\\]"),
 ], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
-        "string_number", "numeric_label", "list_cf"])
+        "string_number", "numeric_label", "list_cf", "zero_weight", "cf_above_one"])
 def test_read_report_refuses_malformed_values(tmp_path, edit, message):
     # int() truncated k, float("abc") escaped as a bare ValueError, the
     # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
@@ -562,6 +580,21 @@ def test_clusters_round_trip(tmp_path):
     # denormalised centroid = mean of member hours in physical units
     members = system.demand[model.assignment == 0]
     _assert_close(doc["clusters"][0]["demand"], members.mean(), rel=1e-9)
+
+
+def test_read_clusters_refuses_weights_that_disagree_with_the_assignment(tmp_path):
+    """A model derives its weights, so the file's own list is checked
+    against them: it is outside input."""
+    system = thermal_wind([30.0, 120.0, 200.0, 35.0], [0.9, 0.4, 0.1, 0.8])
+    features = normalize_features(system)
+    path = tmp_path / "clusters.json"
+    write_clusters(basis_cluster(system, features), features, path)
+    doc = json.loads(path.read_text())
+    doc["weights"] = doc["weights"][::-1]
+    assert doc["weights"] != json.loads(path.read_text())["weights"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="weights must be the cluster cardinalities"):
+        read_clusters(path, features)
 
 
 def test_dispatch_summary_fields():

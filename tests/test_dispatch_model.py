@@ -452,6 +452,26 @@ def test_representative_validation():
         solve_aggregated(thermal_wind([120.0], [0.8]), ())
 
 
+def test_a_representative_keeps_a_read_only_copy_of_its_cf():
+    """D25: the cf mapping took item writes after its [0, 1] check, so a
+    50 MW wind unit could dispatch 120 MW, and ``hash`` raised TypeError."""
+    cf = {"wind": 0.8}
+    rep = Representative(120.0, cf, 1.0)
+    cf["wind"] = 5.0
+    with pytest.raises(TypeError):
+        rep.cf["wind"] = 5.0
+    with pytest.raises(TypeError):
+        del rep.cf["wind"]
+    with pytest.raises(FrozenInstanceError):
+        rep.cf = {"wind": 5.0}
+    assert rep.cf == {"wind": 0.8}
+    assert hash(rep) == hash(Representative(120.0, {"wind": 0.8}, 1.0))
+    system = thermal_wind([120.0], [0.8])
+    agg = solve_aggregated(system, (rep,))
+    wind = [g.name for g in system.generators].index("wind")
+    assert agg.production[0, wind] == pytest.approx(40.0)
+
+
 CERTIFIED_SYSTEMS = {
     "default_year": lambda: generate_synthetic(default_spec()),
     **{f"fleet_{i}": lambda i=i: fleet_system(np.random.default_rng(i)) for i in range(5)},
@@ -491,8 +511,9 @@ def test_exact_basis_check_flags_an_hour_given_another_hours_basis():
     system = generate_synthetic(default_spec())
     full = solve_full(system)
     h = int(np.flatnonzero(full.basis_ids == 1)[0])
-    full.basis_ids[h] = 0  # optimal elsewhere, not at hour h
-    primal, dual = exact_basis_check(system, full)
+    basis_ids = full.basis_ids.copy()
+    basis_ids[h] = 0  # optimal elsewhere, not at hour h
+    primal, dual = exact_basis_check(system, replace(full, basis_ids=basis_ids))
     assert primal == [h] and dual == []
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import basis_eval_reference, random_lp_data, simplex_reference
-from systems import SOLVER_SYSTEMS, degenerate_system, fleet_system, random_system
+from systems import (
+    SOLVER_SYSTEMS, degenerate_system, fleet_system, near_boundary_system, random_system,
+)
 from tsagg import _kernels, evaluation
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import _template, hourly_rhs, solve_full
@@ -266,6 +268,16 @@ SMALL_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(SMALL_SYSTEMS))
 def test_simplex_matches_reference_on_small_systems(name, monkeypatch):
     _assert_hours_match_reference(SMALL_SYSTEMS[name](), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_full_matches_reference_at_tolerance_distance_from_boundaries(seed, monkeypatch):
+    """Demand on, within 1e-12 to 1e-7 MW of and 1-5 ulp from each merit-order
+    boundary, after hours that registered cones: where the cone test's
+    strict x_B > TOL_FEAS and Bland's ratio test must agree, every hour's
+    basis and pivot count is the reference tableau's."""
+    system = near_boundary_system(np.random.default_rng(seed))
+    assert _assert_hours_match_reference(system, monkeypatch) < system.horizon
 
 
 # --- the basis-cone test --------------------------------------------------------

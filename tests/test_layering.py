@@ -1,13 +1,24 @@
 """Module boundaries inside the package: no module reaches into another's
 private (``_``-prefixed) names.  Importing a private module, as in
-``from . import _kernels``, is allowed.  Importing the command line loads
-no XML, network or e-mail module: every run pays for what it imports."""
+``from . import _kernels``, is allowed.  Every value the package returns
+is a frozen dataclass whose arrays and mappings refuse writes.  Importing
+the command line loads no XML, network or e-mail module: every run pays
+for what it imports."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from systems import random_system
+from tsagg.data_io import load_series, write_series
+from tsagg.evaluation import compare_methods_detailed
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tsagg"
 
@@ -99,27 +110,32 @@ def test_the_check_sees_family_entry_access(tmp_path):
     ]
 
 
+def _dataclasses(path):
+    """(class node, decorator keywords such as "eq=False") of each
+    ``@dataclass`` class in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            if ast.unparse(call.func if call else deco) in ("dataclass", "dataclasses.dataclass"):
+                found.append((node, {ast.unparse(kw) for kw in call.keywords} if call else set()))
+    return found
+
+
 def _array_dataclasses_with_value_eq(path):
     """Names of the ``@dataclass`` classes in ``path`` that have a field
     annotated with ``np.ndarray`` but no ``eq=False``.  Their generated
     ``==`` compares the arrays and raises ValueError, and ``hash`` of a
     frozen one raises TypeError."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        arrays = any(
+    return [
+        node.name for node, keywords in _dataclasses(path)
+        if "eq=False" not in keywords and any(
             isinstance(stmt, ast.AnnAssign) and "np.ndarray" in ast.unparse(stmt.annotation)
             for stmt in node.body
         )
-        for deco in node.decorator_list:
-            call = deco if isinstance(deco, ast.Call) else None
-            name = ast.unparse(call.func if call else deco)
-            if arrays and name in ("dataclass", "dataclasses.dataclass") and not (
-                call and any(ast.unparse(kw) == "eq=False" for kw in call.keywords)
-            ):
-                found.append(node.name)
-    return found
+    ]
 
 
 def test_dataclasses_holding_arrays_compare_by_identity():
@@ -140,6 +156,76 @@ def test_the_check_sees_array_fields_without_eq_false(tmp_path):
         "class F:\n    x: np.ndarray\n"
     )
     assert _array_dataclasses_with_value_eq(path) == ["A", "B", "C"]
+
+
+# Every value tsagg returns is frozen, with read-only arrays and mappings,
+# except ``LPSolution``: one is built per solved LP, and a frozen slots
+# dataclass costs about four times as much to construct (about 1 us against
+# 0.25 us, some 6 % of a full-year ``solve_full``).  Its arrays are copies
+# that no other solve shares.
+MUTABLE_DATACLASSES = {"LPSolution"}
+
+
+def _unfrozen_dataclasses(path):
+    """Names of the ``@dataclass`` classes in ``path`` without ``frozen=True``."""
+    return [node.name for node, keywords in _dataclasses(path) if "frozen=True" not in keywords]
+
+
+def test_every_dataclass_but_lp_solution_is_frozen():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {name for p in modules for name in _unfrozen_dataclasses(p)}
+    assert found == MUTABLE_DATACLASSES
+
+
+def test_the_check_sees_dataclasses_that_are_not_frozen(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(eq=False)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=False)\nclass C:\n    x: int\n"
+        "@dataclass(frozen=True, eq=False)\nclass D:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass E:\n    x: int\n"
+        "class F:\n    x: int\n"
+    )
+    assert _unfrozen_dataclasses(path) == ["A", "B", "C"]
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through dataclass fields and
+    the entries of tuples, lists and mappings."""
+    stack, seen, found = [root], set(), []
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        found.append(value)
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            stack.extend(getattr(value, f.name) for f in dataclasses.fields(value))
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, Mapping):
+            stack.extend(value.values())
+    return found
+
+
+def test_every_value_a_comparison_or_a_series_file_returns_is_read_only(tmp_path):
+    system = random_system(np.random.default_rng(0))
+    write_series(system, tmp_path / "series.csv")
+    values = _reachable((compare_methods_detailed(system), load_series(tmp_path / "series.csv")))
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    mappings = [v for v in values if isinstance(v, Mapping)]
+    instances = [v for v in values if dataclasses.is_dataclass(v)]
+    assert len(arrays) > 15 and len(mappings) > 5 and len(instances) > 10
+    assert [a.shape for a in arrays if a.flags.writeable] == []
+    for mapping in mappings:
+        with pytest.raises(TypeError):
+            mapping["key"] = 0.0
+    assert [type(v).__name__ for v in values if isinstance(v, list)] == []
+    assert {type(v).__name__ for v in instances if not type(v).__dataclass_params__.frozen} == set()
+    for value in instances:
+        if type(value).__dataclass_params__.eq:
+            hash(value)  # a held dict or list would raise TypeError
 
 
 # Packages no tsagg run needs.  ``xml.sax.saxutils`` alone pulls in all of

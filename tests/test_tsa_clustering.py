@@ -1,5 +1,6 @@
 """Clustering tests: normalisation, k-means behaviour, basis grouping."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from tsagg.lp_core import LPStatus, solve_with_basis
 from tsagg.dispatch_model import build_hourly_lp
 from tsagg.tsa_clustering import (
     ClusterMethod,
+    ClusterModel,
     FeatureMatrix,
     KExceedsHError,
     basis_cluster,
@@ -234,6 +236,39 @@ def test_basis_cluster_three_regimes():
     assert model.labels[0] == "wind marginal"
     np.testing.assert_array_equal(model.assignment, [0, 1, 2, 0, 1, 2])
     np.testing.assert_array_equal(model.weights, [2, 2, 2])
+
+
+def test_a_cluster_model_refuses_every_write():
+    """D26: the partition was checked once, in the constructor, and its
+    arrays and fields stayed writable, so weights summing to 29 on a 24 h
+    system or an unknown cluster id reached the aggregated solve and the
+    clusters file."""
+    system = random_system(np.random.default_rng(0))
+    features = normalize_features(system)
+    model = kmeans(features, 3, seed=0)
+    with pytest.raises(ValueError):
+        model.weights[0] += 5
+    with pytest.raises(ValueError):
+        model.assignment[0] = 7
+    with pytest.raises(ValueError):
+        model.centroids[0, 0] = 0.5
+    for name in ("k", "centroids", "assignment", "weights", "labels", "bases"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, getattr(model, name))
+    reps = to_representatives(model, features)
+    assert sum(rep.weight for rep in reps) == system.horizon == 24
+    np.testing.assert_array_equal(model.weights, np.bincount(model.assignment))
+
+
+def test_cluster_weights_are_derived_from_the_assignment():
+    """The constructor takes no weights; they are each id's member count,
+    and a partition that leaves an id empty is refused."""
+    features = normalize_features(thermal_wind([30.0, 125.0, 160.0], [0.9, 0.6, 0.7]))
+    model = ClusterModel.from_members(features, 2, [1, 0, 1], ClusterMethod.KMEANS, ("a", "b"))
+    assert model.weights.tolist() == [1, 2] and model.weights.dtype == np.int64
+    for assignment, message in (([0, 0, 0], "empty cluster"), ([0, 2, 1], "unknown cluster ids")):
+        with pytest.raises(ValueError, match=message):
+            ClusterModel.from_members(features, 2, assignment, ClusterMethod.KMEANS, ("a", "b"))
 
 
 def test_basis_cluster_constant_series_single_cluster():
