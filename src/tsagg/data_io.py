@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -69,8 +69,7 @@ class RegimeUnreachableError(DataError):
 
 @dataclass(frozen=True, eq=False)
 class SeriesBundle:
-    """Demand plus named capacity-factor series, all of one horizon, kept
-    as read-only copies."""
+    """Demand plus named capacity-factor series, all of one horizon."""
 
     demand: np.ndarray
     capacity_factors: dict[str, np.ndarray]
@@ -360,6 +359,10 @@ class WindModel:
         _check_numbers(self, "wind.")
 
 
+def _default_targets() -> dict[str, float]:
+    return {"wind marginal": 0.005, "thermal marginal": 0.25, "NSE": 0.001}
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a reproducible wind/thermal/NSE test-year."""
@@ -373,8 +376,7 @@ class SyntheticSpec:
     thermal_capacity: float = 100.0
     thermal_cost: float = 10.0
     nse_cost: float = 1000.0
-    regime_targets: dict[str, float] = FrozenDict(
-        {"wind marginal": 0.005, "thermal marginal": 0.25, "NSE": 0.001})
+    regime_targets: dict[str, float] = field(default_factory=_default_targets)
 
     def __post_init__(self):
         _integer(self.hours, "hours")
@@ -590,7 +592,9 @@ def read_report(path) -> EvaluationReport:
                 demand=number(c["demand"], "demand"),
                 cf={k: number(v, f"cf {k!r}") for k, v in dict(c["cf"]).items()},
                 label=_string(c["label"], f"{where} label"),
-                basis=None if c["basis"] is None else BasisSignature(tuple(c["basis"])),
+                basis=(
+                    BasisSignature(tuple(c["basis"])) if c["basis"] is not None else None
+                ),
             )
             for c in doc["per_cluster"]
         ]
@@ -675,10 +679,14 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
             f"config features are {list(features.columns)}"
         )
     try:
+        # The file's weights list must be the member counts: checked once the
+        # ids are in [0, k) and before empty clusters, so a file breaking both
+        # is refused for its weights.
+        if 0 <= assignment.min() and assignment.max() < k:
+            if np.bincount(assignment, minlength=k).tolist() != weights:
+                raise ValueError("weights must be the cluster cardinalities")
         model = ClusterModel.from_members(
             features, k, assignment, method, labels, None if None in bases else bases)
-        if model.weights.tolist() != weights:  # the file's own list must agree
-            raise ValueError("weights must be the cluster cardinalities")
     except ValueError as exc:
         raise ConfigError(f"{where} {exc}") from exc
     return model

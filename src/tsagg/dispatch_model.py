@@ -140,7 +140,8 @@ class SystemData:
         for g in generators:
             if g.is_variable and g.cf_series_id not in cfs:
                 raise ValueError(f"{g.name}: missing cf series {g.cf_series_id!r}")
-        vars(self).update(generators=generators, demand=demand,  # frozen: set through the dict
+        # The instance is frozen: its fields are set through its dict.
+        vars(self).update(generators=generators, demand=demand,
                           capacity_factors=FrozenDict(cfs))
 
     @cached_property
@@ -168,15 +169,14 @@ class SystemData:
 
 @dataclass(frozen=True)
 class Representative:
-    """One aggregated period: average inputs plus the hours it stands for.
-    ``cf`` is kept as a ``FrozenDict`` copy, which is what is checked."""
+    """One aggregated period: average inputs plus the hours it stands for."""
 
     demand: float
     cf: dict[str, float]
     weight: float
 
     def __post_init__(self):
-        vars(self)["cf"] = FrozenDict(self.cf)  # frozen: set through the dict
+        vars(self)["cf"] = FrozenDict(self.cf)  # frozen; this copy is what is checked
         if not (np.isfinite(self.demand) and self.demand >= 0.0):
             raise ValueError("representative demand must be finite and >= 0")
         if not (np.isfinite(self.weight) and self.weight > 0.0):
@@ -225,10 +225,11 @@ class DispatchSolution:
     production: np.ndarray
     total_cost: float
 
-    def __post_init__(self):  # the columns are set read-only in place, not copied
-        for name in ("weights", "x", "objective", "iterations", "basis_ids", "reduced_costs",
-                     "production"):
-            vars(self)[name] = readonly(col := getattr(self, name), col.dtype, copy=False)
+    def __post_init__(self):
+        # Set read-only in place: a copy of each column would raise peak memory.
+        for name in ("weights", "x", "objective", "iterations", "basis_ids",
+                     "reduced_costs", "production"):
+            getattr(self, name).setflags(write=False)
 
     # Per-period views in the shape of the former one-object-per-period
     # solution, which tsbench's tests still read.  Built on each call

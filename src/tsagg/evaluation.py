@@ -17,13 +17,13 @@ import numpy as np
 from .dispatch_model import (
     DispatchKind,
     DispatchSolution,
-    Representative,
     SystemData,
     solve_aggregated,
     solve_full,
 )
 from .lp_core import (
     BasisSignature,
+    FrozenDict,
     LPError,
     LPStatus,
     StandardFormLP,
@@ -66,11 +66,15 @@ class SampleRejectedError(Exception):
 
 
 @dataclass(frozen=True)
-class ClusterSummary(Representative):
-    """A report's representative, with its cluster's label and basis."""
-
+class ClusterSummary:
+    weight: float
+    demand: float
+    cf: dict[str, float]
     label: str
     basis: BasisSignature | None
+
+    def __post_init__(self):
+        vars(self)["cf"] = FrozenDict(self.cf)  # frozen: set through the dict
 
 
 @dataclass(frozen=True)
@@ -98,12 +102,19 @@ class TheoremCheckResult:
     def combine(results: list["TheoremCheckResult"]) -> "TheoremCheckResult":
         """Sum counts; the violation kept is the one with the largest gap
         among results that have one (the first on ties)."""
-        flagged = [r for r in results if r.worst_basis_violation is not None]
-        worst = max(flagged, key=lambda r: r.worst_objective_gap, default=None)
+        worst = max(
+            (r for r in results if r.worst_basis_violation is not None),
+            key=lambda r: r.worst_objective_gap,
+            default=None,
+        )
         return TheoremCheckResult(
-            sum(r.trials for r in results), sum(r.failures for r in results),
-            max((r.worst_objective_gap for r in results), default=0.0),
-            None if worst is None else worst.worst_basis_violation)
+            trials=sum(r.trials for r in results),
+            failures=sum(r.failures for r in results),
+            worst_objective_gap=max(
+                (r.worst_objective_gap for r in results), default=0.0
+            ),
+            worst_basis_violation=None if worst is None else worst.worst_basis_violation,
+        )
 
 
 def output_error(full: DispatchSolution, aggregated: DispatchSolution) -> float:
@@ -153,15 +164,21 @@ def theorem_check(
 
     fresh = solve(lp_template.with_rhs(b_mean))
     if fresh.status is not LPStatus.OPTIMAL:
-        violation = violation or f"fresh solve of averaged rhs is {fresh.status.value}"
+        violation = violation or (
+            f"fresh solve of averaged rhs is {fresh.status.value}"
+        )
         fresh_gap = np.inf
     else:
         fresh_gap = abs(fresh.objective - at_mean.objective) / scale
 
     worst_gap = float(max(gap, fresh_gap))
     failed = violation is not None or worst_gap > REL_TOL
-    return TheoremCheckResult(trials=1, failures=1 if failed else 0,
-                              worst_objective_gap=worst_gap, worst_basis_violation=violation)
+    return TheoremCheckResult(
+        trials=1,
+        failures=1 if failed else 0,
+        worst_objective_gap=worst_gap,
+        worst_basis_violation=violation,
+    )
 
 
 def _random_optimal_lp(rng: np.random.Generator):
@@ -253,7 +270,7 @@ def compare_methods_detailed(
             aggregated_cost=agg.total_cost,
             output_error_pct=output_error(full, agg),
             per_cluster=tuple(
-                ClusterSummary(rep.demand, rep.cf, rep.weight, label, basis)
+                ClusterSummary(rep.weight, rep.demand, rep.cf, label, basis)
                 for rep, label, basis in zip(reps, model.labels, bases)
             ),
         )

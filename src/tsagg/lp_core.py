@@ -66,11 +66,7 @@ _FLOAT64 = np.dtype(np.float64)
 
 def readonly(a, dtype: np.dtype = _FLOAT64, copy: bool = True) -> np.ndarray:
     """``a`` as a read-only ``dtype`` array: a copy, or with ``copy=False``
-    ``a`` itself, set read-only, when it already is an ndarray of ``dtype``.
-
-    Every value tsagg returns is a frozen dataclass that stores its arrays
-    this way, its mappings as ``FrozenDict``s and its sequences as tuples.
-    """
+    ``a`` itself, set read-only, when it already is an ndarray of ``dtype``."""
     if type(a) is np.ndarray and a.dtype == dtype:
         out = a.copy() if copy else a
     else:
@@ -90,9 +86,6 @@ class FrozenDict(dict):
 
     def __hash__(self):
         return hash(frozenset(self.items()))
-
-    def __reduce__(self):  # copy and pickle without item assignment
-        return type(self), (dict(self),)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -74,16 +74,13 @@ class FeatureMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """A partition of the hours into k populated clusters, with read-only
-    arrays; ``weights``, each id's member count, is derived, not passed."""
-
     k: int
     centroids: np.ndarray         # (k, F) normalised
     assignment: np.ndarray        # (H,) cluster id per hour
     method: ClusterMethod
     labels: tuple[str, ...]       # (k,) one per cluster
     bases: tuple[BasisSignature, ...] | None = None  # (k,) basis clustering only
-    weights: np.ndarray = field(init=False)  # (k,) member counts
+    weights: np.ndarray = field(init=False)  # (k,) member counts, derived
 
     def __post_init__(self):
         assignment = readonly(self.assignment, np.int64)
@@ -95,10 +92,15 @@ class ClusterModel:
             raise ValueError(f"{len(self.labels)} cluster labels for k = {self.k}")
 
     @classmethod
-    def from_members(cls, features, k, assignment, method, labels, bases=None):
-        """The model whose centroids are the member means of ``assignment``,
-        checked first, so an id without members raises ValueError instead
-        of dividing 0 by 0."""
+    def from_members(
+        cls, features, k, assignment, method, labels, bases=None
+    ):
+        """The model whose centroids are the member means of ``assignment``.
+
+        Each of the k ids must have a member; that is checked before the
+        means are taken, so an id without members raises ValueError instead
+        of dividing 0 by 0.
+        """
         assignment = np.asarray(assignment, dtype=np.int64)
         _check_partition(k, assignment)
         centroids = _member_means(features.values.T, assignment, k)
@@ -314,8 +316,13 @@ def kmeans(features: FeatureMatrix, k: int, seed: int = 0) -> ClusterModel:
                 best = (inertia, final[r].copy(), centroids[r])
     _, labels, centroids = best
     labels, centroids = _order_by_first_occurrence(labels, centroids, k)
-    return ClusterModel(k, centroids, labels, ClusterMethod.KMEANS,
-                        tuple(f"cluster {i}" for i in range(k)))
+    return ClusterModel(
+        k,
+        centroids,
+        labels,
+        ClusterMethod.KMEANS,
+        labels=tuple(f"cluster {i}" for i in range(k)),
+    )
 
 
 def input_mse(features: FeatureMatrix, model: ClusterModel) -> float:
@@ -347,9 +354,12 @@ def basis_cluster(
         full = solve_full(system)
     if len(full.basis_ids) != features.H:
         raise ValueError("dispatch solution and features disagree on horizon")
-    labels = [regime_label(system, basis) for basis in full.distinct_bases]
-    return ClusterModel.from_members(features, len(labels), full.basis_ids, ClusterMethod.BASIS,
-                                     labels, full.distinct_bases)
+    assignment, bases = full.basis_ids, full.distinct_bases
+    k = len(bases)
+    labels = tuple(regime_label(system, basis) for basis in bases)
+    return ClusterModel.from_members(
+        features, k, assignment, ClusterMethod.BASIS, labels, bases,
+    )
 
 
 def to_representatives(
@@ -361,8 +371,11 @@ def to_representatives(
     normalisation round trip; weights are member counts, so they sum to H.
     """
     phys = features.denormalize(model.centroids)
-    cfs = np.clip(phys[:, 1:], 0.0, 1.0).tolist()
-    return tuple(
-        Representative(float(row[0]), dict(zip(features.columns[1:], cf)), float(weight))
-        for row, cf, weight in zip(phys, cfs, model.weights)
-    )
+    reps = []
+    for cid in range(model.k):
+        cf = {
+            features.columns[1 + j]: float(np.clip(phys[cid, 1 + j], 0.0, 1.0))
+            for j in range(features.F - 1)
+        }
+        reps.append(Representative(float(phys[cid, 0]), cf, float(model.weights[cid])))
+    return tuple(reps)

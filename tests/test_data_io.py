@@ -482,10 +482,9 @@ def _sample_report():
         aggregated_cost=7589427.74281239,
         output_error_pct=1.23e-13,
         per_cluster=[
-            ClusterSummary(weight=10.0, demand=55.5, cf={"wind": 0.25},
-                           label="thermal marginal", basis=BasisSignature((0, 1, 2, 5))),
-            ClusterSummary(weight=14.0, demand=80.0, cf={"wind": 0.75},
-                           label="wind marginal", basis=None),
+            ClusterSummary(10.0, 55.5, {"wind": 0.25}, "thermal marginal",
+                           BasisSignature((0, 1, 2, 5))),
+            ClusterSummary(14.0, 80.0, {"wind": 0.75}, "wind marginal", None),
         ],
     )
 
@@ -532,10 +531,8 @@ def test_report_json_has_no_timings(tmp_path):
     (lambda doc: doc.update(input_mse="0.5"), "malformed report .* input_mse must be a number"),
     (lambda doc: doc["per_cluster"][0].update(label=7), "malformed report .* label must be a string"),
     (lambda doc: doc["per_cluster"][0].update(cf=[0.5]), "malformed report"),
-    (lambda doc: doc["per_cluster"][0].update(weight=0.0), "malformed report .* weight must be positive"),
-    (lambda doc: doc["per_cluster"][1].update(cf={"wind": 1.5}), "malformed report .* outside \\[0, 1\\]"),
 ], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
-        "string_number", "numeric_label", "list_cf", "zero_weight", "cf_above_one"])
+        "string_number", "numeric_label", "list_cf"])
 def test_read_report_refuses_malformed_values(tmp_path, edit, message):
     # int() truncated k, float("abc") escaped as a bare ValueError, the
     # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
@@ -582,7 +579,15 @@ def test_clusters_round_trip(tmp_path):
     _assert_close(doc["clusters"][0]["demand"], members.mean(), rel=1e-9)
 
 
-def test_read_clusters_refuses_weights_that_disagree_with_the_assignment(tmp_path):
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(weights=doc["weights"][::-1]), "cardinalities"),
+    # A file that both empties a cluster and lists other weights is refused
+    # for its weights.
+    (lambda doc: doc.update(assignment=[0] * 4), "cardinalities"),
+    (lambda doc: doc.update(assignment=[0] * 4, weights=[4] + [0] * (doc["k"] - 1)),
+     "empty cluster"),
+], ids=["reversed", "emptied_cluster_and_weights", "emptied_cluster"])
+def test_read_clusters_refuses_weights_that_disagree_with_the_assignment(tmp_path, edit, message):
     """A model derives its weights, so the file's own list is checked
     against them: it is outside input."""
     system = thermal_wind([30.0, 120.0, 200.0, 35.0], [0.9, 0.4, 0.1, 0.8])
@@ -590,10 +595,10 @@ def test_read_clusters_refuses_weights_that_disagree_with_the_assignment(tmp_pat
     path = tmp_path / "clusters.json"
     write_clusters(basis_cluster(system, features), features, path)
     doc = json.loads(path.read_text())
-    doc["weights"] = doc["weights"][::-1]
-    assert doc["weights"] != json.loads(path.read_text())["weights"]
+    edit(doc)
+    assert doc != json.loads(path.read_text())
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="weights must be the cluster cardinalities"):
+    with pytest.raises(ConfigError, match=message):
         read_clusters(path, features)
 
 
