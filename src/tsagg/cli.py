@@ -110,7 +110,7 @@ def _cmd_aggregate(args) -> int:
         model = basis_cluster(system, features=features)
     out = _outdir(args.out)
     path = out / f"clusters_{args.method}.json"
-    write_clusters(model, features, path)
+    write_clusters(model, path)
     print(f"wrote {path}")
     print(f"method {args.method}: k={model.k}")
     for cid in range(model.k):
@@ -139,8 +139,8 @@ def _cmd_compare(args) -> int:
     out = _outdir(args.out)
     write_report(result.kmeans_report, out / "kmeans_report.json")
     write_report(result.basis_report, out / "basis_report.json")
-    write_clusters(result.kmeans_model, result.features, out / "clusters_kmeans.json")
-    write_clusters(result.basis_model, result.features, out / "clusters_basis.json")
+    write_clusters(result.kmeans_model, out / "clusters_kmeans.json")
+    write_clusters(result.basis_model, out / "clusters_basis.json")
     summary = _format_summary(result.reports)
     (out / "summary.txt").write_text(summary)
     print(summary, end="")
@@ -158,10 +158,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     check_writable(args.out)
-    features = normalize_features(load_config(args.config))
-    model = read_clusters(args.clusters, features)
+    model = read_clusters(args.clusters, normalize_features(load_config(args.config)))
     title = args.title if args.title is not None else f"{model.method.value} clustering"
-    write_plot(model, features, args.out, title=title)
+    write_plot(model, args.out, title=title)
     print(f"wrote {args.out}")
     return 0
 

@@ -27,11 +27,18 @@ from .dispatch_model import (
     Generator,
     SystemData,
     add_nse_generator,
+    marginal_label,
     regime_counts,
 )
-from .evaluation import ClusterSummary, EvaluationReport
+from .evaluation import EvaluationReport
 from .lp_core import BasisSignature, FrozenDict, readonly
-from .tsa_clustering import ClusterMethod, ClusterModel, FeatureMatrix, to_representatives
+from .tsa_clustering import (
+    ClusterMethod,
+    ClusterModel,
+    ClusterSummary,
+    FeatureMatrix,
+    to_representatives,
+)
 
 
 class DataError(Exception):
@@ -462,8 +469,7 @@ def regime_fractions(system: SystemData) -> dict[str, float]:
             cum = cum + (gen.capacity - gen.p_min)
         covered[i] = cum >= system.demand
     covered &= floors <= system.demand
-    labels = [NSE_NAME if g.name == NSE_NAME else f"{g.name} marginal" for g in merit]
-    labels.append("infeasible")
+    labels = [*map(marginal_label, merit), "infeasible"]
     marginal = np.where(covered.any(axis=0), covered.argmax(axis=0), len(merit))
     codes, first, counts = np.unique(marginal, return_index=True, return_counts=True)
     return {labels[codes[i]]: int(counts[i]) / H for i in np.argsort(first)}
@@ -551,6 +557,16 @@ def dump_json(doc, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _cluster_entry(c: ClusterSummary) -> dict:
+    return {
+        "weight": c.weight,
+        "demand": c.demand,
+        "cf": dict(sorted(c.cf.items())),
+        "label": c.label,
+        "basis": list(c.basis.indices) if c.basis is not None else None,
+    }
+
+
 def report_to_dict(report: EvaluationReport) -> dict:
     # Field order is fixed so repeated runs serialise byte-identically.
     return {
@@ -560,16 +576,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "full_cost": report.full_cost,
         "aggregated_cost": report.aggregated_cost,
         "output_error_pct": report.output_error_pct,
-        "per_cluster": [
-            {
-                "weight": c.weight,
-                "demand": c.demand,
-                "cf": dict(sorted(c.cf.items())),
-                "label": c.label,
-                "basis": list(c.basis.indices) if c.basis is not None else None,
-            }
-            for c in report.per_cluster
-        ],
+        "per_cluster": [_cluster_entry(c) for c in report.per_cluster],
     }
 
 
@@ -579,6 +586,11 @@ def write_report(report: EvaluationReport, path) -> None:
 
 
 def read_report(path) -> EvaluationReport:
+    """Read a report back; refuse what ``write_report`` cannot write.
+
+    Each entry must pass ``Representative``'s checks, ``method`` must be a
+    ``ClusterMethod`` value and ``k`` the number of entries, at least 1.
+    """
     doc = _load_json(path)
     where = f"malformed report {path}:"
 
@@ -598,7 +610,7 @@ def read_report(path) -> EvaluationReport:
             )
             for c in doc["per_cluster"]
         ]
-        return EvaluationReport(
+        report = EvaluationReport(
             method=_string(doc["method"], f"{where} method"),
             k=_integer(doc["k"], f"k in report {path}"),
             input_mse=number(doc["input_mse"], "input_mse"),
@@ -607,28 +619,25 @@ def read_report(path) -> EvaluationReport:
             output_error_pct=number(doc["output_error_pct"], "output_error_pct"),
             per_cluster=clusters,
         )
+        ClusterMethod(report.method)
+        if not 1 <= report.k == len(clusters):
+            raise ValueError(f"k = {report.k} for {len(clusters)} clusters")
+        return report
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where} {exc}") from exc
 
 
-def write_clusters(model: ClusterModel, features: FeatureMatrix, path) -> None:
-    reps = to_representatives(model, features)
+def write_clusters(model: ClusterModel, path) -> None:
     doc = {
         "method": model.method.value,
         "k": model.k,
-        "columns": list(features.columns),
+        "columns": list(model.features.columns),
         "assignment": model.assignment.tolist(),
         "weights": model.weights.tolist(),
+        # "label" is set first and keeps its place when the entry resets it.
         "clusters": [
-            {
-                "id": cid,
-                "label": model.labels[cid],
-                "weight": float(model.weights[cid]),
-                "demand": rep.demand,
-                "cf": dict(sorted(rep.cf.items())),
-                "basis": list(model.bases[cid].indices) if model.bases else None,
-            }
-            for cid, rep in enumerate(reps)
+            {"id": cid, "label": c.label, **_cluster_entry(c)}
+            for cid, c in enumerate(to_representatives(model))
         ],
     }
     dump_json(doc, path)
@@ -685,7 +694,7 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
         if 0 <= assignment.min() and assignment.max() < k:
             if np.bincount(assignment, minlength=k).tolist() != weights:
                 raise ValueError("weights must be the cluster cardinalities")
-        model = ClusterModel.from_members(
+        model = ClusterModel(
             features, k, assignment, method, labels, None if None in bases else bases)
     except ValueError as exc:
         raise ConfigError(f"{where} {exc}") from exc

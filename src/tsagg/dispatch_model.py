@@ -330,12 +330,12 @@ def _rhs(system: SystemData, demand, cf) -> np.ndarray:
 
 
 def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
-    """RHS for hour h: net demand then per-generator headroom (a fresh
-    copy of row h of the system's RHS matrix)."""
+    """RHS for hour h: net demand then per-generator headroom (a read-only
+    view of row h of the system's RHS matrix)."""
     rows = system._hour_rhs
     if not 0 <= h < len(rows):
         raise IndexError(f"hour {h} outside horizon {system.horizon}")
-    return rows[h].copy()
+    return rows[h]
 
 
 def build_hourly_lp(system: SystemData, h: int) -> StandardFormLP:
@@ -452,9 +452,15 @@ def regime_label(system: SystemData, basis: BasisSignature) -> str:
     basic = set(basis.indices)
     interior = [g for g in range(G) if g in basic and G + g in basic]
     if len(interior) == 1:
-        gen = system.generators[interior[0]]
-        return NSE_NAME if gen.name == NSE_NAME else f"{gen.name} marginal"
+        return marginal_label(system.generators[interior[0]])
     return "degenerate " + str(basis.indices)
+
+
+def marginal_label(gen: Generator) -> str:
+    """The regime label of the hours that ``gen`` is marginal in: "NSE" for
+    the NSE unit, else "<name> marginal".  Spec ``regime_targets``,
+    ``regimes.json`` and report labels all join on it."""
+    return NSE_NAME if gen.name == NSE_NAME else f"{gen.name} marginal"
 
 
 def regime_counts(system: SystemData, dispatch: DispatchSolution) -> dict[str, int]:

@@ -23,7 +23,6 @@ from .dispatch_model import (
 )
 from .lp_core import (
     BasisSignature,
-    FrozenDict,
     LPError,
     LPStatus,
     StandardFormLP,
@@ -32,7 +31,7 @@ from .lp_core import (
 )
 from .tsa_clustering import (
     ClusterModel,
-    FeatureMatrix,
+    ClusterSummary,
     basis_cluster,
     check_kmeans_args,
     input_mse,
@@ -63,18 +62,6 @@ class SampleRejectedError(Exception):
         self.index = index
         self.status = status
         super().__init__(f"rhs sample {index} rejected: basis is {status.value}")
-
-
-@dataclass(frozen=True)
-class ClusterSummary:
-    weight: float
-    demand: float
-    cf: dict[str, float]
-    label: str
-    basis: BasisSignature | None
-
-    def __post_init__(self):
-        vars(self)["cf"] = FrozenDict(self.cf)  # frozen: set through the dict
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,6 @@ def run_theorem_trials(n_trials: int, seed: int = 0) -> TheoremCheckResult:
 class ComparisonResult:
     """Reports plus the intermediate artefacts they were built from."""
 
-    features: FeatureMatrix
     full: DispatchSolution
     kmeans_model: ClusterModel
     basis_model: ClusterModel
@@ -259,23 +245,19 @@ def compare_methods_detailed(
     full = solve_full(system)
 
     def report(model: ClusterModel) -> EvaluationReport:
-        reps = to_representatives(model, features)
+        reps = to_representatives(model)
         agg = solve_aggregated(system, reps)
-        bases = model.bases or (None,) * model.k
         return EvaluationReport(
             method=model.method.value,
             k=model.k,
-            input_mse=input_mse(features, model),
+            input_mse=input_mse(model),
             full_cost=full.total_cost,
             aggregated_cost=agg.total_cost,
             output_error_pct=output_error(full, agg),
-            per_cluster=tuple(
-                ClusterSummary(rep.weight, rep.demand, rep.cf, label, basis)
-                for rep, label, basis in zip(reps, model.labels, bases)
-            ),
+            per_cluster=reps,
         )
 
     bmodel = basis_cluster(system, features=features, full=full)
     k = bmodel.k if k_for_kmeans is None else k_for_kmeans
     kmodel = kmeans(features, k, seed=seed)
-    return ComparisonResult(features, full, kmodel, bmodel, report(kmodel), report(bmodel))
+    return ComparisonResult(full, kmodel, bmodel, report(kmodel), report(bmodel))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tsa_clustering import ClusterModel, FeatureMatrix
+from .tsa_clustering import ClusterModel
 
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b4", "#59a14f",
@@ -70,13 +70,14 @@ def _axes(x_label: str, y_label: str, title: str) -> list[str]:
     return parts
 
 
-def render_scatter(model: ClusterModel, features: FeatureMatrix, title: str = "") -> str:
+def render_scatter(model: ClusterModel, title: str = "") -> str:
     """Render the clustering as standalone SVG text.
 
     X is the first capacity-factor column (or the sole column), Y is
     demand, both on their normalized [0, 1] scales so the viewport mapping
     never depends on the data.  Exactly one circle is emitted per hour.
     """
+    features = model.features
     xi = 1 if features.F > 1 else 0
     yi = 0
     x_label = f"{features.columns[xi]} (normalized)"
@@ -123,6 +124,6 @@ def render_scatter(model: ClusterModel, features: FeatureMatrix, title: str = ""
     return "\n".join(parts) + "\n"
 
 
-def write_plot(model: ClusterModel, features: FeatureMatrix, path, title: str = "") -> None:
+def write_plot(model: ClusterModel, path, title: str = "") -> None:
     with open(path, "w") as handle:
-        handle.write(render_scatter(model, features, title))
+        handle.write(render_scatter(model, title))

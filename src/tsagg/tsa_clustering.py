@@ -74,37 +74,41 @@ class FeatureMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
+    """A partition of the hours of ``features`` into k clusters; ``centroids``
+    (member means) and ``weights`` (member counts) derive from ``assignment``."""
+
+    features: FeatureMatrix
     k: int
-    centroids: np.ndarray         # (k, F) normalised
     assignment: np.ndarray        # (H,) cluster id per hour
     method: ClusterMethod
     labels: tuple[str, ...]       # (k,) one per cluster
     bases: tuple[BasisSignature, ...] | None = None  # (k,) basis clustering only
-    weights: np.ndarray = field(init=False)  # (k,) member counts, derived
+    centroids: np.ndarray = field(init=False)  # (k, F) normalised, derived
+    weights: np.ndarray = field(init=False)  # (k,) derived
 
     def __post_init__(self):
         assignment = readonly(self.assignment, np.int64)
+        if assignment.shape != (self.features.H,):
+            raise ValueError(f"assignment of shape {assignment.shape} for {self.features.H} hours")
         weights = readonly(_check_partition(self.k, assignment), np.int64, copy=False)
+        # ``bincount`` adds each feature in point order from 0.0, the sums
+        # ``_lloyd_group`` makes, so a k-means model's centroids are its own.
+        sums = [np.bincount(assignment, row, self.k) for row in self.features.values.T]
+        centroids = readonly(np.column_stack(sums) / weights[:, None], copy=False)
         bases = None if self.bases is None else tuple(self.bases)
-        vars(self).update(centroids=readonly(self.centroids), assignment=assignment,
+        vars(self).update(centroids=centroids, assignment=assignment,
                           weights=weights, labels=tuple(self.labels), bases=bases)  # frozen
         if len(self.labels) != self.k:
             raise ValueError(f"{len(self.labels)} cluster labels for k = {self.k}")
 
-    @classmethod
-    def from_members(
-        cls, features, k, assignment, method, labels, bases=None
-    ):
-        """The model whose centroids are the member means of ``assignment``.
 
-        Each of the k ids must have a member; that is checked before the
-        means are taken, so an id without members raises ValueError instead
-        of dividing 0 by 0.
-        """
-        assignment = np.asarray(assignment, dtype=np.int64)
-        _check_partition(k, assignment)
-        centroids = _member_means(features.values.T, assignment, k)
-        return cls(k, centroids, assignment, method, labels, bases)
+@dataclass(frozen=True)
+class ClusterSummary(Representative):
+    """One cluster as a representative period, with its label and, for
+    basis clustering, its shared basis."""
+
+    label: str
+    basis: BasisSignature | None
 
 
 def _check_partition(k, assignment):
@@ -196,19 +200,6 @@ def _reseed_empty(labels, counts, own_d2, k):
                 labels[cand] = cid
                 counts[cid] = 1
                 break
-
-
-def _member_means(rows, assignment, k):
-    """(k, F) mean of the points assigned to each cluster id.
-
-    ``rows`` holds the features as rows (F, H).  ``bincount`` adds each
-    feature's values in point order starting from 0.0, the same sums
-    ``np.add.at`` makes.  Every id must have a member.
-    """
-    sums = np.column_stack(
-        [np.bincount(assignment, weights=row, minlength=k) for row in rows]
-    )
-    return sums / np.bincount(assignment, minlength=k)[:, None]
 
 
 def _lloyd_group(XT, tiled, centroids, final, out):
@@ -315,18 +306,15 @@ def kmeans(features: FeatureMatrix, k: int, seed: int = 0) -> ClusterModel:
             if best is None or inertia < best[0]:
                 best = (inertia, final[r].copy(), centroids[r])
     _, labels, centroids = best
-    labels, centroids = _order_by_first_occurrence(labels, centroids, k)
+    labels, _ = _order_by_first_occurrence(labels, centroids, k)
     return ClusterModel(
-        k,
-        centroids,
-        labels,
-        ClusterMethod.KMEANS,
-        labels=tuple(f"cluster {i}" for i in range(k)),
+        features, k, labels, ClusterMethod.KMEANS, tuple(f"cluster {i}" for i in range(k))
     )
 
 
-def input_mse(features: FeatureMatrix, model: ClusterModel) -> float:
+def input_mse(model: ClusterModel) -> float:
     """Mean squared deviation from assigned centroids over all H*F entries."""
+    features = model.features
     out = np.empty((2, model.k, features.H))
     d2 = _distances(features.values.T, model.centroids, out)
     per_point = d2[model.assignment, np.arange(features.H)]
@@ -357,25 +345,24 @@ def basis_cluster(
     assignment, bases = full.basis_ids, full.distinct_bases
     k = len(bases)
     labels = tuple(regime_label(system, basis) for basis in bases)
-    return ClusterModel.from_members(
-        features, k, assignment, ClusterMethod.BASIS, labels, bases,
-    )
+    return ClusterModel(features, k, assignment, ClusterMethod.BASIS, labels, bases)
 
 
-def to_representatives(
-    model: ClusterModel, features: FeatureMatrix
-) -> tuple[Representative, ...]:
-    """Denormalise centroids into representative periods weighted by size.
+def to_representatives(model: ClusterModel) -> tuple[ClusterSummary, ...]:
+    """Denormalise centroids into one summary per cluster, weighted by size.
 
     Capacity factors are clamped to [0, 1] to shed rounding dust from the
     normalisation round trip; weights are member counts, so they sum to H.
     """
+    features = model.features
     phys = features.denormalize(model.centroids)
+    bases = model.bases or (None,) * model.k
     reps = []
     for cid in range(model.k):
         cf = {
             features.columns[1 + j]: float(np.clip(phys[cid, 1 + j], 0.0, 1.0))
             for j in range(features.F - 1)
         }
-        reps.append(Representative(float(phys[cid, 0]), cf, float(model.weights[cid])))
+        reps.append(ClusterSummary(float(phys[cid, 0]), cf, float(model.weights[cid]),
+                                   model.labels[cid], bases[cid]))
     return tuple(reps)

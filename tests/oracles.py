@@ -16,7 +16,9 @@ pivot count and basis.
 k-means++ seeding by row sums over (H, F), one restart at a time, (H, k)
 distance temporaries per Lloyd step, ``argmin`` labels and ``np.add.at``
 member sums.  ``tsagg.tsa_clustering`` must give the same
-assignment, centroids and ``input_mse`` in raw bytes.
+assignment, centroids and ``input_mse`` in raw bytes.  The reference returns
+the centroids its own Lloyd loop computed in a plain record, not a
+``ClusterModel``, which would derive them again with the package's code.
 
 ``regime_fractions_reference`` and ``write_series_reference`` are the
 earlier per-hour loop and per-row CSV writer of ``tsagg.data_io``: the
@@ -37,6 +39,7 @@ import csv
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from tsagg._kernels import INFEASIBLE, NUMERICAL, OPTIMAL, RANK_DEFICIENT, UNBOU
 from tsagg.dispatch_model import NSE_NAME, build_hourly_lp, hourly_rhs
 from tsagg.tsa_clustering import (
     ClusterMethod,
-    ClusterModel,
     KExceedsHError,
     _order_by_first_occurrence,
     _reseed_empty,
@@ -372,7 +374,7 @@ def kmeans_reference(
     max_iter: int = 300,
     tol: float = 1e-6,
     restarts: int = 10,
-) -> ClusterModel:
+) -> SimpleNamespace:
     X = features.values
     if not 1 <= k <= features.H:
         raise KExceedsHError(f"k={k} outside [1, {features.H}]")
@@ -386,11 +388,12 @@ def kmeans_reference(
             best = (inertia, labels, centroids)
     _, labels, centroids = best
     labels, centroids = _order_by_first_occurrence(labels, centroids, k)
-    return ClusterModel(
-        k,
-        centroids,
-        labels,
-        ClusterMethod.KMEANS,
+    return SimpleNamespace(
+        k=k,
+        centroids=centroids,
+        assignment=labels,
+        weights=np.bincount(labels, minlength=k),
+        method=ClusterMethod.KMEANS,
         labels=tuple(f"cluster {i}" for i in range(k)),
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from tsagg.data_io import default_spec, generate_synthetic
@@ -95,16 +97,9 @@ def _ulps_away(x: float, k: int) -> float:
     return x
 
 
-def near_boundary_system(rng, generic_hours=18) -> SystemData:
-    """Hours within and around the solver's tolerances of every boundary.
-
-    Wind, a thermal unit with a must-run floor and a peaker, in that merit
-    order, plus NSE.  The first ``generic_hours`` hours draw demand well
-    inside the regimes, so the solver has registered cones by the time the
-    rest arrive.  Then each of the three boundaries (wind, thermal and
-    peaker at full availability) gets one capacity factor and an hour at
-    each ``BOUNDARY_OFFSETS`` offset and 1 to 5 ulp either side of it.
-    """
+def _boundary_fleet(rng, generic_hours):
+    """Wind, a thermal unit with a must-run floor and a peaker, in that merit
+    order, with ``generic_hours`` hours of demand well inside the regimes."""
     wind = Generator("wind", 0.0, rng.uniform(60.0, 160.0), is_variable=True,
                      cf_series_id="wind")
     cap = rng.uniform(50.0, 120.0)
@@ -113,16 +108,77 @@ def near_boundary_system(rng, generic_hours=18) -> SystemData:
     cf = list(rng.beta(2.0, 3.0, generic_hours))
     top = wind.capacity + cap + peaker.capacity
     demand = list(rng.uniform(thermal.p_min + 1.0, 1.1 * top, generic_hours))
+    return (wind, thermal, peaker), cf, demand
+
+
+def _boundary(units, boundary, wind_cf):
+    """Demand at merit-order boundary 0 (wind), 1 (thermal) or 2 (peaker at
+    full availability) of a ``_boundary_fleet``."""
+    wind, thermal, peaker = units
+    headroom = [wind.capacity * wind_cf, thermal.capacity - thermal.p_min, peaker.capacity]
+    return thermal.p_min + sum(headroom[: boundary + 1])
+
+
+def near_boundary_system(rng, generic_hours=18) -> SystemData:
+    """Hours within and around the solver's tolerances of every boundary.
+
+    A ``_boundary_fleet`` plus NSE.  The first ``generic_hours`` hours draw
+    demand well inside the regimes, so the solver has registered cones by
+    the time the rest arrive.  Then each of the three boundaries (wind,
+    thermal and peaker at full availability) gets one capacity factor and
+    an hour at each ``BOUNDARY_OFFSETS`` offset and 1 to 5 ulp either side
+    of it.
+    """
+    units, cf, demand = _boundary_fleet(rng, generic_hours)
     for boundary in range(3):
         wind_cf = float(rng.uniform(0.05, 0.95))
-        headroom = [wind.capacity * wind_cf, cap - thermal.p_min, peaker.capacity]
-        at = thermal.p_min + sum(headroom[: boundary + 1])
+        at = _boundary(units, boundary, wind_cf)
         hours = [at + offset for offset in BOUNDARY_OFFSETS]
         hours += [_ulps_away(at, k) for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)]
         demand += hours
         cf += [wind_cf] * len(hours)
-    system = SystemData((wind, thermal, peaker), np.array(demand), {"wind": np.array(cf)})
+    system = SystemData(units, np.array(demand), {"wind": np.array(cf)})
     return add_nse_generator(system)
+
+
+def one_boundary_system(rng, boundary, offset=0.0, ulps=0, generic_hours=18) -> SystemData:
+    """A ``near_boundary_system`` with one boundary and two hours at it:
+    demand on ``boundary`` (0 to 2, as ``_boundary``), which has the solver
+    register the basis it takes there, then ``offset`` MW from it and
+    ``ulps`` representable steps further."""
+    units, cf, demand = _boundary_fleet(rng, generic_hours)
+    wind_cf = float(rng.uniform(0.05, 0.95))
+    at = _boundary(units, boundary, wind_cf)
+    demand += [at, _ulps_away(at + offset, ulps)]
+    cf += [wind_cf] * 2
+    return add_nse_generator(SystemData(units, np.array(demand), {"wind": np.array(cf)}))
+
+
+def fleet_at_boundaries(rng, hours=336) -> SystemData:
+    """A ``fleet_system`` whose every hour's demand is moved to a random
+    merit-order boundary plus a ``BOUNDARY_OFFSETS`` offset or 1 to 5 ulp,
+    floored at the must-run sum."""
+    system = fleet_system(rng, hours)
+    gens = system.generators
+    merit = sorted(range(len(gens)), key=lambda g: (gens[g].variable_cost, g))
+    floors = sum(g.p_min for g in gens)
+    cum = np.full(hours, floors)
+    boundaries = []
+    for g in merit[:-1]:  # NSE is last in merit order and has no upper boundary
+        gen = gens[g]
+        if gen.is_variable:
+            cum = cum + (gen.capacity * system.capacity_factors[gen.cf_series_id] - gen.p_min)
+        else:
+            cum = cum + (gen.capacity - gen.p_min)
+        boundaries.append(cum)
+    steps = [*BOUNDARY_OFFSETS, *(("ulp", k) for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))]
+    demand = []
+    for h in range(hours):
+        at = float(boundaries[int(rng.integers(len(boundaries)))][h])
+        step = steps[int(rng.integers(len(steps)))]
+        moved = _ulps_away(at, step[1]) if isinstance(step, tuple) else at + step
+        demand.append(max(moved, floors))
+    return replace(system, demand=np.array(demand))
 
 
 # The default year, wide fleets, exactly degenerate hours and hours at

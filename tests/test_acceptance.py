@@ -64,7 +64,7 @@ def test_criterion_1_basis_aggregation_reproduces_full_year(default_system, time
     assert elapsed < 30.0, f"full solve took {elapsed:.2f}s (budget 30s)"
     features = normalize_features(default_system)
     model = basis_cluster(default_system, features=features, full=full)
-    reps = to_representatives(model, features)
+    reps = to_representatives(model)
     aggregated = solve_aggregated(default_system, reps)
     err = output_error(full, aggregated)
     assert err <= 1e-6, f"basis aggregation error {err:.3e}% exceeds 1e-6%"
@@ -146,7 +146,7 @@ def test_criterion_6_identity_and_constant_controls():
     full = solve_full(system)
     features = normalize_features(system)
     identity = kmeans(features, 48, seed=0)
-    agg = solve_aggregated(system, to_representatives(identity, features))
+    agg = solve_aggregated(system, to_representatives(identity))
     id_err = output_error(full, agg)
     assert id_err <= 1e-10, f"identity aggregation error {id_err:.3e}%"
 

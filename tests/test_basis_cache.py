@@ -75,7 +75,7 @@ def test_representatives_match_uncached_reference(solved):
     features = normalize_features(system)
     bmodel = basis_cluster(system, features=features, full=full)
     for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
-        reps = to_representatives(model, features)
+        reps = to_representatives(model)
         periods = _rows(solve_aggregated(system, reps))
         c, A = _template(system)
         rhss = _rhs(system, [rep.demand for rep in reps],
@@ -141,7 +141,7 @@ def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
     bmodel = basis_cluster(system, features=features, full=again)
     bases = _period_bases(again)
     for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
-        reps = to_representatives(model, features)
+        reps = to_representatives(model)
         bases += _period_bases(solve_aggregated(system, reps))
     first = {}
     for basis in bases:
@@ -175,7 +175,7 @@ def test_solves_of_one_system_do_not_depend_on_its_earlier_solves(name):
     bmodel = basis_cluster(system, features=features, full=full)
     untableaued = [0, 0]  # periods solved in 0 pivots: shared, fresh
     for model in (bmodel, kmeans(features, bmodel.k, seed=0)):
-        reps = to_representatives(model, features)
+        reps = to_representatives(model)
         shared = solve_aggregated(system, reps)
         fresh = _fresh(system)
         alone = solve_aggregated(fresh, reps)

@@ -38,9 +38,9 @@ from tsagg.dispatch_model import (
     regime_counts,
     solve_full,
 )
-from tsagg.evaluation import ClusterSummary, EvaluationReport
+from tsagg.evaluation import EvaluationReport, compare_methods_detailed
 from tsagg.lp_core import BasisSignature
-from tsagg.tsa_clustering import ClusterMethod, basis_cluster, normalize_features
+from tsagg.tsa_clustering import ClusterMethod, ClusterSummary, basis_cluster, normalize_features
 
 from oracles import load_series_reference, regime_fractions_reference, write_series_reference
 from systems import degenerate_system, fleet_system, random_system, thermal_wind
@@ -482,9 +482,10 @@ def _sample_report():
         aggregated_cost=7589427.74281239,
         output_error_pct=1.23e-13,
         per_cluster=[
-            ClusterSummary(10.0, 55.5, {"wind": 0.25}, "thermal marginal",
-                           BasisSignature((0, 1, 2, 5))),
-            ClusterSummary(14.0, 80.0, {"wind": 0.75}, "wind marginal", None),
+            ClusterSummary(weight=10.0, demand=55.5, cf={"wind": 0.25}, label="thermal marginal",
+                           basis=BasisSignature((0, 1, 2, 5))),
+            ClusterSummary(weight=14.0, demand=80.0, cf={"wind": 0.75}, label="wind marginal",
+                           basis=None),
         ],
     )
 
@@ -531,12 +532,24 @@ def test_report_json_has_no_timings(tmp_path):
     (lambda doc: doc.update(input_mse="0.5"), "malformed report .* input_mse must be a number"),
     (lambda doc: doc["per_cluster"][0].update(label=7), "malformed report .* label must be a string"),
     (lambda doc: doc["per_cluster"][0].update(cf=[0.5]), "malformed report"),
+    (lambda doc: doc.update(k=7), "malformed report .* k = 7 for 2 clusters"),
+    (lambda doc: doc.update(k=0), "malformed report .* k = 0 for 2 clusters"),
+    (lambda doc: doc.update(k=0, per_cluster=[]), "malformed report .* k = 0 for 0 clusters"),
+    (lambda doc: doc.update(method="banana"), "malformed report .* 'banana' is not a valid"),
+    (lambda doc: doc["per_cluster"][0].update(weight=0.0), "malformed report .* weight must be"),
+    (lambda doc: doc["per_cluster"][1].update(weight=math.nan), "malformed report .* weight must"),
+    (lambda doc: doc["per_cluster"][0].update(demand=-1.0), "malformed report .* demand must be"),
+    (lambda doc: doc["per_cluster"][1].update(cf={"wind": 1.5}), "malformed report .* outside"),
 ], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
-        "string_number", "numeric_label", "list_cf"])
+        "string_number", "numeric_label", "list_cf", "k_above_entries", "k_zero",
+        "k_zero_no_entries", "unknown_method", "zero_weight", "nan_weight", "negative_demand",
+        "cf_above_one"])
 def test_read_report_refuses_malformed_values(tmp_path, edit, message):
     # int() truncated k, float("abc") escaped as a bare ValueError, the
     # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
-    # of cf values escaped as a bare AttributeError
+    # of cf values escaped as a bare AttributeError; a k that is not the
+    # entry count, an unknown method and an entry no Representative would
+    # take were read back as given
     path = tmp_path / "report.json"
     write_report(_sample_report(), path)
     doc = json.loads(path.read_text())
@@ -544,6 +557,35 @@ def test_read_report_refuses_malformed_values(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=message):
         read_report(path)
+
+
+REPORT_SYSTEMS = {
+    "default_year": lambda: generate_synthetic(default_spec()),
+    "fleet_0": lambda: fleet_system(np.random.default_rng(0)),
+    **{f"random_{seed}": lambda seed=seed: random_system(np.random.default_rng(seed))
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", REPORT_SYSTEMS)
+def test_every_compared_report_reads_back(tmp_path, name):
+    """Both reports ``compare_methods_detailed`` writes read back with the
+    same labels and bases and values within 1e-10: ``read_report``'s checks
+    refuse nothing that ``write_report`` writes."""
+    for report in compare_methods_detailed(REPORT_SYSTEMS[name]()).reports:
+        write_report(report, tmp_path / "report.json")
+        back = read_report(tmp_path / "report.json")
+        assert (back.method, back.k) == (report.method, report.k)
+        for field in ("input_mse", "full_cost", "aggregated_cost", "output_error_pct"):
+            _assert_close(getattr(back, field), getattr(report, field))
+        assert len(back.per_cluster) == len(report.per_cluster) == report.k
+        for c, original in zip(back.per_cluster, report.per_cluster):
+            assert (c.label, c.basis) == (original.label, original.basis)
+            _assert_close(c.weight, original.weight)
+            _assert_close(c.demand, original.demand)
+            assert c.cf.keys() == original.cf.keys()
+            for key, value in c.cf.items():
+                _assert_close(value, original.cf[key])
 
 
 def test_rounding_is_twelve_significant_digits(tmp_path):
@@ -564,7 +606,7 @@ def test_clusters_round_trip(tmp_path):
     features = normalize_features(system)
     model = basis_cluster(system, features)
     path = tmp_path / "clusters.json"
-    write_clusters(model, features, path)
+    write_clusters(model, path)
     doc = json.loads(path.read_text())
     back = read_clusters(path, features)
     assert back.method is ClusterMethod.BASIS and back.k == model.k
@@ -593,7 +635,7 @@ def test_read_clusters_refuses_weights_that_disagree_with_the_assignment(tmp_pat
     system = thermal_wind([30.0, 120.0, 200.0, 35.0], [0.9, 0.4, 0.1, 0.8])
     features = normalize_features(system)
     path = tmp_path / "clusters.json"
-    write_clusters(basis_cluster(system, features), features, path)
+    write_clusters(basis_cluster(system, features), path)
     doc = json.loads(path.read_text())
     edit(doc)
     assert doc != json.loads(path.read_text())

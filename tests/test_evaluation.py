@@ -178,7 +178,7 @@ def test_identity_aggregation_control():
     )
     feats = normalize_features(system)
     model = kmeans(feats, system.horizon, seed=0)
-    reps = to_representatives(model, feats)
+    reps = to_representatives(model)
     agg = solve_aggregated(system, reps)
     full = solve_full(system)
     err = output_error(full, agg)

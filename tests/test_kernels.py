@@ -8,7 +8,8 @@ import pytest
 
 from oracles import basis_eval_reference, random_lp_data, simplex_reference
 from systems import (
-    SOLVER_SYSTEMS, degenerate_system, fleet_system, near_boundary_system, random_system,
+    SOLVER_SYSTEMS, degenerate_system, fleet_at_boundaries, fleet_system, near_boundary_system,
+    random_system,
 )
 from tsagg import _kernels, evaluation
 from tsagg.data_io import default_spec, generate_synthetic
@@ -278,6 +279,25 @@ def test_solve_full_matches_reference_at_tolerance_distance_from_boundaries(seed
     basis and pivot count is the reference tableau's."""
     system = near_boundary_system(np.random.default_rng(seed))
     assert _assert_hours_match_reference(system, monkeypatch) < system.horizon
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(4, 44))
+def test_solve_full_matches_reference_next_to_boundaries_of_more_systems(seed, monkeypatch):
+    """The check above on 40 more ``near_boundary_system`` draws."""
+    system = near_boundary_system(np.random.default_rng(seed))
+    assert _assert_hours_match_reference(system, monkeypatch) < system.horizon
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_full_matches_reference_on_fleets_moved_to_boundaries(seed, monkeypatch):
+    """Every hour of a 336 h ``fleet_system`` at a random merit-order boundary
+    of its 13 units plus an offset: every hour's basis and pivot count is
+    the reference tableau's."""
+    system = fleet_at_boundaries(np.random.default_rng(seed))
+    assert system.horizon == 336
+    _assert_hours_match_reference(system, monkeypatch)
 
 
 # --- the basis-cone test --------------------------------------------------------

@@ -31,7 +31,7 @@ def _assert_equal(features, model, ref, k, seed):
     assert _bits(model.assignment) == _bits(ref.assignment), (k, seed)
     assert _bits(model.centroids) == _bits(ref.centroids), (k, seed)
     assert _bits(model.weights) == _bits(ref.weights), (k, seed)
-    mse = input_mse(features, model)
+    mse = input_mse(model)
     assert _bits(np.float64(mse)) == _bits(np.float64(input_mse_reference(features, ref)))
 
 

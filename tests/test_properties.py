@@ -9,7 +9,9 @@ output of 1/4096), so the RHS arithmetic is exact and a boundary hour
 really is degenerate rather than a rounding error away from it.
 
 The k-means bound draws ``systems.random_system`` instead: its general
-data need no exact boundaries.
+data need no exact boundaries, and the solver property draws
+``systems.one_boundary_system``: one hour on, within the solver's
+tolerances of, or a few ulp from a merit-order boundary.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from systems import random_system  # noqa: E402
+from systems import BOUNDARY_OFFSETS, one_boundary_system, random_system  # noqa: E402
+from test_kernels import _assert_hours_match_reference  # noqa: E402
 from tsagg.data_io import regime_fractions  # noqa: E402
 from tsagg.dispatch_model import (  # noqa: E402
     Generator,
@@ -100,7 +103,7 @@ def test_kmeans_never_overestimates_the_full_cost(seed, k):
     features = normalize_features(system)
     full = solve_full(system)
     model = kmeans(features, k)
-    aggregated = solve_aggregated(system, to_representatives(model, features))
+    aggregated = solve_aggregated(system, to_representatives(model))
     scale = abs(full.total_cost)
     assert aggregated.total_cost <= full.total_cost * (1 + 1e-12)
     offset = cost_offset(system)
@@ -115,3 +118,23 @@ def test_kmeans_never_overestimates_the_full_cost(seed, k):
             assert abs(gap) <= 1e-12 * scale, cid
         gaps.append(gap)
     assert sum(gaps) == pytest.approx(full.total_cost - aggregated.total_cost, abs=1e-12 * scale)
+
+
+BOUNDARY_STEPS = st.one_of(
+    st.sampled_from(BOUNDARY_OFFSETS).map(lambda offset: (offset, 0)),
+    st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]).map(lambda ulps: (0.0, ulps)),
+)
+
+
+# About one example in a hundred has the cone test and Bland's rule part ways
+# when x_B in (0, TOL_FEAS] is accepted; 400 examples take about 5 s.
+@settings(SETTINGS, max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), BOUNDARY_STEPS)
+def test_solve_full_matches_reference_next_to_a_boundary(seed, boundary, step):
+    """After hours that registered cones, an hour on a merit-order boundary
+    and one at ``step`` (MW offset, then ulps) from it get the reference
+    tableau's basis and pivot count, in ``solve_full`` as in one family."""
+    offset, ulps = step
+    system = one_boundary_system(np.random.default_rng(seed), boundary, offset, ulps)
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_hours_match_reference(system, patch)

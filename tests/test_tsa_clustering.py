@@ -91,13 +91,13 @@ def test_kmeans_k1_centroid_is_mean_and_mse_quarter():
     feats = normalize_features(system)
     model = kmeans(feats, 1, seed=0)
     np.testing.assert_allclose(model.centroids, [[0.5]])
-    assert input_mse(feats, model) == pytest.approx(0.25)
+    assert input_mse(model) == pytest.approx(0.25)
 
 
 def test_kmeans_k_equals_h_gives_zero_mse():
     feats = feature_matrix([1.0, 2.0, 4.0, 9.0])
     model = kmeans(feats, 4, seed=3)
-    assert input_mse(feats, model) == pytest.approx(0.0, abs=1e-15)
+    assert input_mse(model) == pytest.approx(0.0, abs=1e-15)
     assert sorted(model.weights.tolist()) == [1, 1, 1, 1]
 
 
@@ -252,23 +252,28 @@ def test_a_cluster_model_refuses_every_write():
         model.assignment[0] = 7
     with pytest.raises(ValueError):
         model.centroids[0, 0] = 0.5
-    for name in ("k", "centroids", "assignment", "weights", "labels", "bases"):
+    for name in ("features", "k", "centroids", "assignment", "weights", "labels", "bases"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, name, getattr(model, name))
-    reps = to_representatives(model, features)
+    reps = to_representatives(model)
     assert sum(rep.weight for rep in reps) == system.horizon == 24
     np.testing.assert_array_equal(model.weights, np.bincount(model.assignment))
 
 
-def test_cluster_weights_are_derived_from_the_assignment():
-    """The constructor takes no weights; they are each id's member count,
-    and a partition that leaves an id empty is refused."""
+def test_cluster_weights_and_centroids_are_derived_from_the_assignment():
+    """The constructor takes neither weights nor centroids; they are each
+    id's member count and member mean, and a partition that leaves an id
+    empty, names an unknown id or does not cover the hours is refused."""
     features = normalize_features(thermal_wind([30.0, 125.0, 160.0], [0.9, 0.6, 0.7]))
-    model = ClusterModel.from_members(features, 2, [1, 0, 1], ClusterMethod.KMEANS, ("a", "b"))
+    model = ClusterModel(features, 2, [1, 0, 1], ClusterMethod.KMEANS, ("a", "b"))
+    assert model.features is features
     assert model.weights.tolist() == [1, 2] and model.weights.dtype == np.int64
-    for assignment, message in (([0, 0, 0], "empty cluster"), ([0, 2, 1], "unknown cluster ids")):
+    values = features.values
+    np.testing.assert_array_equal(model.centroids, [values[1], (values[0] + values[2]) / 2])
+    for assignment, message in (([0, 0, 0], "empty cluster"), ([0, 2, 1], "unknown cluster ids"),
+                                ([0, 1], "for 3 hours")):
         with pytest.raises(ValueError, match=message):
-            ClusterModel.from_members(features, 2, assignment, ClusterMethod.KMEANS, ("a", "b"))
+            ClusterModel(features, 2, assignment, ClusterMethod.KMEANS, ("a", "b"))
 
 
 def test_basis_cluster_constant_series_single_cluster():
@@ -295,8 +300,7 @@ def test_basis_centroid_stays_optimal_for_cluster_basis():
         system = random_system(rng, hours=30)
         full = solve_full(system)
         model = basis_cluster(system, full=full)
-        feats = normalize_features(system)
-        reps = to_representatives(model, feats)
+        reps = to_representatives(model)
         for cid, rep in enumerate(reps):
             members = np.nonzero(model.assignment == cid)[0]
             member_obj = np.mean(full.objective[members])
@@ -322,8 +326,9 @@ def test_to_representatives_denormalises_and_weights_sum_to_h():
     )
     feats = normalize_features(system)
     model = basis_cluster(system, features=feats)
-    reps = to_representatives(model, feats)
+    reps = to_representatives(model)
     assert sum(rep.weight for rep in reps) == system.horizon
+    assert [(rep.label, rep.basis) for rep in reps] == list(zip(model.labels, model.bases))
     demand = system.demand
     cf = system.capacity_factors["wind"]
     for cid, rep in enumerate(reps):
@@ -342,7 +347,7 @@ def test_to_representatives_clamps_cf_rounding_dust():
         np.array([100.0, 1.0 + 5e-16]),
     )
     model = kmeans(feats, 1, seed=0)
-    reps = to_representatives(model, feats)
+    reps = to_representatives(model)
     assert reps[0].cf["wind"] == 1.0
 
 
@@ -366,6 +371,6 @@ def test_to_representatives_clamp_removes_only_rounding_dust(name):
     dust = 4 * np.spacing(1.0)
     for model in models:
         phys = feats.denormalize(model.centroids)
-        for cid, rep in enumerate(to_representatives(model, feats)):
+        for cid, rep in enumerate(to_representatives(model)):
             for j, column in enumerate(feats.columns[1:], start=1):
                 assert abs(rep.cf[column] - phys[cid, j]) <= dust, (model.method, model.k)
