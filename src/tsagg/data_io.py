@@ -3,8 +3,8 @@
 Series CSV schema: header ``hour,demand,cf_<id>...`` with hours contiguous
 from zero; parse failures carry the one-based line number.  Configs and
 specs are strict JSON (unknown keys and values of the wrong type are
-rejected), and reports/clusters are serialised with 12 significant digits
-so a re-read agrees to well below 1e-10.
+rejected).  Reports and clusters files carry 12 significant digits, and
+each is read back only if its writer writes that same document again.
 """
 
 from __future__ import annotations
@@ -221,12 +221,12 @@ def _integer(value, what: str):
     return value
 
 
-def _number(value, what: str):
-    """``value`` if it is a number.  Bools and strings are refused: a cast
-    would read ``true`` as 1 and ``"10"`` as 10 silently."""
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a number.  Bools and strings are
+    refused: a cast would read ``true`` as 1 and ``"10"`` as 10 silently."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _boolean(value, what: str):
@@ -279,9 +279,9 @@ def load_config(path) -> SystemData:
         generators.append(
             Generator(
                 name=_string(_require(g, "name", where), f"{where}.name"),
-                variable_cost=float(_number(_require(g, "cost", where), f"{where}.cost")),
-                capacity=float(_number(_require(g, "capacity", where), f"{where}.capacity")),
-                p_min=float(_number(g.get("p_min", 0.0), f"{where}.p_min")),
+                variable_cost=_number(_require(g, "cost", where), f"{where}.cost"),
+                capacity=_number(_require(g, "capacity", where), f"{where}.capacity"),
+                p_min=_number(g.get("p_min", 0.0), f"{where}.p_min"),
                 is_variable=_boolean(g.get("is_variable", False), f"{where}.is_variable"),
                 cf_series_id=(
                     None if cf_series is None else _string(cf_series, f"{where}.cf_series")
@@ -296,10 +296,10 @@ def load_config(path) -> SystemData:
     if nse is not None:
         _check_keys(nse, {"enabled", "cost", "capacity_multiplier"}, "nse")
         enabled = _boolean(nse.get("enabled", True), "nse.enabled")
-        cost = float(_number(nse.get("cost", 1000.0), "nse.cost"))
+        cost = _number(nse.get("cost", 1000.0), "nse.cost")
         mult = nse.get("capacity_multiplier")
         if mult is not None:
-            mult = float(_number(mult, "nse.capacity_multiplier"))
+            mult = _number(mult, "nse.capacity_multiplier")
         if enabled:
             # A zero peak gives no scale for the multiplier: default sentinel.
             peak = float(system.demand.max())
@@ -585,50 +585,58 @@ def write_report(report: EvaluationReport, path) -> None:
     dump_json(report_to_dict(report), path)
 
 
+def _read_entries(entries, where: str) -> tuple[ClusterSummary, ...]:
+    """The entries ``_cluster_entry`` writes, read back: the one parser of
+    them.  Each must pass ``Representative``'s checks."""
+    return tuple(
+        ClusterSummary(
+            weight=_number(c["weight"], f"{where} weight"),
+            demand=_number(c["demand"], f"{where} demand"),
+            cf={k: _number(v, f"{where} cf {k!r}") for k, v in dict(c["cf"]).items()},
+            label=_string(c["label"], f"{where} label"),
+            basis=None if c["basis"] is None else BasisSignature(tuple(c["basis"])),
+        )
+        for c in entries
+    )
+
+
+def _check_written(doc: dict, written: dict, where: str, writer: str) -> None:
+    """Refuse ``doc`` unless it is ``written``, what ``writer`` writes for
+    the value read from it; the message names the first key that differs."""
+    for key in {**written, **doc}:
+        if key not in doc or key not in written or doc[key] != written[key]:
+            raise ConfigError(f"{where} {key!r} is not what {writer} writes")
+
+
 def read_report(path) -> EvaluationReport:
     """Read a report back; refuse what ``write_report`` cannot write.
 
     Each entry must pass ``Representative``'s checks, ``method`` must be a
-    ``ClusterMethod`` value and ``k`` the number of entries, at least 1.
+    ``ClusterMethod`` value and ``k`` the number of entries, at least 1;
+    then ``write_report`` must give this file back for the report read.
     """
     doc = _load_json(path)
     where = f"malformed report {path}:"
-
-    def number(value, name):
-        return float(_number(value, f"{where} {name}"))
-
     try:
-        clusters = [
-            ClusterSummary(
-                weight=number(c["weight"], "weight"),
-                demand=number(c["demand"], "demand"),
-                cf={k: number(v, f"cf {k!r}") for k, v in dict(c["cf"]).items()},
-                label=_string(c["label"], f"{where} label"),
-                basis=(
-                    BasisSignature(tuple(c["basis"])) if c["basis"] is not None else None
-                ),
-            )
-            for c in doc["per_cluster"]
-        ]
+        clusters = _read_entries(doc["per_cluster"], where)
         report = EvaluationReport(
             method=_string(doc["method"], f"{where} method"),
             k=_integer(doc["k"], f"k in report {path}"),
-            input_mse=number(doc["input_mse"], "input_mse"),
-            full_cost=number(doc["full_cost"], "full_cost"),
-            aggregated_cost=number(doc["aggregated_cost"], "aggregated_cost"),
-            output_error_pct=number(doc["output_error_pct"], "output_error_pct"),
             per_cluster=clusters,
+            **{key: _number(doc[key], f"{where} {key}") for key in (
+                "input_mse", "full_cost", "aggregated_cost", "output_error_pct")},
         )
         ClusterMethod(report.method)
         if not 1 <= report.k == len(clusters):
             raise ValueError(f"k = {report.k} for {len(clusters)} clusters")
-        return report
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where} {exc}") from exc
+    _check_written(doc, _round12(report_to_dict(report)), where, "write_report")
+    return report
 
 
-def write_clusters(model: ClusterModel, path) -> None:
-    doc = {
+def _clusters_doc(model: ClusterModel) -> dict:
+    return {
         "method": model.method.value,
         "k": model.k,
         "columns": list(model.features.columns),
@@ -640,7 +648,10 @@ def write_clusters(model: ClusterModel, path) -> None:
             for cid, c in enumerate(to_representatives(model))
         ],
     }
-    dump_json(doc, path)
+
+
+def write_clusters(model: ClusterModel, path) -> None:
+    dump_json(_clusters_doc(model), path)
 
 
 def _integers(values, name: str, path) -> np.ndarray:
@@ -655,38 +666,24 @@ def _integers(values, name: str, path) -> np.ndarray:
 def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
     """Read a clusters file back into the model written for ``features``.
 
-    The file must cover the hours and columns of ``features``.  Centroids
-    are rebuilt exactly as the member means of the saved assignment rather
-    than by inverting their rounded physical values, which are only checked
-    to be numbers.
+    The model is built from ``k``, ``method``, ``assignment`` and the
+    entries' labels and bases; after the hours and member-count checks,
+    ``write_clusters`` must give this file back for it.
     """
     doc = _load_json(path)
     where = f"malformed clusters file {path}:"
     try:
         k = _integer(doc["k"], f"k in clusters file {path}")
         method = ClusterMethod(doc["method"])
-        columns = tuple(doc["columns"])
         assignment = _integers(doc["assignment"], "assignment", path)
         weights = _integers(doc["weights"], "weights", path).tolist()
-        labels, bases = [], []
-        for c in doc["clusters"]:
-            labels.append(_string(c["label"], f"{where} label"))
-            bases.append(None if c["basis"] is None else BasisSignature(tuple(c["basis"])))
-            for v in (c["demand"], *dict(c["cf"]).values()):
-                # centroids are rebuilt below; the written ones must be numbers
-                _number(v, f"{where} demand or cf")
+        entries = _read_entries(doc["clusters"], where)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where} {exc}") from exc
     if len(assignment) != features.H:
-        raise DataError(
-            f"clusters file covers {len(assignment)} hours but the "
-            f"config series has {features.H}"
-        )
-    if columns != features.columns:
-        raise DataError(
-            f"clusters file has columns {list(columns)} but the "
-            f"config features are {list(features.columns)}"
-        )
+        raise DataError(f"clusters file covers {len(assignment)} hours but the "
+                        f"config series has {features.H}")
+    bases = [c.basis for c in entries]
     try:
         # The file's weights list must be the member counts: checked once the
         # ids are in [0, k) and before empty clusters, so a file breaking both
@@ -694,10 +691,11 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
         if 0 <= assignment.min() and assignment.max() < k:
             if np.bincount(assignment, minlength=k).tolist() != weights:
                 raise ValueError("weights must be the cluster cardinalities")
-        model = ClusterModel(
-            features, k, assignment, method, labels, None if None in bases else bases)
+        model = ClusterModel(features, k, assignment, method, [c.label for c in entries],
+                             None if None in bases else bases)
     except ValueError as exc:
         raise ConfigError(f"{where} {exc}") from exc
+    _check_written(doc, _round12(_clusters_doc(model)), where, "write_clusters")
     return model
 
 

@@ -100,6 +100,8 @@ class ClusterModel:
                           weights=weights, labels=tuple(self.labels), bases=bases)  # frozen
         if len(self.labels) != self.k:
             raise ValueError(f"{len(self.labels)} cluster labels for k = {self.k}")
+        if self.bases is not None and self.method is ClusterMethod.KMEANS:
+            raise ValueError("a k-means model has no cluster bases")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Serialisation round-trips, parse errors, and synthetic generation."""
 
 import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from tsagg.cli import main
 from tsagg.data_io import (
     ConfigError,
     DemandModel,
@@ -540,16 +542,21 @@ def test_report_json_has_no_timings(tmp_path):
     (lambda doc: doc["per_cluster"][1].update(weight=math.nan), "malformed report .* weight must"),
     (lambda doc: doc["per_cluster"][0].update(demand=-1.0), "malformed report .* demand must be"),
     (lambda doc: doc["per_cluster"][1].update(cf={"wind": 1.5}), "malformed report .* outside"),
+    (lambda doc: doc.update(timings={}), "malformed report .* 'timings' is not what write_report"),
+    (lambda doc: doc["per_cluster"][0].update(id=0),
+     "malformed report .* 'per_cluster' is not what write_report"),
+    (lambda doc: doc["per_cluster"][0].update(basis=[5, 0, 1, 2]),
+     "malformed report .* 'per_cluster' is not what write_report"),
 ], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
         "string_number", "numeric_label", "list_cf", "k_above_entries", "k_zero",
         "k_zero_no_entries", "unknown_method", "zero_weight", "nan_weight", "negative_demand",
-        "cf_above_one"])
+        "cf_above_one", "unknown_key", "unknown_entry_key", "unsorted_basis"])
 def test_read_report_refuses_malformed_values(tmp_path, edit, message):
     # int() truncated k, float("abc") escaped as a bare ValueError, the
     # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
     # of cf values escaped as a bare AttributeError; a k that is not the
-    # entry count, an unknown method and an entry no Representative would
-    # take were read back as given
+    # entry count, an unknown method, an entry no Representative would
+    # take, an unknown key and an unsorted basis were read back as given
     path = tmp_path / "report.json"
     write_report(_sample_report(), path)
     doc = json.loads(path.read_text())
@@ -567,12 +574,17 @@ REPORT_SYSTEMS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _compared(name):
+    return compare_methods_detailed(REPORT_SYSTEMS[name]())
+
+
 @pytest.mark.parametrize("name", REPORT_SYSTEMS)
 def test_every_compared_report_reads_back(tmp_path, name):
     """Both reports ``compare_methods_detailed`` writes read back with the
     same labels and bases and values within 1e-10: ``read_report``'s checks
     refuse nothing that ``write_report`` writes."""
-    for report in compare_methods_detailed(REPORT_SYSTEMS[name]()).reports:
+    for report in _compared(name).reports:
         write_report(report, tmp_path / "report.json")
         back = read_report(tmp_path / "report.json")
         assert (back.method, back.k) == (report.method, report.k)
@@ -642,6 +654,73 @@ def test_read_clusters_refuses_weights_that_disagree_with_the_assignment(tmp_pat
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=message):
         read_clusters(path, features)
+
+
+@pytest.mark.parametrize("name", REPORT_SYSTEMS)
+def test_every_compared_clusters_file_reads_back(tmp_path, name):
+    """Both clusters files ``compare`` writes read back into their models,
+    bit for bit: ``read_clusters`` refuses nothing that ``write_clusters``
+    writes."""
+    path = tmp_path / "clusters.json"
+    result = _compared(name)
+    for model in (result.kmeans_model, result.basis_model):
+        write_clusters(model, path)
+        back = read_clusters(path, model.features)
+        for field in ("assignment", "centroids", "weights"):
+            a, b = getattr(back, field), getattr(model, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        assert (back.labels, back.bases) == (model.labels, model.bases)
+        assert (back.method, back.k) == (model.method, model.k)
+    # A label is the file's to name: one edited by hand reads back as given.
+    doc = json.loads(path.read_text())
+    doc["clusters"][-1]["label"] = "edited by hand"
+    path.write_text(json.dumps(doc))
+    assert read_clusters(path, model.features).labels[-1] == "edited by hand"
+
+
+@pytest.fixture(scope="module")
+def compared_instance(tmp_path_factory):
+    """A 240-hour generated instance and its ``compare`` output."""
+    root = tmp_path_factory.mktemp("compared")
+    assert main(["generate", "--out", str(root), "--hours", "240"]) == 0
+    assert main(["compare", "--config", str(root / "config.json"), "--out", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["clusters"].reverse(), "'clusters' is not what write_clusters"),
+    (lambda doc: [c.update(id=99) for c in doc["clusters"]],
+     "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0].update(weight=1e9), "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0].update(weight=-5.0), "weight must be positive"),
+    (lambda doc: doc["clusters"][0].update(demand=-1.0), "demand must be finite and >= 0"),
+    (lambda doc: doc["clusters"][0]["cf"].update(wind=1.5), "cf 'wind'=1.5 outside"),
+    (lambda doc: doc["clusters"][1].update(basis=None), "'clusters' is not what write_clusters"),
+    (lambda doc: doc.update(note="by hand"), "'note' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0]["cf"].clear(), "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0]["cf"].update(solar=0.5),
+     "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0].pop("weight"), "'weight'"),
+    (lambda doc: doc.update(method="kmeans"), "a k-means model has no cluster bases"),
+], ids=["reversed_entries", "every_id_99", "huge_weight", "negative_weight",
+        "negative_demand", "cf_above_one", "one_null_basis", "unknown_key", "cf_missing_key",
+        "cf_extra_key", "entry_without_weight", "basis_file_as_kmeans"])
+def test_read_clusters_refuses_what_write_clusters_cannot_write(
+        compared_instance, tmp_path, edit, message):
+    """Each of these edits was read back, some of them into a legend that
+    named the 224-hour thermal cluster "NSE"; each is refused, and so
+    ``plot`` exits 2."""
+    config = compared_instance / "config.json"
+    doc = json.loads((compared_instance / "clusters_basis.json").read_text())
+    assert [c["label"] for c in doc["clusters"]] == ["thermal marginal", "wind marginal", "NSE"]
+    edit(doc)
+    path = tmp_path / "clusters.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"malformed clusters file .*{message}"):
+        read_clusters(path, normalize_features(load_config(config)))
+    out = tmp_path / "plot.svg"
+    assert main(["plot", "--config", str(config), "--clusters", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_dispatch_summary_fields():

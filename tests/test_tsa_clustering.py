@@ -276,6 +276,17 @@ def test_cluster_weights_and_centroids_are_derived_from_the_assignment():
             ClusterModel(features, 2, assignment, ClusterMethod.KMEANS, ("a", "b"))
 
 
+def test_a_kmeans_model_has_no_cluster_bases():
+    """Bases are a basis clustering's; k-means clusters may mix bases, so a
+    k-means model that names one per cluster is refused.  A basis model
+    may leave them out."""
+    system = thermal_wind([30.0, 125.0, 160.0], [0.9, 0.6, 0.7])
+    model = basis_cluster(system)
+    with pytest.raises(ValueError, match="a k-means model has no cluster bases"):
+        dataclasses.replace(model, method=ClusterMethod.KMEANS)
+    assert dataclasses.replace(model, bases=None).bases is None
+
+
 def test_basis_cluster_constant_series_single_cluster():
     system = thermal_wind([120.0] * 5, [0.8] * 5)
     model = basis_cluster(system)
