@@ -14,18 +14,17 @@ ever reads them, so they are write-only (both arguments are in
 
 Each basis of a (c, A) family has one ``_Basis`` record in its ``Family``:
 the LU solves of B and B^T as op lists, c_B, the reduced costs and the
-duals.  ``simplex`` first tries the bases the tableau has ended in twice:
-the most recently accepted first, then the one of highest dual bound on
-b, and only if that fails too the rest in descending order of it.  It
-skips the tableau where one is the unique optimum for b and returns that
-record with its x_B, which ``evaluate`` takes in place of its own solve
-and scatters into x through the record's index list; so an hour in a
-registered cone costs about one LU solve, run over the basis's nonzero
-LU terms only, bit for bit (see ``_solve``).  A dispatch B
-is one balance row plus bound rows: on a 12-unit fleet (m = 14) a basis
-keeps about 45 of its 182 terms.  ``dispatch_model`` keeps one family per
-system, so its aggregated solves test the full solve's cones too.  Only
-this module reads or writes a family's entries.
+duals.  ``simplex`` first tries two of the bases the tableau has ended in
+twice: the most recently accepted, then the one of highest dual bound on
+b, the only other that can be b's unique optimum.  It skips the tableau
+where one is and returns that record with its x_B, which ``evaluate``
+takes in place of its own solve and scatters into x through the record's
+index list; so an hour in a registered cone costs about one LU solve, run
+over the basis's nonzero LU terms only, bit for bit (see ``_solve``).  A
+dispatch B is one balance row plus bound rows: on a 12-unit fleet
+(m = 14) a basis keeps about 45 of its 182 terms.  ``dispatch_model``
+keeps one family per system, so its aggregated solves test the full
+solve's cones too.  Only this module reads or writes a family's entries.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -351,23 +350,22 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     the record's sorted ``idx`` (no tableau ran, so there is no row order),
     0 pivots and that x_B, whatever ``max_iter``.  Such a basis is the
     unique optimal one for b (Bertsimas & Tsitsiklis, *Introduction to
-    Linear Optimization*, ch. 3), so Bland's rule ends there too at
+    Linear Optimization*, ch. 3-4), so Bland's rule ends there too at
     tolerances small against the data; a coarse ``tol_opt`` or
-    ``pivot_eps`` can stop it short.  The most recently accepted basis is
-    tried first, since hours come in runs of one basis, then the others by
-    descending dual bound y_j.b.  Every registered basis is dual feasible,
-    so y_j.b <= z(b), the optimal cost, by weak duality, with equality for
-    an optimal basis; the one basis that can pass ranks first up to
-    rounding.  So after a miss of the last basis, one ``max`` finds the
-    top bound (the first of equal ones, which a stable descending sort
-    puts first), and the rest are sorted only if it fails too; no basis
-    is tried twice.  Every candidate is tried before the tableau runs, so
-    the order changes how many solves a call makes, never its result.  A
-    candidate's solve stops at its first x_B entry not above ``tol_feas``,
-    and runs over the basis's nonzero LU terms only (``_zero_free``, built
-    on the basis's first test): it accepts and returns exactly what the
-    dense list would, as ``_solve`` argues, which keeps every term for
-    ``evaluate``, the duals and registration.
+    ``pivot_eps`` can stop it short.  At most two bases are tried: the
+    most recently accepted, since hours come in runs of one basis, then,
+    if it is another, the first of top dual bound y_j.b.  Every registered basis
+    is dual feasible, so y_j.b <= z(b), the optimal cost, by weak duality.
+    A basis that passes is primal nondegenerate, so its y is b's unique
+    optimal dual; any other basis with that y would have zero reduced
+    costs where this one's exceed ``tol_opt``.  So it alone attains z(b)
+    and ranks first up to rounding; should rounding rank another first,
+    the tableau runs and ends in it.  A candidate's solve stops at its
+    first x_B entry not above ``tol_feas``, and runs over the basis's
+    nonzero LU terms only (``_zero_free``, built on the basis's first
+    test): it accepts and returns exactly what the dense list would, as
+    ``_solve`` argues, which keeps every term for ``evaluate``, the duals
+    and registration.
     Otherwise the tableau runs.  The first time it ends OPTIMAL in a basis,
     the basis gets its record, factor included; a later ending in a record
     not yet registered solves x_B and registers the basis if it is
@@ -400,18 +398,10 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
         k = mru = family.mru
         xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
         if xb is None and len(cone) > 1:
-            # The first of the top scores, which a stable descending sort
-            # would put first; the rest are sorted only if it fails too.
             scores = (family.duals @ b).tolist()
-            k = top = scores.index(max(scores))
-            if top != mru:
+            k = scores.index(max(scores))
+            if k != mru:
                 xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
-            if xb is None:
-                for k in sorted(range(len(cone)), key=scores.__getitem__, reverse=True):
-                    if k != mru and k != top:
-                        xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
-                        if xb is not None:
-                            break
         if xb is not None:
             family.mru = k
             record = cone[k]

@@ -602,9 +602,12 @@ def _read_entries(entries, where: str) -> tuple[ClusterSummary, ...]:
 
 def _check_written(doc: dict, written: dict, where: str, writer: str) -> None:
     """Refuse ``doc`` unless it is ``written``, what ``writer`` writes for
-    the value read from it; the message names the first key that differs."""
+    the value read from it; the message names the first key that differs.
+    Values must be equal, so NaN never is, and equal as JSON text, so types
+    count: ``true`` is not 1, nor 224 224.0."""
     for key in {**written, **doc}:
-        if key not in doc or key not in written or doc[key] != written[key]:
+        if key not in doc or key not in written or doc[key] != written[key] or (
+                json.dumps(doc[key], sort_keys=True) != json.dumps(written[key], sort_keys=True)):
             raise ConfigError(f"{where} {key!r} is not what {writer} writes")
 
 

@@ -13,8 +13,8 @@ factorised once for the whole family and each evaluation then costs one
 triangular solve against its own b.  A basis the simplex has ended in twice
 is taken without pivoting for any later b whose unique optimum it is
 (``_kernels.simplex`` tries the last basis taken, then the one of top dual
-bound on b, then the rest by descending bound), and the x_B that test
-solved is the one ``solve`` returns, so such an hour costs about one
+bound on b, the only other that weak duality lets pass), and the x_B that
+test solved is the one ``solve`` returns, so such an hour costs about one
 triangular solve in all.  Each basis gets one ``BasisSignature`` per
 family, kept on its record, which every solve that ends there shares.  A
 b that is already a float64 ndarray, as ``dispatch_model.hourly_rhs``

@@ -547,16 +547,23 @@ def test_report_json_has_no_timings(tmp_path):
      "malformed report .* 'per_cluster' is not what write_report"),
     (lambda doc: doc["per_cluster"][0].update(basis=[5, 0, 1, 2]),
      "malformed report .* 'per_cluster' is not what write_report"),
+    (lambda doc: doc["per_cluster"][0].update(weight=10),
+     "malformed report .* 'per_cluster' is not what write_report"),
+    (lambda doc: doc["per_cluster"][0]["basis"].__setitem__(0, False),
+     "malformed report .* 'per_cluster' is not what write_report"),
 ], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
         "string_number", "numeric_label", "list_cf", "k_above_entries", "k_zero",
         "k_zero_no_entries", "unknown_method", "zero_weight", "nan_weight", "negative_demand",
-        "cf_above_one", "unknown_key", "unknown_entry_key", "unsorted_basis"])
+        "cf_above_one", "unknown_key", "unknown_entry_key", "unsorted_basis",
+        "integer_weight", "boolean_basis_index"])
 def test_read_report_refuses_malformed_values(tmp_path, edit, message):
     # int() truncated k, float("abc") escaped as a bare ValueError, the
     # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
     # of cf values escaped as a bare AttributeError; a k that is not the
     # entry count, an unknown method, an entry no Representative would
-    # take, an unknown key and an unsorted basis were read back as given
+    # take, an unknown key and an unsorted basis were read back as given,
+    # and so were an integer weight and false for basis index 0, which
+    # compare equal to 10.0 and 0
     path = tmp_path / "report.json"
     write_report(_sample_report(), path)
     doc = json.loads(path.read_text())
@@ -702,14 +709,21 @@ def compared_instance(tmp_path_factory):
      "'clusters' is not what write_clusters"),
     (lambda doc: doc["clusters"][0].pop("weight"), "'weight'"),
     (lambda doc: doc.update(method="kmeans"), "a k-means model has no cluster bases"),
+    (lambda doc: doc["assignment"].__setitem__(doc["assignment"].index(1), True),
+     "'assignment' is not what write_clusters"),
+    (lambda doc: doc["clusters"][1].update(id=True), "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0].update(weight=int(doc["clusters"][0]["weight"])),
+     "'clusters' is not what write_clusters"),
 ], ids=["reversed_entries", "every_id_99", "huge_weight", "negative_weight",
         "negative_demand", "cf_above_one", "one_null_basis", "unknown_key", "cf_missing_key",
-        "cf_extra_key", "entry_without_weight", "basis_file_as_kmeans"])
+        "cf_extra_key", "entry_without_weight", "basis_file_as_kmeans", "boolean_assignment",
+        "boolean_id", "integer_weight"])
 def test_read_clusters_refuses_what_write_clusters_cannot_write(
         compared_instance, tmp_path, edit, message):
     """Each of these edits was read back, some of them into a legend that
-    named the 224-hour thermal cluster "NSE"; each is refused, and so
-    ``plot`` exits 2."""
+    named the 224-hour thermal cluster "NSE", and the last three because
+    ``true == 1`` and ``224 == 224.0``; each is refused, and so ``plot``
+    exits 2."""
     config = compared_instance / "config.json"
     doc = json.loads((compared_instance / "clusters_basis.json").read_text())
     assert [c["label"] for c in doc["clusters"]] == ["thermal marginal", "wind marginal", "NSE"]

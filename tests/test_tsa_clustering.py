@@ -287,6 +287,17 @@ def test_a_kmeans_model_has_no_cluster_bases():
     assert dataclasses.replace(model, bases=None).bases is None
 
 
+@pytest.mark.parametrize("count", [1, 6])
+def test_a_cluster_model_refuses_bases_that_are_not_one_per_cluster(count):
+    """D34: one basis for k = 3 was accepted, and ``to_representatives`` then
+    failed with a bare IndexError; six were accepted, the last three carried
+    silently."""
+    model = basis_cluster(thermal_wind([30.0, 125.0, 160.0], [0.9, 0.6, 0.7]))
+    assert model.k == 3
+    with pytest.raises(ValueError, match=f"{count} cluster bases for k = 3"):
+        dataclasses.replace(model, bases=(model.bases * 2)[:count])
+
+
 def test_basis_cluster_constant_series_single_cluster():
     system = thermal_wind([120.0] * 5, [0.8] * 5)
     model = basis_cluster(system)
