@@ -30,7 +30,6 @@ from .dispatch_model import (
     Representative,
     SystemData,
     add_nse_generator,
-    build_hourly_lp,
     regime_counts,
     regime_label,
     solve_aggregated,
@@ -62,7 +61,6 @@ from .data_io import (
     generate_synthetic,
     load_config,
     load_series,
-    read_report,
     regime_fractions,
     write_report,
     write_series,

@@ -3,8 +3,9 @@
 Series CSV schema: header ``hour,demand,cf_<id>...`` with hours contiguous
 from zero; parse failures carry the one-based line number.  Configs and
 specs are strict JSON (unknown keys and values of the wrong type are
-rejected).  Reports and clusters files carry 12 significant digits, and
-each is read back only if its writer writes that same document again.
+rejected).  Reports and clusters files carry 12 significant digits.  Only
+clusters files are read back, and only if ``write_clusters`` writes that
+same document again.
 """
 
 from __future__ import annotations
@@ -103,7 +104,11 @@ def load_series(path) -> SeriesBundle:
     """
     try:
         with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:  # an over-long field; a NUL byte on 3.10
+                raise ParseError(str(exc), reader.line_num) from exc
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -600,42 +605,15 @@ def _read_entries(entries, where: str) -> tuple[ClusterSummary, ...]:
     )
 
 
-def _check_written(doc: dict, written: dict, where: str, writer: str) -> None:
-    """Refuse ``doc`` unless it is ``written``, what ``writer`` writes for
-    the value read from it; the message names the first key that differs.
+def _check_written(doc: dict, written: dict, where: str) -> None:
+    """Refuse ``doc`` unless it is ``written``, what ``write_clusters`` writes
+    for the value read from it; the message names the first key that differs.
     Values must be equal, so NaN never is, and equal as JSON text, so types
     count: ``true`` is not 1, nor 224 224.0."""
     for key in {**written, **doc}:
         if key not in doc or key not in written or doc[key] != written[key] or (
                 json.dumps(doc[key], sort_keys=True) != json.dumps(written[key], sort_keys=True)):
-            raise ConfigError(f"{where} {key!r} is not what {writer} writes")
-
-
-def read_report(path) -> EvaluationReport:
-    """Read a report back; refuse what ``write_report`` cannot write.
-
-    Each entry must pass ``Representative``'s checks, ``method`` must be a
-    ``ClusterMethod`` value and ``k`` the number of entries, at least 1;
-    then ``write_report`` must give this file back for the report read.
-    """
-    doc = _load_json(path)
-    where = f"malformed report {path}:"
-    try:
-        clusters = _read_entries(doc["per_cluster"], where)
-        report = EvaluationReport(
-            method=_string(doc["method"], f"{where} method"),
-            k=_integer(doc["k"], f"k in report {path}"),
-            per_cluster=clusters,
-            **{key: _number(doc[key], f"{where} {key}") for key in (
-                "input_mse", "full_cost", "aggregated_cost", "output_error_pct")},
-        )
-        ClusterMethod(report.method)
-        if not 1 <= report.k == len(clusters):
-            raise ValueError(f"k = {report.k} for {len(clusters)} clusters")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} {exc}") from exc
-    _check_written(doc, _round12(report_to_dict(report)), where, "write_report")
-    return report
+            raise ConfigError(f"{where} {key!r} is not what write_clusters writes")
 
 
 def _clusters_doc(model: ClusterModel) -> dict:
@@ -698,7 +676,7 @@ def read_clusters(path, features: FeatureMatrix) -> ClusterModel:
                              None if None in bases else bases)
     except ValueError as exc:
         raise ConfigError(f"{where} {exc}") from exc
-    _check_written(doc, _round12(_clusters_doc(model)), where, "write_clusters")
+    _check_written(doc, _round12(_clusters_doc(model)), where)
     return model
 
 

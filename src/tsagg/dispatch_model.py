@@ -338,12 +338,6 @@ def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
     return rows[h]
 
 
-def build_hourly_lp(system: SystemData, h: int) -> StandardFormLP:
-    """Standard-form LP for hour h; (c, A) identical across hours."""
-    c, A = _template(system)
-    return StandardFormLP(c, A, hourly_rhs(system, h))
-
-
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------

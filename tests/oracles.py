@@ -29,8 +29,9 @@ file bytes.
 distinct optimal basis, y_j = B_j^-T c_B.  The optimal cost is the largest
 of these prices (LP duality), so it checks each hour's objective and basis
 without the simplex.  ``exact_basis_check`` is its exact companion: it
-checks in rational arithmetic that each hour's basis is primal and dual
-feasible, so it grades the solver's float tolerances against exact truth.
+checks in rational arithmetic whether each hour's basis is primal and dual
+feasible, strictly or with a zero, so it grades the solver's float
+tolerances against exact truth.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from tsagg._kernels import INFEASIBLE, NUMERICAL, OPTIMAL, RANK_DEFICIENT, UNBOUNDED
-from tsagg.dispatch_model import NSE_NAME, build_hourly_lp, hourly_rhs
+from tsagg.dispatch_model import NSE_NAME, _template, hourly_rhs
 from tsagg.tsa_clustering import (
     ClusterMethod,
     KExceedsHError,
@@ -502,10 +503,10 @@ def load_series_reference(path):
 def dual_certificate(system, dispatch):
     """(Z, own): Z[h, j] = y_j . b_h for each distinct basis j of ``dispatch``
     (a full solution of ``system``), and ``own[h]`` the id of hour h's basis."""
-    lp = build_hourly_lp(system, 0)
+    c, A = _template(system)
     own, bases = dispatch.basis_ids, dispatch.distinct_bases
     Y = np.array([
-        np.linalg.solve(lp.A[:, basis.as_array()].T, lp.c[basis.as_array()])
+        np.linalg.solve(A[:, basis.as_array()].T, c[basis.as_array()])
         for basis in bases
     ])
     R = np.array([hourly_rhs(system, h) for h in range(system.horizon)])
@@ -532,33 +533,43 @@ def _exact_inverse(B):
 
 
 def exact_basis_check(system, dispatch):
-    """(primal, dual) for ``dispatch``, a full solution of ``system``:
-    ``primal`` lists the hours whose x_B = B^-1 b_h has a negative entry and
-    ``dual`` those whose basis has a negative reduced cost c - A^T B^-T c_B.
+    """(primal, dual, weak) for ``dispatch``, a full solution of ``system``:
+    ``primal`` lists the hours whose x_B = B^-1 b_h has a negative entry,
+    ``dual`` those whose basis has a negative reduced cost c - A^T B^-T c_B,
+    and ``weak`` the other hours with an exact zero in x_B or in a nonbasic
+    reduced cost.
 
     Everything is exact: each float of c, A and b_h is read as the rational
     it stores, and B^-1 is computed once per distinct basis with
-    ``fractions.Fraction``.  Both lists are empty iff every hour's basis is
-    optimal for that hour in exact arithmetic, not only within the
-    solver's tolerances.
+    ``fractions.Fraction``.  An hour in neither ``primal`` nor ``dual`` is
+    optimal for its basis in exact arithmetic, not only within the solver's
+    tolerances; one outside ``weak`` too is strict, its optimum unique, so
+    any correct method returns that basis.  A weak hour is optimal and
+    degenerate, and Bland's rule picks among its optimal bases.
     """
-    lp = build_hourly_lp(system, 0)
-    A = [[Fraction(v) for v in row] for row in lp.A.tolist()]
-    c = [Fraction(v) for v in lp.c.tolist()]
+    c, A = _template(system)
+    A = [[Fraction(v) for v in row] for row in A.tolist()]
+    c = [Fraction(v) for v in c.tolist()]
     own, bases = dispatch.basis_ids, dispatch.distinct_bases
-    primal, dual = [], []
-    inverses = []
-    for j, basis in enumerate(bases):
+    inverses, lowest_reduced = [], []
+    for basis in bases:
         inv = _exact_inverse([[row[k] for k in basis.indices] for row in A])
         if inv is None:
             raise ValueError(f"basis {basis.indices} is singular")
         inverses.append([[(k, v) for k, v in enumerate(row) if v] for row in inv])
         cb = [c[i] for i in basis.indices]
         y = [sum(ci * row[k] for ci, row in zip(cb, inv)) for k in range(len(inv))]
-        if any(cj < sum(yk * row[jj] for yk, row in zip(y, A)) for jj, cj in enumerate(c)):
-            dual.extend(np.flatnonzero(own == j).tolist())
+        lowest_reduced.append(min(
+            (cj - sum(yk * row[jj] for yk, row in zip(y, A))
+             for jj, cj in enumerate(c) if jj not in basis.indices), default=1))
+    primal, dual, weak = [], [], []
     for h, j in enumerate(own.tolist()):
         b = [Fraction(v) for v in hourly_rhs(system, h).tolist()]
-        if any(sum(v * b[k] for k, v in row) < 0 for row in inverses[j]):
+        lowest_x = min(sum(v * b[k] for k, v in row) for row in inverses[j])
+        if lowest_x < 0:
             primal.append(h)
-    return primal, sorted(dual)
+        if lowest_reduced[j] < 0:
+            dual.append(h)
+        if min(lowest_x, lowest_reduced[j]) == 0:
+            weak.append(h)
+    return primal, dual, weak

@@ -16,7 +16,6 @@ from tsagg.data_io import (
     dump_json,
     load_config,
     read_clusters,
-    read_report,
     write_config,
     write_series,
 )
@@ -225,6 +224,20 @@ def test_missing_config_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_full_series_field_over_the_csv_limit_exits_2(instance, tmp_path, capsys):
+    # csv refuses a field over 131072 characters with _csv.Error, which
+    # escaped load_series as a traceback, exit 1
+    (tmp_path / "series.csv").write_text("hour,demand,cf_wind\n0," + "1" * 200_000 + ",0.5\n")
+    doc = json.loads((instance / "config.json").read_text())
+    doc["series"] = "series.csv"
+    del doc["horizon"]
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["solve-full", "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "field larger than field limit" in err and "(line 2)" in err
+
+
 # --- aggregate --------------------------------------------------------------
 
 def test_aggregate_kmeans_requires_k(instance, tmp_path, capsys):
@@ -304,12 +317,12 @@ def test_compare_writes_scorecard(instance, tmp_path, capsys):
     for name in ("kmeans_report.json", "basis_report.json",
                  "clusters_kmeans.json", "clusters_basis.json", "summary.txt"):
         assert (tmp_path / name).exists(), name
-    km = read_report(tmp_path / "kmeans_report.json")
-    bm = read_report(tmp_path / "basis_report.json")
-    assert km.k == bm.k
-    assert km.full_cost == bm.full_cost
-    assert bm.output_error_pct <= 1e-6
-    assert km.output_error_pct > bm.output_error_pct
+    km = json.loads((tmp_path / "kmeans_report.json").read_text())
+    bm = json.loads((tmp_path / "basis_report.json").read_text())
+    assert km["k"] == bm["k"]
+    assert km["full_cost"] == bm["full_cost"]
+    assert bm["output_error_pct"] <= 1e-6
+    assert km["output_error_pct"] > bm["output_error_pct"]
     summary = (tmp_path / "summary.txt").read_text()
     assert "kmeans" in summary and "basis" in summary
     assert "kmeans" in capsys.readouterr().out

@@ -25,7 +25,6 @@ from tsagg.data_io import (
     load_series,
     load_spec,
     read_clusters,
-    read_report,
     regime_fractions,
     spec_from_dict,
     write_clusters,
@@ -136,6 +135,17 @@ def test_series_empty_and_header_only(tmp_path):
         load_series(_write(tmp_path, ""))
     with pytest.raises(ParseError):
         load_series(_write(tmp_path, "hour,demand\n"))
+
+
+def test_series_field_over_the_csv_limit_reports_line(tmp_path):
+    # csv's _csv.Error for a field over 131072 characters escaped load_series
+    text = "hour,demand\n0,1.0\n1," + "1" * 200_000 + "\n"
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        load_series(_write(tmp_path, text))
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        load_series(_write(tmp_path, "hour,demand\n0," + "1" * 200_000 + "\n"))
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("make", [
@@ -319,6 +329,14 @@ def test_config_round_trip(tmp_path):
     assert back.nse_generator().capacity == system.nse_generator().capacity
 
 
+@pytest.mark.xfail(strict=True, reason="D33: write_config rounds floats to 12 significant digits")
+def test_config_round_trip_gives_back_every_generator(tmp_path):
+    system = build_fleet(0)
+    write_series(system, tmp_path / "series.csv")
+    write_config(system, tmp_path / "config.json", "series.csv")
+    assert load_config(tmp_path / "config.json").generators == system.generators
+
+
 # --- synthetic generation ---------------------------------------------------
 
 def test_generate_is_deterministic_per_seed():
@@ -496,19 +514,28 @@ def _assert_close(a, b, rel=1e-10):
     assert math.isclose(a, b, rel_tol=rel, abs_tol=1e-300)
 
 
+def _assert_report_written(doc, report):
+    """``doc``, a report file as ``json.load`` reads it, holds ``report``:
+    its method, k, labels and bases, and every value within 1e-10."""
+    assert (doc["method"], doc["k"]) == (report.method, report.k)
+    for key in ("input_mse", "full_cost", "aggregated_cost", "output_error_pct"):
+        _assert_close(doc[key], getattr(report, key))
+    assert len(doc["per_cluster"]) == len(report.per_cluster) == report.k
+    for c, original in zip(doc["per_cluster"], report.per_cluster):
+        basis = None if original.basis is None else list(original.basis.indices)
+        assert (c["label"], c["basis"]) == (original.label, basis)
+        _assert_close(c["weight"], original.weight)
+        _assert_close(c["demand"], original.demand)
+        assert c["cf"].keys() == original.cf.keys()
+        for key, value in c["cf"].items():
+            _assert_close(value, original.cf[key])
+
+
 def test_report_json_round_trip(tmp_path):
     report = _sample_report()
     path = tmp_path / "report.json"
     write_report(report, path)
-    back = read_report(path)
-    assert back.method == report.method and back.k == report.k
-    _assert_close(back.input_mse, report.input_mse)
-    _assert_close(back.full_cost, report.full_cost)
-    _assert_close(back.aggregated_cost, report.aggregated_cost)
-    _assert_close(back.output_error_pct, report.output_error_pct)
-    assert [c.label for c in back.per_cluster] == [c.label for c in report.per_cluster]
-    assert back.per_cluster[0].basis == BasisSignature((0, 1, 2, 5))
-    assert back.per_cluster[1].basis is None
+    _assert_report_written(json.loads(path.read_text()), report)
 
 
 def test_report_writes_are_byte_identical(tmp_path):
@@ -523,54 +550,6 @@ def test_report_json_has_no_timings(tmp_path):
     write_report(report, tmp_path / "report.json")
     doc = json.loads((tmp_path / "report.json").read_text())
     assert "timings" not in json.dumps(doc)
-
-
-@pytest.mark.parametrize("edit,message", [
-    (lambda doc: doc.update(k=2.5), "k in report .* must be an integer"),
-    (lambda doc: doc.update(k="2"), "k in report .* must be an integer"),
-    (lambda doc: doc.update(k=True), "k in report .* must be an integer"),
-    (lambda doc: doc["per_cluster"][0].update(demand="abc"), "malformed report"),
-    (lambda doc: doc.update(full_cost=True), "malformed report .* full_cost must be a number"),
-    (lambda doc: doc.update(input_mse="0.5"), "malformed report .* input_mse must be a number"),
-    (lambda doc: doc["per_cluster"][0].update(label=7), "malformed report .* label must be a string"),
-    (lambda doc: doc["per_cluster"][0].update(cf=[0.5]), "malformed report"),
-    (lambda doc: doc.update(k=7), "malformed report .* k = 7 for 2 clusters"),
-    (lambda doc: doc.update(k=0), "malformed report .* k = 0 for 2 clusters"),
-    (lambda doc: doc.update(k=0, per_cluster=[]), "malformed report .* k = 0 for 0 clusters"),
-    (lambda doc: doc.update(method="banana"), "malformed report .* 'banana' is not a valid"),
-    (lambda doc: doc["per_cluster"][0].update(weight=0.0), "malformed report .* weight must be"),
-    (lambda doc: doc["per_cluster"][1].update(weight=math.nan), "malformed report .* weight must"),
-    (lambda doc: doc["per_cluster"][0].update(demand=-1.0), "malformed report .* demand must be"),
-    (lambda doc: doc["per_cluster"][1].update(cf={"wind": 1.5}), "malformed report .* outside"),
-    (lambda doc: doc.update(timings={}), "malformed report .* 'timings' is not what write_report"),
-    (lambda doc: doc["per_cluster"][0].update(id=0),
-     "malformed report .* 'per_cluster' is not what write_report"),
-    (lambda doc: doc["per_cluster"][0].update(basis=[5, 0, 1, 2]),
-     "malformed report .* 'per_cluster' is not what write_report"),
-    (lambda doc: doc["per_cluster"][0].update(weight=10),
-     "malformed report .* 'per_cluster' is not what write_report"),
-    (lambda doc: doc["per_cluster"][0]["basis"].__setitem__(0, False),
-     "malformed report .* 'per_cluster' is not what write_report"),
-], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
-        "string_number", "numeric_label", "list_cf", "k_above_entries", "k_zero",
-        "k_zero_no_entries", "unknown_method", "zero_weight", "nan_weight", "negative_demand",
-        "cf_above_one", "unknown_key", "unknown_entry_key", "unsorted_basis",
-        "integer_weight", "boolean_basis_index"])
-def test_read_report_refuses_malformed_values(tmp_path, edit, message):
-    # int() truncated k, float("abc") escaped as a bare ValueError, the
-    # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
-    # of cf values escaped as a bare AttributeError; a k that is not the
-    # entry count, an unknown method, an entry no Representative would
-    # take, an unknown key and an unsorted basis were read back as given,
-    # and so were an integer weight and false for basis index 0, which
-    # compare equal to 10.0 and 0
-    path = tmp_path / "report.json"
-    write_report(_sample_report(), path)
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=message):
-        read_report(path)
 
 
 REPORT_SYSTEMS = {
@@ -588,23 +567,11 @@ def _compared(name):
 
 @pytest.mark.parametrize("name", REPORT_SYSTEMS)
 def test_every_compared_report_reads_back(tmp_path, name):
-    """Both reports ``compare_methods_detailed`` writes read back with the
-    same labels and bases and values within 1e-10: ``read_report``'s checks
-    refuse nothing that ``write_report`` writes."""
+    """Both reports ``compare_methods_detailed`` writes read back as JSON
+    with the same labels and bases and values within 1e-10."""
     for report in _compared(name).reports:
         write_report(report, tmp_path / "report.json")
-        back = read_report(tmp_path / "report.json")
-        assert (back.method, back.k) == (report.method, report.k)
-        for field in ("input_mse", "full_cost", "aggregated_cost", "output_error_pct"):
-            _assert_close(getattr(back, field), getattr(report, field))
-        assert len(back.per_cluster) == len(report.per_cluster) == report.k
-        for c, original in zip(back.per_cluster, report.per_cluster):
-            assert (c.label, c.basis) == (original.label, original.basis)
-            _assert_close(c.weight, original.weight)
-            _assert_close(c.demand, original.demand)
-            assert c.cf.keys() == original.cf.keys()
-            for key, value in c.cf.items():
-                _assert_close(value, original.cf[key])
+        _assert_report_written(json.loads((tmp_path / "report.json").read_text()), report)
 
 
 def test_rounding_is_twelve_significant_digits(tmp_path):
@@ -714,16 +681,30 @@ def compared_instance(tmp_path_factory):
     (lambda doc: doc["clusters"][1].update(id=True), "'clusters' is not what write_clusters"),
     (lambda doc: doc["clusters"][0].update(weight=int(doc["clusters"][0]["weight"])),
      "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0].update(demand="abc"), "demand must be a number"),
+    (lambda doc: doc["clusters"][0].update(label=7), "label must be a string"),
+    (lambda doc: doc["clusters"][0].update(cf=[0.5]), "cannot convert"),
+    (lambda doc: doc["clusters"][0].update(weight=0.0), "weight must be positive"),
+    (lambda doc: doc["clusters"][1].update(weight=math.nan), "weight must be positive"),
+    (lambda doc: doc.update(method="banana"), "'banana' is not a valid"),
+    (lambda doc: doc["clusters"][0].update(note=0), "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0]["basis"].reverse(), "'clusters' is not what write_clusters"),
+    (lambda doc: doc["clusters"][0]["basis"].__setitem__(0, False),
+     "'clusters' is not what write_clusters"),
 ], ids=["reversed_entries", "every_id_99", "huge_weight", "negative_weight",
         "negative_demand", "cf_above_one", "one_null_basis", "unknown_key", "cf_missing_key",
         "cf_extra_key", "entry_without_weight", "basis_file_as_kmeans", "boolean_assignment",
-        "boolean_id", "integer_weight"])
+        "boolean_id", "integer_weight", "string_demand", "numeric_label", "list_cf",
+        "zero_weight", "nan_weight", "unknown_method", "unknown_entry_key", "unsorted_basis",
+        "boolean_basis_index"])
 def test_read_clusters_refuses_what_write_clusters_cannot_write(
         compared_instance, tmp_path, edit, message):
-    """Each of these edits was read back, some of them into a legend that
-    named the 224-hour thermal cluster "NSE", and the last three because
-    ``true == 1`` and ``224 == 224.0``; each is refused, and so ``plot``
-    exits 2."""
+    """Each of the first fifteen edits was read back, some of them into a
+    legend that named the 224-hour thermal cluster "NSE", and
+    ``boolean_assignment``, ``boolean_id`` and ``integer_weight`` because
+    ``true == 1`` and ``224 == 224.0``.  The rest check an entry's types,
+    its ``Representative`` checks and its basis.  Each is refused, and so
+    ``plot`` exits 2."""
     config = compared_instance / "config.json"
     doc = json.loads((compared_instance / "clusters_basis.json").read_text())
     assert [c["label"] for c in doc["clusters"]] == ["thermal marginal", "wind marginal", "NSE"]

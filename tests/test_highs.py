@@ -12,7 +12,7 @@ import pytest
 
 from oracles import random_lp_data
 from systems import degenerate_system, fleet_system
-from tsagg.dispatch_model import build_hourly_lp, solve_full
+from tsagg.dispatch_model import _template, hourly_rhs, solve_full
 from tsagg.lp_core import LPStatus, StandardFormLP, solve
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -58,6 +58,6 @@ def test_hourly_objectives_match_highs(make):
         exact |= (cf == 0.0) | (cf == 1.0)
     hours = sorted(set(np.flatnonzero(exact).tolist()) | set(range(0, system.horizon, 7)))
     for h in hours:
-        res = _highs(build_hourly_lp(system, h))
+        res = _highs(StandardFormLP(*_template(system), hourly_rhs(system, h)))
         assert res.status == 0, (h, res.message)
         _assert_objective(full.objective[h], res.fun, h)

@@ -8,9 +8,8 @@ import pytest
 
 from systems import fleet_system, random_system, thermal_wind
 from tsagg.data_io import default_spec, generate_synthetic
-from tsagg.dispatch_model import SystemData, solve_full
-from tsagg.lp_core import LPStatus, solve_with_basis
-from tsagg.dispatch_model import build_hourly_lp
+from tsagg.dispatch_model import SystemData, _template, hourly_rhs, solve_full
+from tsagg.lp_core import LPStatus, StandardFormLP, solve_with_basis
 from tsagg.tsa_clustering import (
     ClusterMethod,
     ClusterModel,
@@ -331,7 +330,7 @@ def test_basis_centroid_stays_optimal_for_cluster_basis():
                 [rep.demand],
                 {"wind": [rep.cf["wind"]]},
             )
-            lp = build_hourly_lp(agg_system, 0)
+            lp = StandardFormLP(*_template(agg_system), hourly_rhs(agg_system, 0))
             sol = solve_with_basis(lp, model.bases[cid])
             assert sol.status is LPStatus.OPTIMAL
             assert sol.objective == pytest.approx(member_obj, rel=1e-9, abs=1e-9)
