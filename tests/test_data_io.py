@@ -18,6 +18,11 @@ from tsagg.data_io import (
     RegimeUnreachableError,
     SeriesBundle,
     SyntheticSpec,
+    _check_written,
+    _integer,
+    _number,
+    _read_entries,
+    _round12,
     default_spec,
     dispatch_summary,
     generate_synthetic,
@@ -26,6 +31,7 @@ from tsagg.data_io import (
     load_spec,
     read_clusters,
     regime_fractions,
+    report_to_dict,
     spec_from_dict,
     write_clusters,
     write_config,
@@ -550,6 +556,77 @@ def test_report_json_has_no_timings(tmp_path):
     write_report(report, tmp_path / "report.json")
     doc = json.loads((tmp_path / "report.json").read_text())
     assert "timings" not in json.dumps(doc)
+
+
+def _read_written_report(path):
+    """A report file read back by the readers that a clusters file goes
+    through: ``_read_entries``, ``_integer``, ``_number`` and
+    ``_check_written`` against ``report_to_dict``.  Nothing in the package
+    reads a report back; this pins that those readers would refuse it."""
+    doc = json.loads(path.read_text())
+    where = f"malformed report {path}:"
+    try:
+        report = EvaluationReport(
+            method=ClusterMethod(doc["method"]).value,
+            k=_integer(doc["k"], f"k in report {path}"),
+            per_cluster=_read_entries(doc["per_cluster"], where),
+            **{key: _number(doc[key], f"{where} {key}") for key in (
+                "input_mse", "full_cost", "aggregated_cost", "output_error_pct")},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+    _check_written(doc, _round12(report_to_dict(report)), where)
+    return report
+
+
+def test_written_report_reads_back_through_the_shared_readers(tmp_path):
+    report = _sample_report()
+    write_report(report, tmp_path / "report.json")
+    back = _read_written_report(tmp_path / "report.json")
+    _assert_report_written(report_to_dict(back), report)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(k=2.5), "k in report .* must be an integer"),
+    (lambda doc: doc.update(k="2"), "k in report .* must be an integer"),
+    (lambda doc: doc.update(k=True), "k in report .* must be an integer"),
+    (lambda doc: doc["per_cluster"][0].update(demand="abc"), "malformed report"),
+    (lambda doc: doc.update(full_cost=True), "malformed report .* full_cost must be a number"),
+    (lambda doc: doc.update(input_mse="0.5"), "malformed report .* input_mse must be a number"),
+    (lambda doc: doc["per_cluster"][0].update(label=7), "malformed report .* label must be a string"),
+    (lambda doc: doc["per_cluster"][0].update(cf=[0.5]), "malformed report"),
+    (lambda doc: doc.update(method="banana"), "malformed report .* 'banana' is not a valid"),
+    (lambda doc: doc["per_cluster"][0].update(weight=0.0), "malformed report .* weight must be"),
+    (lambda doc: doc["per_cluster"][1].update(weight=math.nan), "malformed report .* weight must"),
+    (lambda doc: doc["per_cluster"][0].update(demand=-1.0), "malformed report .* demand must be"),
+    (lambda doc: doc["per_cluster"][1].update(cf={"wind": 1.5}), "malformed report .* outside"),
+    (lambda doc: doc.update(timings={}), "malformed report .* 'timings' is not what"),
+    (lambda doc: doc["per_cluster"][0].update(id=0), "malformed report .* 'per_cluster' is not what"),
+    (lambda doc: doc["per_cluster"][0].update(basis=[5, 0, 1, 2]),
+     "malformed report .* 'per_cluster' is not what"),
+    (lambda doc: doc["per_cluster"][0].update(weight=10),
+     "malformed report .* 'per_cluster' is not what"),
+    (lambda doc: doc["per_cluster"][0]["basis"].__setitem__(0, False),
+     "malformed report .* 'per_cluster' is not what"),
+], ids=["fractional_k", "string_k", "boolean_k", "string_demand", "boolean_cost",
+        "string_number", "numeric_label", "list_cf", "unknown_method", "zero_weight",
+        "nan_weight", "negative_demand", "cf_above_one", "unknown_key", "unknown_entry_key",
+        "unsorted_basis", "integer_weight", "boolean_basis_index"])
+def test_read_report_refuses_malformed_values(tmp_path, edit, message):
+    # int() truncated k, float("abc") escaped as a bare ValueError, the
+    # casts read true as 1.0, "0.5" as 0.5 and a label 7 as "7", and a list
+    # of cf values escaped as a bare AttributeError; an unknown method, an
+    # entry no Representative would take, an unknown key and an unsorted
+    # basis were read back as given, and so were an integer weight and false
+    # for basis index 0, which compare equal to 10.0 and 0.  The report
+    # reader is gone; the readers it used stay, and each edit is refused by one
+    path = tmp_path / "report.json"
+    write_report(_sample_report(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message):
+        _read_written_report(path)
 
 
 REPORT_SYSTEMS = {
