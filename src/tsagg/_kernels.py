@@ -13,10 +13,10 @@ ever reads them, so they are write-only (both arguments are in
 ``simplex``).
 
 Each basis of a (c, A) family has one ``_Basis`` record in its ``Family``:
-the LU solves of B and B^T as op lists, c_B, the reduced costs and the
-duals.  ``simplex`` first tries two of the bases the tableau has ended in
-twice: the most recently accepted, then the one of highest dual bound on
-b, the only other that can be b's unique optimum.  It skips the tableau
+the LU solve of B as an op list, c_B, the reduced costs, their smallest
+nonbasic entry and the duals.  ``simplex`` first tries two of the bases
+the tableau has ended in twice: the most recently accepted, then the one
+of highest dual bound on b, the only other that can be b's unique optimum.  It skips the tableau
 where one is and returns that record with its x_B, which ``evaluate``
 takes in place of its own solve and scatters into x through the record's
 index list; so an hour in a registered cone costs about one LU solve, run
@@ -55,15 +55,12 @@ BACKEND = "numpy"
 # Factorisation helpers.
 # ---------------------------------------------------------------------------
 
-def _lu_factor(M, perm, pivot_eps):
+def _lu(M, perm, pivot_eps):
     """LU-factorise square M (a list of row lists) in place, partial pivoting.
 
     ``perm`` records the row swap made at each elimination step.  Returns
-    None once the best pivot magnitude left is below ``pivot_eps``, else
-    the solve as ``_solve``'s op list: swaps (k, p), forward terms (i, j, l)
-    and backward rows (i, pivot, terms (j, u)), in order.  This dense list
-    keeps every term, exact zeros included, which ``evaluate`` needs
-    (see ``_solve``); ``_zero_free`` gives the cone test its own list.
+    False once the best pivot magnitude left is below ``pivot_eps``, else
+    True, with L's multipliers below M's diagonal and U on and above it.
     """
     m = len(M)
     for k in range(m):
@@ -75,7 +72,7 @@ def _lu_factor(M, perm, pivot_eps):
                 best = v
                 p = i
         if best < pivot_eps:
-            return None
+            return False
         perm[k] = p
         if p != k:
             M[k], M[p] = M[p], M[k]
@@ -87,6 +84,20 @@ def _lu_factor(M, perm, pivot_eps):
             l = ri[k] / piv
             ri[k] = l
             ri[k + 1:] = [v - l * u for v, u in zip(ri[k + 1:], tail)]
+    return True
+
+
+def _lu_factor(M, perm, pivot_eps):
+    """``_lu``, then the solve as ``_solve``'s op list, or None if M is singular.
+
+    The list holds swaps (k, p), forward terms (i, j, l) and backward rows
+    (i, pivot, terms (j, u)), in order.  It keeps every term, exact zeros
+    included, which ``evaluate`` needs (see ``_solve``); ``_zero_free``
+    gives the cone test its own list.
+    """
+    if not _lu(M, perm, pivot_eps):
+        return None
+    m = len(M)
     swaps = [(k, p) for k, p in enumerate(perm) if p != k]
     forward = [(i, j, M[i][j]) for i in range(1, m) for j in range(i)]
     backward = [
@@ -94,6 +105,30 @@ def _lu_factor(M, perm, pivot_eps):
         for i in range(m - 1, -1, -1)
     ]
     return swaps, forward, backward
+
+
+def _lu_solve(LU, perm, rhs):
+    """``_solve`` of ``_lu_factor``'s list for the same M, run on ``_lu``'s
+    factor in place: the same operations in the same order, for a factor
+    that is applied once."""
+    x = list(rhs)
+    for k, p in enumerate(perm):
+        if p != k:
+            x[k], x[p] = x[p], x[k]
+    m = len(x)
+    for i in range(1, m):
+        row = LU[i]
+        s = x[i]
+        for j in range(i):
+            s -= row[j] * x[j]
+        x[i] = s
+    for i in range(m - 1, -1, -1):
+        row = LU[i]
+        s = x[i]
+        for j in range(i + 1, m):
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
 
 
 def _solve(ops, rhs, floor=None):
@@ -167,38 +202,58 @@ def _cone_solve(ops, free, rhs, floor):
 def _basis_factor(c, A, basis, pivot_eps):
     """The b-independent half of a basis evaluation, or None if B is singular.
 
-    Returns (solve ops of B, c_B, reduced costs, duals y).  The duals
-    y = B^-T c_B are solved on their own LU of B^T: solving them with the
-    LU of B would round them differently and move the pinned outputs.
+    Returns (solve ops of B, c_B, reduced costs as a list, duals y).  The
+    duals y = B^-T c_B are solved on their own LU of B^T (solving them with
+    the LU of B would round them differently and move the pinned outputs),
+    in place, as that factor is used once.  The reduced costs are
+    ``c - y[0] * A[0] - y[1] * A[1] ...``, row by row, so each element sees
+    its m subtractions in the order i, then zero at the basic indices.
     """
     m = A.shape[0]
     B = A[:, basis]
     ops = _lu_factor(B.tolist(), [0] * m, pivot_eps)
     if ops is None:
         return None
-    dual_ops = _lu_factor(B.T.tolist(), [0] * m, pivot_eps)
-    if dual_ops is None:
+    Bt, perm = B.T.tolist(), [0] * m
+    if not _lu(Bt, perm, pivot_eps):
         return None
     cb = c[basis].tolist()
-    y = _solve(dual_ops, cb)
-    # Row by row, so each element sees its m subtractions in the order i.
-    rc = c.copy()
-    for i in range(m):
-        rc -= y[i] * A[i]
-    rc[basis] = 0.0
+    y = _lu_solve(Bt, perm, cb)
+    rc = c.tolist()
+    for yi, row in zip(y, A.tolist()):
+        rc = [r - yi * a for r, a in zip(rc, row)]
+    for j in basis.tolist():
+        rc[j] = 0.0
     return ops, cb, rc, y
+
+
+def _min(values):
+    """The smallest of ``values`` (inf if none), NaN if any is NaN, as
+    ``np.min(values, initial=inf)`` gives it; of equal values the last is
+    kept, so only the sign of a zero result can differ from numpy's, which
+    no comparison sees."""
+    low = _INF
+    for v in values:
+        if not low < v:
+            if v != v:
+                return v
+            low = v
+    return low
 
 
 class _Basis:
     """One basis of a family: read-only ``idx``, the same indices as the
-    list ``cols``, and ``_basis_factor``'s ``ops``, ``cb``, ``rc`` and
-    ``y`` (if B is singular, None but for zero reduced costs, which is
-    what ``basis_eval`` returns then).
+    list ``cols``, and ``_basis_factor``'s ``ops``, ``cb``, ``rc`` (an
+    array) and ``y`` (if B is singular, None but for zero reduced costs,
+    which is what ``basis_eval`` returns then).
 
-    ``rc_min``, the smallest nonbasic reduced cost, is set at registration
-    (see ``simplex``); ``free``, the ``_zero_free`` op list, on the first
-    cone test, so a basis never tested never pays for it.  ``tag`` is the
-    caller's: ``lp_core`` keeps the basis's one signature there.
+    ``rc_min``, the smallest nonbasic reduced cost by ``_min`` (inf if
+    every column is basic), is computed here, once: ``basis_eval`` returns
+    it for ``lp_core``'s optimality test, and ``simplex`` reads it at
+    registration and in the cone test.  ``free``, the ``_zero_free`` op
+    list, is set on the first cone test, so a basis never tested never
+    pays for it.  ``tag`` is the caller's: ``lp_core`` keeps the basis's
+    one signature there.
     """
 
     __slots__ = ("idx", "cols", "ops", "cb", "rc", "y", "rc_min", "free", "tag")
@@ -206,10 +261,13 @@ class _Basis:
     def __init__(self, c, A, idx, pivot_eps):
         self.idx = idx = np.array(idx, dtype=np.int64)
         idx.setflags(write=False)
-        self.cols = idx.tolist()
+        self.cols = cols = idx.tolist()
         factor = _basis_factor(c, A, idx, pivot_eps)
-        self.ops, self.cb, self.rc, self.y = factor or (None, None, np.zeros(len(c)), None)
-        self.rc_min = self.free = self.tag = None
+        self.ops, self.cb, rc, self.y = factor or (None, None, [0.0] * len(c), None)
+        self.rc = np.array(rc)
+        basic = set(cols)
+        self.rc_min = _min([r for j, r in enumerate(rc) if j not in basic])
+        self.free = self.tag = None
 
 
 class Family(dict):
@@ -250,17 +308,23 @@ def evaluate(record, b, xb=None):
 def basis_eval(c, A, b, basis, pivot_eps, family):
     """Evaluate a basis B = A[:, basis]: x_B = B^-1 b, duals, reduced costs.
 
-    Returns (ok, x, reduced_costs, objective), fresh arrays; ok is False
-    when a factorisation pivot falls below ``pivot_eps``.  Reduced costs at
-    basic indices are zeroed exactly.  All but x_B and the objective come
-    from the basis's record in ``family``, made on first use (a sighting
-    for ``simplex``).
+    Returns (ok, x, reduced_costs, objective, x_min, rc_min): fresh arrays
+    and the objective as ``evaluate`` gives them, then the smallest x_B
+    entry and the record's ``rc_min``, both as ``_min`` gives them, for
+    the caller's feasibility and optimality tests.  ok is False when a
+    factorisation pivot falls below ``pivot_eps`` (x_min is inf then).
+    Reduced costs at basic indices are zeroed exactly.  All but x_B, the
+    objective and x_min come from the basis's record in ``family``, made
+    on first use (a sighting for ``simplex``); a call solves x_B alone.
     """
     key = basis.tobytes()
     record = family.get(key)
     if record is None:
         record = family[key] = _Basis(c, A, basis, pivot_eps)
-    return evaluate(record, b)
+    if record.ops is None:
+        return (*evaluate(record, b), _INF, record.rc_min)
+    xb = _solve(record.ops, b.tolist())
+    return (*evaluate(record, b, xb), _min(xb), record.rc_min)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +436,13 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     nonsingular and passes the same test.  A record first made by
     ``basis_eval`` counts as a sighting.  Only this path reads A's shape.
 
+    Next to a regime boundary the answer is a tolerance answer, not the
+    exact optimum: the tableau's tests hold within ``tol_feas`` and
+    ``tol_opt``, so it can end in a basis with an x_B entry or a reduced
+    cost below zero by about 1e-13 in exact arithmetic
+    (``tests/oracles.exact_basis_check`` finds 7 and 2 such hours of 336
+    on ``fleet_at_boundaries`` rng 0 and 1).
+
     Skipping exact zeros in a pivot gives the dense update's decisions and
     nonzero values, provided every tableau entry stays finite.  A skipped
     term is ``v - 0 * u`` or ``v - f * 0``, which is v unless v is itself
@@ -417,14 +488,9 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
         xb = None
         if record is None:
             record = family[key] = _Basis(c, A, idx, pivot_eps)
-        elif record.rc_min is None and record.ops is not None:
+        elif record.ops is not None and record not in cone:
             xb = _solve(record.ops, bl)
-            rcl = record.rc.tolist()
-            for j in record.cols:
-                rcl[j] = _INF
-            rc_min = min(rcl)
-            if rc_min > tol_opt and min(xb) > tol_feas:
-                record.rc_min = rc_min
+            if record.rc_min > tol_opt and min(xb) > tol_feas:
                 family.mru = len(cone)
                 cone.append(record)
                 if len(cone) > 1:

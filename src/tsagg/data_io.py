@@ -29,6 +29,7 @@ from .dispatch_model import (
     SystemData,
     add_nse_generator,
     marginal_label,
+    ordered_sum,
     regime_counts,
 )
 from .evaluation import EvaluationReport
@@ -259,7 +260,8 @@ def _load_json(path) -> dict:
 def load_config(path) -> SystemData:
     """Build a SystemData from a config JSON plus the series CSV it names.
 
-    Relative series paths resolve against the config file's directory.  The
+    Relative series paths resolve against the config file's directory, and
+    a series ``ParseError`` is raised with that path before its message.  The
     optional ``nse`` block appends the high-cost unit; the optional
     ``horizon`` cross-checks the series length.
     """
@@ -268,8 +270,13 @@ def load_config(path) -> SystemData:
     gens_doc = _require(doc, "generators", "config")
     if not isinstance(gens_doc, list):
         raise ConfigError(f"generators must be a list, got {gens_doc!r}")
-    series_rel = _string(_require(doc, "series", "config"), "series")
-    bundle = load_series(Path(path).parent / series_rel)
+    series_path = Path(path).parent / _string(_require(doc, "series", "config"), "series")
+    try:
+        bundle = load_series(series_path)
+    except ParseError as exc:
+        # The same error, naming the file that its line number is in.
+        exc.args = (f"{series_path}: {exc}",)
+        raise
     if "horizon" in doc and _integer(doc["horizon"], "horizon") != bundle.horizon:
         raise ConfigError(
             f"configured horizon {doc['horizon']} != series length {bundle.horizon}"
@@ -462,7 +469,7 @@ def regime_fractions(system: SystemData) -> dict[str, float]:
     H = system.horizon
     gens = system.generators
     merit = [gens[g] for g in sorted(range(len(gens)), key=lambda g: (gens[g].variable_cost, g))]
-    floors = float(sum(g.p_min for g in gens))
+    floors = ordered_sum(g.p_min for g in gens)
     # covered[i, h]: the floors plus the headroom of merit[:i + 1] meet hour
     # h's demand.  Each hour's sum runs in merit order, as a per-hour loop's.
     covered = np.empty((len(merit), H), dtype=bool)
@@ -504,14 +511,44 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
 # ---------------------------------------------------------------------------
 
 def _round12(obj):
-    """Round every float to 12 significant digits, recursively."""
+    """Round every float to 12 significant digits, recursively.  A list of
+    plain ints (bools are not) has none, so it is returned as it is."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if _plain_ints(obj):
+            return obj
         return [_round12(v) for v in obj]
     return obj
+
+
+def _plain_ints(values) -> bool:
+    return type(values) is list and set(map(type, values)) == {int}
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` of a document with string keys, bit for
+    bit, starting at indent ``pad``.  A list of plain ints, such as a
+    clusters file's 8760-hour assignment, is written in one join: the same
+    ``int.__repr__`` text and line layout without a call per item."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if _plain_ints(obj):
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
 
 
 def check_writable(path) -> None:
@@ -554,7 +591,8 @@ def check_directory(path) -> None:
 
 
 def dump_json(doc, path) -> None:
-    text = json.dumps(_round12(doc), indent=2) + "\n"
+    """Write ``json.dumps(_round12(doc), indent=2)`` and a newline to ``path``."""
+    text = _json_text(_round12(doc)) + "\n"
     try:
         with open(path, "w") as handle:
             handle.write(text)

@@ -211,7 +211,7 @@ class DispatchSolution:
     ``reduced_costs`` (K, n) belongs to basis j, which every period of that
     basis shares; ``production`` (P, G) is ``x[:, :G] + p_min`` in MW.
     ``total_cost`` weights each period's objective plus offset by its
-    weight, summed in period order.
+    weight, summed left to right in period order.
     """
 
     kind: DispatchKind
@@ -304,8 +304,18 @@ def _pmin_vector(system: SystemData) -> np.ndarray:
 
 
 def cost_offset(system: SystemData) -> float:
-    """Per-hour cost of must-run floors, sum_g C_g * Pmin_g."""
-    return float(sum(g.variable_cost * g.p_min for g in system.generators))
+    """Per-hour cost of must-run floors, sum_g C_g * Pmin_g, left to right."""
+    return ordered_sum(g.variable_cost * g.p_min for g in system.generators)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Floats added left to right from 0.0.  The builtin ``sum`` does so up
+    to Python 3.11 and compensates from 3.12, so a total taken with it
+    would depend on the interpreter (D36)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _rhs(system: SystemData, demand, cf) -> np.ndarray:
@@ -383,9 +393,8 @@ def _solve_periods(
         if j == len(reduced_costs):
             reduced_costs.append(sol.reduced_costs)
     offset = cost_offset(system)
-    total = float(sum(
-        w * (obj + offset) for w, obj in zip(weights.tolist(), objective.tolist())
-    ))
+    total = ordered_sum(
+        w * (obj + offset) for w, obj in zip(weights.tolist(), objective.tolist()))
     return DispatchSolution(
         kind, weights, x, objective, iterations, basis_ids, tuple(ids),
         np.array(reduced_costs), x[:, : pmin.size] + pmin, total,

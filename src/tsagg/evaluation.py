@@ -18,6 +18,7 @@ from .dispatch_model import (
     DispatchKind,
     DispatchSolution,
     SystemData,
+    ordered_sum,
     solve_aggregated,
     solve_full,
 )
@@ -115,6 +116,18 @@ def output_error(full: DispatchSolution, aggregated: DispatchSolution) -> float:
     return 100.0 * abs(full.total_cost - aggregated.total_cost) / abs(full.total_cost)
 
 
+def _means(rows: list[list[float]], objs: list[float]) -> tuple[list[float], float]:
+    """``np.mean(np.stack(rows), axis=0)`` as a list and ``np.mean(objs)``,
+    bit for bit.  numpy adds fewer than 8 terms left to right from 0.0, and
+    its axis-0 mean row by row, so below 8 samples plain loops give its
+    bits; from 8 on it may sum pairwise, and numpy itself is called."""
+    count = len(objs)
+    if count >= 8:
+        return np.mean(np.array(rows), axis=0).tolist(), float(np.mean(objs))
+    b_mean = [ordered_sum(column) / count for column in zip(*rows)]
+    return b_mean, ordered_sum(objs) / count
+
+
 def theorem_check(
     lp_template: StandardFormLP,
     basis: BasisSignature,
@@ -127,20 +140,21 @@ def theorem_check(
     The trial then asserts three things about b_mean = mean(rhs_samples):
     the basis stays optimal, its objective equals the mean of the
     per-sample objectives within ``REL_TOL``, and an independent fresh
-    solve of the averaged problem agrees.
+    solve of the averaged problem agrees.  Both means are what ``np.mean``
+    gives, bit for bit (``_means``).
     """
     if not rhs_samples:
         raise ValueError("need at least one rhs sample")
     objs = []
-    stack = []
+    rows = []
     for i, b in enumerate(rhs_samples):
-        sol = solve_with_basis(lp_template.with_rhs(b), basis)
+        lp = lp_template.with_rhs(b)
+        sol = solve_with_basis(lp, basis)
         if sol.status is not LPStatus.OPTIMAL:
             raise SampleRejectedError(i, sol.status)
         objs.append(sol.objective)
-        stack.append(np.asarray(b, dtype=float))
-    b_mean = np.mean(np.stack(stack), axis=0)
-    mean_of_objs = float(np.mean(objs))
+        rows.append(lp.b.tolist())
+    b_mean, mean_of_objs = _means(rows, objs)
     scale = max(1.0, abs(mean_of_objs))
 
     violation = None

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -166,6 +167,11 @@ class BasisSignature:
     def as_array(self) -> np.ndarray:
         return np.array(self.indices, dtype=np.int64)
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The indices as a read-only int64 array, built on first use."""
+        return readonly(self.indices, np.dtype(np.int64))
+
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -183,10 +189,9 @@ class LPSolution:
 def _check_basis(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:
     if len(basis) != lp.m:
         raise ValueError(f"basis has {len(basis)} indices, need m={lp.m}")
-    idx = basis.as_array()
-    if idx.size and idx[-1] >= lp.n:
-        raise ValueError(f"basis index {idx[-1]} out of range for n={lp.n}")
-    return idx
+    if basis.indices and basis.indices[-1] >= lp.n:
+        raise ValueError(f"basis index {basis.indices[-1]} out of range for n={lp.n}")
+    return basis._array
 
 
 def solve(lp: StandardFormLP) -> LPSolution:
@@ -228,17 +233,21 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
     Status is Optimal iff x_B >= -TOL_FEAS and all reduced costs are
     >= -TOL_OPT; otherwise the diagnostic BasisInfeasible or
     BasisSuboptimal variant is returned (solution values included either
-    way).  Raises SingularBasisError when B cannot be factorised.
+    way).  A NaN in x_B or in the reduced costs fails neither test, as in
+    ``np.min``.  The smallest reduced cost is the basis's record's, made
+    once per family; a call solves x_B and takes its smallest entry.  x
+    and the reduced costs are fresh arrays.  Raises SingularBasisError
+    when B cannot be factorised.
     """
     idx = _check_basis(lp, basis)
-    ok, x, rc, obj = _kernels.basis_eval(lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache)
+    ok, x, rc, obj, x_min, rc_min = _kernels.basis_eval(
+        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache)
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
-    if x[idx].min(initial=math.inf) < -TOL_FEAS:
+    if x_min < -TOL_FEAS:
         status = LPStatus.BASIS_INFEASIBLE
-    elif rc.min(initial=math.inf) < -TOL_OPT:
+    elif rc_min < -TOL_OPT:
         status = LPStatus.BASIS_SUBOPTIMAL
     else:
         status = LPStatus.OPTIMAL
-    return LPSolution(status, float(obj), x, basis, rc)
-
+    return LPSolution(status, obj, x, basis, rc)

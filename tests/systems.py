@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from tsagg.data_io import default_spec, generate_synthetic
-from tsagg.dispatch_model import Generator, SystemData, add_nse_generator
+from tsagg.dispatch_model import Generator, SystemData, add_nse_generator, ordered_sum
 
 THERMAL = Generator("thermal", 10.0, 100.0)
 WIND = Generator("wind", 0.0, 50.0, is_variable=True, cf_series_id="wind")
@@ -161,7 +161,7 @@ def fleet_at_boundaries(rng, hours=336) -> SystemData:
     system = fleet_system(rng, hours)
     gens = system.generators
     merit = sorted(range(len(gens)), key=lambda g: (gens[g].variable_cost, g))
-    floors = sum(g.p_min for g in gens)
+    floors = ordered_sum(g.p_min for g in gens)
     cum = np.full(hours, floors)
     boundaries = []
     for g in merit[:-1]:  # NSE is last in merit order and has no upper boundary

@@ -235,3 +235,87 @@ def test_theorem_trial_evaluations_match_uncached_reference(monkeypatch):
     assert len(optimal) >= 2 * 200
     for i, (lp, sol) in enumerate(optimal):
         _assert_reference(lp, i, sol.basis, sol.x, sol.reduced_costs, sol.objective)
+
+
+# --- solve_with_basis against its earlier formulas ----------------------------
+
+def _assert_earlier_formulas(lp, basis, where):
+    """``solve_with_basis`` against the formulas it used before the cached
+    minimum: values from the reference kernel, the status from ``np.min``
+    over x[idx] and over the whole reduced-cost array."""
+    sol = lp_core.solve_with_basis(lp, basis)
+    idx = basis.as_array()
+    ok, x, rc, obj = basis_eval_reference(lp.c, lp.A, lp.b, idx, PIVOT_EPS)
+    assert ok, where
+    if x[idx].min(initial=np.inf) < -lp_core.TOL_FEAS:
+        status = LPStatus.BASIS_INFEASIBLE
+    elif rc.min(initial=np.inf) < -lp_core.TOL_OPT:
+        status = LPStatus.BASIS_SUBOPTIMAL
+    else:
+        status = LPStatus.OPTIMAL
+    assert sol.status is status, where
+    assert type(sol.objective) is float, where
+    assert _bits(sol.objective) == _bits(float(obj)), where
+    assert _bits(sol.x) == _bits(x), where
+    assert _bits(sol.reduced_costs) == _bits(rc), where
+    assert sol.x.flags.writeable and sol.reduced_costs.flags.writeable, where
+    return status
+
+
+def test_solve_with_basis_matches_earlier_formulas_on_theorem_trials(monkeypatch):
+    seen = []
+    original = evaluation.solve_with_basis
+
+    def recorded(lp, basis):
+        seen.append((lp, basis))
+        return original(lp, basis)
+
+    monkeypatch.setattr(evaluation, "solve_with_basis", recorded)
+    evaluation.run_theorem_trials(200, seed=11)
+    assert len(seen) >= 3 * 200
+    for i, (lp, basis) in enumerate(seen):
+        _assert_earlier_formulas(lp, basis, i)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_SYSTEMS))
+def test_solve_with_basis_matches_earlier_formulas_on_system_hours(name):
+    """Each hour under its own basis, then under every distinct basis of
+    its system (infeasible or suboptimal there, mostly), every 7th hour."""
+    system = SOLVER_SYSTEMS[name]()
+    full = solve_full(system)
+    base = StandardFormLP(*_template(system), hourly_rhs(system, 0))
+    statuses = set()
+    for h, basis in enumerate(full.bases()):
+        lp = base.with_rhs(hourly_rhs(system, h))
+        statuses.add(_assert_earlier_formulas(lp, basis, (h, basis)))
+        if h % 7 == 0:
+            for other in full.distinct_bases:
+                statuses.add(_assert_earlier_formulas(lp, other, (h, other)))
+    assert LPStatus.OPTIMAL in statuses
+    if len(full.distinct_bases) > 1:
+        assert len(statuses) > 1
+
+
+@pytest.mark.parametrize("c, A, b, basis, status", [
+    # x_B = (-1): infeasible
+    ([1.0, 2.0], [[1.0, 1.0]], [-1.0], (0,), LPStatus.BASIS_INFEASIBLE),
+    # x1 is cheaper: suboptimal
+    ([2.0, 1.0], [[1.0, 1.0]], [1.0], (0,), LPStatus.BASIS_SUBOPTIMAL),
+    # m = n: no nonbasic reduced cost, where np.min saw only the zeros
+    ([1.0, -3.0], [[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0], (0, 1), LPStatus.OPTIMAL),
+    # x_B overflows to inf and -inf, and x_0 = -inf + inf is NaN
+    ([1.0, 1.0, 1.0, 1.0],
+     [[1.0, 1.0, 1.0, 0.0], [0.0, 1e-10, 0.0, 1.0], [0.0, 0.0, 1e-10, 1.0]],
+     [0.0, 1e308, -1e308], (0, 1, 2), LPStatus.OPTIMAL),
+    # y overflows: reduced costs -inf, then NaN (inf * 0); np.min gives NaN
+    ([1e308, 1.0, 1.0], [[1e-10, 1.0, 0.0]], [1.0], (0,), LPStatus.OPTIMAL),
+    # -0.0 in b, c and A: zero entries of either sign in x_B and rc
+    ([-0.0, 0.0, -0.0, 1.0], [[1.0, -0.0, 0.0, 1.0], [-0.0, 1.0, 1.0, -0.0]],
+     [-0.0, -0.0], (0, 1), LPStatus.OPTIMAL),
+], ids=["infeasible", "suboptimal", "m_equals_n", "nan_in_x_b", "nan_in_rc", "signed_zeros"])
+def test_solve_with_basis_matches_earlier_formulas_on_crafted_cases(c, A, b, basis, status):
+    lp = StandardFormLP(c, A, b)
+    basis = lp_core.BasisSignature(basis)
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference's overflows
+        for _ in range(2):  # the record's first use, then the kept one
+            assert _assert_earlier_formulas(lp, basis, basis) is status

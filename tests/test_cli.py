@@ -13,6 +13,8 @@ from tsagg import cli, evaluation
 from tsagg.cli import main
 from tsagg.data_io import (
     IoError,
+    OutOfRangeCFError,
+    ParseError,
     dump_json,
     load_config,
     read_clusters,
@@ -236,6 +238,26 @@ def test_solve_full_series_field_over_the_csv_limit_exits_2(instance, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "field larger than field limit" in err and "(line 2)" in err
+
+
+@pytest.mark.parametrize("row, kind, message", [
+    ("0,abc,0.5", ParseError, "bad demand 'abc'"),
+    ("0,1.0,1.5", OutOfRangeCFError, "capacity factor 1.5 outside [0, 1]"),
+])
+def test_solve_full_series_parse_error_names_the_series_file(
+        instance, tmp_path, capsys, row, kind, message):
+    (tmp_path / "series.csv").write_text(f"hour,demand,cf_wind\n{row}\n")
+    doc = json.loads((instance / "config.json").read_text())
+    doc["series"] = "series.csv"
+    del doc["horizon"]
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    series = tmp_path / "series.csv"
+    with pytest.raises(ParseError) as err:
+        load_config(tmp_path / "config.json")
+    assert (type(err.value), err.value.line) == (kind, 2)
+    assert str(err.value) == f"{series}: {message} (line 2)"
+    assert main(["solve-full", "--config", str(tmp_path / "config.json")]) == 2
+    assert capsys.readouterr().err == f"error: {series}: {message} (line 2)\n"
 
 
 # --- aggregate --------------------------------------------------------------

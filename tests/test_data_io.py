@@ -19,12 +19,14 @@ from tsagg.data_io import (
     SeriesBundle,
     SyntheticSpec,
     _check_written,
+    _clusters_doc,
     _integer,
     _number,
     _read_entries,
     _round12,
     default_spec,
     dispatch_summary,
+    dump_json,
     generate_synthetic,
     load_config,
     load_series,
@@ -803,3 +805,48 @@ def test_dispatch_summary_fields():
     assert doc["status"] == "optimal"
     _assert_close(doc["total_cost"], full.total_cost, rel=1e-12)
     assert sum(doc["regime_hours"].values()) == 2
+
+
+# --- dump_json ------------------------------------------------------------------
+
+def _round12_per_item(obj):
+    """The earlier ``_round12``: every item visited, every list copied."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12_per_item(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12_per_item(v) for v in obj]
+    return obj
+
+
+def _assert_dumped_as_json_module(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    dump_json(doc, path)
+    assert path.read_bytes() == (json.dumps(_round12_per_item(doc), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", ["default_year", "fleet"])
+def test_dump_json_writes_the_json_module_bytes_of_clusters_files(name, tmp_path):
+    system = generate_synthetic(default_spec()) if name == "default_year" else build_fleet(0)
+    comparison = compare_methods_detailed(system)
+    for model in (comparison.kmeans_model, comparison.basis_model):
+        _assert_dumped_as_json_module(_clusters_doc(model), tmp_path)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"empty": [], "nested": [[], {}, [[]]], "obj": {}},
+    {"bools": [True, False, True], "mixed": [1, True, 0, False], "one": [False]},
+    {"zeros": [-0.0, 0.0, [-0.0]], "floats": [1 / 3, 1e-300, 2.0 ** 60, -1.5e308]},
+    {"big": [2 ** 53 + 1, -(2 ** 63) - 1, 10 ** 30, 0, -1], "alone": 2 ** 64},
+    {"nonfinite": [math.nan, math.inf, -math.inf], "none": [None, 1, "a"]},
+    {"text": ["é \"q\" \\ \n \u2028", ""], "tuple": (1, 2, (3.25, [4]))},
+    [1, 2, 3],
+    [[1, 2], [3], 4.0],
+    12345678901234567890,
+    -0.0,
+])
+def test_dump_json_writes_the_json_module_bytes(doc, tmp_path):
+    _assert_dumped_as_json_module(doc, tmp_path)

@@ -1,6 +1,7 @@
 """Dispatch construction and solve tests against hand-checked and oracle values."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -13,13 +14,14 @@ from systems import (
     THERMAL,
     WIND,
     degenerate_system,
+    fleet_at_boundaries,
     fleet_system,
     near_boundary_system,
     random_system,
     thermal_wind,
 )
 from tsagg import _kernels
-from tsagg.data_io import default_spec, generate_synthetic
+from tsagg.data_io import default_spec, generate_synthetic, regime_fractions
 from tsagg.dispatch_model import (
     CostNotDominantError,
     DispatchKind,
@@ -78,6 +80,28 @@ def test_pmin_shift_lands_in_rhs():
     lp = StandardFormLP(*_template(system), hourly_rhs(system, 0))
     np.testing.assert_array_equal(lp.b, [30.0, 80.0])  # D - pmin, cap - pmin
     assert cost_offset(system) == 200.0
+
+
+# D36: 1e16 + 1 rounds back to 1e16 (a tie, to even), so these terms add
+# up to 1e16 left to right, as the builtin ``sum`` gives them up to Python
+# 3.11; its compensated sum from 3.12 on gives 1e16 + 2.
+D36_TERMS = (1e16, 1.0, 1.0)
+
+
+def test_float_totals_add_left_to_right():
+    assert math.fsum(D36_TERMS) == 1e16 + 2.0
+    must_run = SystemData(
+        tuple(Generator(f"g{i}", t, t, p_min=1.0) for i, t in enumerate(D36_TERMS)), [1e16 + 2.0])
+    assert cost_offset(must_run) == 1e16
+    # the floors 1e16, 1, 1 meet a demand of 1e16 (+2 would not)
+    floors = SystemData(
+        tuple(Generator(f"g{i}", 1.0 + i, t, p_min=t) for i, t in enumerate(D36_TERMS)), [1e16])
+    assert regime_fractions(floors) == {"g0 marginal": 1.0}
+    # one unit at cost 1: each hour's objective is its demand
+    hours = SystemData((Generator("g", 1.0, 2e16),), list(D36_TERMS))
+    full = solve_full(hours)
+    assert full.objective.tolist() == list(D36_TERMS)
+    assert full.total_cost == 1e16
 
 
 def test_only_rhs_varies_across_hours():
@@ -544,6 +568,17 @@ def test_only_hours_built_next_to_a_boundary_are_optimal_only_within_tolerance(s
     got, tolerance_only = _exact_classes(near_boundary_system(np.random.default_rng(seed)))
     assert got == counts
     assert all(h >= 18 for h in tolerance_only)
+
+
+@pytest.mark.parametrize("seed, counts, hours", [
+    (0, (314, 15, 7), [83, 126, 161, 179, 200, 310, 320]),
+    (1, (317, 17, 2), [63, 176]),
+])
+def test_fleets_moved_to_boundaries_are_optimal_only_within_tolerance_there(seed, counts, hours):
+    """Every hour of these fleets sits at a merit-order boundary, up to an
+    offset or a few ulp, so the tolerance-only hours are boundary hours by
+    construction; their count and place are pinned."""
+    assert _exact_classes(fleet_at_boundaries(np.random.default_rng(seed))) == (counts, hours)
 
 
 def test_exact_basis_check_flags_an_hour_given_another_hours_basis():

@@ -14,12 +14,13 @@ from tsagg.evaluation import (
     SampleRejectedError,
     TheoremCheckResult,
     ZeroBaselineError,
+    _means,
     compare_methods,
     output_error,
     run_theorem_trials,
     theorem_check,
 )
-from tsagg.lp_core import BasisSignature, StandardFormLP, solve
+from tsagg.lp_core import BasisSignature, LPStatus, StandardFormLP, solve, solve_with_basis
 from tsagg.tsa_clustering import kmeans, normalize_features, to_representatives
 from tsagg.dispatch_model import solve_aggregated
 
@@ -85,6 +86,69 @@ def test_theorem_check_cone_samples_pass():
         res = theorem_check(lp, sol.basis, samples)
         assert res.failures == 0
         assert res.worst_objective_gap <= 1e-9
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _random_rows(rng, count, m):
+    """``count`` rows of m floats over nine decades, a tenth of them +-0.0."""
+    rows = rng.uniform(-1.0, 1.0, (count, m)) * 10.0 ** rng.integers(-4, 5, (count, m))
+    rows[rng.uniform(size=(count, m)) < 0.1] = 0.0
+    return rows * rng.choice([-1.0, 1.0], (count, m))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 8, 9, 20, 300])
+def test_theorem_check_means_are_numpys_bit_for_bit(count):
+    rng = np.random.default_rng(count)
+    for m in (1, 2, 3, 5):
+        for _ in range(20):
+            rows = _random_rows(rng, count, m)
+            objs = rows[:, 0].tolist()
+            b_mean, mean_of_objs = _means(rows.tolist(), objs)
+            assert _bits(b_mean) == _bits(np.mean(np.stack(list(rows)), axis=0))
+            assert _bits(mean_of_objs) == _bits(float(np.mean(objs)))
+
+
+def _theorem_check_with_numpy_means(lp_template, basis, rhs_samples):
+    """``theorem_check`` as it was with ``np.stack``/``np.mean``."""
+    objs, stack = [], []
+    for b in rhs_samples:
+        sol = solve_with_basis(lp_template.with_rhs(b), basis)
+        assert sol.status is LPStatus.OPTIMAL
+        objs.append(sol.objective)
+        stack.append(np.asarray(b, dtype=float))
+    b_mean = np.mean(np.stack(stack), axis=0)
+    mean_of_objs = float(np.mean(objs))
+    scale = max(1.0, abs(mean_of_objs))
+    at_mean = solve_with_basis(lp_template.with_rhs(b_mean), basis)
+    fresh = solve(lp_template.with_rhs(b_mean))
+    gap = abs(at_mean.objective - mean_of_objs) / scale
+    fresh_gap = abs(fresh.objective - at_mean.objective) / scale
+    return at_mean.status, fresh.status, float(max(gap, fresh_gap))
+
+
+@pytest.mark.parametrize("count", [9, 20])
+def test_theorem_check_with_many_samples_matches_numpy_means(count):
+    rng = np.random.default_rng(40 + count)
+    checked = 0
+    while checked < 40:
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(m, 11))
+        A = rng.normal(size=(m, n))
+        lp = StandardFormLP(rng.uniform(0.0, 1.0, n), A, A @ rng.uniform(0.0, 1.0, n))
+        sol = solve(lp)
+        if sol.status is not LPStatus.OPTIMAL:
+            continue
+        checked += 1
+        B = A[:, list(sol.basis.indices)]
+        samples = [B @ rng.uniform(0.0, 2.0, m) for _ in range(count)]
+        res = theorem_check(lp, sol.basis, samples)
+        at_mean, fresh, gap = _theorem_check_with_numpy_means(lp, sol.basis, samples)
+        assert (at_mean, fresh) == (LPStatus.OPTIMAL, LPStatus.OPTIMAL)
+        assert res.worst_basis_violation is None
+        assert _bits(res.worst_objective_gap) == _bits(gap)
 
 
 def test_theorem_check_rejects_sample_outside_cone():

@@ -50,7 +50,7 @@ def test_basis_eval_matches_numpy_linalg():
             continue
         checked += 1
         idx = np.sort(basis)
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, idx, PIVOT_EPS, _kernels.Family())
+        ok, x, rc, obj, _, _ = _kernels.basis_eval(c, A, b, idx, PIVOT_EPS, _kernels.Family())
         assert ok
         B = A[:, idx]
         xb = np.linalg.solve(B, b)
@@ -60,6 +60,16 @@ def test_basis_eval_matches_numpy_linalg():
         expected_rc[idx] = 0.0
         np.testing.assert_allclose(rc, expected_rc, rtol=1e-8, atol=1e-8)
         assert obj == pytest.approx(float(c[idx] @ xb), rel=1e-10, abs=1e-10)
+
+
+def test_min_is_np_min_up_to_the_sign_of_a_zero():
+    rng = np.random.default_rng(8)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf, 1e-9, -1e-9])
+    for _ in range(3000):
+        n = int(rng.integers(0, 30))
+        v = np.where(rng.uniform(size=n) < 0.5, rng.choice(pool, n), rng.normal(size=n))
+        got, ref = _kernels._min(v.tolist()), v.min(initial=np.inf)
+        assert got == ref or (np.isnan(got) and np.isnan(ref))
 
 
 def test_lu_factor_flags_singular_matrix():
@@ -105,12 +115,18 @@ def test_basis_eval_bitwise_equal_to_reference():
     singular = 0
     for _ in range(2400):
         c, A, b, basis = _random_basis_case(rng)
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, _kernels.Family())
+        ok, x, rc, obj, x_min, rc_min = _kernels.basis_eval(
+            c, A, b, basis, PIVOT_EPS, _kernels.Family())
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
         assert ok == ok_ref
         assert _bits(x) == _bits(x_ref)
         assert _bits(rc) == _bits(rc_ref)
         assert _bits(obj) == _bits(obj_ref)
+        if ok:
+            # The minima are np.min's, up to the sign of a zero.
+            nonbasic = np.setdiff1d(np.arange(len(c)), basis)
+            assert x_min == x_ref[basis].min()
+            assert rc_min == rc_ref[nonbasic].min(initial=np.inf)
         singular += not ok
     assert singular >= 100
 
@@ -131,7 +147,7 @@ def test_basis_eval_keeps_zero_terms_and_row_swaps(b):
     b = np.array(b)
     family = _kernels.Family()
     for _ in range(2):  # the record's first use, then the kept one
-        ok, x, rc, obj = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, family)
+        ok, x, rc, obj, _, _ = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, family)
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
         assert ok and ok_ref
         assert _bits(x) == _bits(x_ref)
