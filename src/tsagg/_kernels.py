@@ -12,19 +12,20 @@ leaves out phase 1's artificial columns: no decision and no other column
 ever reads them, so they are write-only (both arguments are in
 ``simplex``).
 
-Each basis of a (c, A) family has one ``_Basis`` record in its ``Family``:
-the LU solve of B as an op list, c_B, the reduced costs, their smallest
-nonbasic entry and the duals.  ``simplex`` first tries two of the bases
-the tableau has ended in twice: the most recently accepted, then the one
-of highest dual bound on b, the only other that can be b's unique optimum.  It skips the tableau
-where one is and returns that record with its x_B, which ``evaluate``
-takes in place of its own solve and scatters into x through the record's
-index list; so an hour in a registered cone costs about one LU solve, run
-over the basis's nonzero LU terms only, bit for bit (see ``_solve``).  A
-dispatch B is one balance row plus bound rows: on a 12-unit fleet
-(m = 14) a basis keeps about 45 of its 182 terms.  ``dispatch_model``
-keeps one family per system, so its aggregated solves test the full
-solve's cones too.  Only this module reads or writes a family's entries.
+Each basis of a (c, A) family has one ``_Basis`` record in its ``Family``,
+keyed by its sorted index tuple: B's LU solve as an op list, c_B, the
+reduced costs, their smallest nonbasic entry and the duals, solved on the
+op list of B^T.  ``simplex`` first tries two of the bases the tableau has
+ended in twice: the most recently accepted, then the one of highest dual
+bound on b, the only other that can be b's unique optimum, and skips the
+tableau where one is.  Every OPTIMAL call returns its record with x_B,
+which ``evaluate`` scatters into x; so an hour in a registered cone costs
+about one LU solve, run over the basis's nonzero LU terms only, bit for
+bit (see ``_solve``).  A dispatch B is one balance row plus bound rows: on
+a 12-unit fleet (m = 14) a basis keeps about 45 of its 182 terms.
+``dispatch_model`` keeps one family per system, so its aggregated solves
+test the full solve's cones too.  Only this module reads or writes a
+family's entries.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -55,12 +56,16 @@ BACKEND = "numpy"
 # Factorisation helpers.
 # ---------------------------------------------------------------------------
 
-def _lu(M, perm, pivot_eps):
-    """LU-factorise square M (a list of row lists) in place, partial pivoting.
+def _lu_factor(M, perm, pivot_eps):
+    """LU-factorise square M (a list of row lists) in place, partial
+    pivoting, into ``_solve``'s op list, or None once the best pivot
+    magnitude left is below ``pivot_eps``.
 
-    ``perm`` records the row swap made at each elimination step.  Returns
-    False once the best pivot magnitude left is below ``pivot_eps``, else
-    True, with L's multipliers below M's diagonal and U on and above it.
+    ``perm`` records the row swap made at each elimination step.  The list
+    holds swaps (k, p), forward terms (i, j, l) and backward rows
+    (i, pivot, terms (j, u)), in order.  It keeps every term, exact zeros
+    included, which ``evaluate`` needs (see ``_solve``); ``_zero_free``
+    gives the cone test its own list.
     """
     m = len(M)
     for k in range(m):
@@ -72,7 +77,7 @@ def _lu(M, perm, pivot_eps):
                 best = v
                 p = i
         if best < pivot_eps:
-            return False
+            return None
         perm[k] = p
         if p != k:
             M[k], M[p] = M[p], M[k]
@@ -84,20 +89,6 @@ def _lu(M, perm, pivot_eps):
             l = ri[k] / piv
             ri[k] = l
             ri[k + 1:] = [v - l * u for v, u in zip(ri[k + 1:], tail)]
-    return True
-
-
-def _lu_factor(M, perm, pivot_eps):
-    """``_lu``, then the solve as ``_solve``'s op list, or None if M is singular.
-
-    The list holds swaps (k, p), forward terms (i, j, l) and backward rows
-    (i, pivot, terms (j, u)), in order.  It keeps every term, exact zeros
-    included, which ``evaluate`` needs (see ``_solve``); ``_zero_free``
-    gives the cone test its own list.
-    """
-    if not _lu(M, perm, pivot_eps):
-        return None
-    m = len(M)
     swaps = [(k, p) for k, p in enumerate(perm) if p != k]
     forward = [(i, j, M[i][j]) for i in range(1, m) for j in range(i)]
     backward = [
@@ -105,30 +96,6 @@ def _lu_factor(M, perm, pivot_eps):
         for i in range(m - 1, -1, -1)
     ]
     return swaps, forward, backward
-
-
-def _lu_solve(LU, perm, rhs):
-    """``_solve`` of ``_lu_factor``'s list for the same M, run on ``_lu``'s
-    factor in place: the same operations in the same order, for a factor
-    that is applied once."""
-    x = list(rhs)
-    for k, p in enumerate(perm):
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-    m = len(x)
-    for i in range(1, m):
-        row = LU[i]
-        s = x[i]
-        for j in range(i):
-            s -= row[j] * x[j]
-        x[i] = s
-    for i in range(m - 1, -1, -1):
-        row = LU[i]
-        s = x[i]
-        for j in range(i + 1, m):
-            s -= row[j] * x[j]
-        x[i] = s / row[i]
-    return x
 
 
 def _solve(ops, rhs, floor=None):
@@ -203,9 +170,9 @@ def _basis_factor(c, A, basis, pivot_eps):
     """The b-independent half of a basis evaluation, or None if B is singular.
 
     Returns (solve ops of B, c_B, reduced costs as a list, duals y).  The
-    duals y = B^-T c_B are solved on their own LU of B^T (solving them with
-    the LU of B would round them differently and move the pinned outputs),
-    in place, as that factor is used once.  The reduced costs are
+    duals y = B^-T c_B are solved on the op list of B^T's own LU (solving
+    them with the LU of B would round them differently and move the pinned
+    outputs).  The reduced costs are
     ``c - y[0] * A[0] - y[1] * A[1] ...``, row by row, so each element sees
     its m subtractions in the order i, then zero at the basic indices.
     """
@@ -214,11 +181,11 @@ def _basis_factor(c, A, basis, pivot_eps):
     ops = _lu_factor(B.tolist(), [0] * m, pivot_eps)
     if ops is None:
         return None
-    Bt, perm = B.T.tolist(), [0] * m
-    if not _lu(Bt, perm, pivot_eps):
+    dual = _lu_factor(B.T.tolist(), [0] * m, pivot_eps)
+    if dual is None:
         return None
     cb = c[basis].tolist()
-    y = _lu_solve(Bt, perm, cb)
+    y = _solve(dual, cb)
     rc = c.tolist()
     for yi, row in zip(y, A.tolist()):
         rc = [r - yi * a for r, a in zip(rc, row)]
@@ -242,10 +209,10 @@ def _min(values):
 
 
 class _Basis:
-    """One basis of a family: read-only ``idx``, the same indices as the
-    list ``cols``, and ``_basis_factor``'s ``ops``, ``cb``, ``rc`` (an
-    array) and ``y`` (if B is singular, None but for zero reduced costs,
-    which is what ``basis_eval`` returns then).
+    """One basis of a family: its index tuple ``cols``, the family key, as
+    the read-only array ``idx`` too, and ``_basis_factor``'s ``ops``,
+    ``cb``, ``rc`` (an array) and ``y`` (if B is singular, None but for
+    zero reduced costs, which is what ``basis_eval`` returns then).
 
     ``rc_min``, the smallest nonbasic reduced cost by ``_min`` (inf if
     every column is basic), is computed here, once: ``basis_eval`` returns
@@ -258,10 +225,10 @@ class _Basis:
 
     __slots__ = ("idx", "cols", "ops", "cb", "rc", "y", "rc_min", "free", "tag")
 
-    def __init__(self, c, A, idx, pivot_eps):
-        self.idx = idx = np.array(idx, dtype=np.int64)
+    def __init__(self, c, A, cols, pivot_eps):
+        self.cols = cols
+        self.idx = idx = np.array(cols, dtype=np.int64)
         idx.setflags(write=False)
-        self.cols = cols = idx.tolist()
         factor = _basis_factor(c, A, idx, pivot_eps)
         self.ops, self.cb, rc, self.y = factor or (None, None, [0.0] * len(c), None)
         self.rc = np.array(rc)
@@ -271,7 +238,7 @@ class _Basis:
 
 
 class Family(dict):
-    """Basis index array bytes -> ``_Basis`` record, for one (c, A) only.
+    """Basis index tuple -> ``_Basis`` record, for one (c, A) only.
 
     ``cone`` holds the registered records in registration order, ``duals``
     their stacked y as a (K, m) array once K >= 2, and ``mru`` the index
@@ -287,16 +254,13 @@ class Family(dict):
         self.mru = 0
 
 
-def evaluate(record, b, xb=None):
-    """``basis_eval``'s result for ``record``'s basis at b.  ``xb`` is the
-    x_B ``simplex`` returned with the record for this b, if any: the same
-    solve, so it is taken as is.
+def evaluate(record, xb):
+    """``basis_eval``'s result for ``record``'s basis at the b whose x_B,
+    solved on the record's op list (None if B is singular), is ``xb``.
     """
     rc = record.rc
     if record.ops is None:
         return False, np.zeros(len(rc)), rc.copy(), 0.0
-    if xb is None:
-        xb = _solve(record.ops, b.tolist())
     obj = 0.0
     x = [0.0] * len(rc)
     for j, cbk, xk in zip(record.cols, record.cb, xb):
@@ -314,17 +278,17 @@ def basis_eval(c, A, b, basis, pivot_eps, family):
     the caller's feasibility and optimality tests.  ok is False when a
     factorisation pivot falls below ``pivot_eps`` (x_min is inf then).
     Reduced costs at basic indices are zeroed exactly.  All but x_B, the
-    objective and x_min come from the basis's record in ``family``, made
-    on first use (a sighting for ``simplex``); a call solves x_B alone.
+    objective and x_min come from the record keyed by the index tuple
+    ``basis`` in ``family``, made on first use (a sighting for
+    ``simplex``); a call solves x_B alone.
     """
-    key = basis.tobytes()
-    record = family.get(key)
+    record = family.get(basis)
     if record is None:
-        record = family[key] = _Basis(c, A, basis, pivot_eps)
+        record = family[basis] = _Basis(c, A, basis, pivot_eps)
     if record.ops is None:
-        return (*evaluate(record, b), _INF, record.rc_min)
+        return (*evaluate(record, None), _INF, record.rc_min)
     xb = _solve(record.ops, b.tolist())
-    return (*evaluate(record, b, xb), _min(xb), record.rc_min)
+    return (*evaluate(record, xb), _min(xb), record.rc_min)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +363,8 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     basic column of each row as an int64 array (partial unless OPTIMAL),
     the number of pivots, and on OPTIMAL (record, x_B), else None.  The
     record is the returned basis's ``_Basis`` in ``family``; x_B = B^-1 b
-    is the list in sorted index order where the call solved it, else None.
-    It is what ``evaluate`` would solve, so it can be passed on there.
+    is the list in sorted index order, None only if B is singular, which
+    ``evaluate`` takes as is: the one x_B solve of an OPTIMAL call.
 
     Bland's rule: the entering column is the first j < n with reduced cost
     below ``-tol_opt``; the leaving row has the minimum ratio rhs / col over
@@ -430,11 +394,11 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     test): it accepts and returns exactly what the dense list would, as
     ``_solve`` argues, which keeps every term for ``evaluate``, the duals
     and registration.
-    Otherwise the tableau runs.  The first time it ends OPTIMAL in a basis,
-    the basis gets its record, factor included; a later ending in a record
-    not yet registered solves x_B and registers the basis if it is
-    nonsingular and passes the same test.  A record first made by
-    ``basis_eval`` counts as a sighting.  Only this path reads A's shape.
+    Otherwise the tableau runs and x_B is solved on the record of the
+    basis it ends OPTIMAL in, made, factor included, on the first such
+    ending; a later one registers a record not yet registered if it
+    passes the same test.  A record first made by ``basis_eval`` counts as
+    a sighting.  Only this path reads A's shape.
 
     Next to a regime boundary the answer is a tolerance answer, not the
     exact optimum: the tableau's tests hold within ``tol_feas`` and
@@ -482,15 +446,15 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     status, iters = _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter)
     hit = None
     if status == OPTIMAL:
-        idx = np.array(sorted(basis), dtype=np.int64)
-        key = idx.tobytes()
+        key = tuple(sorted(basis))
         record = family.get(key)
+        seen = record is not None
+        if not seen:
+            record = family[key] = _Basis(c, A, key, pivot_eps)
         xb = None
-        if record is None:
-            record = family[key] = _Basis(c, A, idx, pivot_eps)
-        elif record.ops is not None and record not in cone:
+        if record.ops is not None:
             xb = _solve(record.ops, bl)
-            if record.rc_min > tol_opt and min(xb) > tol_feas:
+            if seen and record not in cone and record.rc_min > tol_opt and min(xb) > tol_feas:
                 family.mru = len(cone)
                 cone.append(record)
                 if len(cone) > 1:

@@ -158,12 +158,13 @@ def theorem_check(
     scale = max(1.0, abs(mean_of_objs))
 
     violation = None
-    at_mean = solve_with_basis(lp_template.with_rhs(b_mean), basis)
+    mean_lp = lp_template.with_rhs(b_mean)
+    at_mean = solve_with_basis(mean_lp, basis)
     if at_mean.status is not LPStatus.OPTIMAL:
         violation = f"basis not optimal at averaged rhs ({at_mean.status.value})"
     gap = abs(at_mean.objective - mean_of_objs) / scale
 
-    fresh = solve(lp_template.with_rhs(b_mean))
+    fresh = solve(mean_lp)
     if fresh.status is not LPStatus.OPTIMAL:
         violation = violation or (
             f"fresh solve of averaged rhs is {fresh.status.value}"
@@ -203,6 +204,8 @@ def run_theorem_trials(n_trials: int, seed: int = 0) -> TheoremCheckResult:
     of the basis found by an initial solve, which is exactly the set of
     right-hand sides for which the basis stays optimal.
     """
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
     rng = np.random.default_rng(seed)
     results = []
     while len(results) < n_trials:

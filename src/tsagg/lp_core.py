@@ -7,19 +7,20 @@ anti-cycling and gives every input a single canonical optimal basis:
 solving the same bits twice returns the same basic index set.
 
 LPs made with ``StandardFormLP.with_rhs`` share their template's ``c``, ``A``
-and one ``_kernels.Family``: a record per basis of what depends on (c, A,
-basis) alone, B's factor, the duals and the reduced costs, so a basis is
-factorised once for the whole family and each evaluation then costs one
-triangular solve against its own b.  A basis the simplex has ended in twice
-is taken without pivoting for any later b whose unique optimum it is
-(``_kernels.simplex`` tries the last basis taken, then the one of top dual
-bound on b, the only other that weak duality lets pass), and the x_B that
-test solved is the one ``solve`` returns, so such an hour costs about one
-triangular solve in all.  Each basis gets one ``BasisSignature`` per
-family, kept on its record, which every solve that ends there shares.  A
-b that is already a float64 ndarray, as ``dispatch_model.hourly_rhs``
-returns, is copied once as it is and set read-only; its shape and
-finiteness are checked as for any b, with the same errors.
+and one ``_kernels.Family``: a record per basis, keyed by its signature's
+``indices`` tuple, of what depends on (c, A, basis) alone, B's factor, the
+duals and the reduced costs, so a basis is factorised once for the whole
+family and each evaluation then costs one triangular solve against its own
+b.  A basis the simplex has ended in twice is taken without pivoting for
+any later b whose unique optimum it is (``_kernels.simplex`` tries the last
+basis taken, then the one of top dual bound on b, the only other that weak
+duality lets pass).  ``solve`` returns the x_B that the simplex hands over
+with every optimal basis, so such an hour costs about one triangular solve
+in all.  Each basis gets one ``BasisSignature`` per family, kept on its
+record, which every solve that ends there shares.  A b that is already a
+float64 ndarray, as ``dispatch_model.hourly_rhs`` returns, is copied once
+as it is and set read-only; its shape and finiteness are checked as for any
+b, with the same errors.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -164,14 +164,6 @@ class BasisSignature:
             raise ValueError(f"negative basis index: {self.indices}")
         vars(self)["indices"] = idx  # frozen: set through the dict
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.indices, dtype=np.int64)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        """The indices as a read-only int64 array, built on first use."""
-        return readonly(self.indices, np.dtype(np.int64))
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -186,12 +178,12 @@ class LPSolution:
     iterations: int = 0
 
 
-def _check_basis(lp: StandardFormLP, basis: BasisSignature) -> np.ndarray:
+def _check_basis(lp: StandardFormLP, basis: BasisSignature) -> tuple[int, ...]:
     if len(basis) != lp.m:
         raise ValueError(f"basis has {len(basis)} indices, need m={lp.m}")
     if basis.indices and basis.indices[-1] >= lp.n:
         raise ValueError(f"basis index {basis.indices[-1]} out of range for n={lp.n}")
-    return basis._array
+    return basis.indices
 
 
 def solve(lp: StandardFormLP) -> LPSolution:
@@ -208,11 +200,11 @@ def solve(lp: StandardFormLP) -> LPSolution:
     )
     if status == _kernels.OPTIMAL:
         record, xb = hit
-        ok, x, rc, obj = _kernels.evaluate(record, lp.b, xb)
+        ok, x, rc, obj = _kernels.evaluate(record, xb)
         if not ok:
             raise NumericalFailureError("terminal basis factorisation broke down")
         if record.tag is None:
-            record.tag = BasisSignature(tuple(record.cols))
+            record.tag = BasisSignature(record.cols)
         return LPSolution(LPStatus.OPTIMAL, obj, x, record.tag, rc, iters)
     if status == _kernels.RANK_DEFICIENT:
         raise RankDeficientError("constraint matrix has dependent rows")
@@ -239,9 +231,8 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
     and the reduced costs are fresh arrays.  Raises SingularBasisError
     when B cannot be factorised.
     """
-    idx = _check_basis(lp, basis)
     ok, x, rc, obj, x_min, rc_min = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, idx, PIVOT_EPS, lp._cache)
+        lp.c, lp.A, lp.b, _check_basis(lp, basis), PIVOT_EPS, lp._cache)
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
     if x_min < -TOL_FEAS:

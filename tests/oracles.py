@@ -506,7 +506,7 @@ def dual_certificate(system, dispatch):
     c, A = _template(system)
     own, bases = dispatch.basis_ids, dispatch.distinct_bases
     Y = np.array([
-        np.linalg.solve(A[:, basis.as_array()].T, c[basis.as_array()])
+        np.linalg.solve(A[:, list(basis.indices)].T, c[list(basis.indices)])
         for basis in bases
     ])
     R = np.array([hourly_rhs(system, h) for h in range(system.horizon)])

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import dual_certificate, enumerate_lp, exact_basis_check
 from systems import (
+    SOLVER_SYSTEMS,
     THERMAL,
     WIND,
     degenerate_system,
@@ -41,7 +42,7 @@ from tsagg.dispatch_model import (
     solve_aggregated,
     solve_full,
 )
-from tsagg.lp_core import StandardFormLP
+from tsagg.lp_core import BasisSignature, StandardFormLP
 from tsbench.instances import build_fleet
 
 
@@ -602,6 +603,22 @@ def test_regime_labels_cover_three_structures():
     assert labels == ["wind marginal", "thermal marginal", "NSE"]
     counts = regime_counts(system, full)
     assert counts == {"wind marginal": 1, "thermal marginal": 1, "NSE": 1}
+
+
+def test_regime_label_names_a_basis_without_one_interior_unit_by_its_indices():
+    # units 0 and 1 both have their production and slack columns basic
+    system = generate_synthetic(default_spec())
+    assert regime_label(system, BasisSignature((0, 1, 3, 4))) == "degenerate (0, 1, 3, 4)"
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_SYSTEMS))
+def test_every_solved_basis_has_exactly_one_unit_with_both_columns_basic(name):
+    system = SOLVER_SYSTEMS[name]()
+    G = system.size
+    for basis in solve_full(system).distinct_bases:
+        basic = set(basis.indices)
+        assert sum(g in basic and G + g in basic for g in range(G)) == 1, basis
+        assert not regime_label(system, basis).startswith("degenerate"), basis
 
 
 def test_system_validation_errors():

@@ -165,6 +165,22 @@ def test_theorem_check_needs_samples():
         theorem_check(lp, solve(lp).basis, [])
 
 
+def test_theorem_check_builds_one_lp_per_sample_and_one_for_the_mean(monkeypatch):
+    lp = simple_lp()
+    basis = solve(lp).basis
+    built = []
+    init = StandardFormLP.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StandardFormLP, "__init__", counted_init)
+    samples = [np.array([1.0]), np.array([2.0]), np.array([4.0])]
+    assert theorem_check(lp, basis, samples).failures == 0
+    assert len(built) == len(samples) + 1
+
+
 def test_theorem_result_combine():
     a = TheoremCheckResult(3, 0, 1e-12, None)
     b = TheoremCheckResult(2, 1, 5e-9, "basis not optimal at averaged rhs")
@@ -186,6 +202,12 @@ def test_theorem_result_combine_keeps_largest_gap_violation():
     assert merged.worst_basis_violation == "basis not optimal at averaged rhs"
     assert merged.worst_objective_gap == 1e-3
     assert merged.failures == 4
+
+
+def test_run_theorem_trials_refuses_a_negative_count():
+    with pytest.raises(ValueError):
+        run_theorem_trials(-3)
+    assert run_theorem_trials(0) == TheoremCheckResult(0, 0, 0.0, None)
 
 
 def test_run_theorem_trials_small_batch_clean():

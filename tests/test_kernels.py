@@ -50,7 +50,8 @@ def test_basis_eval_matches_numpy_linalg():
             continue
         checked += 1
         idx = np.sort(basis)
-        ok, x, rc, obj, _, _ = _kernels.basis_eval(c, A, b, idx, PIVOT_EPS, _kernels.Family())
+        ok, x, rc, obj, _, _ = _kernels.basis_eval(
+            c, A, b, tuple(idx.tolist()), PIVOT_EPS, _kernels.Family())
         assert ok
         B = A[:, idx]
         xb = np.linalg.solve(B, b)
@@ -116,7 +117,7 @@ def test_basis_eval_bitwise_equal_to_reference():
     for _ in range(2400):
         c, A, b, basis = _random_basis_case(rng)
         ok, x, rc, obj, x_min, rc_min = _kernels.basis_eval(
-            c, A, b, basis, PIVOT_EPS, _kernels.Family())
+            c, A, b, tuple(basis.tolist()), PIVOT_EPS, _kernels.Family())
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
         assert ok == ok_ref
         assert _bits(x) == _bits(x_ref)
@@ -143,12 +144,12 @@ SWAPPED_B = np.array([[-2.0, -1.0, 0.0], [0.0, 0.0, -2.0], [-2.0, -2.0, -2.0]])
 def test_basis_eval_keeps_zero_terms_and_row_swaps(b):
     A = np.column_stack([SWAPPED_B[:, 1], [1.0, 0.0, 3.0], SWAPPED_B[:, 2], SWAPPED_B[:, 0]])
     c = np.array([2.0, -1.0, 0.5, 3.0])
-    basis = np.array([3, 0, 2])  # B = SWAPPED_B
+    basis = (3, 0, 2)  # B = SWAPPED_B
     b = np.array(b)
     family = _kernels.Family()
     for _ in range(2):  # the record's first use, then the kept one
         ok, x, rc, obj, _, _ = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, family)
-        ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
+        ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, np.array(basis), PIVOT_EPS)
         assert ok and ok_ref
         assert _bits(x) == _bits(x_ref)
         assert _bits(rc) == _bits(rc_ref)
@@ -713,30 +714,22 @@ def test_accepted_cone_tests_run_on_the_zero_free_list(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["default_year", "fleet4", "degenerate"])
-def test_simplex_returns_the_x_b_that_basis_eval_would_solve(name, monkeypatch):
-    """Each OPTIMAL call returns its basis's one record in the family, and
-    x_B bitwise what the reference evaluation gives, except where the
-    tableau ran and ended in a basis it had not seen or had registered
-    already: there x_B is None."""
-    tableau = _count_calls(monkeypatch, "_two_phase")
+def test_simplex_returns_the_x_b_that_basis_eval_would_solve(name):
+    """Each OPTIMAL call returns its basis's one record in the family, keyed
+    by the sorted index tuple, and x_B bitwise what the reference
+    evaluation gives."""
     system = SOLVER_SYSTEMS[name]()
     c, A = _template(system)
     family, records = _kernels.Family(), {}
     for h in range(system.horizon):
         b = hourly_rhs(system, h)
-        registered = set(map(id, family.cone))
-        solves = len(tableau)
         st, basis, _, (record, xb) = _kernels.simplex(
             c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, family
         )
         assert st == _kernels.OPTIMAL
         idx = np.sort(basis)
         key = tuple(idx.tolist())
-        first = key not in records
         assert records.setdefault(key, record) is record
-        assert family[idx.tobytes()] is record and tuple(record.idx.tolist()) == key
-        ran = len(tableau) > solves
-        assert (xb is None) == (ran and (first or id(record) in registered)), h
-        if xb is not None:
-            ok, x, _, _ = basis_eval_reference(c, A, b, idx, PIVOT_EPS)
-            assert ok and _bits(xb) == _bits(x[idx]), h
+        assert family[key] is record and record.cols == key == tuple(record.idx.tolist())
+        ok, x, _, _ = basis_eval_reference(c, A, b, idx, PIVOT_EPS)
+        assert ok and _bits(xb) == _bits(x[idx]), h
