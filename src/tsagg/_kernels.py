@@ -18,14 +18,14 @@ reduced costs, their smallest nonbasic entry and the duals, solved on the
 op list of B^T.  ``simplex`` first tries two of the bases the tableau has
 ended in twice: the most recently accepted, then the one of highest dual
 bound on b, the only other that can be b's unique optimum, and skips the
-tableau where one is.  Every OPTIMAL call returns its record with x_B,
-which ``evaluate`` scatters into x; so an hour in a registered cone costs
-about one LU solve, run over the basis's nonzero LU terms only, bit for
-bit (see ``_solve``).  A dispatch B is one balance row plus bound rows: on
-a 12-unit fleet (m = 14) a basis keeps about 45 of its 182 terms.
-``dispatch_model`` keeps one family per system, so its aggregated solves
-test the full solve's cones too.  Only this module reads or writes a
-family's entries.
+tableau where one passes ``_cone_x``, the one cone test.  Every OPTIMAL
+call returns its record with x_B, which ``evaluate`` scatters into x; so
+an hour in a registered cone costs about one LU solve, run over the
+basis's nonzero LU terms only, bit for bit (see ``_solve``).  A dispatch
+B is one balance row plus bound rows: on a 12-unit fleet (m = 14) a
+basis keeps about 45 of its 182 terms.  ``dispatch_model`` keeps one
+family per system, so its aggregated solves test the full solve's cones
+too.  Only this module reads or writes a family's entries.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -33,6 +33,8 @@ Any edit here has to keep each nonzero float produced by the same
 operations in the same order; ``tests/oracles.py`` keeps the earlier numpy
 kernels as the bitwise reference.  Kernels return integer status codes;
 the public wrappers in ``lp_core`` translate them into exceptions and enums.
+Every kernel works at the one set of tolerances below, which ``lp_core``
+re-exports.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ UNBOUNDED = 2
 RANK_DEFICIENT = 3
 NUMERICAL = 4
 
+# Feasibility and optimality tolerances, and the smallest pivot magnitude.
+TOL_FEAS = 1e-9
+TOL_OPT = 1e-9
+PIVOT_EPS = 1e-11
+
 _INF = float("inf")
 
 # One backend only; the name is kept because benchmark records report it.
@@ -56,18 +63,18 @@ BACKEND = "numpy"
 # Factorisation helpers.
 # ---------------------------------------------------------------------------
 
-def _lu_factor(M, perm, pivot_eps):
+def _lu_factor(M):
     """LU-factorise square M (a list of row lists) in place, partial
     pivoting, into ``_solve``'s op list, or None once the best pivot
-    magnitude left is below ``pivot_eps``.
+    magnitude left is below ``PIVOT_EPS``.
 
-    ``perm`` records the row swap made at each elimination step.  The list
-    holds swaps (k, p), forward terms (i, j, l) and backward rows
-    (i, pivot, terms (j, u)), in order.  It keeps every term, exact zeros
-    included, which ``evaluate`` needs (see ``_solve``); ``_zero_free``
-    gives the cone test its own list.
+    The list holds the row swaps (k, p) made at elimination step k,
+    forward terms (i, j, l) and backward rows (i, pivot, terms (j, u)), in
+    order.  It keeps every term, exact zeros included, which ``evaluate``
+    needs (see ``_solve``); ``_zero_free`` gives the cone test its own list.
     """
     m = len(M)
+    swaps = []
     for k in range(m):
         p = k
         best = abs(M[k][k])
@@ -76,10 +83,10 @@ def _lu_factor(M, perm, pivot_eps):
             if v > best:
                 best = v
                 p = i
-        if best < pivot_eps:
+        if best < PIVOT_EPS:
             return None
-        perm[k] = p
         if p != k:
+            swaps.append((k, p))
             M[k], M[p] = M[p], M[k]
         rk = M[k]
         piv = rk[k]
@@ -89,7 +96,6 @@ def _lu_factor(M, perm, pivot_eps):
             l = ri[k] / piv
             ri[k] = l
             ri[k + 1:] = [v - l * u for v, u in zip(ri[k + 1:], tail)]
-    swaps = [(k, p) for k, p in enumerate(perm) if p != k]
     forward = [(i, j, M[i][j]) for i in range(1, m) for j in range(i)]
     backward = [
         (i, M[i][i], [(j, M[i][j]) for j in range(i + 1, m)])
@@ -102,30 +108,21 @@ def _solve(ops, rhs, floor=None):
     """Solve against ``_lu_factor``'s op list: a new list from ``rhs``.
 
     With a ``floor``, returns None instead as soon as the backward pass
-    finishes an entry that is not above it (NaN included), so a rejected
+    finishes an entry that is not above it (NaN included), so a refused
     cone candidate (see ``simplex``) skips the rows left.  A list returned
     is the same with or without a floor.
 
     On the dense list an exact zero term can still flip the sign of a zero
-    in x, so ``evaluate`` keeps every term.  The cone test runs on
-    ``_zero_free``'s list, which leaves out the zero l and u terms, and
-    that gives the dense list's decision and x_B bit for bit:
-
-    - A dropped term is ``0 * x[j]``: +-0 when x[j] is finite, NaN when
-      not.  Subtracting +-0 leaves a nonzero or infinite value as it is
-      and can only flip the sign of a zero; divisors are pivots, never
-      zero.  So every dense intermediate either equals the zero-free one
-      up to the sign of a zero, or is NaN.
-    - Hence a zero-free rejection implies a dense one: +-0 compare the
-      same against the floor, and NaN never passes it.
-    - A non-finite intermediate never becomes finite again on the
-      zero-free list (each term left has a nonzero factor), so if every
-      zero-free entry is finite, every intermediate was, no dropped term
-      was NaN, and the dense entries differ at most in the sign of a
-      zero: if none is zero, the two lists are bitwise equal.
-    - An accepted list with a zero entry (possible at a negative floor) or
-      an infinite one is therefore solved again on the dense list, which
-      decides, as ``_cone_solve`` does.
+    in x, so ``evaluate`` keeps every term.  ``_cone_x`` solves on
+    ``_zero_free``'s list, which leaves out the zero l and u terms, at the
+    floor ``TOL_FEAS`` and refuses an infinite entry; an x_B it accepts is
+    the dense list's bit for bit.  A dropped term is ``0 * x[j]``: +-0
+    when x[j] is finite, NaN when not.  Subtracting +-0 changes at most
+    the sign of a zero, and divisors are pivots, never zero.  A non-finite
+    value never becomes finite again on the zero-free list (each term left
+    has a nonzero factor), so when every entry is finite no dropped term
+    was NaN, and the dense entries differ at most in the sign of a zero;
+    above a positive floor none is zero.
     """
     swaps, forward, backward = ops
     x = list(rhs)
@@ -154,19 +151,7 @@ def _zero_free(ops):
     )
 
 
-def _cone_solve(ops, free, rhs, floor):
-    """``_solve(ops, rhs, floor)``, bitwise, mostly run on ``free``.
-
-    ``free`` is ``_zero_free(ops)``; its result stands unless it accepts
-    an entry that is zero or infinite (see ``_solve``).
-    """
-    x = _solve(free, rhs, floor)
-    if x is not None and (0.0 in x or _INF in x):
-        return _solve(ops, rhs, floor)
-    return x
-
-
-def _basis_factor(c, A, basis, pivot_eps):
+def _basis_factor(c, A, basis):
     """The b-independent half of a basis evaluation, or None if B is singular.
 
     Returns (solve ops of B, c_B, reduced costs as a list, duals y).  The
@@ -176,12 +161,11 @@ def _basis_factor(c, A, basis, pivot_eps):
     ``c - y[0] * A[0] - y[1] * A[1] ...``, row by row, so each element sees
     its m subtractions in the order i, then zero at the basic indices.
     """
-    m = A.shape[0]
     B = A[:, basis]
-    ops = _lu_factor(B.tolist(), [0] * m, pivot_eps)
+    ops = _lu_factor(B.tolist())
     if ops is None:
         return None
-    dual = _lu_factor(B.T.tolist(), [0] * m, pivot_eps)
+    dual = _lu_factor(B.T.tolist())
     if dual is None:
         return None
     cb = c[basis].tolist()
@@ -216,20 +200,20 @@ class _Basis:
 
     ``rc_min``, the smallest nonbasic reduced cost by ``_min`` (inf if
     every column is basic), is computed here, once: ``basis_eval`` returns
-    it for ``lp_core``'s optimality test, and ``simplex`` reads it at
-    registration and in the cone test.  ``free``, the ``_zero_free`` op
-    list, is set on the first cone test, so a basis never tested never
-    pays for it.  ``tag`` is the caller's: ``lp_core`` keeps the basis's
-    one signature there.
+    it for ``lp_core``'s optimality test, and ``simplex`` compares it with
+    ``TOL_OPT`` at registration and in ``_cone_x``.  ``free``, the
+    ``_zero_free`` op list, is set by the first ``_cone_x``, so a basis
+    never tested never pays for it.  ``tag`` is the caller's: ``lp_core``
+    keeps the basis's one signature there.
     """
 
     __slots__ = ("idx", "cols", "ops", "cb", "rc", "y", "rc_min", "free", "tag")
 
-    def __init__(self, c, A, cols, pivot_eps):
+    def __init__(self, c, A, cols):
         self.cols = cols
         self.idx = idx = np.array(cols, dtype=np.int64)
         idx.setflags(write=False)
-        factor = _basis_factor(c, A, idx, pivot_eps)
+        factor = _basis_factor(c, A, idx)
         self.ops, self.cb, rc, self.y = factor or (None, None, [0.0] * len(c), None)
         self.rc = np.array(rc)
         basic = set(cols)
@@ -269,14 +253,14 @@ def evaluate(record, xb):
     return True, np.array(x), rc.copy(), obj
 
 
-def basis_eval(c, A, b, basis, pivot_eps, family):
+def basis_eval(c, A, b, basis, family):
     """Evaluate a basis B = A[:, basis]: x_B = B^-1 b, duals, reduced costs.
 
     Returns (ok, x, reduced_costs, objective, x_min, rc_min): fresh arrays
     and the objective as ``evaluate`` gives them, then the smallest x_B
     entry and the record's ``rc_min``, both as ``_min`` gives them, for
     the caller's feasibility and optimality tests.  ok is False when a
-    factorisation pivot falls below ``pivot_eps`` (x_min is inf then).
+    factorisation pivot falls below ``PIVOT_EPS`` (x_min is inf then).
     Reduced costs at basic indices are zeroed exactly.  All but x_B, the
     objective and x_min come from the record keyed by the index tuple
     ``basis`` in ``family``, made on first use (a sighting for
@@ -284,7 +268,7 @@ def basis_eval(c, A, b, basis, pivot_eps, family):
     """
     record = family.get(basis)
     if record is None:
-        record = family[basis] = _Basis(c, A, basis, pivot_eps)
+        record = family[basis] = _Basis(c, A, basis)
     if record.ops is None:
         return (*evaluate(record, None), _INF, record.rc_min)
     xb = _solve(record.ops, b.tolist())
@@ -318,9 +302,9 @@ def _pivot(T, basis, r, jc):
     basis[r] = jc
 
 
-def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
+def _pivot_loop(T, basis, m, n_enter, max_iter, iters):
     """Bland pivots to (OPTIMAL, UNBOUNDED or NUMERICAL at the cap, iterations)."""
-    ntol = -tol_opt
+    ntol = -TOL_OPT
     while iters < max_iter:
         row = T[m]
         for enter in range(n_enter):  # Bland: the first improving column
@@ -334,7 +318,7 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
         for i in range(m):
             Ti = T[i]
             v = Ti[enter]
-            if v > pivot_eps:
+            if v > PIVOT_EPS:
                 q = Ti[-1] / v
                 if leave < 0 or q < best or (q == best and basis[i] < basis[leave]):
                     best = q
@@ -346,17 +330,24 @@ def _pivot_loop(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
     return NUMERICAL, iters
 
 
-def _cone_x(record, bl, tol_feas, tol_opt):
-    """x_B of registered ``record`` if it passes the cone test for b, else None."""
-    if not record.rc_min > tol_opt:
+def _cone_x(record, bl):
+    """x_B of registered ``record`` if it passes the cone test for b, else None.
+
+    The test: the smallest nonbasic reduced cost exceeds ``TOL_OPT``, and
+    x_B = B^-1 b, solved on the zero-free list, has every entry above
+    ``TOL_FEAS`` and none infinite; such an x_B is the dense list's, bit
+    for bit (see ``_solve``).
+    """
+    if not record.rc_min > TOL_OPT:
         return None
     free = record.free
     if free is None:
         free = record.free = _zero_free(record.ops)
-    return _cone_solve(record.ops, free, bl, tol_feas)
+    xb = _solve(free, bl, TOL_FEAS)
+    return None if xb is None or _INF in xb else xb
 
 
-def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
+def simplex(c, A, b, max_iter, family):
     """Two-phase Bland simplex on min c.x, A x = b, x >= 0.
 
     Returns (status, basis, iterations, hit): a status code above, the
@@ -367,42 +358,35 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     ``evaluate`` takes as is: the one x_B solve of an OPTIMAL call.
 
     Bland's rule: the entering column is the first j < n with reduced cost
-    below ``-tol_opt``; the leaving row has the minimum ratio rhs / col over
-    col > ``pivot_eps``, ties going to the smallest basic index.  The
+    below ``-TOL_OPT``; the leaving row has the minimum ratio rhs / col over
+    col > ``PIVOT_EPS``, ties going to the smallest basic index.  The
     phase-1 cost row subtracts the rows one by one in order, and the
     phase-2 row is ``row - cb * T[i]`` in order i.
 
-    ``family`` is the ``Family`` of this c and A.  A registered basis is
-    accepted when every x_B = B^-1 b exceeds ``tol_feas`` and every
-    nonbasic reduced cost exceeds ``tol_opt``: the call returns OPTIMAL,
-    the record's sorted ``idx`` (no tableau ran, so there is no row order),
-    0 pivots and that x_B, whatever ``max_iter``.  Such a basis is the
-    unique optimal one for b (Bertsimas & Tsitsiklis, *Introduction to
-    Linear Optimization*, ch. 3-4), so Bland's rule ends there too at
-    tolerances small against the data; a coarse ``tol_opt`` or
-    ``pivot_eps`` can stop it short.  At most two bases are tried: the
-    most recently accepted, since hours come in runs of one basis, then,
-    if it is another, the first of top dual bound y_j.b.  Every registered basis
-    is dual feasible, so y_j.b <= z(b), the optimal cost, by weak duality.
-    A basis that passes is primal nondegenerate, so its y is b's unique
-    optimal dual; any other basis with that y would have zero reduced
-    costs where this one's exceed ``tol_opt``.  So it alone attains z(b)
-    and ranks first up to rounding; should rounding rank another first,
-    the tableau runs and ends in it.  A candidate's solve stops at its
-    first x_B entry not above ``tol_feas``, and runs over the basis's
-    nonzero LU terms only (``_zero_free``, built on the basis's first
-    test): it accepts and returns exactly what the dense list would, as
-    ``_solve`` argues, which keeps every term for ``evaluate``, the duals
-    and registration.
+    ``family`` is the ``Family`` of this c and A.  A registered basis that
+    passes ``_cone_x`` is accepted: the call returns OPTIMAL, the record's
+    sorted ``idx`` (no tableau ran, so there is no row order), 0 pivots
+    and that x_B, whatever ``max_iter``.  Such a basis is the unique
+    optimal one for b (Bertsimas & Tsitsiklis, *Introduction to Linear
+    Optimization*, ch. 3-4), so Bland's rule ends there too.  At most two
+    bases are tried: the most recently accepted, since hours come in runs
+    of one basis, then, if it is another, the first of top dual bound
+    y_j.b.  Every registered basis is dual feasible, so y_j.b <= z(b), the
+    optimal cost, by weak duality.  A basis that passes is primal
+    nondegenerate, so its y is b's unique optimal dual; any other basis
+    with that y would have zero reduced costs where this one's exceed
+    ``TOL_OPT``.  So it alone attains z(b) and ranks first up to rounding;
+    should rounding rank another first, the tableau runs and ends in it.
     Otherwise the tableau runs and x_B is solved on the record of the
     basis it ends OPTIMAL in, made, factor included, on the first such
-    ending; a later one registers a record not yet registered if it
-    passes the same test.  A record first made by ``basis_eval`` counts as
-    a sighting.  Only this path reads A's shape.
+    ending; a later one registers a record not yet registered if its
+    reduced costs and that x_B pass the same three conditions.  A record
+    first made by ``basis_eval`` counts as a sighting.  Only this path
+    reads A's shape.
 
     Next to a regime boundary the answer is a tolerance answer, not the
-    exact optimum: the tableau's tests hold within ``tol_feas`` and
-    ``tol_opt``, so it can end in a basis with an x_B entry or a reduced
+    exact optimum: the tableau's tests hold within ``TOL_FEAS`` and
+    ``TOL_OPT``, so it can end in a basis with an x_B entry or a reduced
     cost below zero by about 1e-13 in exact arithmetic
     (``tests/oracles.exact_basis_check`` finds 7 and 2 such hours of 336
     on ``fleet_at_boundaries`` rng 0 and 1).
@@ -413,7 +397,7 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     zero, and then only the sign of that zero can differ.  A zero's sign
     never reaches a nonzero value: multiplying it gives a zero, adding it
     to a nonzero is exact, and no entry that is zero is ever a divisor,
-    since pivots exceed ``pivot_eps`` in magnitude.  And no decision sees
+    since pivots exceed ``PIVOT_EPS`` in magnitude.  And no decision sees
     it: each is a comparison against +-tol, or a ratio with a positive
     divisor compared with another, and +0.0 and -0.0 compare equal.
 
@@ -431,30 +415,31 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     cone = family.cone
     if cone:
         k = mru = family.mru
-        xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
+        xb = _cone_x(cone[k], bl)
         if xb is None and len(cone) > 1:
             scores = (family.duals @ b).tolist()
             k = scores.index(max(scores))
             if k != mru:
-                xb = _cone_x(cone[k], bl, tol_feas, tol_opt)
+                xb = _cone_x(cone[k], bl)
         if xb is not None:
             family.mru = k
             record = cone[k]
             return OPTIMAL, record.idx, 0, (record, xb)
     m, n = A.shape
     basis = list(range(n, n + m))
-    status, iters = _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter)
+    status, iters = _two_phase(c, A, bl, basis, max_iter)
     hit = None
     if status == OPTIMAL:
         key = tuple(sorted(basis))
         record = family.get(key)
         seen = record is not None
         if not seen:
-            record = family[key] = _Basis(c, A, key, pivot_eps)
+            record = family[key] = _Basis(c, A, key)
         xb = None
         if record.ops is not None:
             xb = _solve(record.ops, bl)
-            if seen and record not in cone and record.rc_min > tol_opt and min(xb) > tol_feas:
+            if (seen and record not in cone and record.rc_min > TOL_OPT
+                    and _min(xb) > TOL_FEAS and _INF not in xb):
                 family.mru = len(cone)
                 cone.append(record)
                 if len(cone) > 1:
@@ -463,7 +448,7 @@ def simplex(c, A, b, tol_feas, tol_opt, pivot_eps, max_iter, family):
     return status, np.array(basis, dtype=np.int64), iters, hit
 
 
-def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter):
+def _two_phase(c, A, bl, basis, max_iter):
     """The tableau solve of ``simplex``: pivots ``basis``, returns (status, iterations)."""
     m, n = A.shape
     T = []
@@ -479,11 +464,11 @@ def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter):
     for Ti in T:
         obj = [v - u for v, u in zip(obj, Ti)]
     T.append(obj)
-    status, iters = _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, 0)
+    status, iters = _pivot_loop(T, basis, m, n, max_iter, 0)
     if status != OPTIMAL:
         # Phase 1 is bounded below by zero, so failing to pivot is numeric.
         return NUMERICAL, iters
-    if -T[m][-1] > tol_feas:
+    if -T[m][-1] > TOL_FEAS:
         return INFEASIBLE, iters
     # Drive artificials that linger degenerately at level zero out of the
     # basis; a row with no eligible original column is redundant.
@@ -491,7 +476,7 @@ def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter):
         if basis[i] >= n:
             Ti = T[i]
             for j in range(n):
-                if abs(Ti[j]) > pivot_eps:
+                if abs(Ti[j]) > PIVOT_EPS:
                     break
             else:
                 return RANK_DEFICIENT, iters
@@ -505,4 +490,4 @@ def _two_phase(c, A, bl, basis, tol_feas, tol_opt, pivot_eps, max_iter):
         if cb != 0.0:
             obj = [v - cb * u for v, u in zip(obj, T[i])]
     T[m] = obj
-    return _pivot_loop(T, basis, m, n, tol_opt, pivot_eps, max_iter, iters)
+    return _pivot_loop(T, basis, m, n, max_iter, iters)

@@ -88,8 +88,9 @@ class TheoremCheckResult:
 
     @staticmethod
     def combine(results: list["TheoremCheckResult"]) -> "TheoremCheckResult":
-        """Sum counts; the violation kept is the one with the largest gap
-        among results that have one (the first on ties)."""
+        """Sum counts; the worst gap is NaN if any is; the violation kept is
+        the one with the largest gap among results that have one (the
+        first on ties)."""
         worst = max(
             (r for r in results if r.worst_basis_violation is not None),
             key=lambda r: r.worst_objective_gap,
@@ -98,8 +99,8 @@ class TheoremCheckResult:
         return TheoremCheckResult(
             trials=sum(r.trials for r in results),
             failures=sum(r.failures for r in results),
-            worst_objective_gap=max(
-                (r.worst_objective_gap for r in results), default=0.0
+            worst_objective_gap=float(
+                np.max([r.worst_objective_gap for r in results], initial=0.0)
             ),
             worst_basis_violation=None if worst is None else worst.worst_basis_violation,
         )
@@ -140,8 +141,9 @@ def theorem_check(
     The trial then asserts three things about b_mean = mean(rhs_samples):
     the basis stays optimal, its objective equals the mean of the
     per-sample objectives within ``REL_TOL``, and an independent fresh
-    solve of the averaged problem agrees.  Both means are what ``np.mean``
-    gives, bit for bit (``_means``).
+    solve of the averaged problem agrees.  A gap that is not a number
+    ``<= REL_TOL`` fails, NaN included, and a NaN gap is the worst.  Both
+    means are what ``np.mean`` gives, bit for bit (``_means``).
     """
     if not rhs_samples:
         raise ValueError("need at least one rhs sample")
@@ -173,8 +175,8 @@ def theorem_check(
     else:
         fresh_gap = abs(fresh.objective - at_mean.objective) / scale
 
-    worst_gap = float(max(gap, fresh_gap))
-    failed = violation is not None or worst_gap > REL_TOL
+    worst_gap = float(np.maximum(gap, fresh_gap))  # NaN if either is
+    failed = violation is not None or not worst_gap <= REL_TOL
     return TheoremCheckResult(
         trials=1,
         failures=1 if failed else 0,

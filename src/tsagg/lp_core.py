@@ -20,7 +20,8 @@ in all.  Each basis gets one ``BasisSignature`` per family, kept on its
 record, which every solve that ends there shares.  A b that is already a
 float64 ndarray, as ``dispatch_model.hourly_rhs`` returns, is copied once
 as it is and set read-only; its shape and finiteness are checked as for any
-b, with the same errors.
+b, with the same errors.  ``TOL_FEAS``, ``TOL_OPT`` and ``PIVOT_EPS`` are
+the kernels' one set of tolerances, re-exported; no call takes its own.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-
-TOL_FEAS = 1e-9
-TOL_OPT = 1e-9
-PIVOT_EPS = 1e-11
+from ._kernels import PIVOT_EPS, TOL_FEAS, TOL_OPT  # noqa: F401 (PIVOT_EPS re-exported)
 
 
 class LPError(Exception):
@@ -195,9 +193,7 @@ def solve(lp: StandardFormLP) -> LPSolution:
     breaks down or takes more than 50 (n + m + 10) pivots.
     """
     m, n = lp.A.shape
-    status, _, iters, hit = _kernels.simplex(
-        lp.c, lp.A, lp.b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 50 * (n + m + 10), lp._cache
-    )
+    status, _, iters, hit = _kernels.simplex(lp.c, lp.A, lp.b, 50 * (n + m + 10), lp._cache)
     if status == _kernels.OPTIMAL:
         record, xb = hit
         ok, x, rc, obj = _kernels.evaluate(record, xb)
@@ -232,7 +228,7 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
     when B cannot be factorised.
     """
     ok, x, rc, obj, x_min, rc_min = _kernels.basis_eval(
-        lp.c, lp.A, lp.b, _check_basis(lp, basis), PIVOT_EPS, lp._cache)
+        lp.c, lp.A, lp.b, _check_basis(lp, basis), lp._cache)
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
     if x_min < -TOL_FEAS:

@@ -102,9 +102,9 @@ def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
     calls = []
     factor = _kernels._basis_factor
 
-    def counted(c, A, basis, pivot_eps):
+    def counted(c, A, basis):
         calls.append(tuple(basis.tolist()))
-        return factor(c, A, basis, pivot_eps)
+        return factor(c, A, basis)
 
     monkeypatch.setattr(_kernels, "_basis_factor", counted)
     again = solve_full(system)

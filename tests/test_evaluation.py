@@ -181,6 +181,26 @@ def test_theorem_check_builds_one_lp_per_sample_and_one_for_the_mean(monkeypatch
     assert len(built) == len(samples) + 1
 
 
+def test_theorem_check_fails_a_nan_gap():
+    """x_B overflows to inf at every sample and at the mean, so both gaps
+    are inf - inf, NaN: the trial fails and reports the NaN."""
+    A = np.array([[-1e-06, 1.0, 0.0], [0.0, -1.0, 1.0]])
+    c = np.array([0.08401534358238483, 0.8326441476533978, 0.7870983074886834])
+    b = np.array([-5.407481500825879e307, -1.8266510050802505e307])
+    result = theorem_check(StandardFormLP(c, A, b), BasisSignature((0, 1)), [b * 0.5, b * 0.5])
+    assert result.failures == 1
+    assert np.isnan(result.worst_objective_gap)
+
+
+def test_theorem_result_combine_keeps_a_nan_gap():
+    """Python's ``max`` would drop a NaN that is not first."""
+    results = [TheoremCheckResult(1, 0, 1e-12), TheoremCheckResult(1, 1, float("nan")),
+               TheoremCheckResult(1, 1, 5e-9)]
+    merged = TheoremCheckResult.combine(results)
+    assert (merged.trials, merged.failures) == (3, 2)
+    assert np.isnan(merged.worst_objective_gap)
+
+
 def test_theorem_result_combine():
     a = TheoremCheckResult(3, 0, 1e-12, None)
     b = TheoremCheckResult(2, 1, 5e-9, "basis not optimal at averaged rhs")

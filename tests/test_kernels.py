@@ -11,6 +11,7 @@ from systems import (
     SOLVER_SYSTEMS, degenerate_system, fleet_at_boundaries, fleet_system, near_boundary_system,
     random_system,
 )
+import tsagg
 from tsagg import _kernels, evaluation
 from tsagg.data_io import default_spec, generate_synthetic
 from tsagg.dispatch_model import _template, hourly_rhs, solve_full
@@ -32,7 +33,7 @@ def test_simplex_pivot_sequence_pinned():
     statuses = set()
     for _ in range(300):
         c, A, b = random_lp_data(rng)
-        st, basis, it, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, _kernels.Family())
+        st, basis, it, _ = _kernels.simplex(c, A, b, 2000, _kernels.Family())
         statuses.add(st)
         digest.update(np.array([st, it], dtype="<i8").tobytes())
         digest.update(np.asarray(basis, dtype="<i8").tobytes())
@@ -45,13 +46,13 @@ def test_basis_eval_matches_numpy_linalg():
     checked = 0
     while checked < 80:
         c, A, b = random_lp_data(rng)
-        st, basis, _, _ = _kernels.simplex(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, _kernels.Family())
+        st, basis, _, _ = _kernels.simplex(c, A, b, 2000, _kernels.Family())
         if st != _kernels.OPTIMAL:
             continue
         checked += 1
         idx = np.sort(basis)
         ok, x, rc, obj, _, _ = _kernels.basis_eval(
-            c, A, b, tuple(idx.tolist()), PIVOT_EPS, _kernels.Family())
+            c, A, b, tuple(idx.tolist()), _kernels.Family())
         assert ok
         B = A[:, idx]
         xb = np.linalg.solve(B, b)
@@ -75,11 +76,8 @@ def test_min_is_np_min_up_to_the_sign_of_a_zero():
 
 def test_lu_factor_flags_singular_matrix():
     M = np.array([[1.0, 2.0], [2.0, 4.0]])
-    perm = [0] * 2
-    assert not _kernels._lu_factor(M.tolist(), perm, PIVOT_EPS)
-    ident = np.eye(3)
-    perm3 = [0] * 3
-    assert _kernels._lu_factor(ident.tolist(), perm3, PIVOT_EPS)
+    assert not _kernels._lu_factor(M.tolist())
+    assert _kernels._lu_factor(np.eye(3).tolist())
 
 
 def _bits(v):
@@ -117,7 +115,7 @@ def test_basis_eval_bitwise_equal_to_reference():
     for _ in range(2400):
         c, A, b, basis = _random_basis_case(rng)
         ok, x, rc, obj, x_min, rc_min = _kernels.basis_eval(
-            c, A, b, tuple(basis.tolist()), PIVOT_EPS, _kernels.Family())
+            c, A, b, tuple(basis.tolist()), _kernels.Family())
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, basis, PIVOT_EPS)
         assert ok == ok_ref
         assert _bits(x) == _bits(x_ref)
@@ -148,7 +146,7 @@ def test_basis_eval_keeps_zero_terms_and_row_swaps(b):
     b = np.array(b)
     family = _kernels.Family()
     for _ in range(2):  # the record's first use, then the kept one
-        ok, x, rc, obj, _, _ = _kernels.basis_eval(c, A, b, basis, PIVOT_EPS, family)
+        ok, x, rc, obj, _, _ = _kernels.basis_eval(c, A, b, basis, family)
         ok_ref, x_ref, rc_ref, obj_ref = basis_eval_reference(c, A, b, np.array(basis), PIVOT_EPS)
         assert ok and ok_ref
         assert _bits(x) == _bits(x_ref)
@@ -172,8 +170,14 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _reference(c, A, b, max_iter):
+    """The tableau reference at the package's tolerances."""
+    return simplex_reference(c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
+
+
 def _assert_matches_reference(args, family, tableau):
-    """Solve ``args`` through ``family`` and against the tableau reference.
+    """Solve ``args`` (c, A, b, max_iter) through ``family`` and against
+    the tableau reference.
 
     ``tableau`` counts ``_two_phase`` calls (see ``_count_calls``).  Where
     the kernel ran it, status, iterations and basis in row order equal the
@@ -183,7 +187,7 @@ def _assert_matches_reference(args, family, tableau):
     """
     solves = len(tableau)
     st, basis, it, _ = _kernels.simplex(*args, family)
-    ref = simplex_reference(*args)
+    ref = _reference(*args)
     assert st == ref[0]
     if len(tableau) > solves:
         assert it == ref[2]
@@ -202,7 +206,7 @@ def _assert_hours_match_reference(system, monkeypatch):
     family = _kernels.Family()
     results = []
     for h in range(system.horizon):
-        args = (c, A, hourly_rhs(system, h), TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000)
+        args = (c, A, hourly_rhs(system, h), 2000)
         _, basis, it = _assert_matches_reference(args, family, tableau)
         results.append((it, tuple(sorted(basis.tolist()))))
     solved = len(tableau)
@@ -260,9 +264,8 @@ def test_simplex_matches_reference_on_random_lps():
     statuses = set()
     for case in range(3000):
         c, A, b, max_iter = _random_simplex_case(rng)
-        args = (c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, max_iter)
-        st, basis, it, _ = _kernels.simplex(*args, _kernels.Family())
-        st_ref, basis_ref, it_ref = simplex_reference(*args)
+        st, basis, it, _ = _kernels.simplex(c, A, b, max_iter, _kernels.Family())
+        st_ref, basis_ref, it_ref = _reference(c, A, b, max_iter)
         assert (st, it) == (st_ref, it_ref), case
         assert np.array_equal(basis, basis_ref), case
         statuses.add(st)
@@ -320,13 +323,13 @@ def test_solve_full_matches_reference_on_fleets_moved_to_boundaries(seed, monkey
 # --- the basis-cone test --------------------------------------------------------
 
 def _random_family(rng):
-    """One (c, A) and 12 calls (b, max_iter, tol_opt, pivot_eps) on it.
+    """One (c, A) and 12 calls (b, max_iter) on it.
 
     Each b is a scaled copy of one of three base vectors, so sign patterns
     and paths repeat, with entries set to zero of either sign.  A may have
     a duplicated row, rank deficient or infeasible by whether the two b
     entries agree; c may be unbounded below.  One call in seven has a
-    small cap and one in eight tolerances that change pivot decisions.
+    small cap.
     """
     m = int(rng.integers(1, 9))
     n = int(rng.integers(m, m + 9))
@@ -356,29 +359,26 @@ def _random_family(rng):
         zero = rng.random(m) < 0.2
         b[zero] = np.where(rng.integers(2, size=m) == 0, 0.0, -0.0)[zero]
         max_iter = int(rng.integers(1, 8)) if rng.integers(7) == 0 else 2000
-        tols = (0.3, 0.3) if rng.integers(8) == 0 else (TOL_OPT, PIVOT_EPS)
-        calls.append((b, max_iter) + tols)
+        calls.append((b, max_iter))
     return c, A, calls
 
 
 def test_shared_paths_match_reference_on_random_families(monkeypatch):
     """Each b solved twice through its family, the second time under
     another cap.  Tableau solves match the reference exactly.  An accepted
-    basis is the unique optimum by the reference's own evaluation, and at
-    the default tolerances the reference's basis; the cone must accept
-    under a cap and under coarse tolerances too.  A basis keeps one record
-    across calls, and no record is registered twice."""
+    basis is the unique optimum by the reference's own evaluation, and the
+    reference's basis; the cone must accept under a cap too.  A basis
+    keeps one record across calls, and no record is registered twice."""
     tableau = _count_calls(monkeypatch, "_two_phase")
     rng = np.random.default_rng(61)
     solved, accepted = set(), set()
     for _ in range(200):
         c, A, calls = _random_family(rng)
         family, records = _kernels.Family(), {}
-        for b, max_iter, tol_opt, pivot_eps in calls:
+        for b, max_iter in calls:
             for cap in (max_iter, 2000 if max_iter < 2000 else int(rng.integers(1, 8))):
                 solves = len(tableau)
-                args = (c, A, b, TOL_FEAS, tol_opt, pivot_eps, cap)
-                st, basis, it, hit = _kernels.simplex(*args, family)
+                st, basis, it, hit = _kernels.simplex(c, A, b, cap, family)
                 assert (hit is None) == (st != _kernels.OPTIMAL)
                 if hit is not None:
                     key = tuple(sorted(basis.tolist()))
@@ -387,23 +387,20 @@ def test_shared_paths_match_reference_on_random_families(monkeypatch):
                 cone = [r.idx.tobytes() for r in family.cone]
                 assert len(set(cone)) == len(cone)
                 if len(tableau) > solves:
-                    ref = simplex_reference(*args)
+                    ref = _reference(c, A, b, cap)
                     assert (st, it) == (ref[0], ref[2])
                     assert np.array_equal(basis, ref[1])
                     solved.add(st)
                     continue
                 assert (st, it) == (_kernels.OPTIMAL, 0)
                 idx = np.sort(basis)
-                # the family's factors are kept whatever pivot_eps built them
                 ok, x, rc, _ = basis_eval_reference(c, A, b, idx, PIVOT_EPS)
                 assert ok and x[idx].min() > TOL_FEAS
-                assert np.delete(rc, idx).min(initial=np.inf) > tol_opt
-                if tol_opt == TOL_OPT:
-                    # Bland with coarse tolerances may stop short of the optimum
-                    ref = simplex_reference(c, A, b, TOL_FEAS, tol_opt, pivot_eps, 2000)
-                    assert ref[0] == _kernels.OPTIMAL
-                    assert np.array_equal(idx, np.sort(ref[1]))
-                accepted.add((cap < 2000, tol_opt == TOL_OPT))
+                assert np.delete(rc, idx).min(initial=np.inf) > TOL_OPT
+                ref = _reference(c, A, b, 2000)
+                assert ref[0] == _kernels.OPTIMAL
+                assert np.array_equal(idx, np.sort(ref[1]))
+                accepted.add(cap < 2000)
     assert solved == {
         _kernels.OPTIMAL,
         _kernels.INFEASIBLE,
@@ -411,7 +408,7 @@ def test_shared_paths_match_reference_on_random_families(monkeypatch):
         _kernels.RANK_DEFICIENT,
         _kernels.NUMERICAL,
     }
-    assert accepted == {(False, False), (False, True), (True, False), (True, True)}
+    assert accepted == {False, True}
 
 
 # min x0 + 2 x1 s.t. x0 + x1 = d, x0 + x2 = 10, x1 + x3 = 10: for 0 < d < 10
@@ -426,9 +423,9 @@ def _cone_solver(monkeypatch, c=CONE_C):
     tableau = _count_calls(monkeypatch, "_two_phase")
     family = _kernels.Family()
 
-    def solve(d, tol_opt=TOL_OPT):
+    def solve(d):
         solves = len(tableau)
-        args = (c, CONE_A, np.array([d, 10.0, 10.0]), TOL_FEAS, tol_opt, PIVOT_EPS, 2000)
+        args = (c, CONE_A, np.array([d, 10.0, 10.0]), 2000)
         st, _, it = _assert_matches_reference(args, family, tableau)
         return st, it, len(tableau) > solves
 
@@ -463,13 +460,39 @@ def test_zero_nonbasic_reduced_cost_is_never_accepted(monkeypatch):
     assert family.cone == []
 
 
-def test_candidate_is_refused_under_tol_opt_at_or_above_its_smallest_reduced_cost(monkeypatch):
-    solve, _ = _cone_solver(monkeypatch)
-    solve(4.0)
-    solve(5.0)
-    assert solve(6.0, tol_opt=1.0)[2]
-    assert solve(6.0, tol_opt=1.5)[2]
-    assert solve(6.0, tol_opt=0.999) == (_kernels.OPTIMAL, 0, False)
+def test_reduced_cost_within_tol_opt_is_never_accepted(monkeypatch):
+    """x1's cost is x0's plus 5e-10: the tableau ends in a basis whose
+    smallest nonbasic reduced cost is about -5e-10, optimal to within
+    ``TOL_OPT`` but not above it, so it is never registered, and ``_cone_x``
+    refuses it where its x_B is well inside the cone."""
+    solve, family = _cone_solver(monkeypatch, c=np.array([1.0, 1.0 + 5e-10, 0.0, 0.0]))
+    assert all(solve(d)[2] for d in (4.0, 5.0, 6.0, 5.0, 7.0))
+    assert family.cone == []
+    (record,) = family.values()
+    assert -TOL_OPT < record.rc_min < 0.0
+    assert _kernels._solve(record.ops, [6.0, 10.0, 10.0], TOL_FEAS) is not None
+    assert _kernels._cone_x(record, [6.0, 10.0, 10.0]) is None
+
+
+def test_an_infinite_x_b_is_never_registered(monkeypatch):
+    """The tableau ends in basis (0, 1) with x_0 = inf at each of these
+    right-hand sides (the numpy reference breaks down on them).  That x_B
+    is never registered, so every solve runs the tableau."""
+    tableau = _count_calls(monkeypatch, "_two_phase")
+    A = np.array([[-1e-06, 1.0, 0.0], [0.0, -1.0, 1.0]])
+    c = np.array([0.08401534358238483, 0.8326441476533978, 0.7870983074886834])
+    b = np.array([-5.407481500825879e307, -1.8266510050802505e307])
+    family = _kernels.Family()
+    for scale in (1.0, 0.5, 1.0, 0.25):
+        st, _, it, (record, xb) = _kernels.simplex(c, A, b * scale, 2000, family)
+        assert (st, it, record.cols, xb[0]) == (_kernels.OPTIMAL, 2, (0, 1), np.inf)
+    assert len(tableau) == 4 and family.cone == []
+
+
+def test_tolerances_are_the_kernels_own():
+    assert tsagg.TOL_FEAS is _kernels.TOL_FEAS
+    assert tsagg.TOL_OPT is _kernels.TOL_OPT
+    assert tsagg.PIVOT_EPS is _kernels.PIVOT_EPS
 
 
 def test_theorem_trials_solve_every_averaged_rhs_with_the_tableau(monkeypatch):
@@ -496,24 +519,20 @@ def _assert_early_exit_agrees(ops, bl, floor, branches):
     """``_solve`` with a floor: the full list, bitwise, if every entry is
     above the floor, else None; returns whether it gave None.
 
-    The cone test's solve over the zero-free list must decide the same and
-    return the same bits.  ``branches`` collects which way it went: the
-    zero-free list rejected, or accepted a list with a zero entry or an
-    infinite one (both solved again on the dense list), or accepted a list
-    of finite nonzero entries, which must then be bitwise the dense one;
-    ``"needed"`` marks a fallback whose zero-free list differs from the
-    dense result."""
+    ``branches`` collects which way the solve over the zero-free list
+    went: it rejected, which the dense list must too, or accepted a list
+    with a zero entry or an infinite one (``"needed"`` marks one that
+    differs from the dense result), or accepted a list of finite nonzero
+    entries, which must then be bitwise the dense one.  At a positive
+    floor, as in ``_cone_x``, the zero-free list accepts with every entry
+    finite exactly when the dense list does, and then gives its bits."""
     full = _kernels._solve(ops, bl)
     cut = _kernels._solve(ops, bl, floor)
     if all(v > floor for v in full):
         assert cut is not None and _bits(cut) == _bits(full)
     else:
         assert cut is None
-    free = _kernels._zero_free(ops)
-    cone = _kernels._cone_solve(ops, free, bl, floor)
-    assert (cone is None) == (cut is None)
-    assert cut is None or _bits(cone) == _bits(cut)
-    alone = _kernels._solve(free, bl, floor)
+    alone = _kernels._solve(_kernels._zero_free(ops), bl, floor)
     if alone is None:
         assert cut is None  # a zero-free rejection is a dense one
         branches.add("rejected")
@@ -524,6 +543,10 @@ def _assert_early_exit_agrees(ops, bl, floor, branches):
     else:
         assert cut is not None and _bits(alone) == _bits(cut)
         branches.add("exact")
+    if floor > 0.0:
+        finite = alone is not None and np.inf not in alone
+        assert finite == (cut is not None and np.inf not in cut)
+        assert not finite or _bits(alone) == _bits(cut)
     return cut is None
 
 
@@ -545,7 +568,7 @@ def test_early_exit_matches_the_full_solve_on_swapped_zero_terms():
     """The op list of ``test_basis_eval_keeps_zero_terms_and_row_swaps``,
     with its mid, ends and tail right-hand sides, and them scaled toward
     overflow."""
-    ops = _kernels._lu_factor(SWAPPED_B.tolist(), [0] * 3, PIVOT_EPS)
+    ops = _kernels._lu_factor(SWAPPED_B.tolist())
     assert ops[0]  # row swaps
     negative_zero, outcomes, branches = False, set(), set()
     for b in ([1.0, -0.0, 1.0], [-0.0, 1.0, -0.0], [2.0, -0.0, -0.0]):
@@ -563,7 +586,7 @@ def test_early_exit_matches_the_full_solve_on_random_factors():
     outcomes, branches = set(), set()
     for _ in range(600):
         c, A, b, basis = _random_basis_case(rng)
-        ops = _kernels._lu_factor(A[:, basis].tolist(), [0] * len(b), PIVOT_EPS)
+        ops = _kernels._lu_factor(A[:, basis].tolist())
         if ops is None:
             continue
         for bl in (b.tolist(), _overflowing(b.tolist())):
@@ -575,14 +598,16 @@ def test_early_exit_matches_the_full_solve_on_random_factors():
     assert branches == {"rejected", "zero", "infinite", "exact"}
 
 
-def test_zero_free_acceptance_of_an_infinite_entry_goes_to_the_dense_list():
+def test_zero_free_acceptance_of_an_infinite_entry_is_refused():
     """x_1 = 1e308 / 1e-10 overflows; the dense list's dropped term 0 * inf
-    makes x_0 NaN and rejects, while the zero-free x_0 is 1.0."""
-    ops = _kernels._lu_factor([[1.0, 0.0], [0.0, 1e-10]], [0] * 2, PIVOT_EPS)
-    free = _kernels._zero_free(ops)
+    makes x_0 NaN and rejects, while the zero-free x_0 is 1.0, so
+    ``_cone_x`` refuses the infinite entry."""
+    record = _kernels._Basis(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1e-10]]), (0, 1))
+    assert record.rc_min > TOL_OPT  # every column is basic
+    free = _kernels._zero_free(record.ops)
     assert _kernels._solve(free, [1.0, 1e308], TOL_FEAS) == [1.0, np.inf]
-    assert _kernels._solve(ops, [1.0, 1e308], TOL_FEAS) is None
-    assert _kernels._cone_solve(ops, free, [1.0, 1e308], TOL_FEAS) is None
+    assert _kernels._solve(record.ops, [1.0, 1e308], TOL_FEAS) is None
+    assert _kernels._cone_x(record, [1.0, 1e308]) is None
 
 
 # --- candidate order and the x_B handed to evaluate -----------------------------
@@ -723,9 +748,7 @@ def test_simplex_returns_the_x_b_that_basis_eval_would_solve(name):
     family, records = _kernels.Family(), {}
     for h in range(system.horizon):
         b = hourly_rhs(system, h)
-        st, basis, _, (record, xb) = _kernels.simplex(
-            c, A, b, TOL_FEAS, TOL_OPT, PIVOT_EPS, 2000, family
-        )
+        st, basis, _, (record, xb) = _kernels.simplex(c, A, b, 2000, family)
         assert st == _kernels.OPTIMAL
         idx = np.sort(basis)
         key = tuple(idx.tolist())
