@@ -33,6 +33,7 @@ from .dispatch_model import (
     regime_counts,
     regime_label,
     solve_aggregated,
+    solve_by_cones,
     solve_full,
 )
 from .tsa_clustering import (

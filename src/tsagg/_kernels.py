@@ -21,11 +21,12 @@ bound on b, the only other that can be b's unique optimum, and skips the
 tableau where one passes ``_cone_x``, the one cone test.  Every OPTIMAL
 call returns its record with x_B, which ``evaluate`` scatters into x; so
 an hour in a registered cone costs about one LU solve, run over the
-basis's nonzero LU terms only, bit for bit (see ``_solve``).  A dispatch
-B is one balance row plus bound rows: on a 12-unit fleet (m = 14) a
-basis keeps about 45 of its 182 terms.  ``dispatch_model`` keeps one
-family per system, so its aggregated solves test the full solve's cones
-too.  Only this module reads or writes a family's entries.
+basis's nonzero LU terms only, bit for bit (see ``_solve``);
+``cone_columns`` runs that test on a whole block of b in one pass.  A
+dispatch B is one balance row plus bound rows: on a 12-unit fleet
+(m = 14) a basis keeps about 45 of its 182 terms.  ``dispatch_model``
+keeps one family per system, so all its solves share the records.  Only
+this module reads or writes a family's entries.
 
 Pivot decisions must not change: the basis of every hour, and through it
 every CLI output byte, is pinned by the tests and by the benchmark digests.
@@ -330,21 +331,62 @@ def _pivot_loop(T, basis, m, n_enter, max_iter, iters):
     return NUMERICAL, iters
 
 
+def _free_ops(record):
+    """``record``'s zero-free op list, made on first use, if B is nonsingular
+    and its smallest nonbasic reduced cost exceeds ``TOL_OPT``, else None."""
+    if record.ops is not None and record.rc_min > TOL_OPT:
+        if record.free is None:
+            record.free = _zero_free(record.ops)
+        return record.free
+    return None
+
+
 def _cone_x(record, bl):
     """x_B of registered ``record`` if it passes the cone test for b, else None.
 
-    The test: the smallest nonbasic reduced cost exceeds ``TOL_OPT``, and
-    x_B = B^-1 b, solved on the zero-free list, has every entry above
+    The test: the record has a zero-free list (``_free_ops``: B is
+    nonsingular and its smallest nonbasic reduced cost exceeds
+    ``TOL_OPT``), and x_B = B^-1 b, solved on it, has every entry above
     ``TOL_FEAS`` and none infinite; such an x_B is the dense list's, bit
-    for bit (see ``_solve``).
+    for bit (see ``_solve``).  ``cone_columns`` is this test on many b.
     """
-    if not record.rc_min > TOL_OPT:
-        return None
-    free = record.free
-    if free is None:
-        free = record.free = _zero_free(record.ops)
-    xb = _solve(free, bl, TOL_FEAS)
+    free = _free_ops(record)
+    xb = None if free is None else _solve(free, bl, TOL_FEAS)
     return None if xb is None or _INF in xb else xb
+
+
+def cone_columns(family, cols, R):
+    """``_cone_x`` of the basis keyed ``cols`` in ``family`` on each column
+    of the (m, U) float64 block ``R`` of right-hand sides, in one pass.
+
+    Returns the (U,) mask of accepted columns, their x_B as the columns
+    of an (m, accepted) array, and their objectives, each ``0.0 +
+    cb[0] * x[0] + ...`` left to right as ``evaluate`` adds it.  Each
+    element sees ``_solve``'s IEEE operations in its order, so a column is
+    accepted iff ``_cone_x`` accepts it (NaN fails ``>``), with its bits.
+    """
+    record = family[cols]
+    free = _free_ops(record)
+    if free is None:
+        return np.zeros(R.shape[1], dtype=bool), np.empty((len(cols), 0)), np.empty(0)
+    swaps, forward, backward = free
+    X = np.array(R, dtype=np.float64, order="C")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, p in swaps:
+            X[[k, p]] = X[[p, k]]
+        for i, j, l in forward:
+            X[i] -= l * X[j]
+        for i, piv, terms in backward:
+            s = X[i]  # a view: row i is finished in place
+            for j, u in terms:
+                s -= u * X[j]
+            s /= piv
+        accepted = (X > TOL_FEAS).all(axis=0) & (X != _INF).all(axis=0)
+        xb = X[:, accepted]
+        obj = np.zeros(xb.shape[1])
+        for cbk, row in zip(record.cb, xb):
+            obj += cbk * row
+    return accepted, xb, obj
 
 
 def simplex(c, A, b, max_iter, family):

@@ -32,7 +32,7 @@ from .data_io import (
     write_report,
     write_series,
 )
-from .dispatch_model import DispatchError, InfeasiblePeriodError, solve_full
+from .dispatch_model import DispatchError, InfeasiblePeriodError, solve_by_cones
 from .evaluation import EvaluationReport, compare_methods_detailed
 from .lp_core import LPError
 from .plotting import write_plot
@@ -79,7 +79,7 @@ def _cmd_solve_full(args) -> int:
     if args.out:
         check_writable(args.out)
     system = load_config(args.config)
-    full = solve_full(system)
+    full = solve_by_cones(system)
     summary = dispatch_summary(system, full)
     print(f"hours      : {summary['hours']}")
     print(f"total cost : {summary['total_cost']:.6f}")

@@ -16,7 +16,8 @@ rows of one (H, m) matrix per system, built by ``_rhs`` with the IEEE
 operations of the per-period formula, so an hour's RHS costs a row copy;
 representatives get theirs from the same builder.
 
-A solve calls ``lp_core.solve`` once per period, and writes each period's
+A solve calls ``lp_core.solve`` once per period (``solve_by_cones`` once
+per basis, testing the other hours in batches), and writes each period's
 vertex, objective, pivot count and basis id into arrays sized once per
 solve: a ``DispatchSolution`` is these columns, with one row of reduced
 costs per distinct basis.  ``periods`` and ``bases()`` are per-period
@@ -32,10 +33,10 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
+from . import _kernels
 from .lp_core import (
     BasisSignature, FrozenDict, LPSolution, LPStatus, StandardFormLP, readonly, solve)
 
@@ -112,7 +113,7 @@ class SystemData:
     capacity_factors: Mapping[str, np.ndarray] | None = None
 
     # The first LP any solve of this system built, whose ``with_rhs``
-    # family every later solve shares; set once by ``_solve_periods``.
+    # family every later solve shares; set once by ``_Periods.add``.
     _family = None
 
     def __post_init__(self):
@@ -206,7 +207,8 @@ class DispatchSolution:
 
     For P periods, n LP columns, G generators and K distinct optimal bases:
     ``weights``, ``objective`` (the LP's, without the must-run offset) and
-    ``iterations`` are (P,); ``x`` is (P, n); ``basis_ids`` (P,) indexes
+    ``iterations`` (pivots, 0 for an hour taken from a cone) are (P,);
+    ``x`` is (P, n); ``basis_ids`` (P,) indexes
     ``distinct_bases``, the K bases in first-period order; row j of
     ``reduced_costs`` (K, n) belongs to basis j, which every period of that
     basis shares; ``production`` (P, G) is ``x[:, :G] + p_min`` in MW.
@@ -352,64 +354,95 @@ def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
 # solving
 # ---------------------------------------------------------------------------
 
-def _solve_periods(
-    system: SystemData, kind: DispatchKind, rhss: Iterable[np.ndarray],
-    weights: Sequence[float],
-) -> DispatchSolution:
-    """Solve one LP per RHS, in order, in the system's family.
+class _Periods:
+    """Periods solved one at a time into the columns of a
+    ``DispatchSolution``; a period ``add`` skips keeps 0 iterations, its
+    other entries written by the caller.
 
     Every solve of one system, full or aggregated, is a ``with_rhs`` LP of
     the first LP any of them built, so a later solve reuses the bases,
     factors and cones that earlier ones found.  Only the pivot counts
-    depend on what was solved before, not bases or values.  ``weights``
-    has one entry per RHS.  Each period's solution is written into the
-    columns of the result and then dropped.  Raises InfeasiblePeriodError
-    with the position of the first period that is not optimal.
+    depend on what was solved before, not bases or values.
     """
-    pmin = _pmin_vector(system)
-    base = system._family
-    weights = np.array(weights, dtype=np.float64)
-    P = weights.size
-    x = np.empty((P, 2 * pmin.size))
-    objective = np.empty(P)
-    iterations = np.empty(P, dtype=np.int64)
-    basis_ids = np.empty(P, dtype=np.int64)
-    ids: dict[BasisSignature, int] = {}
-    reduced_costs = []
-    optimal = LPStatus.OPTIMAL
-    for p, rhs in enumerate(rhss):
-        if base is None:
-            lp = base = StandardFormLP(*_template(system), rhs)
-            vars(system)["_family"] = base
+
+    def __init__(self, system: SystemData, P: int):
+        self.system = system
+        self.x = np.zeros((P, 2 * system.size))
+        self.objective = np.empty(P)
+        self.iterations = np.zeros(P, dtype=np.int64)
+        self.basis_ids = np.empty(P, dtype=np.int64)
+        self.ids: dict[BasisSignature, int] = {}
+        self.reduced_costs = []
+
+    def add(self, p: int, rhs: np.ndarray) -> tuple[StandardFormLP, LPSolution] | None:
+        """Solve period p and write it; returns its LP and solution if its
+        basis is new.  Raises InfeasiblePeriodError with p if not optimal."""
+        system = self.system
+        lp = system._family
+        if lp is None:
+            vars(system)["_family"] = lp = StandardFormLP(*_template(system), rhs)
         else:
-            lp = base.with_rhs(rhs)
+            lp = lp.with_rhs(rhs)
         sol = solve(lp)
-        if sol.status is not optimal:
+        if sol.status is not LPStatus.OPTIMAL:
             raise InfeasiblePeriodError(p, sol.status)
-        x[p] = sol.x
-        objective[p] = sol.objective
-        iterations[p] = sol.iterations
-        basis_ids[p] = j = ids.setdefault(sol.basis, len(ids))
-        if j == len(reduced_costs):
-            reduced_costs.append(sol.reduced_costs)
-    offset = cost_offset(system)
-    total = ordered_sum(
-        w * (obj + offset) for w, obj in zip(weights.tolist(), objective.tolist()))
-    return DispatchSolution(
-        kind, weights, x, objective, iterations, basis_ids, tuple(ids),
-        np.array(reduced_costs), x[:, : pmin.size] + pmin, total,
-    )
+        self.x[p], self.objective[p], self.iterations[p] = sol.x, sol.objective, sol.iterations
+        self.basis_ids[p] = j = self.ids.setdefault(sol.basis, len(self.ids))
+        if j < len(self.reduced_costs):
+            return None
+        self.reduced_costs.append(sol.reduced_costs)
+        return lp, sol
+
+    def solution(self, kind: DispatchKind, weights: Sequence[float]) -> DispatchSolution:
+        weights = np.array(weights, dtype=np.float64)
+        offset = cost_offset(self.system)
+        total = ordered_sum(
+            w * (obj + offset) for w, obj in zip(weights.tolist(), self.objective.tolist()))
+        production = self.x[:, : self.system.size] + _pmin_vector(self.system)
+        return DispatchSolution(kind, weights, self.x, self.objective, self.iterations,
+                                self.basis_ids, tuple(self.ids), np.array(self.reduced_costs),
+                                production, total)
 
 
 def solve_full(system: SystemData) -> DispatchSolution:
-    """Solve every hourly LP in hour order.
+    """Solve every hourly LP in hour order: the per-hour reference for
+    ``solve_by_cones``.  Raises InfeasiblePeriodError with the offending
+    hour index if any period fails."""
+    periods = _Periods(system, system.horizon)
+    for h in range(system.horizon):
+        periods.add(h, hourly_rhs(system, h))
+    return periods.solution(DispatchKind.FULL, np.ones(system.horizon))
 
-    Raises InfeasiblePeriodError with the offending hour index if any
-    period fails.
+
+def solve_by_cones(system: SystemData) -> DispatchSolution:
+    """``solve_full``'s solution, bitwise, from one LP solve per basis.
+
+    The first hour not yet assigned is solved in the system's family.  If
+    its basis is new, ``_kernels.cone_columns`` tests every hour left
+    against it in one batched pass and takes those in its cone: the basis
+    is their unique optimum, so Bland's rule ends there too, with the same
+    bits.  A basis seen again tests nothing, as its one test refused every
+    hour left.  So an LP is solved per basis and per hour no cone takes,
+    such as a degenerate one; a taken hour has 0 ``iterations``.  Raises
+    InfeasiblePeriodError with the first hour that is not optimal, as
+    ``solve_full`` does: every hour before it is assigned by then.
     """
-    H = system.horizon
-    hours = map(hourly_rhs, repeat(system, H), range(H))
-    return _solve_periods(system, DispatchKind.FULL, hours, [1.0] * H)
+    rows = system._hour_rhs
+    periods = _Periods(system, len(rows))
+    left = np.arange(len(rows))
+    while left.size:
+        h, left = int(left[0]), left[1:]
+        new = periods.add(h, hourly_rhs(system, h))
+        if new:
+            lp, sol = new
+            cols = sol.basis.indices
+            taken, xb, obj = _kernels.cone_columns(lp._cache, cols, rows[left].T)
+            hours = left[taken]
+            periods.x[hours[:, None], cols] = xb.T
+            periods.objective[hours] = obj
+            periods.basis_ids[hours] = periods.basis_ids[h]
+            left = left[~taken]
+    return periods.solution(DispatchKind.FULL, np.ones(len(rows)))
 
 
 def solve_aggregated(
@@ -428,9 +461,10 @@ def solve_aggregated(
         if any(key not in rep.cf for rep in reps):
             raise MissingCFError(f"representative lacks cf for series {key!r}")
         cf[key] = [rep.cf[key] for rep in reps]
-    rows = _rhs(system, [rep.demand for rep in reps], cf)
-    weights = [rep.weight for rep in reps]
-    return _solve_periods(system, DispatchKind.AGGREGATED, rows, weights)
+    periods = _Periods(system, len(reps))
+    for p, rhs in enumerate(_rhs(system, [rep.demand for rep in reps], cf)):
+        periods.add(p, rhs)
+    return periods.solution(DispatchKind.AGGREGATED, [rep.weight for rep in reps])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .dispatch_model import (
     SystemData,
     ordered_sum,
     solve_aggregated,
-    solve_full,
+    solve_by_cones,
 )
 from .lp_core import (
     BasisSignature,
@@ -89,11 +89,11 @@ class TheoremCheckResult:
     @staticmethod
     def combine(results: list["TheoremCheckResult"]) -> "TheoremCheckResult":
         """Sum counts; the worst gap is NaN if any is; the violation kept is
-        the one with the largest gap among results that have one (the
-        first on ties)."""
+        the one with the largest gap among results that have one, a NaN
+        gap counting as the largest (the first on ties)."""
         worst = max(
             (r for r in results if r.worst_basis_violation is not None),
-            key=lambda r: r.worst_objective_gap,
+            key=lambda r: (np.isnan(r.worst_objective_gap), r.worst_objective_gap),
             default=None,
         )
         return TheoremCheckResult(
@@ -259,9 +259,11 @@ def compare_methods_detailed(
     k_for_kmeans: int | None = None,
     seed: int = 0,
 ) -> ComparisonResult:
+    """``compare_methods`` with its artefacts.  The k-means arguments are
+    checked first; then one ``solve_by_cones`` solve serves both reports."""
     features = normalize_features(system)
     check_kmeans_args(features.H, k_for_kmeans, seed)  # before the costly solve
-    full = solve_full(system)
+    full = solve_by_cones(system)
 
     def report(model: ClusterModel) -> EvaluationReport:
         reps = to_representatives(model)

@@ -20,7 +20,7 @@ from .dispatch_model import (
     Representative,
     SystemData,
     regime_label,
-    solve_full,
+    solve_by_cones,
 )
 from .lp_core import BasisSignature, readonly
 
@@ -336,14 +336,14 @@ def basis_cluster(
 ) -> ClusterModel:
     """Group hours by canonical optimal basis; k is discovered, not chosen.
 
-    Pass a precomputed full solve to avoid repeating the 8760 LPs.  Cluster
+    Pass a full solve already made to skip ``solve_by_cones``.  Cluster
     ids follow first occurrence; each cluster records its shared basis plus
     a regime label derived from the marginal generator.
     """
     if features is None:
         features = normalize_features(system)
     if full is None:
-        full = solve_full(system)
+        full = solve_by_cones(system)
     if len(full.basis_ids) != features.H:
         raise ValueError("dispatch solution and features disagree on horizon")
     assignment, bases = full.basis_ids, full.distinct_bases

@@ -126,7 +126,7 @@ def test_solve_full_checks_out_before_the_full_solve(instance, tmp_path, capsys,
     def no_solve(system):
         raise AssertionError("solve_full ran before --out was checked")
 
-    monkeypatch.setattr(cli, "solve_full", no_solve)
+    monkeypatch.setattr(cli, "solve_by_cones", no_solve)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     out = str(tmp_path / out)
@@ -157,7 +157,7 @@ def test_output_directory_is_checked_before_any_work(
         raise AssertionError("work ran before --out was checked")
 
     for module, name in [(cli, "load_config"), (cli, "generate_synthetic"), (cli, "kmeans"),
-                         (cli, "basis_cluster"), (evaluation, "solve_full"),
+                         (cli, "basis_cluster"), (evaluation, "solve_by_cones"),
                          (evaluation, "kmeans")]:
         monkeypatch.setattr(module, name, forbidden)
     (tmp_path / "file").write_text("")
@@ -321,7 +321,7 @@ def test_compare_checks_kmeans_args_before_the_full_solve(
     def no_solve(system):
         raise AssertionError("solve_full ran before the k-means arguments were checked")
 
-    monkeypatch.setattr(evaluation, "solve_full", no_solve)
+    monkeypatch.setattr(evaluation, "solve_by_cones", no_solve)
     out = tmp_path / "out"
     code = main(["compare", "--config", str(instance / "config.json"),
                  "--out", str(out)] + args)

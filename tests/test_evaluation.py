@@ -224,6 +224,20 @@ def test_theorem_result_combine_keeps_largest_gap_violation():
     assert merged.failures == 4
 
 
+def test_theorem_result_combine_keeps_the_violation_of_a_nan_gap():
+    """D38: a NaN gap is the worst, so its violation is kept, the first
+    NaN's on ties; ``max`` keyed on the gap alone kept "a"."""
+    T = TheoremCheckResult
+    nan = float("nan")
+    merged = T.combine([T(1, 1, 1e-3, "a"), T(1, 1, nan, "b")])
+    assert np.isnan(merged.worst_objective_gap)
+    assert merged.worst_basis_violation == "b"
+    merged = T.combine([T(1, 1, nan, "b"), T(1, 1, 1e-3, "a"), T(1, 1, nan, "c")])
+    assert merged.worst_basis_violation == "b"
+    merged = T.combine([T(1, 1, 1e-3, "a"), T(1, 1, nan, None), T(1, 1, 1e-2, "c")])
+    assert (np.isnan(merged.worst_objective_gap), merged.worst_basis_violation) == (True, "c")
+
+
 def test_run_theorem_trials_refuses_a_negative_count():
     with pytest.raises(ValueError):
         run_theorem_trials(-3)

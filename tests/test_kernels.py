@@ -610,6 +610,93 @@ def test_zero_free_acceptance_of_an_infinite_entry_is_refused():
     assert _kernels._cone_x(record, [1.0, 1e308]) is None
 
 
+def _assert_columns_match_cone_x(family, cols, R):
+    """``cone_columns`` on block ``R`` against ``_cone_x`` column by column:
+    the same columns accepted, each x_B bitwise ``_cone_x``'s and each
+    objective ``evaluate``'s.  Returns the accepted mask."""
+    record = family[cols]
+    accepted, xb, obj = _kernels.cone_columns(family, cols, R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        singles = [_kernels._cone_x(record, column) for column in R.T.tolist()]
+    assert accepted.tolist() == [x is not None for x in singles]
+    kept = [x for x in singles if x is not None]
+    assert xb.shape == (len(cols), len(kept))
+    assert _bits(xb.T) == _bits(kept)
+    assert _bits(obj) == _bits([_kernels.evaluate(record, x)[3] for x in kept])
+    return accepted
+
+
+def _cone_block(rng, B):
+    """Eight right-hand sides for basis matrix ``B``: inside its cone, on
+    and near its boundary, at random, with zeros of either sign, scaled
+    toward overflow and with an infinite entry."""
+    m = len(B)
+    columns = [
+        B @ rng.uniform(0.5, 2.0, m),
+        B @ rng.uniform(-0.2, 1.0, m),
+        B @ np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.5, 2.0, m)),
+        rng.normal(size=m),
+        np.where(rng.random(m) < 0.5, 0.0, -0.0),
+    ]
+    columns.append(_overflowing((B @ rng.uniform(0.5, 2.0, m)).tolist()) or np.zeros(m))
+    with_inf = B @ rng.uniform(0.5, 2.0, m)
+    with_inf[rng.integers(m)] = np.inf
+    columns += [with_inf, B @ rng.uniform(0.5, 2.0, m)]
+    return np.column_stack(columns)
+
+
+def test_cone_columns_accepts_what_cone_x_accepts_with_its_bits():
+    """Random families, each basis with costs made to price it optimal and
+    with its own costs, which are often dual degenerate or infeasible."""
+    rng = np.random.default_rng(71)
+    seen = set()
+    for _ in range(500):
+        c, A, _, basis = _random_basis_case(rng)
+        cols = tuple(sorted(basis.tolist()))
+        B = A[:, list(cols)]
+        priced = A.T @ rng.normal(size=len(A))
+        priced[np.setdiff1d(np.arange(len(c)), cols)] += rng.uniform(0.1, 1.0, len(c) - len(cols))
+        for costs in (priced, c):
+            family = _kernels.Family()
+            record = family[cols] = _kernels._Basis(costs, A, cols)
+            accepted = _assert_columns_match_cone_x(family, cols, _cone_block(rng, B))
+            if record.ops is None:
+                seen.add("singular")
+            elif not record.rc_min > TOL_OPT:
+                seen.add("dual degenerate")
+                assert not accepted.any()
+            else:
+                seen.add("accepted" if accepted.any() else "refused")
+                if any(not t[2] for t in record.ops[1]) or any(
+                        not u for _, _, terms in record.ops[2] for _, u in terms):
+                    seen.add("exact-zero LU term")
+    assert seen == {"singular", "dual degenerate", "accepted", "exact-zero LU term"}
+
+
+def test_cone_columns_refuses_an_infinite_x_b_entry_and_one_at_the_floor():
+    """``test_zero_free_acceptance_of_an_infinite_entry_is_refused``'s basis:
+    the zero-free x_B of [1, 1e308] has an infinite entry and that of
+    [TOL_FEAS, 1] an entry equal to the floor, both refused as by
+    ``_cone_x``, next to columns just above the floor and well inside."""
+    family = _kernels.Family()
+    cols = (0, 1)
+    family[cols] = _kernels._Basis(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1e-10]]), cols)
+    above = np.nextafter(TOL_FEAS, 1.0)
+    R = np.array([[1.0, TOL_FEAS, above, 1.0], [1e308, 1.0, 1.0, 1e-3]])
+    accepted = _assert_columns_match_cone_x(family, cols, R)
+    assert accepted.tolist() == [False, False, True, True]
+
+
+def test_cone_columns_refuses_every_column_of_a_dual_degenerate_basis():
+    """A zero nonbasic reduced cost: no column passes, whatever its x_B."""
+    family = _kernels.Family()
+    cols = (0,)
+    family[cols] = _kernels._Basis(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), cols)
+    assert family[cols].rc_min == 0.0
+    R = np.array([[1.0, 2.0, 3.0]])
+    assert _assert_columns_match_cone_x(family, cols, R).tolist() == [False, False, False]
+
+
 # --- candidate order and the x_B handed to evaluate -----------------------------
 
 def _fingerprint(full):
