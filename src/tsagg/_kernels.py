@@ -12,19 +12,12 @@ leaves out phase 1's artificial columns: no decision and no other column
 ever reads them, so they are write-only (both arguments are in
 ``simplex``).
 
-Each basis of a (c, A) family has one ``_Basis`` record in its ``Family``,
-keyed by its sorted index tuple: B's LU solve as an op list, c_B, the
+Each basis of a (c, A) family has one ``_Basis`` record in its family, a
+dict keyed by its sorted index tuple: B's LU solve as an op list, c_B, the
 reduced costs, their smallest nonbasic entry and the duals, solved on the
-op list of B^T.  ``simplex`` first tries two of the bases the tableau has
-ended in twice: the most recently accepted, then the one of highest dual
-bound on b, the only other that can be b's unique optimum, and skips the
-tableau where one passes ``_cone_x``, the one cone test.  Every OPTIMAL
-call returns its record with x_B, which ``evaluate`` scatters into x; so
-an hour in a registered cone costs about one LU solve, run over the
-basis's nonzero LU terms only, bit for bit (see ``_solve``);
-``cone_columns`` runs that test on a whole block of b in one pass.  A
-dispatch B is one balance row plus bound rows: on a 12-unit fleet
-(m = 14) a basis keeps about 45 of its 182 terms.  ``dispatch_model``
+op list of B^T.  Every OPTIMAL ``simplex`` call returns its record with
+x_B, which ``evaluate`` scatters into x; ``cone_columns`` tests a whole
+block of b against one record's cone in one pass.  ``dispatch_model``
 keeps one family per system, so all its solves share the records.  Only
 this module reads or writes a family's entries.
 
@@ -105,25 +98,12 @@ def _lu_factor(M):
     return swaps, forward, backward
 
 
-def _solve(ops, rhs, floor=None):
+def _solve(ops, rhs):
     """Solve against ``_lu_factor``'s op list: a new list from ``rhs``.
 
-    With a ``floor``, returns None instead as soon as the backward pass
-    finishes an entry that is not above it (NaN included), so a refused
-    cone candidate (see ``simplex``) skips the rows left.  A list returned
-    is the same with or without a floor.
-
-    On the dense list an exact zero term can still flip the sign of a zero
-    in x, so ``evaluate`` keeps every term.  ``_cone_x`` solves on
-    ``_zero_free``'s list, which leaves out the zero l and u terms, at the
-    floor ``TOL_FEAS`` and refuses an infinite entry; an x_B it accepts is
-    the dense list's bit for bit.  A dropped term is ``0 * x[j]``: +-0
-    when x[j] is finite, NaN when not.  Subtracting +-0 changes at most
-    the sign of a zero, and divisors are pivots, never zero.  A non-finite
-    value never becomes finite again on the zero-free list (each term left
-    has a nonzero factor), so when every entry is finite no dropped term
-    was NaN, and the dense entries differ at most in the sign of a zero;
-    above a positive floor none is zero.
+    Every term is applied, exact zeros included: on the dense list an
+    exact zero term can still flip the sign of a zero in x, which
+    ``evaluate`` keeps.  ``cone_columns`` runs ``_zero_free``'s list.
     """
     swaps, forward, backward = ops
     x = list(rhs)
@@ -135,10 +115,7 @@ def _solve(ops, rhs, floor=None):
         s = x[i]
         for j, u in terms:
             s -= u * x[j]
-        s /= piv
-        if floor is not None and not s > floor:
-            return None
-        x[i] = s
+        x[i] = s / piv
     return x
 
 
@@ -201,11 +178,10 @@ class _Basis:
 
     ``rc_min``, the smallest nonbasic reduced cost by ``_min`` (inf if
     every column is basic), is computed here, once: ``basis_eval`` returns
-    it for ``lp_core``'s optimality test, and ``simplex`` compares it with
-    ``TOL_OPT`` at registration and in ``_cone_x``.  ``free``, the
-    ``_zero_free`` op list, is set by the first ``_cone_x``, so a basis
-    never tested never pays for it.  ``tag`` is the caller's: ``lp_core``
-    keeps the basis's one signature there.
+    it for ``lp_core``'s optimality test, and ``cone_columns`` compares it
+    with ``TOL_OPT``.  ``free``, the ``_zero_free`` op list, is set by the
+    first ``cone_columns`` that needs it, so a basis never tested never
+    pays for it.  ``tag`` is the caller's: the basis's one signature.
     """
 
     __slots__ = ("idx", "cols", "ops", "cb", "rc", "y", "rc_min", "free", "tag")
@@ -222,21 +198,9 @@ class _Basis:
         self.free = self.tag = None
 
 
-class Family(dict):
-    """Basis index tuple -> ``_Basis`` record, for one (c, A) only.
-
-    ``cone`` holds the registered records in registration order, ``duals``
-    their stacked y as a (K, m) array once K >= 2, and ``mru`` the index
-    of the most recently accepted one (see ``simplex``).
-    """
-
-    __slots__ = ("cone", "duals", "mru")
-
-    def __init__(self):
-        super().__init__()
-        self.cone = []
-        self.duals = None
-        self.mru = 0
+def recorded(family):
+    """The index tuples of ``family``'s records, in the order they were made."""
+    return list(family)
 
 
 def evaluate(record, xb):
@@ -264,8 +228,7 @@ def basis_eval(c, A, b, basis, family):
     factorisation pivot falls below ``PIVOT_EPS`` (x_min is inf then).
     Reduced costs at basic indices are zeroed exactly.  All but x_B, the
     objective and x_min come from the record keyed by the index tuple
-    ``basis`` in ``family``, made on first use (a sighting for
-    ``simplex``); a call solves x_B alone.
+    ``basis`` in ``family``, made on first use; a call solves x_B alone.
     """
     record = family.get(basis)
     if record is None:
@@ -341,34 +304,36 @@ def _free_ops(record):
     return None
 
 
-def _cone_x(record, bl):
-    """x_B of registered ``record`` if it passes the cone test for b, else None.
-
-    The test: the record has a zero-free list (``_free_ops``: B is
-    nonsingular and its smallest nonbasic reduced cost exceeds
-    ``TOL_OPT``), and x_B = B^-1 b, solved on it, has every entry above
-    ``TOL_FEAS`` and none infinite; such an x_B is the dense list's, bit
-    for bit (see ``_solve``).  ``cone_columns`` is this test on many b.
-    """
-    free = _free_ops(record)
-    xb = None if free is None else _solve(free, bl, TOL_FEAS)
-    return None if xb is None or _INF in xb else xb
-
-
 def cone_columns(family, cols, R):
-    """``_cone_x`` of the basis keyed ``cols`` in ``family`` on each column
-    of the (m, U) float64 block ``R`` of right-hand sides, in one pass.
+    """Test each column of the (m, U) float64 block ``R`` of right-hand
+    sides against the cone of the basis keyed ``cols`` in ``family``.
 
-    Returns the (U,) mask of accepted columns, their x_B as the columns
-    of an (m, accepted) array, and their objectives, each ``0.0 +
-    cb[0] * x[0] + ...`` left to right as ``evaluate`` adds it.  Each
-    element sees ``_solve``'s IEEE operations in its order, so a column is
-    accepted iff ``_cone_x`` accepts it (NaN fails ``>``), with its bits.
+    Returns the record, the (U,) mask of accepted columns, their x_B as
+    the columns of an (m, accepted) array, and their objectives, each
+    ``0.0 + cb[0] * x[0] + ...`` left to right as ``evaluate`` adds it.
+
+    A column is accepted iff the record has a zero-free list
+    (``_free_ops``) and x_B = B^-1 b, solved on it, has every entry above
+    ``TOL_FEAS`` and none infinite (NaN fails ``>``).  The basis is then
+    b's unique optimal one (Bertsimas & Tsitsiklis, *Introduction to
+    Linear Optimization*, ch. 3-4), so Bland's rule ends there too.  A
+    dispatch B is one balance row plus bound rows: on a 12-unit fleet
+    (m = 14) a basis keeps about 45 of its 182 LU terms.
+
+    The block is solved row-wise, each element with ``_solve``'s IEEE
+    operations in its order, less the dropped terms, and an accepted x_B
+    is the dense list's bit for bit.  A dropped term is ``0 * x[j]``: +-0
+    when x[j] is finite, NaN when not.  Subtracting +-0 changes at most
+    the sign of a zero, and divisors are pivots, never zero.  A
+    non-finite value never becomes finite again on the zero-free list
+    (each term left has a nonzero factor), so when every entry is finite
+    no dropped term was NaN, and the dense entries differ at most in the
+    sign of a zero; above ``TOL_FEAS`` none is zero.
     """
     record = family[cols]
     free = _free_ops(record)
     if free is None:
-        return np.zeros(R.shape[1], dtype=bool), np.empty((len(cols), 0)), np.empty(0)
+        return record, np.zeros(R.shape[1], dtype=bool), np.empty((len(cols), 0)), np.empty(0)
     swaps, forward, backward = free
     X = np.array(R, dtype=np.float64, order="C")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -386,7 +351,7 @@ def cone_columns(family, cols, R):
         obj = np.zeros(xb.shape[1])
         for cbk, row in zip(record.cb, xb):
             obj += cbk * row
-    return accepted, xb, obj
+    return record, accepted, xb, obj
 
 
 def simplex(c, A, b, max_iter, family):
@@ -395,7 +360,8 @@ def simplex(c, A, b, max_iter, family):
     Returns (status, basis, iterations, hit): a status code above, the
     basic column of each row as an int64 array (partial unless OPTIMAL),
     the number of pivots, and on OPTIMAL (record, x_B), else None.  The
-    record is the returned basis's ``_Basis`` in ``family``; x_B = B^-1 b
+    record is the returned basis's ``_Basis`` in ``family``, the family
+    of this c and A, made, factor included, on first use.  x_B = B^-1 b
     is the list in sorted index order, None only if B is singular, which
     ``evaluate`` takes as is: the one x_B solve of an OPTIMAL call.
 
@@ -404,27 +370,6 @@ def simplex(c, A, b, max_iter, family):
     col > ``PIVOT_EPS``, ties going to the smallest basic index.  The
     phase-1 cost row subtracts the rows one by one in order, and the
     phase-2 row is ``row - cb * T[i]`` in order i.
-
-    ``family`` is the ``Family`` of this c and A.  A registered basis that
-    passes ``_cone_x`` is accepted: the call returns OPTIMAL, the record's
-    sorted ``idx`` (no tableau ran, so there is no row order), 0 pivots
-    and that x_B, whatever ``max_iter``.  Such a basis is the unique
-    optimal one for b (Bertsimas & Tsitsiklis, *Introduction to Linear
-    Optimization*, ch. 3-4), so Bland's rule ends there too.  At most two
-    bases are tried: the most recently accepted, since hours come in runs
-    of one basis, then, if it is another, the first of top dual bound
-    y_j.b.  Every registered basis is dual feasible, so y_j.b <= z(b), the
-    optimal cost, by weak duality.  A basis that passes is primal
-    nondegenerate, so its y is b's unique optimal dual; any other basis
-    with that y would have zero reduced costs where this one's exceed
-    ``TOL_OPT``.  So it alone attains z(b) and ranks first up to rounding;
-    should rounding rank another first, the tableau runs and ends in it.
-    Otherwise the tableau runs and x_B is solved on the record of the
-    basis it ends OPTIMAL in, made, factor included, on the first such
-    ending; a later one registers a record not yet registered if its
-    reduced costs and that x_B pass the same three conditions.  A record
-    first made by ``basis_eval`` counts as a sighting.  Only this path
-    reads A's shape.
 
     Next to a regime boundary the answer is a tolerance answer, not the
     exact optimum: the tableau's tests hold within ``TOL_FEAS`` and
@@ -454,19 +399,6 @@ def simplex(c, A, b, max_iter, family):
     value outside those columns are what the full tableau gives.
     """
     bl = b.tolist()
-    cone = family.cone
-    if cone:
-        k = mru = family.mru
-        xb = _cone_x(cone[k], bl)
-        if xb is None and len(cone) > 1:
-            scores = (family.duals @ b).tolist()
-            k = scores.index(max(scores))
-            if k != mru:
-                xb = _cone_x(cone[k], bl)
-        if xb is not None:
-            family.mru = k
-            record = cone[k]
-            return OPTIMAL, record.idx, 0, (record, xb)
     m, n = A.shape
     basis = list(range(n, n + m))
     status, iters = _two_phase(c, A, bl, basis, max_iter)
@@ -474,19 +406,9 @@ def simplex(c, A, b, max_iter, family):
     if status == OPTIMAL:
         key = tuple(sorted(basis))
         record = family.get(key)
-        seen = record is not None
-        if not seen:
+        if record is None:
             record = family[key] = _Basis(c, A, key)
-        xb = None
-        if record.ops is not None:
-            xb = _solve(record.ops, bl)
-            if (seen and record not in cone and record.rc_min > TOL_OPT
-                    and _min(xb) > TOL_FEAS and _INF not in xb):
-                family.mru = len(cone)
-                cone.append(record)
-                if len(cone) > 1:
-                    family.duals = np.array([r.y for r in cone])
-        hit = (record, xb)
+        hit = (record, None if record.ops is None else _solve(record.ops, bl))
     return status, np.array(basis, dtype=np.int64), iters, hit
 
 

@@ -16,12 +16,14 @@ rows of one (H, m) matrix per system, built by ``_rhs`` with the IEEE
 operations of the per-period formula, so an hour's RHS costs a row copy;
 representatives get theirs from the same builder.
 
-A solve calls ``lp_core.solve`` once per period (``solve_by_cones`` once
-per basis, testing the other hours in batches), and writes each period's
-vertex, objective, pivot count and basis id into arrays sized once per
-solve: a ``DispatchSolution`` is these columns, with one row of reduced
-costs per distinct basis.  ``periods`` and ``bases()`` are per-period
-views built from the columns on each call.
+``solve_full`` calls ``lp_core.solve`` once per period.
+``solve_by_cones`` and ``solve_aggregated`` first batch-test their
+periods against every basis the system's earlier solves found, then solve
+an LP per new basis and per period that no cone takes.  Each solve writes
+every period's vertex, objective, pivot count and basis id into arrays
+sized once per solve: a ``DispatchSolution`` is these columns, with one
+row of reduced costs per distinct basis.  ``periods`` and ``bases()`` are
+per-period views built from the columns on each call.
 
 Unserved demand is modelled by an explicit high-cost generator (name
 ``NSE``) with a capacity sentinel comfortably above peak demand.
@@ -207,7 +209,7 @@ class DispatchSolution:
 
     For P periods, n LP columns, G generators and K distinct optimal bases:
     ``weights``, ``objective`` (the LP's, without the must-run offset) and
-    ``iterations`` (pivots, 0 for an hour taken from a cone) are (P,);
+    ``iterations`` (pivots, 0 for a period a cone test took) are (P,);
     ``x`` is (P, n); ``basis_ids`` (P,) indexes
     ``distinct_bases``, the K bases in first-period order; row j of
     ``reduced_costs`` (K, n) belongs to basis j, which every period of that
@@ -355,14 +357,14 @@ def hourly_rhs(system: SystemData, h: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Periods:
-    """Periods solved one at a time into the columns of a
-    ``DispatchSolution``; a period ``add`` skips keeps 0 iterations, its
-    other entries written by the caller.
+    """Periods of one solve, written into the columns of a
+    ``DispatchSolution``; a period that ``add`` does not solve keeps 0
+    iterations.
 
     Every solve of one system, full or aggregated, is a ``with_rhs`` LP of
-    the first LP any of them built, so a later solve reuses the bases,
-    factors and cones that earlier ones found.  Only the pivot counts
-    depend on what was solved before, not bases or values.
+    the first LP any of them built, so a later solve reuses the records of
+    the bases that earlier ones found.  Only ``iterations`` can depend on
+    what was solved before, no basis or value.
     """
 
     def __init__(self, system: SystemData, P: int):
@@ -374,9 +376,17 @@ class _Periods:
         self.ids: dict[BasisSignature, int] = {}
         self.reduced_costs = []
 
-    def add(self, p: int, rhs: np.ndarray) -> tuple[StandardFormLP, LPSolution] | None:
-        """Solve period p and write it; returns its LP and solution if its
-        basis is new.  Raises InfeasiblePeriodError with p if not optimal."""
+    def basis(self, signature: BasisSignature, reduced_costs: np.ndarray) -> int:
+        """The id of ``signature``, new with this reduced-cost row if it has none."""
+        j = self.ids.setdefault(signature, len(self.ids))
+        if j == len(self.reduced_costs):
+            self.reduced_costs.append(reduced_costs)
+        return j
+
+    def add(self, p: int, rhs: np.ndarray) -> BasisSignature | None:
+        """Solve period p with ``lp_core.solve`` and write it; returns its
+        basis if that had no id yet.  Raises InfeasiblePeriodError with p
+        if not optimal."""
         system = self.system
         lp = system._family
         if lp is None:
@@ -387,27 +397,68 @@ class _Periods:
         if sol.status is not LPStatus.OPTIMAL:
             raise InfeasiblePeriodError(p, sol.status)
         self.x[p], self.objective[p], self.iterations[p] = sol.x, sol.objective, sol.iterations
-        self.basis_ids[p] = j = self.ids.setdefault(sol.basis, len(self.ids))
-        if j < len(self.reduced_costs):
-            return None
-        self.reduced_costs.append(sol.reduced_costs)
-        return lp, sol
+        new = sol.basis not in self.ids
+        self.basis_ids[p] = self.basis(sol.basis, sol.reduced_costs)
+        return sol.basis if new else None
 
     def solution(self, kind: DispatchKind, weights: Sequence[float]) -> DispatchSolution:
+        """The columns as a ``DispatchSolution``, the bases renumbered in
+        first-period order; a basis no period took is left out."""
+        ids, first = np.unique(self.basis_ids, return_index=True)
+        order = ids[np.argsort(first)]
+        renumber = np.empty(len(self.reduced_costs), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        bases = list(self.ids)
         weights = np.array(weights, dtype=np.float64)
         offset = cost_offset(self.system)
         total = ordered_sum(
             w * (obj + offset) for w, obj in zip(weights.tolist(), self.objective.tolist()))
         production = self.x[:, : self.system.size] + _pmin_vector(self.system)
-        return DispatchSolution(kind, weights, self.x, self.objective, self.iterations,
-                                self.basis_ids, tuple(self.ids), np.array(self.reduced_costs),
-                                production, total)
+        return DispatchSolution(
+            kind, weights, self.x, self.objective, self.iterations, renumber[self.basis_ids],
+            tuple(bases[j] for j in order.tolist()),
+            np.array([self.reduced_costs[j] for j in order.tolist()]), production, total)
+
+
+def _solve_rows(system: SystemData, rows: np.ndarray, kind: DispatchKind,
+                weights: Sequence[float]) -> DispatchSolution:
+    """The periods whose RHS are the rows of the (P, m) ``rows``, solved by
+    basis cones.
+
+    ``_kernels.cone_columns`` first tests every period against each basis
+    recorded in the system's family, one batched pass per basis, and takes
+    those in its cone: the basis is their unique optimum, so Bland's rule
+    ends there too, with the same bits.  Then the first period left is
+    solved, and if its basis is new, every period left is tested against
+    it.  So an LP is solved per new basis and per period no cone takes,
+    such as a degenerate one; a taken period has 0 ``iterations``.  Raises
+    InfeasiblePeriodError with the first period that is not optimal.
+    """
+    periods = _Periods(system, len(rows))
+    left = np.arange(len(rows))
+
+    def take(cols):
+        nonlocal left
+        record, taken, xb, obj = _kernels.cone_columns(system._family._cache, cols, rows[left].T)
+        p, left = left[taken], left[~taken]
+        periods.x[p[:, None], cols], periods.objective[p] = xb.T, obj
+        periods.basis_ids[p] = periods.basis(record.tag, record.rc)
+
+    for cols in _kernels.recorded(system._family._cache) if system._family else ():
+        take(cols)
+    while left.size:
+        p, left = int(left[0]), left[1:]
+        basis = periods.add(p, rows[p])
+        if basis is not None:
+            take(basis.indices)
+    return periods.solution(kind, weights)
 
 
 def solve_full(system: SystemData) -> DispatchSolution:
-    """Solve every hourly LP in hour order: the per-hour reference for
-    ``solve_by_cones``.  Raises InfeasiblePeriodError with the offending
-    hour index if any period fails."""
+    """Solve every hourly LP in hour order with ``lp_core.solve``: the
+    per-hour reference for ``solve_by_cones``.  Raises
+    InfeasiblePeriodError with the offending hour index if any period
+    fails."""
     periods = _Periods(system, system.horizon)
     for h in range(system.horizon):
         periods.add(h, hourly_rhs(system, h))
@@ -415,40 +466,17 @@ def solve_full(system: SystemData) -> DispatchSolution:
 
 
 def solve_by_cones(system: SystemData) -> DispatchSolution:
-    """``solve_full``'s solution, bitwise, from one LP solve per basis.
-
-    The first hour not yet assigned is solved in the system's family.  If
-    its basis is new, ``_kernels.cone_columns`` tests every hour left
-    against it in one batched pass and takes those in its cone: the basis
-    is their unique optimum, so Bland's rule ends there too, with the same
-    bits.  A basis seen again tests nothing, as its one test refused every
-    hour left.  So an LP is solved per basis and per hour no cone takes,
-    such as a degenerate one; a taken hour has 0 ``iterations``.  Raises
-    InfeasiblePeriodError with the first hour that is not optimal, as
-    ``solve_full`` does: every hour before it is assigned by then.
+    """``solve_full``'s solution, bitwise but for ``iterations``, from one
+    LP solve per basis not yet known to the system (see ``_solve_rows``).
     """
-    rows = system._hour_rhs
-    periods = _Periods(system, len(rows))
-    left = np.arange(len(rows))
-    while left.size:
-        h, left = int(left[0]), left[1:]
-        new = periods.add(h, hourly_rhs(system, h))
-        if new:
-            lp, sol = new
-            cols = sol.basis.indices
-            taken, xb, obj = _kernels.cone_columns(lp._cache, cols, rows[left].T)
-            hours = left[taken]
-            periods.x[hours[:, None], cols] = xb.T
-            periods.objective[hours] = obj
-            periods.basis_ids[hours] = periods.basis_ids[h]
-            left = left[~taken]
-    return periods.solution(DispatchKind.FULL, np.ones(len(rows)))
+    return _solve_rows(system, system._hour_rhs, DispatchKind.FULL, np.ones(system.horizon))
 
 
 def solve_aggregated(
     system: SystemData, reps: Sequence[Representative]
 ) -> DispatchSolution:
-    """Solve each representative LP; total cost weights each by its hours.
+    """Solve each representative LP by basis cones (see ``_solve_rows``);
+    total cost weights each by its hours.
 
     Raises MissingCFError, before any LP is built, if a representative
     lacks the capacity factor of a variable unit.
@@ -461,10 +489,8 @@ def solve_aggregated(
         if any(key not in rep.cf for rep in reps):
             raise MissingCFError(f"representative lacks cf for series {key!r}")
         cf[key] = [rep.cf[key] for rep in reps]
-    periods = _Periods(system, len(reps))
-    for p, rhs in enumerate(_rhs(system, [rep.demand for rep in reps], cf)):
-        periods.add(p, rhs)
-    return periods.solution(DispatchKind.AGGREGATED, [rep.weight for rep in reps])
+    rows = _rhs(system, [rep.demand for rep in reps], cf)
+    return _solve_rows(system, rows, DispatchKind.AGGREGATED, [rep.weight for rep in reps])
 
 
 # ---------------------------------------------------------------------------

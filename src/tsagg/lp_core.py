@@ -7,21 +7,17 @@ anti-cycling and gives every input a single canonical optimal basis:
 solving the same bits twice returns the same basic index set.
 
 LPs made with ``StandardFormLP.with_rhs`` share their template's ``c``, ``A``
-and one ``_kernels.Family``: a record per basis, keyed by its signature's
-``indices`` tuple, of what depends on (c, A, basis) alone, B's factor, the
-duals and the reduced costs, so a basis is factorised once for the whole
-family and each evaluation then costs one triangular solve against its own
-b.  A basis the simplex has ended in twice is taken without pivoting for
-any later b whose unique optimum it is (``_kernels.simplex`` tries the last
-basis taken, then the one of top dual bound on b, the only other that weak
-duality lets pass).  ``solve`` returns the x_B that the simplex hands over
-with every optimal basis, so such an hour costs about one triangular solve
-in all.  Each basis gets one ``BasisSignature`` per family, kept on its
-record, which every solve that ends there shares.  A b that is already a
-float64 ndarray, as ``dispatch_model.hourly_rhs`` returns, is copied once
-as it is and set read-only; its shape and finiteness are checked as for any
-b, with the same errors.  ``TOL_FEAS``, ``TOL_OPT`` and ``PIVOT_EPS`` are
-the kernels' one set of tolerances, re-exported; no call takes its own.
+and one family of ``_kernels`` records, a dict keyed by each basis's
+signature ``indices`` tuple, of what depends on (c, A, basis) alone: B's
+factor, the duals and the reduced costs.  So a basis is factorised once for
+the whole family, and ``solve`` costs the tableau plus the one x_B solve
+that the simplex hands over with every optimal basis.  Each basis gets one
+``BasisSignature`` per family, kept on its record, which every solve that
+ends there shares.  A b that is already a float64 ndarray, as
+``dispatch_model.hourly_rhs`` returns, is copied once as it is and set
+read-only; its shape and finiteness are checked as for any b, with the
+same errors.  ``TOL_FEAS``, ``TOL_OPT`` and ``PIVOT_EPS`` are the kernels'
+one set of tolerances, re-exported; no call takes its own.
 """
 
 from __future__ import annotations
@@ -92,7 +88,7 @@ class StandardFormLP:
     """min c.x subject to A x = b, x >= 0.
 
     The arrays are read-only copies.  An LP made by ``with_rhs`` shares its
-    template's ``c`` and ``A`` arrays and its ``_kernels.Family``; any
+    template's ``c`` and ``A`` arrays and its family of basis records; any
     other construction, ``dataclasses.replace`` included, starts afresh.
     """
 
@@ -100,7 +96,7 @@ class StandardFormLP:
     A: np.ndarray
     b: np.ndarray
     # Valid only for this c and A; only ``_kernels`` reads its entries.
-    _cache: _kernels.Family = field(init=False, repr=False)
+    _cache: dict = field(init=False, repr=False)
 
     def __init__(self, c, A, b, _template: StandardFormLP | None = None):
         b = readonly(b)
@@ -109,7 +105,7 @@ class StandardFormLP:
             # so only what the new b can break is checked.
             family = _template._cache
         else:
-            c, A, family = readonly(c), readonly(A), _kernels.Family()
+            c, A, family = readonly(c), readonly(A), {}
             if A.ndim != 2 or c.ndim != 1:
                 raise ValueError("expected A 2-d, c and b 1-d")
             m, n = A.shape
@@ -190,7 +186,8 @@ def solve(lp: StandardFormLP) -> LPSolution:
     Returns an Optimal solution with vertex x, canonical basis and reduced
     costs, or status Infeasible / Unbounded.  Raises RankDeficientError
     when A has dependent rows and NumericalFailureError when pivoting
-    breaks down or takes more than 50 (n + m + 10) pivots.
+    breaks down or takes more than 50 (n + m + 10) pivots, or when the
+    optimal objective is not finite, as it is whenever an x_B entry is not.
     """
     m, n = lp.A.shape
     status, _, iters, hit = _kernels.simplex(lp.c, lp.A, lp.b, 50 * (n + m + 10), lp._cache)
@@ -199,6 +196,8 @@ def solve(lp: StandardFormLP) -> LPSolution:
         ok, x, rc, obj = _kernels.evaluate(record, xb)
         if not ok:
             raise NumericalFailureError("terminal basis factorisation broke down")
+        if not math.isfinite(obj):
+            raise NumericalFailureError(f"objective {obj} is not finite")
         if record.tag is None:
             record.tag = BasisSignature(record.cols)
         return LPSolution(LPStatus.OPTIMAL, obj, x, record.tag, rc, iters)
@@ -221,16 +220,19 @@ def solve_with_basis(lp: StandardFormLP, basis: BasisSignature) -> LPSolution:
     Status is Optimal iff x_B >= -TOL_FEAS and all reduced costs are
     >= -TOL_OPT; otherwise the diagnostic BasisInfeasible or
     BasisSuboptimal variant is returned (solution values included either
-    way).  A NaN in x_B or in the reduced costs fails neither test, as in
+    way).  A NaN in the reduced costs fails neither test, as in
     ``np.min``.  The smallest reduced cost is the basis's record's, made
     once per family; a call solves x_B and takes its smallest entry.  x
     and the reduced costs are fresh arrays.  Raises SingularBasisError
-    when B cannot be factorised.
+    when B cannot be factorised, and NumericalFailureError when the
+    objective is not finite, as it is whenever an x_B entry is not.
     """
     ok, x, rc, obj, x_min, rc_min = _kernels.basis_eval(
         lp.c, lp.A, lp.b, _check_basis(lp, basis), lp._cache)
     if not ok:
         raise SingularBasisError(f"basis {basis.indices} is singular")
+    if not math.isfinite(obj):
+        raise NumericalFailureError(f"objective {obj} is not finite")
     if x_min < -TOL_FEAS:
         status = LPStatus.BASIS_INFEASIBLE
     elif rc_min < -TOL_OPT:

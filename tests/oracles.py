@@ -255,11 +255,16 @@ def _pivot_loop_np(T, basis, m, n_enter, tol_opt, pivot_eps, max_iter, iters):
         elig = col > pivot_eps
         if not elig.any():
             return 2, iters
-        ratios = np.full(m, np.inf)
-        ratios[elig] = T[:m, rhs][elig] / col[elig]
-        best = ratios.min()
-        ties = np.nonzero(ratios == best)[0]
-        leave = ties[np.argmin(basis[ties])]
+        # The first eligible row leads; a later one replaces it only with
+        # a smaller ratio, or an equal one and a smaller basic index.  So
+        # a NaN or infinite ratio (an overflowed tableau) is never skipped.
+        rows = np.nonzero(elig)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = T[rows, rhs] / col[rows]
+        leave, best = rows[0], ratios[0]
+        for i, q in zip(rows[1:], ratios[1:]):
+            if q < best or (q == best and basis[i] < basis[leave]):
+                leave, best = i, q
         _pivot_np(T, basis, leave, enter)
         iters += 1
     return 4, iters

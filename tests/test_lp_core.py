@@ -11,6 +11,7 @@ from tsagg import (
     TOL_OPT,
     BasisSignature,
     LPStatus,
+    NumericalFailureError,
     RankDeficientError,
     SingularBasisError,
     StandardFormLP,
@@ -266,6 +267,32 @@ def test_singular_basis_error_on_every_with_rhs_lp():
             solve_with_basis(family, basis).reduced_costs
     with pytest.raises(SingularBasisError):
         solve_with_basis(lp, basis)
+
+
+# D39: min x s.t. -1e-6 x0 + x1 = b0, -x1 + x2 = b1 at b near -1e308 ends in
+# basis (0, 1) with x0 = inf.
+OVERFLOW_A = [[-1e-06, 1.0, 0.0], [0.0, -1.0, 1.0]]
+OVERFLOW_B = [-5.407481500825879e307, -1.8266510050802505e307]
+
+
+def test_an_overflowed_optimum_raises():
+    lp = StandardFormLP([1.0, 1.0, 1.0], OVERFLOW_A, OVERFLOW_B)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        solve(lp)
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        solve_with_basis(lp, BasisSignature((0, 1)))
+
+
+def test_a_nan_x_b_raises():
+    """x_B overflows to inf and -inf, and x_0 = -inf + inf is NaN."""
+    lp = StandardFormLP(
+        [1.0, 1.0, 1.0, 1.0],
+        [[1.0, 1.0, 1.0, 0.0], [0.0, 1e-10, 0.0, 1.0], [0.0, 0.0, 1e-10, 1.0]],
+        [0.0, 1e308, -1e308],
+    )
+    for _ in range(2):  # the record's first use, then the kept one
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            solve_with_basis(lp, BasisSignature((0, 1, 2)))
 
 
 # ---------------------------------------------------------------------------

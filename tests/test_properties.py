@@ -21,15 +21,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from systems import BOUNDARY_OFFSETS, one_boundary_system, random_system  # noqa: E402
+from test_cones import assert_same_solution  # noqa: E402
 from test_kernels import _assert_hours_match_reference  # noqa: E402
 from tsagg.data_io import regime_fractions  # noqa: E402
 from tsagg.dispatch_model import (  # noqa: E402
     Generator,
+    InfeasiblePeriodError,
     SystemData,
     add_nse_generator,
     cost_offset,
     regime_label,
     solve_aggregated,
+    solve_by_cones,
     solve_full,
 )
 from tsagg.evaluation import compare_methods_detailed  # noqa: E402
@@ -120,21 +123,61 @@ def test_kmeans_never_overestimates_the_full_cost(seed, k):
     assert sum(gaps) == pytest.approx(full.total_cost - aggregated.total_cost, abs=1e-12 * scale)
 
 
+AGGREGATED_ARRAYS = ("weights", "x", "objective", "basis_ids", "reduced_costs", "production")
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 96), st.booleans(), st.integers(1, 6))
+def test_aggregated_solve_seeded_by_a_full_solve_equals_a_fresh_one(seed, hours, nse, k):
+    """``solve_aggregated`` in a system whose family holds a full solve's
+    records tests the representatives against them first: the same
+    solution as in a fresh system, bitwise but for ``iterations``, with
+    ``distinct_bases`` in first-period order.  A fleet without NSE may
+    have an infeasible hour; the records made before it stay."""
+    def make():
+        return random_system(np.random.default_rng(seed), hours=hours, nse=nse)
+
+    system = make()
+    try:
+        solve_full(system)
+    except InfeasiblePeriodError:
+        pass
+    reps = to_representatives(kmeans(normalize_features(system), min(k, hours)))
+    try:
+        want = solve_aggregated(make(), reps)
+    except InfeasiblePeriodError as err:
+        with pytest.raises(InfeasiblePeriodError) as got:
+            solve_aggregated(system, reps)
+        assert (got.value.index, got.value.status) == (err.index, err.status)
+        return
+    got = solve_aggregated(system, reps)
+    assert got.distinct_bases == want.distinct_bases
+    for name in AGGREGATED_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.total_cost.hex() == want.total_cost.hex()
+    assert list(dict.fromkeys(got.basis_ids.tolist())) == list(range(len(got.distinct_bases)))
+
+
 BOUNDARY_STEPS = st.one_of(
     st.sampled_from(BOUNDARY_OFFSETS).map(lambda offset: (offset, 0)),
     st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]).map(lambda ulps: (0.0, ulps)),
 )
 
 
-# About one example in a hundred has the cone test and Bland's rule part ways
-# when x_B in (0, TOL_FEAS] is accepted; 400 examples take about 5 s.
+# The cone test refuses an x_B entry in (0, TOL_FEAS] that Bland's ratio
+# test accepts: the hours within the tolerances reach it.  400 examples
+# take about 3 s.
 @settings(SETTINGS, max_examples=400)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), BOUNDARY_STEPS)
 def test_solve_full_matches_reference_next_to_a_boundary(seed, boundary, step):
-    """After hours that registered cones, an hour on a merit-order boundary
-    and one at ``step`` (MW offset, then ulps) from it get the reference
-    tableau's basis and pivot count, in ``solve_full`` as in one family."""
+    """After hours well inside the regimes, an hour on a merit-order
+    boundary and one at ``step`` (MW offset, then ulps) from it get the
+    reference tableau's basis and pivot count, in ``solve_full`` as in one
+    family, and ``solve_by_cones`` gives ``solve_full``'s bits."""
     offset, ulps = step
-    system = one_boundary_system(np.random.default_rng(seed), boundary, offset, ulps)
-    with pytest.MonkeyPatch.context() as patch:
-        _assert_hours_match_reference(system, patch)
+
+    def make():
+        return one_boundary_system(np.random.default_rng(seed), boundary, offset, ulps)
+
+    _assert_hours_match_reference(make())
+    assert_same_solution(solve_by_cones(make()), solve_full(make()))
